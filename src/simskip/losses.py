@@ -12,6 +12,14 @@ the positive term (the standard form, guaranteeing loss > 0); pass
 `exclude_positive=True` for the variant whose denominator ranges over
 k != i, p only.
 
+The loss and its gradient are evaluated over blocks of `_BLOCK_ROWS`
+anchor rows. Each block forms its slice of the similarity matrix once and
+works on it in place, so memory is O(block x 2N) rather than several
+2N x 2N temporaries. Every row's logits are shifted by that row's own max
+before `exp`, so the denominator cannot underflow however small tau is.
+A batch of at most `_BLOCK_ROWS` rows is a single block, whose gradient
+takes one matmul.
+
 `hinge_loss` and `logistic_loss` are the margin losses used by the
 bound-checking machinery: max(0, 1 - min_i v_i) and
 log2(1 + sum_i exp(-v_i)). Both are monotonically decreasing in every
@@ -28,6 +36,9 @@ import numpy as np
 from .errors import NumericsError, ShapeError, ValidationError
 
 LN2 = math.log(2.0)
+
+# anchor rows per block of the similarity matrix in `nt_xent`
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -61,32 +72,44 @@ def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossVa
         raise NumericsError("nt_xent requires all rows nonzero and finite")
 
     zh = z / norms[:, None]
-    sims = np.clip(zh @ zh.T, -1.0, 1.0)
     partner = np.arange(rows) ^ 1  # 2i <-> 2i+1
+    scale = tau * rows
+    per_anchor = np.empty(rows)
+    d_zh = np.zeros_like(zh)
+    for r0 in range(0, rows, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, rows)
+        local = np.arange(r1 - r0)
+        pos = partner[r0:r1]
 
-    logits = sims / tau
-    allowed = ~np.eye(rows, dtype=bool)
-    if exclude_positive:
-        allowed[np.arange(rows), partner] = False
+        # this block's logits, then the positives before they are masked
+        s = zh[r0:r1] @ zh.T
+        np.clip(s, -1.0, 1.0, out=s)
+        s /= tau
+        pos_logits = s[local, pos]
+        s[local, local + r0] = -np.inf
+        if exclude_positive:
+            s[local, pos] = -np.inf
 
-    masked = np.where(allowed, logits, -np.inf)
-    row_max = masked.max(axis=1)
-    exp_shift = np.where(allowed, np.exp(masked - row_max[:, None]), 0.0)
-    denom = exp_shift.sum(axis=1)
-    lse = row_max + np.log(denom)
+        row_max = s.max(axis=1)
+        s -= row_max[:, None]
+        np.exp(s, out=s)
+        denom = s.sum(axis=1)
+        per_anchor[r0:r1] = row_max + np.log(denom) - pos_logits
 
-    pos_logits = logits[np.arange(rows), partner]
-    per_anchor = lse - pos_logits
+        # d(loss)/d(sims): softmax over allowed entries minus the positive indicator
+        s /= denom[:, None]
+        s[local, pos] -= 1.0
+        s /= scale
+
+        # back through sims = zh @ zh.T; g + g.T splits into the block's rows and columns
+        if r1 - r0 == rows:
+            d_zh = (s + s.T) @ zh
+        else:
+            d_zh[r0:r1] += s @ zh
+            d_zh += s.T @ zh[r0:r1]
     value = float(per_anchor.mean())
 
-    # d(loss)/d(sims): softmax over allowed entries minus the positive indicator
-    probs = exp_shift / denom[:, None]
-    g_sims = probs.copy()
-    g_sims[np.arange(rows), partner] -= 1.0
-    g_sims /= tau * rows
-
-    # back through sims = zh @ zh.T, then through row normalization
-    d_zh = (g_sims + g_sims.T) @ zh
+    # then through row normalization
     radial = (d_zh * zh).sum(axis=1, keepdims=True)
     grad = (d_zh - radial * zh) / norms[:, None]
     return LossValue(value, grad)

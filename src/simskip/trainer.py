@@ -113,7 +113,13 @@ def adam_step(
     t: int,
     cfg: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place; t counts from 1."""
+    """One bias-corrected Adam update, applied in place; t counts from 1.
+
+    The parameters and both moments are updated in place through two
+    scratch arrays per tensor; `grads` is only read. The arithmetic runs in
+    the order of the textbook form, lr * m_hat / (sqrt(v_hat) + eps), so
+    the result is bitwise the same as evaluating that expression.
+    """
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -123,11 +129,24 @@ def adam_step(
             raise ValidationError(f"gradient for {key!r} has wrong shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {key!r}")
-        state.m[key] = b1 * state.m[key] + (1 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
-        m_hat = state.m[key] / (1 - b1**t)
-        v_hat = state.v[key] / (1 - b2**t)
-        params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m, v = state.m[key], state.v[key]
+        # m = b1 * m + (1 - b1) * g
+        scratch = np.multiply(g, 1 - b1)
+        m *= b1
+        m += scratch
+        # v = b2 * v + (1 - b2) * g * g
+        np.multiply(g, 1 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        # params -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.adam_eps
+        step = np.divide(m, 1 - b1**t)
+        step *= cfg.learning_rate
+        step /= scratch
+        params[key] -= step
     return params, state
 
 

@@ -35,6 +35,28 @@ def brute_force_nt_xent(z, tau, exclude_positive=False):
     return total / rows
 
 
+def log_space_nt_xent(z, tau, exclude_positive=False):
+    """The same literal loop as `brute_force_nt_xent`, with each anchor's
+    log-sum-exp shifted by its largest logit, so tiny tau cannot overflow."""
+    z = np.asarray(z, dtype=np.float64)
+    rows, dim = z.shape
+    norm = [math.sqrt(sum(float(z[i, t]) ** 2 for t in range(dim))) for i in range(rows)]
+
+    def logit(i, j):
+        num = sum(float(z[i, t]) * float(z[j, t]) for t in range(dim))
+        return max(-1.0, min(1.0, num / (norm[i] * norm[j]))) / tau
+
+    total = 0.0
+    for i in range(rows):
+        partner = i + 1 if i % 2 == 0 else i - 1
+        others = [logit(i, k) for k in range(rows)
+                  if k != i and not (exclude_positive and k == partner)]
+        top = max(others)
+        lse = top + math.log(sum(math.exp(x - top) for x in others))
+        total += lse - logit(i, partner)
+    return total / rows
+
+
 def brute_force_knn_score(vectors, labels, k):
     """Per-query loop with (distance, index) sorting; ties go to lower index."""
     n = len(vectors)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import simskip
 from simskip.cli import parse_and_run
 from simskip.embedding_store import load_embeddings
 
@@ -188,10 +191,14 @@ class TestErrorPaths:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.embf"
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(simskip.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "simskip.cli", "gen-synth", "--classes", "2",
              "--dim", "4", "--per-class", "5", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert load_embeddings(out).count == 10

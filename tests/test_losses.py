@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nt_xent
+from helpers import brute_force_nt_xent, log_space_nt_xent
+from simskip import losses
 from simskip.errors import NumericsError, ValidationError
 from simskip.losses import cosine_sim, hinge_loss, logistic_loss, nt_xent
 from simskip.nn_core import grad_check
@@ -102,6 +104,80 @@ class TestNtXent:
         with pytest.raises(ValidationError):
             nt_xent(np.ones((8, 3)), 0.0)
 
+
+def blocked_nt_xent(z, tau, block, exclude_positive=False):
+    """nt_xent evaluated with `block` anchor rows per block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_BLOCK_ROWS", block)
+        return nt_xent(z, tau, exclude_positive=exclude_positive)
+
+
+class TestNtXentBlocked:
+    # 2N = 14 and 22 span three and four blocks of 6, the last one partial
+    @pytest.mark.parametrize("rows", [14, 22])
+    @pytest.mark.parametrize("exclude_positive", [False, True])
+    @pytest.mark.parametrize("tau", [0.07, 0.5])
+    def test_matches_brute_force(self, rows, exclude_positive, tau):
+        rng = np.random.default_rng(rows + int(100 * tau))
+        z = rng.standard_normal((rows, 5))
+        got = blocked_nt_xent(z, tau, 6, exclude_positive).value
+        assert abs(got - brute_force_nt_xent(z, tau, exclude_positive)) < 1e-10
+
+    @pytest.mark.parametrize("rows", [14, 22])
+    @pytest.mark.parametrize("exclude_positive", [False, True])
+    def test_gradient_matches_finite_differences(self, rows, exclude_positive):
+        rng = np.random.default_rng(30 + rows)
+        z = rng.standard_normal((rows, 6))
+
+        def loss_fn():
+            lv = blocked_nt_xent(z, 0.5, 6, exclude_positive)
+            return lv.value, {"z": lv.grad}
+
+        assert grad_check(loss_fn, {"z": z}) < 1e-5
+
+    @given(
+        st.integers(2, 16), st.integers(1, 8), st.floats(0.05, 2.0),
+        st.booleans(), st.integers(0, 2**32 - 1), st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_agrees_with_single_block(self, pairs, dim, tau, exclude_positive,
+                                              seed, data):
+        rows = 2 * pairs
+        block = data.draw(st.integers(1, rows - 1))
+        z = np.random.default_rng(seed).standard_normal((rows, dim))
+        single = nt_xent(z, tau, exclude_positive=exclude_positive)
+        blocked = blocked_nt_xent(z, tau, block, exclude_positive)
+        assert abs(blocked.value - single.value) < 1e-12
+        scale = max(1.0, float(np.abs(single.grad).max()))
+        assert np.abs(blocked.grad - single.grad).max() < 1e-12 * scale
+
+
+class TestNtXentNumerics:
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2])
+    @pytest.mark.parametrize("block", [256, 6])
+    @pytest.mark.parametrize("exclude_positive", [False, True])
+    def test_small_tau_matches_log_space_oracle(self, tau, block, exclude_positive):
+        rng = np.random.default_rng(40)
+        random_rows = rng.standard_normal((14, 5))
+        # pairs along distinct axes: with the positive excluded every logit of
+        # every anchor lies near 0, so shifting by the bound 1/tau instead of
+        # the row max would underflow each denominator to 0
+        axis_pairs = np.repeat(np.eye(7), 2, axis=0) + 0.05 * rng.standard_normal((14, 7))
+        for z in (random_rows, axis_pairs):
+            got = blocked_nt_xent(z, tau, block, exclude_positive)
+            assert np.isfinite(got.value) and np.all(np.isfinite(got.grad))
+            assert abs(got.value - log_space_nt_xent(z, tau, exclude_positive)) < 1e-9
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a single 4096 x 4096 float64 array would be 134 MB
+        z = np.random.default_rng(42).standard_normal((4096, 16))
+        tracemalloc.start()
+        try:
+            nt_xent(z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 class TestMarginLosses:
     def test_hinge_values(self):

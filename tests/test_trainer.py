@@ -58,6 +58,36 @@ class TestAdam:
         a, b = run(), run()
         assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
 
+    def test_bitwise_equal_to_the_textbook_update(self):
+        def reference_step(params, grads, state, t, cfg):
+            b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+            for key in sorted(params):
+                g = np.asarray(grads[key], dtype=np.float64)
+                state.m[key] = b1 * state.m[key] + (1 - b1) * g
+                state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
+                m_hat = state.m[key] / (1 - b1**t)
+                v_hat = state.v[key] / (1 - b2**t)
+                params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+        rng = np.random.default_rng(4)
+        cfg = TrainConfig(learning_rate=0.003)
+        shapes = {"w1": (6, 3), "b1": (1,), "w2": (3, 6), "s": (5,)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        got = {k: a.copy() for k, a in start.items()}
+        want = {k: a.copy() for k, a in start.items()}
+        got_state, want_state = adam_init(got), adam_init(want)
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            before = {k: g.copy() for k, g in grads.items()}
+            adam_step(got, grads, got_state, t=t, cfg=cfg)
+            reference_step(want, grads, want_state, t, cfg)
+            for k in shapes:
+                assert np.array_equal(grads[k], before[k])
+        for k in shapes:
+            assert np.array_equal(got[k], want[k])
+            assert np.array_equal(got_state.m[k], want_state.m[k])
+            assert np.array_equal(got_state.v[k], want_state.v[k])
+
 
 class TestTrain:
     def test_loss_decreases_on_mixture(self):
