@@ -17,8 +17,6 @@ anchor rows. Each block forms its slice of the similarity matrix once and
 works on it in place, so memory is O(block x 2N) rather than several
 2N x 2N temporaries. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
-A batch of at most `_BLOCK_ROWS` rows is a single block, whose gradient
-takes one matmul.
 
 `hinge_loss` and `logistic_loss` are the margin losses used by the
 bound-checking machinery: max(0, 1 - min_i v_i) and
@@ -97,16 +95,12 @@ def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossVa
         per_anchor[r0:r1] = row_max + np.log(denom) - pos_logits
 
         # d(loss)/d(sims): softmax over allowed entries minus the positive indicator
-        s /= denom[:, None]
-        s[local, pos] -= 1.0
-        s /= scale
+        s /= (denom * scale)[:, None]
+        s[local, pos] -= 1.0 / scale
 
         # back through sims = zh @ zh.T; g + g.T splits into the block's rows and columns
-        if r1 - r0 == rows:
-            d_zh = (s + s.T) @ zh
-        else:
-            d_zh[r0:r1] += s @ zh
-            d_zh += s.T @ zh[r0:r1]
+        d_zh[r0:r1] += s @ zh
+        d_zh += s.T @ zh[r0:r1]
     value = float(per_anchor.mean())
 
     # then through row normalization
