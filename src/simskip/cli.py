@@ -47,6 +47,7 @@ from .model import (
 from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
 from .theory import BoundInputs, bound_report, sample_triplets
 from .trainer import LEARNING_RATE_GRID, TrainConfig, load_train_config, train
+from .utils import atomic_write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +66,7 @@ def _write_json(payload: dict, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        atomic_write(path, text)
 
 
 def _require_inputs(*paths) -> None:
@@ -200,7 +201,7 @@ def _cmd_eval(args) -> int:
         for path, comp, _other in comparisons:
             _, row = comp.to_csv_row()
             lines.append(path + "," + ",".join(row))
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        atomic_write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError, ValidationError
+from .utils import atomic_write
 
 MAGIC = b"EMBF"
 VERSION = 1
@@ -110,7 +111,7 @@ def save_embeddings(dataset: EmbeddingDataset, path) -> None:
     blob += dataset.vectors.astype("<f4").tobytes()
     if has_labels:
         blob += dataset.labels.astype("<u4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    atomic_write(path, bytes(blob))
 
 
 def load_embeddings(path) -> EmbeddingDataset:
@@ -150,7 +151,7 @@ def save_csv(dataset: EmbeddingDataset, path) -> None:
         if dataset.labels is not None:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_csv(path, labeled: bool = False) -> EmbeddingDataset:

@@ -5,7 +5,12 @@ Two metrics:
 * k-nearest-neighbor same-label score: for every labeled point, the
   fraction of its k nearest neighbors (Euclidean by default, self
   excluded, distance ties broken toward the lower row index) that share
-  its label, averaged over all points.
+  its label, averaged over all points. Query rows are handled in fixed
+  blocks of `_KNN_BLOCK_ROWS`: each block forms its block x N distances
+  once, finds the k-th smallest with `np.partition`, and counts the
+  entries below it plus the lowest-index entries equal to it. Memory is
+  O(block x N) per worker thread, and since the blocks do not depend on
+  the thread count, neither does the score.
 * probe accuracy: a classifier trained on frozen embeddings. "linear" is
   multinomial logistic regression fit by full-batch gradient descent;
   "mlp3" is a 3-layer ReLU network (input -> hidden -> hidden -> classes)
@@ -37,6 +42,9 @@ from .utils import worker_count
 
 LINEAR = "linear"
 MLP3 = "mlp3"
+
+# anchor rows per block of the distance matrix in `knn_same_label_score`
+_KNN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -90,39 +98,56 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10,
 
     x = dataset.vectors
     labels = dataset.labels
+    n = dataset.count
     if metric == "euclidean":
         sq = (x * x).sum(axis=1)
 
-        def distances(rows):
-            return sq[rows, None] - 2.0 * (x[rows] @ x.T) + sq[None, :]
+        def distances(r0, r1):
+            d = x[r0:r1] @ x.T
+            d *= -2.0
+            d += sq[r0:r1, None]
+            d += sq[None, :]
+            return d
     else:
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms == 0.0):
             raise ValidationError("cosine metric requires nonzero rows")
         xn = x / norms[:, None]
 
-        def distances(rows):
-            return 1.0 - xn[rows] @ xn.T
+        def distances(r0, r1):
+            d = xn[r0:r1] @ xn.T
+            return np.subtract(1.0, d, out=d)
 
-    fractions = np.empty(dataset.count)
+    fractions = np.empty(n)
 
-    def fill(lo: int, hi: int):
-        rows = np.arange(lo, hi)
-        d = distances(rows)
-        d[np.arange(hi - lo), rows] = np.inf  # exclude self
-        # stable sort keeps the lower index first on exact distance ties
-        neighbors = np.argsort(d, axis=1, kind="stable")[:, :k]
-        fractions[lo:hi] = (labels[neighbors] == labels[rows, None]).mean(axis=1)
+    def fill(r0: int):
+        r1 = min(r0 + _KNN_BLOCK_ROWS, n)
+        local = np.arange(r1 - r0)
+        d = distances(r0, r1)
+        d[local, local + r0] = np.inf  # exclude self
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+        same = labels[None, :] == labels[r0:r1, None]
+        within = d <= kth
+        hits = (within & same).sum(axis=1)
+        # ties at the k-th distance go to the lower index: where more than k
+        # entries are within reach, drop the surplus highest-index ties
+        surplus = within.sum(axis=1) - k
+        over = np.flatnonzero(surplus > 0)
+        if over.size:
+            ties = d[over] == kth[over]
+            kept = ties.sum(axis=1) - surplus[over]
+            dropped = ties & (np.cumsum(ties, axis=1) > kept[:, None])
+            hits[over] -= (dropped & same[over]).sum(axis=1)
+        fractions[r0:r1] = hits / k
 
-    workers = min(worker_count(), dataset.count)
+    starts = range(0, n, _KNN_BLOCK_ROWS)
+    workers = min(worker_count(), len(starts))
     if workers <= 1:
-        fill(0, dataset.count)
+        for r0 in starts:
+            fill(r0)
     else:
-        bounds = np.linspace(0, dataset.count, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-            for job in jobs:
-                job.result()
+            list(pool.map(fill, starts))
     return float(fractions.mean())
 
 

@@ -18,10 +18,11 @@ works on it in place, so memory is O(block x 2N) rather than several
 2N x 2N temporaries. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
 
-`hinge_loss` and `logistic_loss` are the margin losses used by the
-bound-checking machinery: max(0, 1 - min_i v_i) and
-log2(1 + sum_i exp(-v_i)). Both are monotonically decreasing in every
-coordinate of v.
+`hinge_loss` and `logistic_loss` are the margin losses of the
+bound-checking machinery for one margin vector: max(0, 1 - min_i v_i)
+and log2(1 + sum_i exp(-v_i)). Both are monotonically decreasing in every
+coordinate of v. `theory` evaluates the same formulas row-wise over a
+whole margin matrix.
 """
 
 from __future__ import annotations

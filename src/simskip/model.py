@@ -48,6 +48,7 @@ from .nn_core import (
     relu_apply,
     relu_backward,
 )
+from .utils import atomic_write
 
 CHECKPOINT_MAGIC = b"SSKP"
 CHECKPOINT_VERSION = 1
@@ -254,7 +255,7 @@ def save_checkpoint(params: SimSkipParams, path) -> None:
     for attr, field_name in _TENSOR_ORDER:
         tensor = getattr(getattr(params, attr), field_name)
         blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    atomic_write(path, bytes(blob))
 
 
 def load_checkpoint(path) -> SimSkipParams:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingDataset
 from .errors import NumericsError, ShapeError, ValidationError
-from .losses import hinge_loss, logistic_loss
+from .losses import LN2
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
@@ -109,11 +109,22 @@ def triplet_margins(embedded: np.ndarray, triplets: list[TripletSample]) -> np.n
 
 
 def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:
+    """Mean over rows of `hinge_loss` or `logistic_loss`, in one array pass."""
+    if loss_kind not in (HINGE, LOGISTIC):
+        raise ValidationError(f"loss_kind must be {HINGE!r} or {LOGISTIC!r}, got {loss_kind!r}")
+    if margins.size == 0:
+        raise ValidationError(f"{loss_kind} loss needs at least one margin")
+    if not np.all(np.isfinite(margins)):
+        raise ValidationError(f"{loss_kind} loss requires finite margins")
     if loss_kind == HINGE:
-        return float(np.mean([hinge_loss(row) for row in margins]))
-    if loss_kind == LOGISTIC:
-        return float(np.mean([logistic_loss(row) for row in margins]))
-    raise ValidationError(f"loss_kind must be {HINGE!r} or {LOGISTIC!r}, got {loss_kind!r}")
+        per_row = np.maximum(0.0, 1.0 - margins.min(axis=1))
+    else:
+        # log2(1 + sum_i exp(-v_i)), each row shifted by max(0, max_i -v_i)
+        a = -margins
+        m = np.maximum(a.max(axis=1), 0.0)
+        s = np.exp(-m) + np.exp(a - m[:, None]).sum(axis=1)
+        per_row = (m + np.log(s)) / LN2
+    return float(per_row.mean())
 
 
 def apply_embedding(embed_fn, dataset: EmbeddingDataset) -> np.ndarray:

@@ -32,6 +32,7 @@ from .model import (
     trainable_params,
 )
 from .nn_core import TRAIN
+from .utils import atomic_write
 
 # learning-rate sweep exposed by the CLI
 LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
@@ -262,4 +263,4 @@ def save_train_config(cfg: TrainConfig, path) -> None:
         lines.append(f"{name} = {getattr(cfg, name)}")
     for name in _AUG_FIELDS:
         lines.append(f"augment.{name} = {getattr(cfg.augment, name)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_knn_score
+from simskip import evaluate
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import ShapeError, ValidationError
 from simskip.evaluate import (
@@ -85,6 +90,61 @@ class TestKnnScore:
         monkeypatch.setenv("SIMSKIP_THREADS", "4")
         threaded = knn_same_label_score(ds, 7)
         assert serial == threaded
+
+
+def blocked_knn(ds, k, block, threads):
+    """knn_same_label_score with `block` anchor rows per block on `threads` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_KNN_BLOCK_ROWS", block)
+        mp.setenv("SIMSKIP_THREADS", str(threads))
+        return knn_same_label_score(ds, k)
+
+
+def duplicated_rows(rng, distinct, dim):
+    """Small integer points, each repeated 3-4 times, in shuffled order.
+
+    Integer coordinates make every distance exact, so equal distances are
+    real ties and the lower-index tie-break decides the neighbor sets.
+    """
+    base = rng.integers(-2, 3, (distinct, dim)).astype(float)
+    vectors = np.repeat(base, rng.integers(3, 5, distinct), axis=0)
+    vectors = vectors[rng.permutation(len(vectors))]
+    return vectors, rng.integers(0, 3, len(vectors))
+
+
+class TestKnnBlocked:
+    @pytest.mark.parametrize("block", [256, 7])
+    def test_duplicate_rows_match_brute_force(self, block):
+        rng = np.random.default_rng(10)
+        vectors, labels = duplicated_rows(rng, distinct=15, dim=3)
+        ds = EmbeddingDataset(vectors, labels)
+        for k in (1, 2, 3, 5, 10):
+            expected = brute_force_knn_score(vectors, labels, k)
+            assert blocked_knn(ds, k, block, 2) == pytest.approx(expected, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(1, 4),
+           st.integers(1, 8), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_block_and_thread_count_agree(self, seed, distinct, dim, k, threads, data):
+        vectors, labels = duplicated_rows(np.random.default_rng(seed), distinct, dim)
+        ds = EmbeddingDataset(vectors, labels)
+        block = data.draw(st.integers(1, len(vectors)))
+        got = blocked_knn(ds, k, block, threads)
+        assert got == blocked_knn(ds, k, len(vectors), 1)
+        assert got == pytest.approx(brute_force_knn_score(vectors, labels, k), abs=1e-12)
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        # a single 4096 x 4096 float64 distance matrix would be 134 MB
+        monkeypatch.setenv("SIMSKIP_THREADS", "1")
+        rng = np.random.default_rng(11)
+        ds = EmbeddingDataset(rng.standard_normal((4096, 8)), rng.integers(0, 4, 4096))
+        tracemalloc.start()
+        try:
+            knn_same_label_score(ds, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestProbes:

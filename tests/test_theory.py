@@ -15,6 +15,7 @@ from simskip.theory import (
     LOGISTIC,
     BoundInputs,
     TripletSample,
+    _margin_loss,
     bound_rhs,
     empirical_unsup_loss,
     gen_m,
@@ -92,6 +93,29 @@ class TestEmpiricalLoss:
         bad = lambda x: np.full_like(x, np.inf)
         with pytest.raises(NumericsError):
             empirical_unsup_loss(bad, ds, triplets)
+
+
+class TestMarginLoss:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("kind", [HINGE, LOGISTIC])
+    def test_equals_mean_of_scalar_losses(self, kind, k):
+        rng = np.random.default_rng(20 + k)
+        margins = 3.0 * rng.standard_normal((300, k))
+        # exp(1000) overflows unless each row is shifted by max(0, its max of -v)
+        margins[:10] -= 1000.0
+        margins[10:20, 0] = -1000.0 + rng.standard_normal(10)
+        margins[20:30] += 1000.0
+        scalar = hinge_loss if kind == HINGE else logistic_loss
+        expected = float(np.mean([scalar(row) for row in margins]))
+        assert _margin_loss(margins, kind) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", [HINGE, LOGISTIC])
+    def test_non_finite_margin_rejected(self, kind, bad):
+        margins = np.ones((5, 4))
+        margins[3, 2] = bad
+        with pytest.raises(ValidationError):
+            _margin_loss(margins, kind)
 
 
 class TestSkipInequality:
