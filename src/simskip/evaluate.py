@@ -7,10 +7,11 @@ Two metrics:
   excluded, distance ties broken toward the lower row index) that share
   its label, averaged over all points. Query rows are handled in fixed
   blocks of `_KNN_BLOCK_ROWS`: each block forms its block x N distances
-  once, finds the k-th smallest with `np.partition`, and counts the
-  entries below it plus the lowest-index entries equal to it. Memory is
-  O(block x N) per worker thread, and since the blocks do not depend on
-  the thread count, neither does the score.
+  once, finds the k-th smallest by partitioning a copy, and counts the
+  entries below it plus the lowest-index entries equal to it. Worker
+  threads take the blocks in turn; memory is two block x N buffers per
+  worker, and since the blocks do not depend on the thread count, neither
+  does the score.
 * probe accuracy: a classifier trained on frozen embeddings. "linear" is
   multinomial logistic regression fit by full-batch gradient descent;
   "mlp3" is a 3-layer ReLU network (input -> hidden -> hidden -> classes)
@@ -102,52 +103,61 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10,
     if metric == "euclidean":
         sq = (x * x).sum(axis=1)
 
-        def distances(r0, r1):
-            d = x[r0:r1] @ x.T
-            d *= -2.0
-            d += sq[r0:r1, None]
-            d += sq[None, :]
-            return d
+        def distances(r0, r1, out):
+            np.matmul(x[r0:r1], x.T, out=out)
+            out *= -2.0
+            out += sq[r0:r1, None]
+            out += sq[None, :]
     else:
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms == 0.0):
             raise ValidationError("cosine metric requires nonzero rows")
         xn = x / norms[:, None]
 
-        def distances(r0, r1):
-            d = xn[r0:r1] @ xn.T
-            return np.subtract(1.0, d, out=d)
+        def distances(r0, r1, out):
+            np.matmul(xn[r0:r1], xn.T, out=out)
+            np.subtract(1.0, out, out=out)
 
     fractions = np.empty(n)
-
-    def fill(r0: int):
-        r1 = min(r0 + _KNN_BLOCK_ROWS, n)
-        local = np.arange(r1 - r0)
-        d = distances(r0, r1)
-        d[local, local + r0] = np.inf  # exclude self
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-        same = labels[None, :] == labels[r0:r1, None]
-        within = d <= kth
-        hits = (within & same).sum(axis=1)
-        # ties at the k-th distance go to the lower index: where more than k
-        # entries are within reach, drop the surplus highest-index ties
-        surplus = within.sum(axis=1) - k
-        over = np.flatnonzero(surplus > 0)
-        if over.size:
-            ties = d[over] == kth[over]
-            kept = ties.sum(axis=1) - surplus[over]
-            dropped = ties & (np.cumsum(ties, axis=1) > kept[:, None])
-            hits[over] -= (dropped & same[over]).sum(axis=1)
-        fractions[r0:r1] = hits / k
-
     starts = range(0, n, _KNN_BLOCK_ROWS)
     workers = min(worker_count(), len(starts))
+    # Two block x N buffers per worker, allocated by the calling thread: the
+    # blocks that worker threads allocate themselves stay cached in their
+    # malloc arenas after the call, where the rest of the process cannot
+    # reuse them, and the process's peak RSS then varies from run to run.
+    rows = min(_KNN_BLOCK_ROWS, n)
+    scratch = [(np.empty((rows, n)), np.empty((rows, n))) for _ in range(workers)]
+
+    def fill(worker: int):
+        dist_buf, part_buf = scratch[worker]
+        for r0 in starts[worker::workers]:
+            r1 = min(r0 + _KNN_BLOCK_ROWS, n)
+            d, part = dist_buf[:r1 - r0], part_buf[:r1 - r0]
+            distances(r0, r1, out=d)
+            local = np.arange(r1 - r0)
+            d[local, local + r0] = np.inf  # exclude self
+            part[...] = d
+            part.partition(k - 1, axis=1)
+            kth = part[:, k - 1:k]
+            same = labels[None, :] == labels[r0:r1, None]
+            within = d <= kth
+            hits = (within & same).sum(axis=1)
+            # ties at the k-th distance go to the lower index: where more than
+            # k entries are within reach, drop the surplus highest-index ties
+            surplus = within.sum(axis=1) - k
+            over = np.flatnonzero(surplus > 0)
+            if over.size:
+                ties = d[over] == kth[over]
+                kept = ties.sum(axis=1) - surplus[over]
+                dropped = ties & (np.cumsum(ties, axis=1) > kept[:, None])
+                hits[over] -= (dropped & same[over]).sum(axis=1)
+            fractions[r0:r1] = hits / k
+
     if workers <= 1:
-        for r0 in starts:
-            fill(r0)
+        fill(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+            list(pool.map(fill, range(workers)))
     return float(fractions.mean())
 
 
