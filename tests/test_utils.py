@@ -49,13 +49,6 @@ WRITERS = {
 
 
 class TestAtomicWrite:
-    def test_text_and_bytes_written_whole(self, tmp_path):
-        utils.atomic_write(tmp_path / "a.txt", "line\n")
-        utils.atomic_write(tmp_path / "b.bin", b"\x00\x01")
-        assert (tmp_path / "a.txt").read_text() == "line\n"
-        assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
-
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     def test_failure_mid_write_keeps_previous_file(self, tmp_path, monkeypatch, kind):
         path = tmp_path / f"out.{kind}"
