@@ -36,7 +36,6 @@ class AugmentConfig:
     kind: str = GAUSSIAN
     mask_prob: float = DEFAULT_MASK_PROB
     noise_scale: float = DEFAULT_NOISE_SCALE
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -45,9 +44,6 @@ class AugmentConfig:
             raise ValidationError(f"mask_prob must lie in [0,1], got {self.mask_prob}")
         if self.noise_scale < 0:
             raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def random_mask(x: np.ndarray, mask_prob: float, rng: np.random.Generator) -> np.ndarray:

@@ -106,9 +106,6 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
         # head would then make the encoder the zero map, so drop that too
         cfg = dataclasses.replace(cfg, skip_enabled=skip_enabled_override,
                                   zero_init_residual_out=False)
-    if dataset.count < cfg.batch_size:
-        # default batch size clamps to desk-scale datasets
-        cfg = dataclasses.replace(cfg, batch_size=max(2, dataset.count))
 
     sweep_results = None
     if args.lr_sweep:
@@ -231,8 +228,8 @@ def _cmd_augment(args) -> int:
     _require_inputs(args.infile)
     dataset = load_embeddings(args.infile)
     cfg = AugmentConfig(kind=args.kind, mask_prob=args.mask_prob,
-                        noise_scale=args.noise_scale, seed=args.seed)
-    rng = cfg.rng()
+                        noise_scale=args.noise_scale)
+    rng = np.random.default_rng(args.seed)
     rows = min(args.rows, dataset.count)
     previews = []
     for i in range(rows):
@@ -245,7 +242,7 @@ def _cmd_augment(args) -> int:
         })
     payload = {
         "config": {"kind": cfg.kind, "mask_prob": cfg.mask_prob,
-                   "noise_scale": cfg.noise_scale, "seed": cfg.seed},
+                   "noise_scale": cfg.noise_scale, "seed": args.seed},
         "previews": previews,
     }
     _write_json(payload, args.report)
@@ -254,7 +251,8 @@ def _cmd_augment(args) -> int:
 
 def _cmd_inspect(args) -> int:
     _require_inputs(args.infile)
-    magic = Path(args.infile).open("rb").read(4)
+    with open(args.infile, "rb") as fh:
+        magic = fh.read(4)
     if magic == CHECKPOINT_MAGIC:
         params = load_checkpoint(args.infile)
         counts = parameter_counts(params.dim)

@@ -12,11 +12,13 @@ Two metrics:
   threads take the blocks in turn; memory is two block x N buffers per
   worker, and since the blocks do not depend on the thread count, neither
   does the score.
-* probe accuracy: a classifier trained on frozen embeddings. "linear" is
-  multinomial logistic regression fit by full-batch gradient descent;
-  "mlp3" is a 3-layer ReLU network (input -> hidden -> hidden -> classes)
-  built from the nn_core layer kit and fit with Adam. Features are
-  standardized with train-split statistics inside the probe.
+* probe accuracy: a classifier trained on frozen embeddings. Both kinds
+  are a list of nn_core linear layers with ReLU between them, run by one
+  forward/backward pair. "linear" is a single layer, multinomial logistic
+  regression fit by full-batch gradient descent; "mlp3" is a 3-layer ReLU
+  network (input -> hidden -> hidden -> classes) fit with the trainer's
+  Adam. Features are standardized with train-split statistics inside the
+  probe.
 
 `compare_embeddings` applies one shared train/test index split to an
 original/refined dataset pair and reports both metrics plus deltas.
@@ -39,6 +41,7 @@ from .embedding_store import (
 )
 from .errors import ShapeError, ValidationError
 from .nn_core import LinearLayer, linear_apply, linear_backward, linear_init, relu_apply, relu_backward
+from .trainer import adam_init, adam_step
 from .utils import worker_count
 
 LINEAR = "linear"
@@ -181,26 +184,45 @@ class ProbeModel:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ShapeError(f"probe expects dim {self.dim}, got {vectors.shape}")
-        h = (vectors - self.feat_mean) / self.feat_scale
-        for i, layer in enumerate(self.layers):
-            h, _ = linear_apply(layer, h)
-            if i < len(self.layers) - 1:
-                h, _ = relu_apply(h)
-        return h
+        return _probe_forward(self.layers, (vectors - self.feat_mean) / self.feat_scale)[0]
 
     def predict(self, vectors: np.ndarray) -> np.ndarray:
         return self.classes[self.scores(vectors).argmax(axis=1)]
 
 
-def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray):
+def _probe_forward(layers: list[LinearLayer], h: np.ndarray):
+    """Logits of the layer stack, ReLU between layers, and the caches for
+    `_probe_backward`."""
+    caches = []
+    for i, layer in enumerate(layers):
+        h, c_lin = linear_apply(layer, h)
+        c_relu = None
+        if i < len(layers) - 1:
+            h, c_relu = relu_apply(h)
+        caches.append((c_lin, c_relu))
+    return h, caches
+
+
+def _probe_backward(caches, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients keyed "{i}.weight" / "{i}.bias" for layer i."""
+    grads = {}
+    dh = dlogits
+    for i in reversed(range(len(caches))):
+        c_lin, c_relu = caches[i]
+        if c_relu is not None:
+            dh = relu_backward(c_relu, dh)
+        grads[f"{i}.weight"], grads[f"{i}.bias"], dh = linear_backward(c_lin, dh)
+    return grads
+
+
+def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean softmax cross-entropy with respect to the logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     expl = np.exp(shifted)
     probs = expl / expl.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    return loss, dlogits / n
+    probs[np.arange(n), y] -= 1.0
+    return probs / n
 
 
 def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> ProbeModel:
@@ -217,15 +239,7 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
     n_classes = classes.size
 
     if cfg.kind == LINEAR:
-        layer = LinearLayer(np.zeros((n_classes, train.dim)), np.zeros(n_classes))
-        lr = cfg.resolved_lr
-        for _ in range(cfg.resolved_epochs):
-            logits, cache = linear_apply(layer, xs)
-            _, dlogits = _softmax_xent_grad(logits, y)
-            dw, db, _ = linear_backward(cache, dlogits)
-            layer.weight -= lr * dw
-            layer.bias -= lr * db
-        layers = [layer]
+        layers = [LinearLayer(np.zeros((n_classes, train.dim)), np.zeros(n_classes))]
     else:
         rng = np.random.default_rng(cfg.seed)
         layers = [
@@ -233,36 +247,19 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
             linear_init(cfg.hidden_dim, cfg.hidden_dim, rng),
             linear_init(cfg.hidden_dim, n_classes, rng),
         ]
-        arrays = {}
-        for i, layer in enumerate(layers):
-            arrays[f"w{i}"] = layer.weight
-            arrays[f"b{i}"] = layer.bias
-        m = {name: np.zeros_like(a) for name, a in arrays.items()}
-        v = {name: np.zeros_like(a) for name, a in arrays.items()}
-        lr, b1, b2, eps = cfg.resolved_lr, 0.9, 0.999, 1e-8
-        for t in range(1, cfg.resolved_epochs + 1):
-            h = xs
-            caches = []
-            for i, layer in enumerate(layers):
-                h, c_lin = linear_apply(layer, h)
-                c_relu = None
-                if i < len(layers) - 1:
-                    h, c_relu = relu_apply(h)
-                caches.append((c_lin, c_relu))
-            _, dh = _softmax_xent_grad(h, y)
-            grads = {}
-            for i in reversed(range(len(layers))):
-                c_lin, c_relu = caches[i]
-                if c_relu is not None:
-                    dh = relu_backward(c_relu, dh)
-                grads[f"w{i}"], grads[f"b{i}"], dh = linear_backward(c_lin, dh)
-            for name in sorted(arrays):
-                g = grads[name]
-                m[name] = b1 * m[name] + (1 - b1) * g
-                v[name] = b2 * v[name] + (1 - b2) * g * g
-                arrays[name] -= (
-                    lr * (m[name] / (1 - b1**t)) / (np.sqrt(v[name] / (1 - b2**t)) + eps)
-                )
+    # live views of the layer tensors, keyed like `_probe_backward`'s gradients
+    arrays = {f"{i}.{field}": getattr(layer, field)
+              for i, layer in enumerate(layers) for field in ("weight", "bias")}
+    state = adam_init(arrays) if cfg.kind == MLP3 else None
+    lr = cfg.resolved_lr
+    for t in range(1, cfg.resolved_epochs + 1):
+        logits, caches = _probe_forward(layers, xs)
+        grads = _probe_backward(caches, _softmax_xent_grad(logits, y))
+        if cfg.kind == LINEAR:
+            for key, g in grads.items():
+                arrays[key] -= lr * g
+        else:
+            adam_step(arrays, grads, state, t, lr)
 
     return ProbeModel(cfg.kind, classes, mean, scale, layers)
 

@@ -16,6 +16,9 @@ With `zero_init_residual_out` the final d x d linear starts at zero, so the
 freshly initialized encoder is exactly the identity map and refinement
 starts from the original embedding.
 
+`PARAM_TABLE` names every tensor once. It keys the gradient dicts and
+`trainable_params`, and its order is the checkpoint's tensor order.
+
 Checkpoint format "SSKP", version 1, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then float64 tensors in
 fixed order: layer1 W,b,gamma,beta,mean,var; layer2 W,b,gamma,beta,mean,var;
@@ -71,6 +74,35 @@ class SimSkipParams:
     proj2: LinearLayer
 
 
+# (key, layer attribute, field, trainable), in SSKP tensor order
+PARAM_TABLE = (
+    ("layer1.weight", "layer1_lin", "weight", True),
+    ("layer1.bias", "layer1_lin", "bias", True),
+    ("layer1.gamma", "layer1_bn", "gamma", True),
+    ("layer1.beta", "layer1_bn", "beta", True),
+    ("layer1.running_mean", "layer1_bn", "running_mean", False),
+    ("layer1.running_var", "layer1_bn", "running_var", False),
+    ("layer2.weight", "layer2_lin", "weight", True),
+    ("layer2.bias", "layer2_lin", "bias", True),
+    ("layer2.gamma", "layer2_bn", "gamma", True),
+    ("layer2.beta", "layer2_bn", "beta", True),
+    ("layer2.running_mean", "layer2_bn", "running_mean", False),
+    ("layer2.running_var", "layer2_bn", "running_var", False),
+    ("out.weight", "out_lin", "weight", True),
+    ("out.bias", "out_lin", "bias", True),
+    ("proj1.weight", "proj1", "weight", True),
+    ("proj1.bias", "proj1", "bias", True),
+    ("proj2.weight", "proj2", "weight", True),
+    ("proj2.bias", "proj2", "bias", True),
+)
+
+
+def _keyed_grads(by_layer: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Gradients given per layer attribute and field, keyed by the table."""
+    return {key: by_layer[attr][field] for key, attr, field, trainable in PARAM_TABLE
+            if trainable and attr in by_layer}
+
+
 def init_params(
     d: int,
     seed: int,
@@ -112,7 +144,7 @@ def _block_backward(cache, dout):
     d2 = relu_backward(relu_cache, d1)
     dgamma, dbeta, d3 = batchnorm_backward(bn_cache, d2)
     dw, db, dx = linear_backward(lin_cache, d3)
-    return {"weight": dw, "bias": db, "gamma": dgamma, "beta": dbeta}, dx
+    return {"weight": dw, "bias": db}, {"gamma": dgamma, "beta": dbeta}, dx
 
 
 def encoder_forward(
@@ -136,17 +168,14 @@ def encoder_backward(cache, dout: np.ndarray):
     c1, c2, c_out, skip_enabled = cache
     dout = np.asarray(dout, dtype=np.float64)
     dw_out, db_out, dh2 = linear_backward(c_out, dout)
-    g2, dh1 = _block_backward(c2, dh2)
-    g1, dx = _block_backward(c1, dh1)
+    lin2, bn2, dh1 = _block_backward(c2, dh2)
+    lin1, bn1, dx = _block_backward(c1, dh1)
     if skip_enabled:
         dx = dx + dout
-    grads = {
-        "layer1.weight": g1["weight"], "layer1.bias": g1["bias"],
-        "layer1.gamma": g1["gamma"], "layer1.beta": g1["beta"],
-        "layer2.weight": g2["weight"], "layer2.bias": g2["bias"],
-        "layer2.gamma": g2["gamma"], "layer2.beta": g2["beta"],
-        "out.weight": dw_out, "out.bias": db_out,
-    }
+    grads = _keyed_grads({
+        "layer1_lin": lin1, "layer1_bn": bn1, "layer2_lin": lin2, "layer2_bn": bn2,
+        "out_lin": {"weight": dw_out, "bias": db_out},
+    })
     return grads, dx
 
 
@@ -168,24 +197,15 @@ def projector_backward(cache, dz: np.ndarray):
     dw2, db2, dhidden = linear_backward(c2, dz)
     da = relu_backward(c_relu, dhidden)
     dw1, db1, dh = linear_backward(c1, da)
-    grads = {
-        "proj1.weight": dw1, "proj1.bias": db1,
-        "proj2.weight": dw2, "proj2.bias": db2,
-    }
+    grads = _keyed_grads({"proj1": {"weight": dw1, "bias": db1},
+                          "proj2": {"weight": dw2, "bias": db2}})
     return grads, dh
 
 
 def trainable_params(params: SimSkipParams) -> dict[str, np.ndarray]:
     """Live views of every trainable array, keyed like the gradient dicts."""
-    return {
-        "layer1.weight": params.layer1_lin.weight, "layer1.bias": params.layer1_lin.bias,
-        "layer1.gamma": params.layer1_bn.gamma, "layer1.beta": params.layer1_bn.beta,
-        "layer2.weight": params.layer2_lin.weight, "layer2.bias": params.layer2_lin.bias,
-        "layer2.gamma": params.layer2_bn.gamma, "layer2.beta": params.layer2_bn.beta,
-        "out.weight": params.out_lin.weight, "out.bias": params.out_lin.bias,
-        "proj1.weight": params.proj1.weight, "proj1.bias": params.proj1.bias,
-        "proj2.weight": params.proj2.weight, "proj2.bias": params.proj2.bias,
-    }
+    return {key: getattr(getattr(params, attr), field)
+            for key, attr, field, trainable in PARAM_TABLE if trainable}
 
 
 def contrastive_loss_and_grads(
@@ -216,14 +236,6 @@ def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset
     return EmbeddingDataset(out, dataset.labels)
 
 
-def embed_fn(params: SimSkipParams):
-    """Vector -> vector closure over the eval-mode encoder."""
-    def fn(x: np.ndarray) -> np.ndarray:
-        out, _ = encoder_forward(params, np.asarray(x, dtype=np.float64)[None, :], EVAL)
-        return out[0]
-    return fn
-
-
 def parameter_counts(d: int) -> dict[str, int]:
     """Weight-matrix entry counts (biases excluded, matching the reporting convention)."""
     half = d // 2
@@ -236,23 +248,10 @@ def parameter_counts(d: int) -> dict[str, int]:
     }
 
 
-_TENSOR_ORDER = (
-    ("layer1_lin", "weight"), ("layer1_lin", "bias"),
-    ("layer1_bn", "gamma"), ("layer1_bn", "beta"),
-    ("layer1_bn", "running_mean"), ("layer1_bn", "running_var"),
-    ("layer2_lin", "weight"), ("layer2_lin", "bias"),
-    ("layer2_bn", "gamma"), ("layer2_bn", "beta"),
-    ("layer2_bn", "running_mean"), ("layer2_bn", "running_var"),
-    ("out_lin", "weight"), ("out_lin", "bias"),
-    ("proj1", "weight"), ("proj1", "bias"),
-    ("proj2", "weight"), ("proj2", "bias"),
-)
-
-
 def save_checkpoint(params: SimSkipParams, path) -> None:
     flags = 1 if params.skip_enabled else 0
     blob = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags, params.dim))
-    for attr, field_name in _TENSOR_ORDER:
+    for _, attr, field_name, _ in PARAM_TABLE:
         tensor = getattr(getattr(params, attr), field_name)
         blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     atomic_write(path, bytes(blob))
@@ -274,7 +273,7 @@ def load_checkpoint(path) -> SimSkipParams:
 
     params = init_params(d, seed=0, skip_enabled=bool(flags & 1))
     off = _CKPT_HEADER.size
-    for attr, field_name in _TENSOR_ORDER:
+    for _, attr, field_name, _ in PARAM_TABLE:
         layer = getattr(params, attr)
         shape = getattr(layer, field_name).shape
         n = int(np.prod(shape))

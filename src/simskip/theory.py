@@ -127,29 +127,24 @@ def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:
     return float(per_row.mean())
 
 
-def apply_embedding(embed_fn, dataset: EmbeddingDataset) -> np.ndarray:
-    """Run a vector -> vector map over every row, validating finiteness."""
-    rows = []
-    for x in dataset.vectors:
-        fx = np.asarray(embed_fn(x), dtype=np.float64)
-        if fx.ndim != 1:
-            raise ShapeError(f"embed_fn must return a vector, got shape {fx.shape}")
-        if not np.all(np.isfinite(fx)):
-            raise NumericsError("embed_fn produced non-finite values")
-        rows.append(fx)
-    return np.stack(rows)
-
-
 def empirical_unsup_loss(
-    embed_fn,
+    f,
     dataset: EmbeddingDataset,
     triplets: list[TripletSample],
     loss_kind: str = LOGISTIC,
 ) -> float:
-    """Mean margin loss of an embedding map over sampled triplets."""
+    """Mean margin loss of an embedding map over sampled triplets.
+
+    `f` maps the whole (N, d) matrix to an (N, d') matrix in one call.
+    """
     if not triplets:
         raise ValidationError("need at least one triplet")
-    embedded = apply_embedding(embed_fn, dataset)
+    embedded = np.asarray(f(dataset.vectors), dtype=np.float64)
+    if embedded.ndim != 2 or embedded.shape[0] != dataset.count:
+        raise ShapeError(f"embedding map must return ({dataset.count}, d') rows, "
+                         f"got shape {embedded.shape}")
+    if not np.all(np.isfinite(embedded)):
+        raise NumericsError("embedding map produced non-finite values")
     return _margin_loss(triplet_margins(embedded, triplets), loss_kind)
 
 

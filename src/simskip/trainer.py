@@ -10,7 +10,8 @@ to keep the negative count uniform.
 
 Config files are plain text, one `key = value` per line with `#` comments.
 Keys match TrainConfig field names; augmentation settings are nested as
-`augment.kind`, `augment.mask_prob`, `augment.noise_scale`, `augment.seed`.
+`augment.kind`, `augment.mask_prob`, `augment.noise_scale`. `seed` alone
+drives every random draw of a run, augmentation included.
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     t: int,
-    cfg: TrainConfig,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place; t counts from 1.
 
@@ -123,7 +127,6 @@ def adam_step(
     """
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for key in sorted(params):
         g = np.asarray(grads[key], dtype=np.float64)
         if g.shape != params[key].shape:
@@ -131,21 +134,21 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {key!r}")
         m, v = state.m[key], state.v[key]
-        # m = b1 * m + (1 - b1) * g
-        scratch = np.multiply(g, 1 - b1)
-        m *= b1
+        # m = beta1 * m + (1 - beta1) * g
+        scratch = np.multiply(g, 1 - beta1)
+        m *= beta1
         m += scratch
-        # v = b2 * v + (1 - b2) * g * g
-        np.multiply(g, 1 - b2, out=scratch)
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(g, 1 - beta2, out=scratch)
         scratch *= g
-        v *= b2
+        v *= beta2
         v += scratch
         # params -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(v, 1 - b2**t, out=scratch)
+        np.divide(v, 1 - beta2**t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += cfg.adam_eps
-        step = np.divide(m, 1 - b1**t)
-        step *= cfg.learning_rate
+        scratch += eps
+        step = np.divide(m, 1 - beta1**t)
+        step *= lr
         step /= scratch
         params[key] -= step
     return params, state
@@ -192,7 +195,8 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
                 )
             t += 1
-            adam_step(pdict, grads, state, t, cfg)
+            adam_step(pdict, grads, state, t, cfg.learning_rate,
+                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             batch_losses[b] = loss
         epoch_losses.append(float(batch_losses.mean()))
         for key, arr in pdict.items():
@@ -219,7 +223,7 @@ _TOP_FIELDS = {
     "seed": int, "adam_beta1": float, "adam_beta2": float, "adam_eps": float,
     "zero_init_residual_out": "bool", "skip_enabled": "bool",
 }
-_AUG_FIELDS = {"kind": str, "mask_prob": float, "noise_scale": float, "seed": int}
+_AUG_FIELDS = {"kind": str, "mask_prob": float, "noise_scale": float}
 
 
 def _convert(key: str, value: str, kind):

@@ -1,7 +1,8 @@
 """Independent oracles shared across test modules.
 
-Everything here is deliberately written as plain loops over scalars, so it
-shares no code path with the vectorized implementations it checks.
+Everything here is deliberately written as plain loops over scalars, or as
+a plain-NumPy copy of an earlier implementation, so it shares no code path
+with the implementations it checks.
 """
 
 import math
@@ -85,3 +86,62 @@ def orthogonal_class_means(num_classes, dim, separation):
     means = np.zeros((num_classes, dim))
     means[np.arange(num_classes), np.arange(num_classes)] = separation
     return means
+
+
+def reference_train_probe(vectors, labels, kind, hidden_dim, lr, epochs, seed):
+    """The probe fit as it was before `train_probe` shared the trainer's Adam:
+    full-batch gradient descent for "linear", its own out-of-place Adam loop
+    over a 3-layer ReLU network for "mlp3". Returns [(weight, bias), ...]."""
+    classes = np.unique(labels)
+    y = np.searchsorted(classes, labels)
+    mean = vectors.mean(axis=0)
+    scale = np.maximum(vectors.std(axis=0), 1e-12)
+    xs = (vectors - mean) / scale
+    n = xs.shape[0]
+
+    def dlogits_of(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expl = np.exp(shifted)
+        probs = expl / expl.sum(axis=1, keepdims=True)
+        probs[np.arange(n), y] -= 1.0
+        return probs / n
+
+    if kind == "linear":
+        w, b = np.zeros((classes.size, xs.shape[1])), np.zeros(classes.size)
+        for _ in range(epochs):
+            dout = dlogits_of(xs @ w.T + b)
+            w -= lr * (dout.T @ xs)
+            b -= lr * dout.sum(axis=0)
+        return [(w, b)]
+
+    rng = np.random.default_rng(seed)
+    layers = []
+    for fan_in, fan_out in ((xs.shape[1], hidden_dim), (hidden_dim, hidden_dim),
+                            (hidden_dim, classes.size)):
+        bound = 1.0 / np.sqrt(fan_in)
+        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        layers.append([w, rng.uniform(-bound, bound, size=fan_out)])
+    m = [[np.zeros_like(a) for a in layer] for layer in layers]
+    v = [[np.zeros_like(a) for a in layer] for layer in layers]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, epochs + 1):
+        h, inputs, masks = xs, [], []
+        for i, (w, b) in enumerate(layers):
+            inputs.append(h)
+            h = h @ w.T + b
+            if i < len(layers) - 1:
+                masks.append(h > 0)
+                h = np.maximum(h, 0.0)
+        dh = dlogits_of(h)
+        grads = [None] * len(layers)
+        for i in reversed(range(len(layers))):
+            if i < len(layers) - 1:
+                dh = dh * masks[i]
+            grads[i] = (dh.T @ inputs[i], dh.sum(axis=0))
+            dh = dh @ layers[i][0]
+        for i, layer in enumerate(layers):
+            for j, g in enumerate(grads[i]):
+                m[i][j] = b1 * m[i][j] + (1 - b1) * g
+                v[i][j] = b2 * v[i][j] + (1 - b2) * g * g
+                layer[j] -= lr * (m[i][j] / (1 - b1**t)) / (np.sqrt(v[i][j] / (1 - b2**t)) + eps)
+    return [tuple(layer) for layer in layers]

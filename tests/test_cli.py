@@ -20,6 +20,16 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_child(argv, flags=()):
+    """`python -m simskip.cli argv` in a fresh interpreter that imports the
+    same package as this process, installed or not."""
+    package_root = str(Path(simskip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *flags, "-m", "simskip.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.fixture()
 def synth_file(tmp_path):
     out = tmp_path / "d.embf"
@@ -183,6 +193,14 @@ class TestErrorPaths:
         assert run(["inspect", "--in", bad]) == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_batch_larger_than_dataset_exits_one(self, tmp_path, synth_file, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 81\n")
+        out = tmp_path / "r.embf"
+        assert run(["refine", "--in", synth_file, "--config", cfg, "--out", out]) == 1
+        assert "dataset has 80 rows, fewer than batch_size 81" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_one(self, tmp_path, synth_file, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -191,14 +209,15 @@ class TestErrorPaths:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.embf"
-        # the child imports the same package as this process, installed or not
-        package_root = str(Path(simskip.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "simskip.cli", "gen-synth", "--classes", "2",
-             "--dim", "4", "--per-class", "5", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_child(["gen-synth", "--classes", "2", "--dim", "4", "--per-class", "5",
+                          "--seed", "0", "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert load_embeddings(out).count == 10
+
+    def test_inspect_closes_its_input(self, synth_file):
+        # an unclosed file would raise under -W error::ResourceWarning
+        proc = run_child(["inspect", "--in", str(synth_file)],
+                         flags=["-X", "dev", "-W", "error::ResourceWarning"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["kind"] == "embeddings"

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_knn_score
+from helpers import brute_force_knn_score, reference_train_probe
 from simskip import evaluate
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import ShapeError, ValidationError
 from simskip.evaluate import (
+    LINEAR,
     MLP3,
     ProbeConfig,
     SplitConfig,
@@ -210,6 +211,21 @@ class TestProbes:
         model = train_probe(ds)
         breakdown = per_class_accuracy(model, ds)
         assert set(breakdown) == {0, 1}
+
+    @pytest.mark.parametrize("kind,hidden,dim", [
+        (LINEAR, 16, 8), (LINEAR, 16, 64), (MLP3, 16, 8), (MLP3, 64, 32), (MLP3, 16, 96),
+    ])
+    def test_bitwise_equal_to_reference_fit(self, kind, hidden, dim):
+        ds = apply_class_mixing(generate_gaussian_mixture(
+            MixtureSpec(3, dim, 30, class_separation=3.0, seed=dim)), 0.3, seed=1)
+        cfg = ProbeConfig(kind=kind, hidden_dim=hidden, epochs=40, seed=5)
+        got = train_probe(ds, cfg).layers
+        want = reference_train_probe(ds.vectors, ds.labels, kind, hidden,
+                                     cfg.resolved_lr, 40, seed=5)
+        assert len(got) == len(want)
+        for layer, (w, b) in zip(got, want):
+            assert np.array_equal(layer.weight, w)
+            assert np.array_equal(layer.bias, b)
 
 
 class TestCompare:

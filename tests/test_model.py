@@ -1,20 +1,27 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import FormatError, ShapeError, ValidationError
 from simskip.model import (
+    PARAM_TABLE,
     contrastive_loss_and_grads,
+    encoder_backward,
     encoder_forward,
     init_params,
     load_checkpoint,
     parameter_counts,
+    projector_backward,
     projector_forward,
     refine,
     save_checkpoint,
     trainable_params,
 )
 from simskip.nn_core import EVAL, TRAIN, grad_check
+from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
+from simskip.trainer import TrainConfig, train
 
 
 def random_dataset(count, dim, seed=0, labeled=True):
@@ -245,3 +252,52 @@ class TestCheckpoint:
         ds = random_dataset(10, 16, seed=19)
         with pytest.raises(ShapeError):
             refine(back, ds)
+
+
+class TestParamTable:
+    def test_trainable_keys_match_params_and_gradients(self):
+        params = init_params(6, seed=3)
+        x = np.random.default_rng(4).standard_normal((8, 6))
+        h, enc_cache = encoder_forward(params, x, TRAIN, np.random.default_rng(5))
+        z, proj_cache = projector_forward(params, h)
+        enc_grads, _ = encoder_backward(enc_cache, np.ones_like(h))
+        proj_grads, _ = projector_backward(proj_cache, np.ones_like(z))
+        table_keys = [key for key, _, _, trainable in PARAM_TABLE if trainable]
+        assert list(trainable_params(params)) == table_keys
+        assert set(enc_grads) | set(proj_grads) == set(table_keys)
+        assert not set(enc_grads) & set(proj_grads)
+        for key, arr in trainable_params(params).items():
+            grad = enc_grads.get(key, proj_grads.get(key))
+            assert grad.shape == arr.shape, key
+
+    def test_table_covers_every_tensor_once(self):
+        params = init_params(6, seed=3)
+        fields = [(attr, field) for _, attr, field, _ in PARAM_TABLE]
+        assert len(set(fields)) == len(fields) == 18
+        for attr, field in fields:
+            assert isinstance(getattr(getattr(params, attr), field), np.ndarray)
+
+
+class TestCheckpointBytes:
+    """sha256 of SSKP files as written before the parameter table existed.
+
+    The trained digest also pins the float64 results of one training epoch
+    with this platform's NumPy/BLAS build (x86-64, NumPy 2.x).
+    """
+
+    INIT_SHA256 = "19d52d74cc2548628020510eb52b87816f64d2c9f6a7269f327d63e4e16c92ce"
+    TRAINED_SHA256 = "6f0f1727bd50ec1fa1eb927da370f88b7123e6c7e1e7966ef81d67d305d25ef5"
+
+    def _digest(self, params, path):
+        save_checkpoint(params, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_init_params_bytes(self, tmp_path):
+        assert self._digest(init_params(6, seed=3), tmp_path / "m.sskp") == self.INIT_SHA256
+
+    def test_trained_bytes_and_round_trip(self, tmp_path):
+        ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))
+        params, _ = train(ds, TrainConfig(batch_size=16, epochs=1, seed=2))
+        path, again = tmp_path / "m.sskp", tmp_path / "again.sskp"
+        assert self._digest(params, path) == self.TRAINED_SHA256
+        assert self._digest(load_checkpoint(path), again) == self.TRAINED_SHA256

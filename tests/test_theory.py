@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import orthogonal_class_means
 from simskip.embedding_store import EmbeddingDataset
-from simskip.errors import NumericsError, ValidationError
+from simskip.errors import NumericsError, ShapeError, ValidationError
 from simskip.losses import hinge_loss, logistic_loss
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
@@ -93,6 +93,28 @@ class TestEmpiricalLoss:
         bad = lambda x: np.full_like(x, np.inf)
         with pytest.raises(NumericsError):
             empirical_unsup_loss(bad, ds, triplets)
+
+    @pytest.mark.parametrize("bad", [
+        lambda x: x[:-1],
+        lambda x: np.vstack([x, x]),
+        lambda x: x[0],
+        lambda x: x[:, :, None],
+    ], ids=["drops-a-row", "doubles-the-rows", "one-vector", "3-d"])
+    def test_map_must_return_one_row_per_input(self, bad):
+        ds, triplets = self._unit_triplet_dataset()
+        with pytest.raises(ShapeError):
+            empirical_unsup_loss(bad, ds, triplets)
+
+    def test_map_is_called_once_on_the_whole_matrix(self):
+        ds, triplets = self._unit_triplet_dataset()
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return 2.0 * x
+
+        empirical_unsup_loss(f, ds, triplets)
+        assert calls == [(3, 2)]
 
 
 class TestMarginLoss:

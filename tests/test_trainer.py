@@ -26,7 +26,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.1)
         params = {"w": np.array([0.0])}
         state = adam_init(params)
-        adam_step(params, {"w": np.array([1.0])}, state, t=1, cfg=cfg)
+        adam_step(params, {"w": np.array([1.0])}, state, t=1, lr=cfg.learning_rate)
         assert params["w"][0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_zero_gradient_leaves_params_unchanged(self):
@@ -34,7 +34,7 @@ class TestAdam:
         params = {"w": np.array([1.5, -2.5])}
         state = adam_init(params)
         for t in range(1, 5):
-            adam_step(params, {"w": np.zeros(2)}, state, t=t, cfg=cfg)
+            adam_step(params, {"w": np.zeros(2)}, state, t=t, lr=cfg.learning_rate)
         assert np.array_equal(params["w"], [1.5, -2.5])
 
     def test_non_finite_gradient_rejected(self):
@@ -42,7 +42,7 @@ class TestAdam:
         params = {"w": np.array([0.0])}
         state = adam_init(params)
         with pytest.raises(NumericsError):
-            adam_step(params, {"w": np.array([np.nan])}, state, t=1, cfg=cfg)
+            adam_step(params, {"w": np.array([np.nan])}, state, t=1, lr=cfg.learning_rate)
 
     def test_trajectories_are_bitwise_reproducible(self):
         def run():
@@ -52,7 +52,7 @@ class TestAdam:
             state = adam_init(params)
             for t in range(1, 20):
                 grads = {"w": rng.standard_normal(4), "b": rng.standard_normal(2)}
-                adam_step(params, grads, state, t=t, cfg=cfg)
+                adam_step(params, grads, state, t=t, lr=cfg.learning_rate)
             return params
 
         a, b = run(), run()
@@ -70,7 +70,7 @@ class TestAdam:
                 params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
         rng = np.random.default_rng(4)
-        cfg = TrainConfig(learning_rate=0.003)
+        cfg = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
         shapes = {"w1": (6, 3), "b1": (1,), "w2": (3, 6), "s": (5,)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
         got = {k: a.copy() for k, a in start.items()}
@@ -79,7 +79,8 @@ class TestAdam:
         for t in range(1, 6):
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             before = {k: g.copy() for k, g in grads.items()}
-            adam_step(got, grads, got_state, t=t, cfg=cfg)
+            adam_step(got, grads, got_state, t, cfg.learning_rate,
+                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             reference_step(want, grads, want_state, t, cfg)
             for k in shapes:
                 assert np.array_equal(grads[k], before[k])
@@ -155,7 +156,7 @@ class TestConfigFile:
         cfg = TrainConfig(
             learning_rate=0.0003, batch_size=64, epochs=12, tau=0.2, seed=42,
             augment=AugmentConfig(kind="mask+gaussian", mask_prob=0.25,
-                                  noise_scale=0.5, seed=4),
+                                  noise_scale=0.5),
             zero_init_residual_out=False, skip_enabled=False,
         )
         path = tmp_path / "train.cfg"
@@ -174,6 +175,13 @@ class TestConfigFile:
         path = tmp_path / "train.cfg"
         path.write_text("learning_rte = 0.1\n")
         with pytest.raises(ValidationError):
+            load_train_config(path)
+
+    def test_augment_seed_is_not_a_key(self, tmp_path):
+        # training randomness comes from `seed` alone
+        path = tmp_path / "train.cfg"
+        path.write_text("augment.seed = 4\n")
+        with pytest.raises(ValidationError, match="unknown config key 'augment.seed'"):
             load_train_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
