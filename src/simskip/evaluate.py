@@ -18,7 +18,11 @@ Two metrics:
   regression fit by full-batch gradient descent; "mlp3" is a 3-layer ReLU
   network (input -> hidden -> hidden -> classes) fit with the trainer's
   Adam. Features are standardized with train-split statistics inside the
-  probe.
+  probe. A fit allocates one workspace (activations, ReLU masks,
+  input-gradient buffers, gradients) before its first step, and every
+  step writes through it, softmax cross-entropy gradient included. The
+  first layer's input gradient is never formed: nothing reads it.
+  Prediction runs the same forward pass through fresh buffers.
 
 `compare_embeddings` applies one shared train/test index split to an
 original/refined dataset pair and reports both metrics plus deltas.
@@ -40,7 +44,7 @@ from .embedding_store import (
     take_rows,
 )
 from .errors import ShapeError, ValidationError
-from .nn_core import LinearLayer, linear_apply, linear_backward, linear_init, relu_apply, relu_backward
+from .nn_core import LinearLayer, linear_init
 from .trainer import adam_init, adam_step
 from .utils import worker_count
 
@@ -184,45 +188,70 @@ class ProbeModel:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ShapeError(f"probe expects dim {self.dim}, got {vectors.shape}")
-        return _probe_forward(self.layers, (vectors - self.feat_mean) / self.feat_scale)[0]
+        xs = (vectors - self.feat_mean) / self.feat_scale
+        return _probe_forward(self.layers, xs, _ProbeWorkspace(self.layers, len(xs)))
 
     def predict(self, vectors: np.ndarray) -> np.ndarray:
         return self.classes[self.scores(vectors).argmax(axis=1)]
 
 
-def _probe_forward(layers: list[LinearLayer], h: np.ndarray):
-    """Logits of the layer stack, ReLU between layers, and the caches for
-    `_probe_backward`."""
-    caches = []
+class _ProbeWorkspace:
+    """Every buffer one forward/backward pass of a layer stack over n rows
+    writes, allocated once so that a fit's steps reuse them."""
+
+    def __init__(self, layers: list[LinearLayer], n: int):
+        # each layer's output; a hidden layer's holds its ReLU output
+        self.acts = [np.empty((n, layer.out_dim)) for layer in layers]
+        self.masks = [np.empty((n, layer.out_dim), dtype=bool) for layer in layers[:-1]]
+        # gradient with respect to the input of layers 1.. (never layer 0's)
+        self.dins = [np.empty((n, layer.in_dim)) for layer in layers[1:]]
+        self.grads = {f"{i}.{field}": np.empty_like(getattr(layer, field))
+                      for i, layer in enumerate(layers) for field in ("weight", "bias")}
+        self.rows = np.arange(n)
+        self.col = np.empty((n, 1))
+
+
+def _probe_forward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
+    """Logits of the layer stack, x @ W.T + b with ReLU between layers,
+    written into `ws.acts`; the last of them is returned."""
+    h = x
     for i, layer in enumerate(layers):
-        h, c_lin = linear_apply(layer, h)
-        c_relu = None
+        out = ws.acts[i]
+        np.matmul(h, layer.weight.T, out=out)
+        out += layer.bias
         if i < len(layers) - 1:
-            h, c_relu = relu_apply(h)
-        caches.append((c_lin, c_relu))
-    return h, caches
+            np.greater(out, 0.0, out=ws.masks[i])
+            np.maximum(out, 0.0, out=out)
+        h = out
+    return h
 
 
-def _probe_backward(caches, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients keyed "{i}.weight" / "{i}.bias" for layer i."""
-    grads = {}
+def _probe_backward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace,
+                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients keyed "{i}.weight" / "{i}.bias" for layer i, written into
+    `ws.grads`, after a `_probe_forward` of `x` through `ws`."""
     dh = dlogits
-    for i in reversed(range(len(caches))):
-        c_lin, c_relu = caches[i]
-        if c_relu is not None:
-            dh = relu_backward(c_relu, dh)
-        grads[f"{i}.weight"], grads[f"{i}.bias"], dh = linear_backward(c_lin, dh)
-    return grads
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1:
+            np.multiply(dh, ws.masks[i], out=dh)  # ReLU: subgradient 0 at 0
+        np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[f"{i}.weight"])
+        np.sum(dh, axis=0, out=ws.grads[f"{i}.bias"])
+        if i:
+            dh = np.matmul(dh, layers[i].weight, out=ws.dins[i - 1])
+    return ws.grads
 
 
-def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean softmax cross-entropy with respect to the logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(shifted)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    probs[np.arange(n), y] -= 1.0
-    return probs / n
+def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
+    """Overwrite `logits` with the gradient of the mean softmax cross-entropy
+    with respect to them, and return it."""
+    np.max(logits, axis=1, keepdims=True, out=ws.col)
+    logits -= ws.col
+    np.exp(logits, out=logits)
+    np.sum(logits, axis=1, keepdims=True, out=ws.col)
+    logits /= ws.col
+    logits[ws.rows, y] -= 1.0
+    logits /= logits.shape[0]
+    return logits
 
 
 def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> ProbeModel:
@@ -252,12 +281,14 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
               for i, layer in enumerate(layers) for field in ("weight", "bias")}
     state = adam_init(arrays) if cfg.kind == MLP3 else None
     lr = cfg.resolved_lr
+    ws = _ProbeWorkspace(layers, train.count)
     for t in range(1, cfg.resolved_epochs + 1):
-        logits, caches = _probe_forward(layers, xs)
-        grads = _probe_backward(caches, _softmax_xent_grad(logits, y))
+        logits = _probe_forward(layers, xs, ws)
+        grads = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, y, ws))
         if cfg.kind == LINEAR:
             for key, g in grads.items():
-                arrays[key] -= lr * g
+                g *= lr
+                arrays[key] -= g
         else:
             adam_step(arrays, grads, state, t, lr)
 

@@ -99,13 +99,22 @@ def sample_triplets(
 
 
 def triplet_margins(embedded: np.ndarray, triplets: list[TripletSample]) -> np.ndarray:
-    """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values."""
+    """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values.
+
+    Filled one negative column at a time through one T x d difference
+    buffer, so memory stays O(T * d) whatever k is.
+    """
     anchors = np.array([t.anchor for t in triplets])
     positives = np.array([t.positive for t in triplets])
     negatives = np.array([t.negatives for t in triplets])
     fa = embedded[anchors]
-    diff = embedded[positives][:, None, :] - embedded[negatives]
-    return np.einsum("td,tkd->tk", fa, diff)
+    fp = embedded[positives]
+    diff = np.empty_like(fp)
+    margins = np.empty(negatives.shape)
+    for j in range(negatives.shape[1]):
+        np.subtract(fp, embedded[negatives[:, j]], out=diff)
+        margins[:, j] = np.einsum("td,td->t", fa, diff)
+    return margins
 
 
 def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:

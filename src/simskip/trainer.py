@@ -6,7 +6,12 @@ evaluates the contrastive loss, backpropagates, and applies one Adam
 update. A single seeded generator drives shuffling, augmentation, and
 dropout, so a fixed (dataset, config, seed) reproduces the loss curve and
 final parameters bitwise. The last partial batch of each epoch is dropped
-to keep the negative count uniform.
+to keep the negative count uniform. A step's gradients are released before
+the next step's backward pass, so one gradient set is alive at a time.
+
+Adam updates each tensor in place in cache-sized blocks of whole
+first-axis slices (`_ADAM_BLOCK` elements), with two scratch blocks per
+call; the result is bitwise the textbook update.
 
 Config files are plain text, one `key = value` per line with `#` comments.
 Keys match TrainConfig field names; augmentation settings are nested as
@@ -17,6 +22,7 @@ drives every random draw of a run, augmentation included.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +43,10 @@ from .utils import atomic_write
 
 # learning-rate sweep exposed by the CLI
 LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
+
+# elements per block of the in-place Adam update: the block and its moments,
+# gradient and two scratch blocks fit in a per-core L2 cache
+_ADAM_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -120,38 +130,60 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place; t counts from 1.
 
-    The parameters and both moments are updated in place through two
-    scratch arrays per tensor; `grads` is only read. The arithmetic runs in
-    the order of the textbook form, lr * m_hat / (sqrt(v_hat) + eps), so
-    the result is bitwise the same as evaluating that expression.
+    The parameters and both moments are updated in place, one block of
+    whole first-axis slices (at most `_ADAM_BLOCK` elements, at least one
+    slice) at a time, so every pass over a block runs while it is still in
+    cache. A block is a view whatever the tensor's strides, and a tensor no
+    larger than a block is a single block. Two scratch blocks serve every
+    tensor of the call; `grads` is only read. The arithmetic runs in the
+    order of the textbook form, lr * m_hat / (sqrt(v_hat) + eps), so the
+    result is bitwise the same as evaluating that expression. A tensor's
+    gradient is checked for shape and finiteness before that tensor is
+    touched.
     """
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
+    rows = {key: _block_rows(p.shape) for key, p in params.items()}
+    width = max((min(p.size, rows[key] * math.prod(p.shape[1:]))
+                 for key, p in params.items()), default=0)
+    buf, step_buf = np.empty(width), np.empty(width)
+    c1, c2 = 1 - beta1**t, 1 - beta2**t
     for key in sorted(params):
         g = np.asarray(grads[key], dtype=np.float64)
         if g.shape != params[key].shape:
             raise ValidationError(f"gradient for {key!r} has wrong shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {key!r}")
-        m, v = state.m[key], state.v[key]
-        # m = beta1 * m + (1 - beta1) * g
-        scratch = np.multiply(g, 1 - beta1)
-        m *= beta1
-        m += scratch
-        # v = beta2 * v + (1 - beta2) * g * g
-        np.multiply(g, 1 - beta2, out=scratch)
-        scratch *= g
-        v *= beta2
-        v += scratch
-        # params -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(v, 1 - beta2**t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += eps
-        step = np.divide(m, 1 - beta1**t)
-        step *= lr
-        step /= scratch
-        params[key] -= step
+        p, g, m, v = (np.atleast_1d(a) for a in (params[key], g, state.m[key], state.v[key]))
+        for r0 in range(0, p.shape[0], rows[key]):
+            r1 = r0 + rows[key]
+            gb, mb, vb = g[r0:r1], m[r0:r1], v[r0:r1]
+            scratch = buf[:gb.size].reshape(gb.shape)
+            step = step_buf[:gb.size].reshape(gb.shape)
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(gb, 1 - beta1, out=scratch)
+            mb *= beta1
+            mb += scratch
+            # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(gb, 1 - beta2, out=scratch)
+            scratch *= gb
+            vb *= beta2
+            vb += scratch
+            # params -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(vb, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += eps
+            np.divide(mb, c1, out=step)
+            step *= lr
+            step /= scratch
+            p[r0:r1] -= step
     return params, state
+
+
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """First-axis slices per `adam_step` block: at most `_ADAM_BLOCK`
+    elements, and at least one slice."""
+    return max(1, _ADAM_BLOCK // max(1, math.prod(shape[1:])))
 
 
 def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, TrainReport]:
@@ -187,9 +219,9 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
-            loss, grads, _ = contrastive_loss_and_grads(
+            loss, grads = contrastive_loss_and_grads(
                 params, pairs, cfg.tau, mode=TRAIN, rng=rng
-            )
+            )[:2]
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
@@ -198,6 +230,9 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
             adam_step(pdict, grads, state, t, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             batch_losses[b] = loss
+            # free this step's gradients before the next backward pass builds
+            # its own, so two gradient sets never coexist
+            del grads
         epoch_losses.append(float(batch_losses.mean()))
         for key, arr in pdict.items():
             if not np.all(np.isfinite(arr)):

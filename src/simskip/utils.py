@@ -11,10 +11,13 @@ def worker_count() -> int:
     """Number of worker threads for parallel-friendly operations.
 
     Capped by the SIMSKIP_THREADS environment variable; defaults to the
-    machine's available parallelism.
+    available parallelism: the CPUs this process may run on where the
+    platform reports its affinity, else the machine's CPU count.
     """
     raw = os.environ.get("SIMSKIP_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     try:
         n = int(raw)

@@ -145,3 +145,13 @@ def reference_train_probe(vectors, labels, kind, hidden_dim, lr, epochs, seed):
                 v[i][j] = b2 * v[i][j] + (1 - b2) * g * g
                 layer[j] -= lr * (m[i][j] / (1 - b1**t)) / (np.sqrt(v[i][j] / (1 - b2**t)) + eps)
     return [tuple(layer) for layer in layers]
+
+
+def reference_triplet_margins(embedded, triplets):
+    """Triplet margins as computed before the one-column-at-a-time loop: one
+    einsum over T x k x d gathered negatives and their differences."""
+    anchors = np.array([t.anchor for t in triplets])
+    positives = np.array([t.positive for t in triplets])
+    negatives = np.array([t.negatives for t in triplets])
+    diff = embedded[positives][:, None, :] - embedded[negatives]
+    return np.einsum("td,tkd->tk", embedded[anchors], diff)

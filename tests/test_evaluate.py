@@ -214,6 +214,7 @@ class TestProbes:
 
     @pytest.mark.parametrize("kind,hidden,dim", [
         (LINEAR, 16, 8), (LINEAR, 16, 64), (MLP3, 16, 8), (MLP3, 64, 32), (MLP3, 16, 96),
+        (MLP3, 16, 200),
     ])
     def test_bitwise_equal_to_reference_fit(self, kind, hidden, dim):
         ds = apply_class_mixing(generate_gaussian_mixture(

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_class_means
+from helpers import orthogonal_class_means, reference_triplet_margins
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import NumericsError, ShapeError, ValidationError
 from simskip.losses import hinge_loss, logistic_loss
@@ -21,6 +22,7 @@ from simskip.theory import (
     gen_m,
     sample_triplets,
     skip_inequality_check,
+    triplet_margins,
 )
 
 identity = lambda x: x
@@ -115,6 +117,36 @@ class TestEmpiricalLoss:
 
         empirical_unsup_loss(f, ds, triplets)
         assert calls == [(3, 2)]
+
+
+class TestTripletMargins:
+    @pytest.mark.parametrize("dim", [2, 32, 768])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_bitwise_equal_to_one_einsum_over_all_negatives(self, dim, k):
+        rng = np.random.default_rng(dim * 10 + k)
+        ds = EmbeddingDataset(rng.standard_normal((60, dim)) * 3.0, rng.integers(0, 3, 60))
+        triplets = sample_triplets(ds, k=k, count=200, seed=k)
+        got = triplet_margins(ds.vectors, triplets)
+        assert got.shape == (200, k)
+        assert np.array_equal(got, reference_triplet_margins(ds.vectors, triplets))
+
+    def test_memory_does_not_grow_with_k(self):
+        # the gathered T x k x d negatives and their differences took 2k
+        # T x d arrays (14 here); one column at a time needs about 4
+        rng = np.random.default_rng(3)
+        count, dim, k = 4000, 64, 7
+        embedded = rng.standard_normal((500, dim))
+        triplets = [TripletSample(int(a), int(p), tuple(int(j) for j in negs))
+                    for a, p, negs in zip(rng.integers(500, size=count),
+                                          rng.integers(500, size=count),
+                                          rng.integers(500, size=(count, k)))]
+        tracemalloc.start()
+        try:
+            triplet_margins(embedded, triplets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * count * dim * 8
 
 
 class TestMarginLoss:
