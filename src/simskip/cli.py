@@ -225,6 +225,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if args.rows < 1:
+        raise ValidationError(f"--rows must be >= 1, got {args.rows}")
     _require_inputs(args.infile)
     dataset = load_embeddings(args.infile)
     cfg = AugmentConfig(kind=args.kind, mask_prob=args.mask_prob,

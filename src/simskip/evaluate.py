@@ -18,11 +18,13 @@ Two metrics:
   regression fit by full-batch gradient descent; "mlp3" is a 3-layer ReLU
   network (input -> hidden -> hidden -> classes) fit with the trainer's
   Adam. Features are standardized with train-split statistics inside the
-  probe. A fit allocates one workspace (activations, ReLU masks,
-  input-gradient buffers, gradients) before its first step, and every
-  step writes through it, softmax cross-entropy gradient included. The
-  first layer's input gradient is never formed: nothing reads it.
-  Prediction runs the same forward pass through fresh buffers.
+  probe. A fit packs every weight and bias into one vector, the layers
+  being views of it, and allocates one workspace (activations, ReLU masks,
+  input-gradient buffers, one gradient vector of the same layout) before
+  its first step. Every step writes through it, softmax cross-entropy
+  gradient included, and updates the weight vector in one pass. The first
+  layer's input gradient is never formed: nothing reads it. Prediction
+  runs the same forward pass through fresh buffers.
 
 `compare_embeddings` applies one shared train/test index split to an
 original/refined dataset pair and reports both metrics plus deltas.
@@ -44,7 +46,7 @@ from .embedding_store import (
     take_rows,
 )
 from .errors import ShapeError, ValidationError
-from .nn_core import LinearLayer, linear_init
+from .nn_core import LinearLayer, flat_views, linear_init
 from .trainer import adam_init, adam_step
 from .utils import worker_count
 
@@ -68,6 +70,10 @@ class ProbeConfig:
             raise ValidationError(f"probe kind must be {LINEAR!r} or {MLP3!r}")
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValidationError("probe learning_rate must be finite and > 0")
+        if self.epochs is not None and self.epochs < 0:
+            raise ValidationError("probe epochs must be >= 0")
 
     @property
     def resolved_lr(self) -> float:
@@ -205,10 +211,20 @@ class _ProbeWorkspace:
         self.masks = [np.empty((n, layer.out_dim), dtype=bool) for layer in layers[:-1]]
         # gradient with respect to the input of layers 1.. (never layer 0's)
         self.dins = [np.empty((n, layer.in_dim)) for layer in layers[1:]]
-        self.grads = {f"{i}.{field}": np.empty_like(getattr(layer, field))
-                      for i, layer in enumerate(layers) for field in ("weight", "bias")}
+        # one gradient vector laid out like the fit's weight vector
+        self.grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
+        widths = [layers[0].in_dim] + [layer.out_dim for layer in layers]
+        self.grads = _layer_views(self.grad, widths)
         self.rows = np.arange(n)
         self.col = np.empty((n, 1))
+
+
+def _layer_views(flat: np.ndarray, widths: list[int]) -> list[LinearLayer]:
+    """Layers whose weights and biases are views of `flat`, end to end;
+    layer i maps widths[i] features to widths[i + 1]."""
+    views = flat_views(flat, [shape for n_in, n_out in zip(widths, widths[1:])
+                              for shape in ((n_out, n_in), (n_out,))])
+    return [LinearLayer(w, b) for w, b in zip(views[::2], views[1::2])]
 
 
 def _probe_forward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
@@ -227,18 +243,17 @@ def _probe_forward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace
 
 
 def _probe_backward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace,
-                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients keyed "{i}.weight" / "{i}.bias" for layer i, written into
-    `ws.grads`, after a `_probe_forward` of `x` through `ws`."""
+                    dlogits: np.ndarray) -> np.ndarray:
+    """`ws.grad`, filled after a `_probe_forward` of `x` through `ws`."""
     dh = dlogits
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1:
             np.multiply(dh, ws.masks[i], out=dh)  # ReLU: subgradient 0 at 0
-        np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[f"{i}.weight"])
-        np.sum(dh, axis=0, out=ws.grads[f"{i}.bias"])
+        np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[i].weight)
+        np.sum(dh, axis=0, out=ws.grads[i].bias)
         if i:
             dh = np.matmul(dh, layers[i].weight, out=ws.dins[i - 1])
-    return ws.grads
+    return ws.grad
 
 
 def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
@@ -267,30 +282,25 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
     xs = (train.vectors - mean) / scale
     n_classes = classes.size
 
-    if cfg.kind == LINEAR:
-        layers = [LinearLayer(np.zeros((n_classes, train.dim)), np.zeros(n_classes))]
-    else:
+    widths = [train.dim, *([cfg.hidden_dim] * 2 if cfg.kind == MLP3 else []), n_classes]
+    # every weight and bias is a view of one vector; the linear probe starts at zero
+    flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:])))
+    layers = _layer_views(flat, widths)
+    if cfg.kind == MLP3:
         rng = np.random.default_rng(cfg.seed)
-        layers = [
-            linear_init(train.dim, cfg.hidden_dim, rng),
-            linear_init(cfg.hidden_dim, cfg.hidden_dim, rng),
-            linear_init(cfg.hidden_dim, n_classes, rng),
-        ]
-    # live views of the layer tensors, keyed like `_probe_backward`'s gradients
-    arrays = {f"{i}.{field}": getattr(layer, field)
-              for i, layer in enumerate(layers) for field in ("weight", "bias")}
-    state = adam_init(arrays) if cfg.kind == MLP3 else None
+        for layer in layers:
+            linear_init(layer, rng)
+    state = adam_init(flat) if cfg.kind == MLP3 else None
     lr = cfg.resolved_lr
     ws = _ProbeWorkspace(layers, train.count)
     for t in range(1, cfg.resolved_epochs + 1):
         logits = _probe_forward(layers, xs, ws)
-        grads = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, y, ws))
+        grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, y, ws))
         if cfg.kind == LINEAR:
-            for key, g in grads.items():
-                g *= lr
-                arrays[key] -= g
+            grad *= lr
+            flat -= grad
         else:
-            adam_step(arrays, grads, state, t, lr)
+            adam_step(flat, grad, state, t, lr)
 
     return ProbeModel(cfg.kind, classes, mean, scale, layers)
 

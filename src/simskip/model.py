@@ -16,8 +16,12 @@ With `zero_init_residual_out` the final d x d linear starts at zero, so the
 freshly initialized encoder is exactly the identity map and refinement
 starts from the original embedding.
 
-`PARAM_TABLE` names every tensor once. It keys the gradient dicts and
-`trainable_params`, and its order is the checkpoint's tensor order.
+`PARAM_TABLE` names every tensor once, in the checkpoint's tensor order.
+The trainable tensors are views of one float64 vector, the arena `flat`,
+laid end to end in table order; running statistics are separate arrays.
+Assign to a trainable field through `[...]`, never rebind it. Backward
+passes write each parameter gradient into `grads`, buffers keyed like the
+table (`arena_views` of one gradient vector), and return the input's.
 
 Checkpoint format "SSKP", version 1, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then float64 tensors in
@@ -27,6 +31,7 @@ out W,b; projector1 W,b; projector2 W,b.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,9 +47,9 @@ from .nn_core import (
     LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
-    batchnorm_init,
     dropout_apply,
     dropout_backward,
+    flat_views,
     linear_apply,
     linear_backward,
     linear_init,
@@ -72,6 +77,8 @@ class SimSkipParams:
     out_lin: LinearLayer
     proj1: LinearLayer
     proj2: LinearLayer
+    # the arena: every trainable tensor above is a view of this vector
+    flat: np.ndarray
 
 
 # (key, layer attribute, field, trainable), in SSKP tensor order
@@ -97,10 +104,36 @@ PARAM_TABLE = (
 )
 
 
-def _keyed_grads(by_layer: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Gradients given per layer attribute and field, keyed by the table."""
-    return {key: by_layer[attr][field] for key, attr, field, trainable in PARAM_TABLE
-            if trainable and attr in by_layer}
+def _shape(key: str, d: int) -> tuple[int, ...]:
+    """Shape of table tensor `key` in a width-d model: (out, in) or (out,)."""
+    layer, field = key.split(".")
+    out, inp = {"layer1": (d // 2, d), "layer2": (d, d // 2)}.get(layer, (d, d))
+    return (out, inp) if field == "weight" else (out,)
+
+
+def arena_views(flat: np.ndarray, d: int) -> dict[str, np.ndarray]:
+    """Views of `flat` shaped as the trainable tensors of a width-d model,
+    end to end in table order and keyed like `PARAM_TABLE`."""
+    keys = [key for key, _, _, trainable in PARAM_TABLE if trainable]
+    return dict(zip(keys, flat_views(flat, [_shape(key, d) for key in keys])))
+
+
+def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
+    """A width-d model on a new arena: batch norm starts at gamma 1, beta 0
+    and running statistics 0 and 1; the linear tensors are left unfilled."""
+    flat = np.empty(sum(math.prod(_shape(key, d)) for key, _, _, trainable in PARAM_TABLE
+                        if trainable))
+    views = arena_views(flat, d)
+    fields: dict[str, dict[str, np.ndarray]] = {}
+    for key, attr, field, trainable in PARAM_TABLE:
+        tensor = views[key] if trainable else np.empty(_shape(key, d))
+        if attr.endswith("_bn"):
+            tensor[...] = field in ("gamma", "running_var")
+        fields.setdefault(attr, {})[field] = tensor
+    layers = {attr: (BatchNormLayer if attr.endswith("_bn") else LinearLayer)(**f)
+              for attr, f in fields.items()}
+    return SimSkipParams(dim=d, skip_enabled=skip_enabled, layer1_drop=DropoutLayer(),
+                         layer2_drop=DropoutLayer(), flat=flat, **layers)
 
 
 def init_params(
@@ -108,26 +141,16 @@ def init_params(
     seed: int,
     skip_enabled: bool = True,
     zero_init_residual_out: bool = True,
-    dropout_rate: float = 0.1,
 ) -> SimSkipParams:
     """Fresh parameters; requires even d for the d/2 bottleneck."""
     if d < 2 or d % 2 != 0:
         raise ValidationError(f"embedding dim must be even and >= 2, got {d}")
     rng = np.random.default_rng(seed)
-    half = d // 2
-    return SimSkipParams(
-        dim=d,
-        skip_enabled=skip_enabled,
-        layer1_lin=linear_init(d, half, rng),
-        layer1_bn=batchnorm_init(half),
-        layer1_drop=DropoutLayer(dropout_rate),
-        layer2_lin=linear_init(half, d, rng),
-        layer2_bn=batchnorm_init(d),
-        layer2_drop=DropoutLayer(dropout_rate),
-        out_lin=linear_init(d, d, rng, zero=zero_init_residual_out),
-        proj1=linear_init(d, d, rng),
-        proj2=linear_init(d, d, rng),
-    )
+    params = _arena_model(d, skip_enabled)
+    # drawn straight into the arena; this order fixes the random stream
+    for attr in ("layer1_lin", "layer2_lin", "out_lin", "proj1", "proj2"):
+        linear_init(getattr(params, attr), rng, zero=zero_init_residual_out and attr == "out_lin")
+    return params
 
 
 def _block_forward(lin, bn, drop, x, mode, rng):
@@ -138,13 +161,12 @@ def _block_forward(lin, bn, drop, x, mode, rng):
     return y, (lin_cache, bn_cache, relu_cache, drop_cache)
 
 
-def _block_backward(cache, dout):
+def _block_backward(cache, dout, grads, name):
     lin_cache, bn_cache, relu_cache, drop_cache = cache
     d1 = dropout_backward(drop_cache, dout)
     d2 = relu_backward(relu_cache, d1)
-    dgamma, dbeta, d3 = batchnorm_backward(bn_cache, d2)
-    dw, db, dx = linear_backward(lin_cache, d3)
-    return {"weight": dw, "bias": db}, {"gamma": dgamma, "beta": dbeta}, dx
+    d3 = batchnorm_backward(bn_cache, d2, grads[name + ".gamma"], grads[name + ".beta"])
+    return linear_backward(lin_cache, d3, grads[name + ".weight"], grads[name + ".bias"])
 
 
 def encoder_forward(
@@ -164,19 +186,15 @@ def encoder_forward(
     return out, (c1, c2, c_out, params.skip_enabled)
 
 
-def encoder_backward(cache, dout: np.ndarray):
+def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
     c1, c2, c_out, skip_enabled = cache
     dout = np.asarray(dout, dtype=np.float64)
-    dw_out, db_out, dh2 = linear_backward(c_out, dout)
-    lin2, bn2, dh1 = _block_backward(c2, dh2)
-    lin1, bn1, dx = _block_backward(c1, dh1)
+    dh2 = linear_backward(c_out, dout, grads["out.weight"], grads["out.bias"])
+    dh1 = _block_backward(c2, dh2, grads, "layer2")
+    dx = _block_backward(c1, dh1, grads, "layer1")
     if skip_enabled:
-        dx = dx + dout
-    grads = _keyed_grads({
-        "layer1_lin": lin1, "layer1_bn": bn1, "layer2_lin": lin2, "layer2_bn": bn2,
-        "out_lin": {"weight": dw_out, "bias": db_out},
-    })
-    return grads, dx
+        dx += dout
+    return dx
 
 
 def projector_forward(
@@ -192,18 +210,15 @@ def projector_forward(
     return z, (c1, c_relu, c2)
 
 
-def projector_backward(cache, dz: np.ndarray):
+def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
     c1, c_relu, c2 = cache
-    dw2, db2, dhidden = linear_backward(c2, dz)
+    dhidden = linear_backward(c2, dz, grads["proj2.weight"], grads["proj2.bias"])
     da = relu_backward(c_relu, dhidden)
-    dw1, db1, dh = linear_backward(c1, da)
-    grads = _keyed_grads({"proj1": {"weight": dw1, "bias": db1},
-                          "proj2": {"weight": dw2, "bias": db2}})
-    return grads, dh
+    return linear_backward(c1, da, grads["proj1.weight"], grads["proj1.bias"])
 
 
 def trainable_params(params: SimSkipParams) -> dict[str, np.ndarray]:
-    """Live views of every trainable array, keyed like the gradient dicts."""
+    """The trainable arrays themselves, keyed like `PARAM_TABLE`."""
     return {key: getattr(getattr(params, attr), field)
             for key, attr, field, trainable in PARAM_TABLE if trainable}
 
@@ -212,20 +227,22 @@ def contrastive_loss_and_grads(
     params: SimSkipParams,
     pairs: np.ndarray,
     tau: float,
+    grads: dict[str, np.ndarray],
     mode: str = EVAL,
     rng: np.random.Generator | None = None,
     exclude_positive: bool = False,
 ):
-    """Full-graph loss and parameter gradients for a 2N-row paired batch."""
+    """Full-graph loss of a 2N-row paired batch and its input gradient; every
+    parameter gradient is written into `grads` (keyed like `PARAM_TABLE`)."""
     from .losses import nt_xent  # local import keeps module deps one-way
 
     h, enc_cache = encoder_forward(params, pairs, mode, rng)
     z, proj_cache = projector_forward(params, h, mode, rng)
     lv = nt_xent(z, tau, exclude_positive=exclude_positive)
-    proj_grads, dh = projector_backward(proj_cache, lv.grad)
-    enc_grads, dx = encoder_backward(enc_cache, dh)
-    grads = {**enc_grads, **proj_grads}
-    return lv.value, grads, dx
+    dh = projector_backward(proj_cache, lv.grad, grads)
+    loss = lv.value
+    del h, z, proj_cache, lv  # the encoder's backward pass reads none of them
+    return loss, encoder_backward(enc_cache, dh, grads)
 
 
 def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset:
@@ -238,14 +255,9 @@ def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset
 
 def parameter_counts(d: int) -> dict[str, int]:
     """Weight-matrix entry counts (biases excluded, matching the reporting convention)."""
-    half = d // 2
-    return {
-        "encoder_layer1": d * half,
-        "encoder_layer2": half * d,
-        "encoder_out_linear": d * d,
-        "projector_layer1": d * d,
-        "projector_layer2": d * d,
-    }
+    names = {"encoder_layer1": "layer1", "encoder_layer2": "layer2", "encoder_out_linear": "out",
+             "projector_layer1": "proj1", "projector_layer2": "proj2"}
+    return {name: math.prod(_shape(layer + ".weight", d)) for name, layer in names.items()}
 
 
 def save_checkpoint(params: SimSkipParams, path) -> None:
@@ -271,17 +283,19 @@ def load_checkpoint(path) -> SimSkipParams:
     if d < 2 or d % 2 != 0:
         raise FormatError(f"{path}: header dim {d} is not a valid even width")
 
-    params = init_params(d, seed=0, skip_enabled=bool(flags & 1))
+    params = _arena_model(d, skip_enabled=bool(flags & 1))
     off = _CKPT_HEADER.size
-    for _, attr, field_name, _ in PARAM_TABLE:
-        layer = getattr(params, attr)
-        shape = getattr(layer, field_name).shape
-        n = int(np.prod(shape))
-        end = off + 8 * n
+    for key, attr, field_name, _ in PARAM_TABLE:
+        tensor = getattr(getattr(params, attr), field_name)
+        end = off + 8 * tensor.size
         if end > len(raw):
             raise FormatError(f"{path}: truncated tensor data")
-        tensor = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        setattr(layer, field_name, tensor)
+        tensor[...] = np.frombuffer(raw, dtype="<f8", count=tensor.size,
+                                    offset=off).reshape(tensor.shape)
+        if not np.all(np.isfinite(tensor)):
+            raise FormatError(f"{path}: tensor {key!r} holds NaN or Inf")
+        if field_name == "running_var" and np.any(tensor < 0):
+            raise FormatError(f"{path}: tensor {key!r} holds a negative variance")
         off = end
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes after tensor data")

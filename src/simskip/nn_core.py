@@ -2,8 +2,10 @@
 
 Every layer follows the same convention: `*_apply` returns (output, cache)
 and the matching `*_backward` consumes the cache plus the upstream gradient
-and returns parameter gradients and the input gradient. All math runs in
-float64 so analytic gradients can be checked against central finite
+and returns the input gradient; parameter gradients go into buffers the
+caller passes (views of one gradient vector, in `model`). Parameters may be
+views too: assign to them through `[...]`, never rebind them. All math runs
+in float64 so analytic gradients can be checked against central finite
 differences to tight tolerances.
 
 Modes: TRAIN uses batch statistics / stochastic masks, EVAL is fully
@@ -13,6 +15,7 @@ identity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,16 @@ EVAL = "eval"
 def _check_mode(mode: str):
     if mode not in (TRAIN, EVAL):
         raise ValidationError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
+
+
+def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of the vector `flat` with the given shapes, laid end to end and
+    filling it exactly."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"tensors of {sum(sizes)} elements cannot fill shape {flat.shape}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +59,25 @@ class LinearLayer:
         return self.weight.shape[0]
 
 
-def linear_init(
-    in_dim: int, out_dim: int, rng: np.random.Generator, zero: bool = False
-) -> LinearLayer:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights and biases.
+def linear_init(layer: LinearLayer, rng: np.random.Generator, zero: bool = False) -> LinearLayer:
+    """Fill `layer` in place with Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
+    weights, then biases, and return it.
 
-    Nonzero biases keep ReLU-dead rows away from the exact zero vector,
-    where cosine similarity is undefined. `zero` zeroes both tensors (used
-    for the residual output head so the encoder starts as the identity).
+    The draws go straight into the layer's (contiguous) arrays, bitwise the
+    values of `rng.uniform(-bound, bound)`. Nonzero biases keep ReLU-dead
+    rows away from the exact zero vector, where cosine similarity is
+    undefined. `zero` zeroes both tensors (used for the residual output head
+    so the encoder starts as the identity).
     """
-    if zero:
-        return LinearLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
-    bound = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    b = rng.uniform(-bound, bound, size=out_dim)
-    return LinearLayer(w, b)
+    bound = 1.0 / np.sqrt(layer.in_dim)
+    for tensor in (layer.weight, layer.bias):
+        if zero:
+            tensor[...] = 0.0
+        else:
+            rng.random(out=tensor)
+            tensor *= 2 * bound
+            tensor -= bound
+    return layer
 
 
 def linear_apply(layer: LinearLayer, x: np.ndarray, mode: str = EVAL):
@@ -73,19 +90,22 @@ def linear_apply(layer: LinearLayer, x: np.ndarray, mode: str = EVAL):
     return out, (x, layer.weight)
 
 
-def linear_backward(cache, dout: np.ndarray):
+def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray) -> np.ndarray:
     x, weight = cache
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != (x.shape[0], weight.shape[0]):
         raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
-    dw = dout.T @ x
-    db = dout.sum(axis=0)
-    dx = dout @ weight
-    return dw, db, dx
+    np.matmul(dout.T, x, out=dw)
+    np.sum(dout, axis=0, out=db)
+    return dout @ weight
 
 
 # ---------------------------------------------------------------------------
 # batch normalization
+
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # new_running = (1 - momentum) * old + momentum * batch
 
 
 @dataclass
@@ -94,26 +114,18 @@ class BatchNormLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1  # new_running = (1 - momentum) * old + momentum * batch
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValidationError("eps must be > 0")
-        if not (0.0 < self.momentum < 1.0):
-            raise ValidationError("momentum must lie in (0,1)")
         if np.any(self.running_var < 0):
             raise ValidationError("running_var must be nonnegative")
 
 
-def batchnorm_init(dim: int, eps: float = 1e-5, momentum: float = 0.1) -> BatchNormLayer:
+def batchnorm_init(dim: int) -> BatchNormLayer:
     return BatchNormLayer(
         gamma=np.ones(dim),
         beta=np.zeros(dim),
         running_mean=np.zeros(dim),
         running_var=np.ones(dim),
-        eps=eps,
-        momentum=momentum,
     )
 
 
@@ -128,24 +140,25 @@ def batchnorm_apply(layer: BatchNormLayer, x: np.ndarray, mode: str = EVAL):
             raise ValidationError("batch norm in train mode needs a batch of >= 2 rows")
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased (divide by B)
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
-        layer.running_mean = (1 - layer.momentum) * layer.running_mean + layer.momentum * mean
-        layer.running_var = (1 - layer.momentum) * layer.running_var + layer.momentum * var
+        layer.running_mean = (1 - BN_MOMENTUM) * layer.running_mean + BN_MOMENTUM * mean
+        layer.running_var = (1 - BN_MOMENTUM) * layer.running_var + BN_MOMENTUM * var
     else:
-        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
         xhat = (x - layer.running_mean) * inv_std
     out = layer.gamma * xhat + layer.beta
     return out, (xhat, inv_std, layer.gamma, mode)
 
 
-def batchnorm_backward(cache, dout: np.ndarray):
+def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
+                       dbeta: np.ndarray) -> np.ndarray:
     xhat, inv_std, gamma, mode = cache
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != xhat.shape:
         raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
-    dgamma = (dout * xhat).sum(axis=0)
-    dbeta = dout.sum(axis=0)
+    np.sum(dout * xhat, axis=0, out=dgamma)
+    np.sum(dout, axis=0, out=dbeta)
     dxhat = dout * gamma
     if mode == TRAIN:
         b = xhat.shape[0]
@@ -155,7 +168,7 @@ def batchnorm_backward(cache, dout: np.ndarray):
         )
     else:
         dx = dxhat * inv_std
-    return dgamma, dbeta, dx
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +223,16 @@ def grad_check(loss_fn, arrays: dict[str, np.ndarray], h: float = 1e-5) -> float
     `arrays`, and return (loss, grads) where grads maps each key in
     `arrays` to the analytic gradient of the loss w.r.t. that array.
     Returns the max relative error over every coordinate of every array.
+    The analytic gradients are copied first, so `loss_fn` may reuse buffers.
     """
     loss, grads = loss_fn()
     if not np.isfinite(loss):
         raise NumericsError("loss is non-finite")
+    grads = {name: np.array(grads[name], dtype=np.float64) for name in arrays}
     max_rel = 0.0
     for name in sorted(arrays):
         arr = arrays[name]
-        analytic = np.asarray(grads[name], dtype=np.float64)
+        analytic = grads[name]
         if analytic.shape != arr.shape:
             raise ShapeError(f"gradient for {name!r} has shape {analytic.shape}, "
                              f"expected {arr.shape}")

@@ -6,12 +6,12 @@ evaluates the contrastive loss, backpropagates, and applies one Adam
 update. A single seeded generator drives shuffling, augmentation, and
 dropout, so a fixed (dataset, config, seed) reproduces the loss curve and
 final parameters bitwise. The last partial batch of each epoch is dropped
-to keep the negative count uniform. A step's gradients are released before
-the next step's backward pass, so one gradient set is alive at a time.
+to keep the negative count uniform.
 
-Adam updates each tensor in place in cache-sized blocks of whole
-first-axis slices (`_ADAM_BLOCK` elements), with two scratch blocks per
-call; the result is bitwise the textbook update.
+The model's trainable tensors are views of one vector, its arena (see
+`model`). A run allocates one gradient vector with the same layout, which
+every backward pass overwrites, and Adam updates the arena from it in
+place, in cache-sized blocks; the result is bitwise the textbook update.
 
 Config files are plain text, one `key = value` per line with `#` comments.
 Keys match TrainConfig field names; augmentation settings are nested as
@@ -22,8 +22,6 @@ drives every random draw of a run, augmentation included.
 from __future__ import annotations
 
 import dataclasses
-import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,9 +32,9 @@ from .embedding_store import EmbeddingDataset
 from .errors import NumericsError, ValidationError
 from .model import (
     SimSkipParams,
+    arena_views,
     contrastive_loss_and_grads,
     init_params,
-    trainable_params,
 )
 from .nn_core import TRAIN
 from .utils import atomic_write
@@ -83,13 +81,10 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-    wall_time_s: float
     checkpoint_path: str | None
     config: TrainConfig
 
     def to_json_dict(self) -> dict:
-        # wall time is excluded so rerunning with the same seed rewrites
-        # byte-identical reports
         return {
             "epoch_losses": list(self.epoch_losses),
             "epochs_run": len(self.epoch_losses),
@@ -107,83 +102,64 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
-def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(a) for k, a in params.items()},
-        v={k: np.zeros_like(a) for k, a in params.items()},
-    )
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     t: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place; t counts from 1.
+) -> None:
+    """One bias-corrected Adam update of the 1-D vector `params` (a model's
+    arena, say), in place; t counts from 1. `grads` is only read.
 
-    The parameters and both moments are updated in place, one block of
-    whole first-axis slices (at most `_ADAM_BLOCK` elements, at least one
-    slice) at a time, so every pass over a block runs while it is still in
-    cache. A block is a view whatever the tensor's strides, and a tensor no
-    larger than a block is a single block. Two scratch blocks serve every
-    tensor of the call; `grads` is only read. The arithmetic runs in the
-    order of the textbook form, lr * m_hat / (sqrt(v_hat) + eps), so the
-    result is bitwise the same as evaluating that expression. A tensor's
-    gradient is checked for shape and finiteness before that tensor is
-    touched.
+    A gradient of the wrong shape or with a non-finite entry is rejected
+    before anything changes. The update then runs over blocks of at most
+    `_ADAM_BLOCK` elements, each kept in cache through every pass, in the
+    order of the textbook form lr * m_hat / (sqrt(v_hat) + eps), so the
+    result is bitwise the same as evaluating that expression.
     """
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
-    rows = {key: _block_rows(p.shape) for key, p in params.items()}
-    width = max((min(p.size, rows[key] * math.prod(p.shape[1:]))
-                 for key, p in params.items()), default=0)
+    if params.ndim != 1 or grads.shape != params.shape:
+        raise ValidationError(f"gradient shape {grads.shape} does not match the "
+                              f"parameter vector's {params.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise NumericsError("non-finite gradient")
+    width = min(params.size, _ADAM_BLOCK)
     buf, step_buf = np.empty(width), np.empty(width)
     c1, c2 = 1 - beta1**t, 1 - beta2**t
-    for key in sorted(params):
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != params[key].shape:
-            raise ValidationError(f"gradient for {key!r} has wrong shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for {key!r}")
-        p, g, m, v = (np.atleast_1d(a) for a in (params[key], g, state.m[key], state.v[key]))
-        for r0 in range(0, p.shape[0], rows[key]):
-            r1 = r0 + rows[key]
-            gb, mb, vb = g[r0:r1], m[r0:r1], v[r0:r1]
-            scratch = buf[:gb.size].reshape(gb.shape)
-            step = step_buf[:gb.size].reshape(gb.shape)
-            # m = beta1 * m + (1 - beta1) * g
-            np.multiply(gb, 1 - beta1, out=scratch)
-            mb *= beta1
-            mb += scratch
-            # v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(gb, 1 - beta2, out=scratch)
-            scratch *= gb
-            vb *= beta2
-            vb += scratch
-            # params -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(vb, c2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += eps
-            np.divide(mb, c1, out=step)
-            step *= lr
-            step /= scratch
-            p[r0:r1] -= step
-    return params, state
-
-
-def _block_rows(shape: tuple[int, ...]) -> int:
-    """First-axis slices per `adam_step` block: at most `_ADAM_BLOCK`
-    elements, and at least one slice."""
-    return max(1, _ADAM_BLOCK // max(1, math.prod(shape[1:])))
+    for b0 in range(0, params.size, _ADAM_BLOCK):
+        b1 = b0 + _ADAM_BLOCK
+        g, m, v = grads[b0:b1], state.m[b0:b1], state.v[b0:b1]
+        scratch, step = buf[:g.size], step_buf[:g.size]
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, 1 - beta1, out=scratch)
+        m *= beta1
+        m += scratch
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(g, 1 - beta2, out=scratch)
+        scratch *= g
+        v *= beta2
+        v += scratch
+        # params -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= scratch
+        params[b0:b1] -= step
 
 
 def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, TrainReport]:
@@ -200,14 +176,14 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
             "map, which the contrastive loss cannot train; disable zero_init_residual_out"
         )
 
-    start = time.perf_counter()
     params = init_params(
         dataset.dim, cfg.seed,
         skip_enabled=cfg.skip_enabled,
         zero_init_residual_out=cfg.zero_init_residual_out,
     )
-    pdict = trainable_params(params)
-    state = adam_init(pdict)
+    grad = np.empty_like(params.flat)
+    grads = arena_views(grad, params.dim)
+    state = adam_init(params.flat)
     rng = np.random.default_rng(cfg.seed)
 
     epoch_losses: list[float] = []
@@ -219,32 +195,20 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
-            loss, grads = contrastive_loss_and_grads(
-                params, pairs, cfg.tau, mode=TRAIN, rng=rng
-            )[:2]
+            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, mode=TRAIN, rng=rng)
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
                 )
             t += 1
-            adam_step(pdict, grads, state, t, cfg.learning_rate,
+            adam_step(params.flat, grad, state, t, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             batch_losses[b] = loss
-            # free this step's gradients before the next backward pass builds
-            # its own, so two gradient sets never coexist
-            del grads
         epoch_losses.append(float(batch_losses.mean()))
-        for key, arr in pdict.items():
-            if not np.all(np.isfinite(arr)):
-                raise NumericsError(f"parameter {key!r} became non-finite at epoch {epoch}")
+        if not np.all(np.isfinite(params.flat)):
+            raise NumericsError(f"parameters became non-finite at epoch {epoch}")
 
-    report = TrainReport(
-        epoch_losses=epoch_losses,
-        wall_time_s=time.perf_counter() - start,
-        checkpoint_path=None,
-        config=cfg,
-    )
-    return params, report
+    return params, TrainReport(epoch_losses=epoch_losses, checkpoint_path=None, config=cfg)
 
 
 # ---------------------------------------------------------------------------

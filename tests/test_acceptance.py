@@ -15,17 +15,18 @@ from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embe
 from simskip.evaluate import compare_embeddings
 from simskip.losses import hinge_loss, logistic_loss, nt_xent
 from simskip.model import (
+    arena_views,
     contrastive_loss_and_grads,
     init_params,
     load_checkpoint,
     refine,
     save_checkpoint,
-    trainable_params,
 )
 from simskip.nn_core import (
     EVAL,
     TRAIN,
     DropoutLayer,
+    LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
     batchnorm_init,
@@ -54,14 +55,15 @@ def test_c01_gradient_correctness():
     rng = np.random.default_rng(0)
 
     # linear layer
-    layer = linear_init(3, 2, rng)
+    layer = linear_init(LinearLayer(np.empty((2, 3)), np.empty(2)), rng)
     x = rng.standard_normal((4, 3))
     r = rng.standard_normal((4, 2))
     arrays = {"w": layer.weight, "b": layer.bias, "x": x}
 
     def linear_loss():
         out, cache = linear_apply(layer, x)
-        dw, db, dx = linear_backward(cache, r)
+        dw, db = np.empty_like(layer.weight), np.empty_like(layer.bias)
+        dx = linear_backward(cache, r, dw, db)
         return float((out * r).sum()), {"w": dw, "b": db, "x": dx}
 
     err_linear = grad_check(linear_loss, arrays, h=H)
@@ -78,7 +80,8 @@ def test_c01_gradient_correctness():
         bn = batchnorm_init(3)
         bn.gamma, bn.beta = gamma.copy(), beta.copy()
         out, cache = batchnorm_apply(bn, xb, TRAIN)
-        dgamma, dbeta, dx = batchnorm_backward(cache, rb)
+        dgamma, dbeta = np.empty(3), np.empty(3)
+        dx = batchnorm_backward(cache, rb, dgamma, dbeta)
         return float((out * rb).sum()), {"gamma": dgamma, "beta": dbeta, "x": dx}
 
     err_bn = grad_check(bn_loss, bn_arrays, h=H)
@@ -115,16 +118,14 @@ def test_c01_gradient_correctness():
     params.layer2_bn.running_mean += 0.1 * rng.standard_normal(8)
     params.layer2_bn.running_var += 0.5 * rng.random(8)
     pairs = rng.standard_normal((8, 8))
-    full_arrays = dict(trainable_params(params))
-    full_arrays["input"] = pairs
+    grad = np.empty_like(params.flat)
+    grads = arena_views(grad, 8)
 
     def full_loss():
-        loss, grads, dx = contrastive_loss_and_grads(params, pairs, 0.5, mode=EVAL)
-        grads = dict(grads)
-        grads["input"] = dx
-        return loss, grads
+        loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=EVAL)
+        return loss, {"params": grad, "input": dx}
 
-    err_full = grad_check(full_loss, full_arrays, h=H)
+    err_full = grad_check(full_loss, {"params": params.flat, "input": pairs}, h=H)
     assert err_full < 1e-4
 
     _passed(1, f"gradients match finite differences "

@@ -5,11 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import simskip
 from simskip.cli import parse_and_run
-from simskip.embedding_store import load_embeddings
+from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
+from simskip.errors import ValidationError
+from simskip.evaluate import ProbeConfig
+from simskip.model import load_checkpoint
 
 
 def run(argv):
@@ -141,6 +145,30 @@ class TestRefineAndEval:
         assert len(payload["refined"]) == 2
 
 
+class TestExtremeInputs:
+    """Inputs at the edge of the numerics still refine to finite output."""
+
+    @pytest.mark.parametrize("extra", [
+        "",
+        "augment.kind = mask\naugment.mask_prob = 1.0\n",
+        "tau = 1e-6\n",
+        "learning_rate = 1e6\n",
+    ], ids=["constant-rows", "mask-everything", "tiny-tau", "huge-lr"])
+    def test_refine_writes_finite_output(self, tmp_path, synth_file, extra):
+        data = synth_file
+        if not extra:
+            # every row equal: batch norm sees a zero variance in every column
+            data = tmp_path / "constant.embf"
+            save_embeddings(EmbeddingDataset(np.full((64, 8), 3.0), np.arange(64) % 2), data)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("epochs = 3\nbatch_size = 32\nseed = 1\n" + extra)
+        out, ckpt = tmp_path / "r.embf", tmp_path / "m.sskp"
+        assert run(["refine", "--in", data, "--config", cfg, "--out", out,
+                    "--checkpoint", ckpt]) == 0
+        assert np.isfinite(load_embeddings(out).vectors).all()
+        load_checkpoint(ckpt)  # rejects non-finite tensors
+
+
 class TestTheoryCommand:
     def test_report_fields(self, tmp_path, synth_file):
         report = tmp_path / "bound.json"
@@ -206,6 +234,33 @@ class TestErrorPaths:
         cfg.write_text("not_a_key = 1\n")
         assert run(["refine", "--in", synth_file, "--config", cfg,
                     "--out", tmp_path / "r.embf"]) == 1
+
+    @pytest.mark.parametrize("lr", [-1, 0])
+    def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            ProbeConfig(learning_rate=lr)
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--probe-lr", lr, "--report", report]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_probe_epochs_must_be_nonnegative(self, tmp_path, synth_file, capsys):
+        with pytest.raises(ValidationError, match="epochs"):
+            ProbeConfig(epochs=-3)
+        ProbeConfig(epochs=0)
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--probe-epochs", -3, "--report", report]) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_augment_rows_must_be_positive(self, tmp_path, synth_file, capsys, rows):
+        report = tmp_path / "aug.json"
+        assert run(["augment", "--in", synth_file, "--rows", rows, "--report", report]) == 1
+        assert "--rows" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.embf"

@@ -3,10 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import FormatError, ShapeError, ValidationError
 from simskip.model import (
     PARAM_TABLE,
+    arena_views,
     contrastive_loss_and_grads,
     encoder_backward,
     encoder_forward,
@@ -92,13 +94,12 @@ class TestEncoder:
         del arrays["proj1.weight"], arrays["proj1.bias"]
         del arrays["proj2.weight"], arrays["proj2.bias"]
         arrays["input"] = x
+        grads = arena_views(np.empty_like(params.flat), 8)
 
         def loss_fn():
             out, cache = encoder_forward(params, x, EVAL)
-            from simskip.model import encoder_backward
-            grads, dx = encoder_backward(cache, r)
-            grads["input"] = dx
-            return float((out * r).sum()), grads
+            dx = encoder_backward(cache, r, grads)
+            return float((out * r).sum()), {**grads, "input": dx}
 
         assert grad_check(loss_fn, arrays) < 1e-4
 
@@ -131,13 +132,12 @@ class TestProjector:
             "proj2.weight": params.proj2.weight, "proj2.bias": params.proj2.bias,
             "input": h,
         }
+        grads = arena_views(np.empty_like(params.flat), 6)
 
         def loss_fn():
-            from simskip.model import projector_backward
             z, cache = projector_forward(params, h)
-            grads, dh = projector_backward(cache, r)
-            grads["input"] = dh
-            return float((z * r).sum()), grads
+            dh = projector_backward(cache, r, grads)
+            return float((z * r).sum()), {**grads, "input": dh}
 
         assert grad_check(loss_fn, arrays) < 1e-6
 
@@ -152,16 +152,14 @@ class TestFullGraph:
         params.layer2_bn.running_mean += 0.1 * rng.standard_normal(8)
         params.layer2_bn.running_var += 0.5 * rng.random(8)
         pairs = rng.standard_normal((8, 8))  # batch of 4 positive pairs
-        arrays = dict(trainable_params(params))
-        arrays["input"] = pairs
+        grad = np.empty_like(params.flat)
+        grads = arena_views(grad, 8)
 
         def loss_fn():
-            loss, grads, dx = contrastive_loss_and_grads(params, pairs, 0.5, mode=EVAL)
-            grads = dict(grads)
-            grads["input"] = dx
-            return loss, grads
+            loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=EVAL)
+            return loss, {"params": grad, "input": dx}
 
-        assert grad_check(loss_fn, arrays) < 1e-4
+        assert grad_check(loss_fn, {"params": params.flat, "input": pairs}) < 1e-4
 
 
 class TestRefine:
@@ -244,6 +242,21 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("attr,field,value,message", [
+        ("out_lin", "weight", np.nan, "'out.weight' holds NaN or Inf"),
+        ("layer1_bn", "running_mean", np.inf, "'layer1.running_mean' holds NaN or Inf"),
+        ("layer2_bn", "running_var", -0.5, "'layer2.running_var' holds a negative variance"),
+    ], ids=["nan-weight", "inf-running-mean", "negative-running-var"])
+    def test_bad_tensor_values_are_rejected(self, tmp_path, capsys, attr, field, value, message):
+        params = self._trained_like_params()
+        getattr(getattr(params, attr), field)[1] = value
+        path = tmp_path / "m.sskp"
+        save_checkpoint(params, path)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+        assert parse_and_run(["inspect", "--in", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_wrong_width_data_is_rejected_at_use(self, tmp_path):
         params = init_params(8, seed=19)
         path = tmp_path / "m.sskp"
@@ -255,20 +268,38 @@ class TestCheckpoint:
 
 
 class TestParamTable:
-    def test_trainable_keys_match_params_and_gradients(self):
+    def test_backward_passes_overwrite_every_gradient_element(self):
         params = init_params(6, seed=3)
         x = np.random.default_rng(4).standard_normal((8, 6))
         h, enc_cache = encoder_forward(params, x, TRAIN, np.random.default_rng(5))
         z, proj_cache = projector_forward(params, h)
-        enc_grads, _ = encoder_backward(enc_cache, np.ones_like(h))
-        proj_grads, _ = projector_backward(proj_cache, np.ones_like(z))
+        grad = np.full_like(params.flat, np.nan)
+        grads = arena_views(grad, 6)
         table_keys = [key for key, _, _, trainable in PARAM_TABLE if trainable]
-        assert list(trainable_params(params)) == table_keys
-        assert set(enc_grads) | set(proj_grads) == set(table_keys)
-        assert not set(enc_grads) & set(proj_grads)
+        assert list(grads) == list(trainable_params(params)) == table_keys
         for key, arr in trainable_params(params).items():
-            grad = enc_grads.get(key, proj_grads.get(key))
-            assert grad.shape == arr.shape, key
+            assert grads[key].shape == arr.shape, key
+        projector_backward(proj_cache, np.ones_like(z), grads)
+        for key, view in grads.items():
+            # the projector writes its own tensors and nothing else
+            assert (np.isfinite(view) if key.startswith("proj") else np.isnan(view)).all(), key
+        encoder_backward(enc_cache, np.ones_like(h), grads)
+        assert np.isfinite(grad).all()
+
+    def test_trainable_fields_are_views_of_the_arena(self, tmp_path):
+        ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))
+        trained, _ = train(ds, TrainConfig(batch_size=16, epochs=1, seed=2))
+        save_checkpoint(trained, tmp_path / "m.sskp")
+        for params in (init_params(6, seed=3), load_checkpoint(tmp_path / "m.sskp"), trained):
+            views = arena_views(params.flat, 6)
+            for key, arr in trainable_params(params).items():
+                assert np.shares_memory(arr, params.flat), key
+                assert arr.ctypes.data == views[key].ctypes.data, key
+                assert arr.shape == views[key].shape, key
+            for bn in (params.layer1_bn, params.layer2_bn):
+                assert not np.shares_memory(bn.running_var, params.flat)
+        with pytest.raises(ShapeError):
+            arena_views(np.empty(trained.flat.size + 1), 6)
 
     def test_table_covers_every_tensor_once(self):
         params = init_params(6, seed=3)

@@ -21,6 +21,25 @@ from simskip.nn_core import (
 )
 
 
+def new_linear(in_dim, out_dim, rng):
+    """A fresh `in_dim -> out_dim` layer, filled by `linear_init`."""
+    return linear_init(LinearLayer(np.empty((out_dim, in_dim)), np.empty(out_dim)), rng)
+
+
+def linear_grads(layer, cache, dout):
+    """`linear_backward` into fresh NaN-filled buffers: (dw, db, dx)."""
+    dw, db = np.full_like(layer.weight, np.nan), np.full_like(layer.bias, np.nan)
+    dx = linear_backward(cache, dout, dw, db)
+    return dw, db, dx
+
+
+def batchnorm_grads(cache, dout):
+    """`batchnorm_backward` into fresh NaN-filled buffers: (dgamma, dbeta, dx)."""
+    dgamma, dbeta = np.full(dout.shape[1], np.nan), np.full(dout.shape[1], np.nan)
+    dx = batchnorm_backward(cache, dout, dgamma, dbeta)
+    return dgamma, dbeta, dx
+
+
 class TestLinear:
     def test_identity_map(self):
         layer = LinearLayer(np.eye(3), np.zeros(3))
@@ -39,14 +58,14 @@ class TestLinear:
             linear_apply(layer, np.ones((2, 4)))
 
     def test_zero_upstream_gives_zero_grads(self):
-        layer = linear_init(3, 2, np.random.default_rng(1))
+        layer = new_linear(3, 2, np.random.default_rng(1))
         out, cache = linear_apply(layer, np.ones((4, 3)))
-        dw, db, dx = linear_backward(cache, np.zeros_like(out))
+        dw, db, dx = linear_grads(layer, cache, np.zeros_like(out))
         assert not dw.any() and not db.any() and not dx.any()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        layer = linear_init(3, 2, rng)
+        layer = new_linear(3, 2, rng)
         x = rng.standard_normal((4, 3))
         r = rng.standard_normal((4, 2))  # fixed projection makes the loss scalar
 
@@ -55,20 +74,20 @@ class TestLinear:
         def loss_fn():
             out, cache = linear_apply(layer, x)
             loss = float((out * r).sum())
-            dw, db, dx = linear_backward(cache, r)
+            dw, db, dx = linear_grads(layer, cache, r)
             return loss, {"w": dw, "b": db, "x": dx}
 
         assert grad_check(loss_fn, arrays) < 1e-6
 
     def test_batch_gradient_is_sum_of_rows(self):
         rng = np.random.default_rng(3)
-        layer = linear_init(3, 2, rng)
+        layer = new_linear(3, 2, rng)
         row = rng.standard_normal(3)
         g = rng.standard_normal(2)
         _, cache_single = linear_apply(layer, row[None, :])
-        dw_single, _, _ = linear_backward(cache_single, g[None, :])
+        dw_single, _, _ = linear_grads(layer, cache_single, g[None, :])
         _, cache_double = linear_apply(layer, np.vstack([row, row]))
-        dw_double, _, _ = linear_backward(cache_double, np.vstack([g, g]))
+        dw_double, _, _ = linear_grads(layer, cache_double, np.vstack([g, g]))
         assert np.allclose(dw_double, 2.0 * dw_single)
 
 
@@ -113,14 +132,14 @@ class TestBatchNorm:
         out, cache = batchnorm_apply(layer, x, TRAIN)
         xhat = cache[0]
         g = rng.standard_normal(out.shape)
-        dgamma, dbeta, _ = batchnorm_backward(cache, g)
+        dgamma, dbeta, _ = batchnorm_grads(cache, g)
         assert np.allclose(dgamma, (g * xhat).sum(axis=0))
         assert np.allclose(dbeta, g.sum(axis=0))
 
     def test_zero_upstream_gives_zero_grads(self):
         layer = batchnorm_init(2)
         _, cache = batchnorm_apply(layer, np.random.default_rng(6).standard_normal((4, 2)), TRAIN)
-        dgamma, dbeta, dx = batchnorm_backward(cache, np.zeros((4, 2)))
+        dgamma, dbeta, dx = batchnorm_grads(cache, np.zeros((4, 2)))
         assert not dgamma.any() and not dbeta.any() and not dx.any()
 
     def test_gradients_match_finite_differences(self):
@@ -137,7 +156,7 @@ class TestBatchNorm:
             layer.beta = params["beta"].copy()
             out, cache = batchnorm_apply(layer, params["x"], TRAIN)
             loss = float((out * r).sum())
-            dgamma, dbeta, dx = batchnorm_backward(cache, r)
+            dgamma, dbeta, dx = batchnorm_grads(cache, r)
             return loss, {"gamma": dgamma, "beta": dbeta, "x": dx}
 
         assert grad_check(loss_fn, params) < 1e-6

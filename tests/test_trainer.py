@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,69 +36,83 @@ def textbook_adam_step(params, grads, state, t, cfg):
         params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
+def flat(tensors):
+    """The tensors of a dict end to end in key order, as one vector."""
+    return np.concatenate([tensors[k].ravel() for k in sorted(tensors)])
+
+
+def assert_flat_adam_is_textbook(shapes, cfg, seed, steps=5):
+    """`adam_step` over the tensors packed into one vector is bitwise the
+    textbook update of each tensor on its own, and only reads the gradient."""
+    rng = np.random.default_rng(seed)
+    want = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    got = flat(want)
+    got_state = adam_init(got)
+    want_state = SimpleNamespace(m={k: np.zeros(s) for k, s in shapes.items()},
+                                 v={k: np.zeros(s) for k, s in shapes.items()})
+    for t in range(1, steps + 1):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        grad = flat(grads)
+        before = grad.copy()
+        adam_step(got, grad, got_state, t, cfg.learning_rate,
+                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        textbook_adam_step(want, grads, want_state, t, cfg)
+        assert np.array_equal(grad, before)
+    assert np.array_equal(got, flat(want))
+    assert np.array_equal(got_state.m, flat(want_state.m))
+    assert np.array_equal(got_state.v, flat(want_state.v))
+
+
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         # m_hat = g, v_hat = g^2 on step 1, so the update is -lr/(1 + eps)
         cfg = TrainConfig(learning_rate=0.1)
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = adam_init(params)
-        adam_step(params, {"w": np.array([1.0])}, state, t=1, lr=cfg.learning_rate)
-        assert params["w"][0] == pytest.approx(-0.1, abs=1e-8)
+        adam_step(params, np.array([1.0]), state, t=1, lr=cfg.learning_rate)
+        assert params[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_zero_gradient_leaves_params_unchanged(self):
         cfg = TrainConfig()
-        params = {"w": np.array([1.5, -2.5])}
+        params = np.array([1.5, -2.5])
         state = adam_init(params)
         for t in range(1, 5):
-            adam_step(params, {"w": np.zeros(2)}, state, t=t, lr=cfg.learning_rate)
-        assert np.array_equal(params["w"], [1.5, -2.5])
+            adam_step(params, np.zeros(2), state, t=t, lr=cfg.learning_rate)
+        assert np.array_equal(params, [1.5, -2.5])
 
     def test_non_finite_gradient_rejected(self):
         cfg = TrainConfig()
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = adam_init(params)
         with pytest.raises(NumericsError):
-            adam_step(params, {"w": np.array([np.nan])}, state, t=1, lr=cfg.learning_rate)
+            adam_step(params, np.array([np.nan]), state, t=1, lr=cfg.learning_rate)
+
+    def test_shape_mismatch_rejected(self):
+        for params, grad in ((np.zeros(4), np.zeros(5)), (np.zeros((2, 2)), np.zeros((2, 2)))):
+            with pytest.raises(ValidationError):
+                adam_step(params, grad, adam_init(params), t=1, lr=0.1)
 
     def test_trajectories_are_bitwise_reproducible(self):
         def run():
             rng = np.random.default_rng(3)
             cfg = TrainConfig(learning_rate=0.01)
-            params = {"w": np.zeros(4), "b": np.zeros(2)}
+            params = np.zeros(6)
             state = adam_init(params)
             for t in range(1, 20):
-                grads = {"w": rng.standard_normal(4), "b": rng.standard_normal(2)}
-                adam_step(params, grads, state, t=t, lr=cfg.learning_rate)
+                adam_step(params, rng.standard_normal(6), state, t=t, lr=cfg.learning_rate)
             return params
 
-        a, b = run(), run()
-        assert np.array_equal(a["w"], b["w"]) and np.array_equal(a["b"], b["b"])
+        assert np.array_equal(run(), run())
 
     def test_bitwise_equal_to_the_textbook_update(self):
-        rng = np.random.default_rng(4)
         cfg = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
         shapes = {"w1": (6, 3), "b1": (1,), "w2": (3, 6), "s": (5,)}
-        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        got = {k: a.copy() for k, a in start.items()}
-        want = {k: a.copy() for k, a in start.items()}
-        got_state, want_state = adam_init(got), adam_init(want)
-        for t in range(1, 6):
-            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-            before = {k: g.copy() for k, g in grads.items()}
-            adam_step(got, grads, got_state, t, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            textbook_adam_step(want, grads, want_state, t, cfg)
-            for k in shapes:
-                assert np.array_equal(grads[k], before[k])
-        for k in shapes:
-            assert np.array_equal(got[k], want[k])
-            assert np.array_equal(got_state.m[k], want_state.m[k])
-            assert np.array_equal(got_state.v[k], want_state.v[k])
+        assert_flat_adam_is_textbook(shapes, cfg, seed=4)
 
 
 class TestBlockedAdam:
-    """`adam_step` with `_ADAM_BLOCK` patched to 5 elements, so that most
-    tensors span several blocks."""
+    """`adam_step` with `_ADAM_BLOCK` patched to 5 elements, so that the
+    vector spans several blocks and blocks straddle tensor boundaries."""
 
     CFG = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
 
@@ -111,61 +126,24 @@ class TestBlockedAdam:
                   cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     def test_bitwise_equal_to_the_textbook_update_across_blocks(self):
-        # rows of 1, 3, 6 and 12 elements: several rows per block, one row
-        # per block, and rows wider than a block
-        rng = np.random.default_rng(6)
+        # 72 elements: 14 full blocks and a last partial one
         shapes = {"bias": (1,), "long": (23,), "w": (7, 3), "wide": (3, 12), "t3": (4, 2, 3)}
-        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
-        got = {k: a.copy() for k, a in start.items()}
-        want = {k: a.copy() for k, a in start.items()}
-        got_state, want_state = adam_init(got), adam_init(want)
-        for t in range(1, 6):
-            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
-            self.step(got, grads, got_state, t)
-            textbook_adam_step(want, grads, want_state, t, self.CFG)
-        for k in shapes:
-            assert np.array_equal(got[k], want[k]), k
-            assert np.array_equal(got_state.m[k], want_state.m[k]), k
-            assert np.array_equal(got_state.v[k], want_state.v[k]), k
-
-    @pytest.mark.parametrize("view", [
-        lambda base: base.T,
-        lambda base: base[::2, 1::3],
-        lambda base: base[:, ::-2],
-    ], ids=["transposed", "strided", "reversed"])
-    def test_non_contiguous_parameter_changes_in_place(self, view):
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal((6, 9))
-        want_base = base.copy()
-        got, want = {"w": view(base)}, {"w": view(want_base).copy()}
-        got_state, want_state = adam_init(got), adam_init(want)
-        for t in range(1, 4):
-            grads = {"w": rng.standard_normal(got["w"].shape)}
-            self.step(got, grads, got_state, t)
-            textbook_adam_step(want, grads, want_state, t, self.CFG)
-        assert np.shares_memory(got["w"], base)
-        assert np.array_equal(view(base), want["w"])
-        in_view = np.zeros(base.shape, dtype=bool)
-        view(in_view)[...] = True
-        assert np.array_equal(base[~in_view], want_base[~in_view])
+        assert_flat_adam_is_textbook(shapes, self.CFG, seed=6)
 
     def test_non_finite_gradient_leaves_its_tensor_untouched(self):
+        # the check runs over the whole vector first, so nothing is updated
         rng = np.random.default_rng(8)
-        params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((6, 2))}
+        params = rng.standard_normal(23)
         state = adam_init(params)
-        self.step(params, {k: rng.standard_normal(a.shape) for k, a in params.items()},
-                  state, 1)
-        before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
-        grads = {k: rng.standard_normal(a.shape) for k, a in params.items()}
-        grads["b"][-1, -1] = np.inf  # in the last block of "b"
-        with pytest.raises(NumericsError, match="'b'"):
-            self.step(params, grads, state, 2)
-        p, m, v = before["b"]
-        assert np.array_equal(params["b"], p)
-        assert np.array_equal(state.m["b"], m)
-        assert np.array_equal(state.v["b"], v)
-        # "a" sorts first and was updated before "b" was checked
-        assert not np.array_equal(params["a"], before["a"][0])
+        self.step(params, rng.standard_normal(23), state, 1)
+        before = (params.copy(), state.m.copy(), state.v.copy())
+        grad = rng.standard_normal(23)
+        grad[-1] = np.inf  # in the last block
+        with pytest.raises(NumericsError):
+            self.step(params, grad, state, 2)
+        assert np.array_equal(params, before[0])
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
 
 
 class TestTrain:
