@@ -62,7 +62,7 @@ from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixtu
 from .theory import (
     BoundInputs,
     SkipInequalityReport,
-    TripletSample,
+    Triplets,
     bound_rhs,
     empirical_unsup_loss,
     gen_m,

@@ -128,6 +128,8 @@ def load_embeddings(path) -> EmbeddingDataset:
         raise FormatError(f"{path}: has_labels flag must be 0 or 1, got {has_labels}")
     if reserved != 0:
         raise FormatError(f"{path}: reserved header bytes must be zero")
+    if dim < 1:
+        raise FormatError(f"{path}: header dim must be >= 1, got {dim}")
     expected = _HEADER.size + count * dim * 4 + (count * 4 if has_labels else 0)
     if len(raw) != expected:
         raise FormatError(

@@ -261,12 +261,13 @@ def parameter_counts(d: int) -> dict[str, int]:
 
 
 def save_checkpoint(params: SimSkipParams, path) -> None:
+    """Write `params` as SSKP, streaming each tensor's buffer to the file."""
     flags = 1 if params.skip_enabled else 0
-    blob = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags, params.dim))
-    for _, attr, field_name, _ in PARAM_TABLE:
-        tensor = getattr(getattr(params, attr), field_name)
-        blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-    atomic_write(path, bytes(blob))
+    header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags, params.dim)
+    atomic_write(path, [header] + [
+        np.ascontiguousarray(getattr(getattr(params, attr), field_name), dtype="<f8")
+        for _, attr, field_name, _ in PARAM_TABLE
+    ])
 
 
 def load_checkpoint(path) -> SimSkipParams:
@@ -283,20 +284,23 @@ def load_checkpoint(path) -> SimSkipParams:
     if d < 2 or d % 2 != 0:
         raise FormatError(f"{path}: header dim {d} is not a valid even width")
 
+    # checked before anything is allocated, so a corrupt d cannot ask for d^2 floats
+    expected = _CKPT_HEADER.size + 8 * sum(math.prod(_shape(key, d)) for key, *_ in PARAM_TABLE)
+    if len(raw) < expected:
+        raise FormatError(f"{path}: truncated tensor data ({len(raw)} bytes, "
+                          f"expected {expected} for d={d})")
+    if len(raw) > expected:
+        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after tensor data")
+
     params = _arena_model(d, skip_enabled=bool(flags & 1))
     off = _CKPT_HEADER.size
     for key, attr, field_name, _ in PARAM_TABLE:
         tensor = getattr(getattr(params, attr), field_name)
-        end = off + 8 * tensor.size
-        if end > len(raw):
-            raise FormatError(f"{path}: truncated tensor data")
         tensor[...] = np.frombuffer(raw, dtype="<f8", count=tensor.size,
                                     offset=off).reshape(tensor.shape)
         if not np.all(np.isfinite(tensor)):
             raise FormatError(f"{path}: tensor {key!r} holds NaN or Inf")
         if field_name == "running_var" and np.any(tensor < 0):
             raise FormatError(f"{path}: tensor {key!r} holds a negative variance")
-        off = end
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes after tensor data")
+        off += 8 * tensor.size
     return params

@@ -1,16 +1,19 @@
 """Numerical checks of the loss-bound machinery.
 
 The pieces fit together as follows. Triplets (anchor x, same-label
-positive x+, k negatives x-) are sampled from a labeled dataset; the
-empirical unsupervised loss of an embedding map f is the mean of
-l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or
-logistic margin loss. For the identity map the margins are
-u_i = x^T (x+ - x-_i); doubling the map (f = 2I, the idealized effect of
-adding an identity branch to an identity network) scales every margin by
-4, and because both losses are monotonically decreasing, l(4u) <= l(u)
-whenever u >= 0. `skip_inequality_check` measures how often that margin
-condition holds on real triplets and whether the implied loss ordering
-comes out.
+positive x+, k negatives x-) are sampled from a labeled dataset and held
+as one `Triplets` of row-index arrays: anchors (T,), positives (T,) and
+negatives (T, k), drawn by three vectorised calls with no per-triplet
+loop. The empirical unsupervised loss of an embedding map f is the mean
+of l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or
+logistic margin loss; the margins are filled one negative column at a
+time, so memory stays O(T * d) whatever k is. For the identity map the
+margins are u_i = x^T (x+ - x-_i); doubling the map (f = 2I, the
+idealized effect of adding an identity branch to an identity network)
+scales every margin by 4, and because both losses are monotonically
+decreasing, l(4u) <= l(u) whenever u >= 0. `skip_inequality_check`
+measures how often that margin condition holds on real triplets and
+whether the implied loss ordering comes out.
 
 `gen_m` evaluates the generalization-error expression
 
@@ -36,15 +39,37 @@ HINGE = "hinge"
 LOGISTIC = "logistic"
 
 
-@dataclass(frozen=True)
-class TripletSample:
-    anchor: int
-    positive: int
-    negatives: tuple[int, ...]
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """T triplets as row indices: `anchors` (T,), `positives` (T,) and
+    `negatives` (T, k), all nonnegative integers, T >= 1 and k >= 1."""
+
+    anchors: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
+
+    def __post_init__(self):
+        for name in ("anchors", "positives", "negatives"):
+            arr = np.asarray(getattr(self, name))
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValidationError(f"triplet {name} must be integers, got dtype {arr.dtype}")
+            if arr.size and arr.min() < 0:
+                raise ValidationError(f"triplet {name} must be nonnegative row indices")
+            object.__setattr__(self, name, arr)
+        t = self.anchors.shape[0] if self.anchors.ndim == 1 else 0
+        if t < 1 or self.positives.shape != (t,):
+            raise ValidationError(f"anchors and positives must both have shape (T,) with "
+                                  f"T >= 1, got {self.anchors.shape} and {self.positives.shape}")
+        if self.negatives.ndim != 2 or self.negatives.shape[0] != t or self.negatives.shape[1] < 1:
+            raise ValidationError(f"negatives must have shape ({t}, k) with k >= 1, "
+                                  f"got {self.negatives.shape}")
+
+    def __len__(self) -> int:
+        return self.anchors.shape[0]
 
     @property
     def k(self) -> int:
-        return len(self.negatives)
+        return self.negatives.shape[1]
 
 
 @dataclass(frozen=True)
@@ -71,48 +96,52 @@ class BoundInputs:
             raise ValidationError("k must be >= 1")
 
 
-def sample_triplets(
-    dataset: EmbeddingDataset, k: int, count: int, seed: int
-) -> list[TripletSample]:
-    """Uniform anchors, same-label positives, dataset-wide uniform negatives."""
+def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) -> Triplets:
+    """Uniform anchors, same-label positives, dataset-wide uniform negatives.
+
+    A positive sits a uniform offset in [1, class size) past its anchor's
+    rank within their class, wrapping around, so it is uniform over the
+    class's other members and never the anchor.
+    """
     if dataset.labels is None:
         raise ValidationError("sample_triplets requires labels")
     if k < 1 or count < 1:
         raise ValidationError("k and count must be >= 1")
-    labels = dataset.labels
-    members = {c: np.flatnonzero(labels == c) for c in np.unique(labels)}
-    for c, idx in members.items():
-        if idx.size < 2:
-            raise ValidationError(f"class {c} has only {idx.size} member(s); need >= 2")
+    classes, cls, sizes = np.unique(dataset.labels, return_inverse=True, return_counts=True)
+    if sizes.min() < 2:
+        c = int(np.argmin(sizes))
+        raise ValidationError(f"class {classes[c]} has only {sizes[c]} member(s); need >= 2")
+    # rows grouped by class; class c occupies members[starts[c]:starts[c] + sizes[c]]
+    members = np.argsort(cls, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    rank = np.empty_like(members)
+    rank[members] = np.arange(dataset.count) - starts[cls[members]]
 
     rng = np.random.default_rng(seed)
-    triplets = []
-    for _ in range(count):
-        anchor = int(rng.integers(dataset.count))
-        same = members[int(labels[anchor])]
-        pos = anchor
-        while pos == anchor:
-            pos = int(same[rng.integers(same.size)])
-        negs = tuple(int(j) for j in rng.integers(dataset.count, size=k))
-        triplets.append(TripletSample(anchor, pos, negs))
-    return triplets
+    anchors = rng.integers(dataset.count, size=count)
+    c = cls[anchors]
+    offsets = rng.integers(1, sizes[c])
+    positives = members[starts[c] + (rank[anchors] + offsets) % sizes[c]]
+    negatives = rng.integers(dataset.count, size=(count, k))
+    return Triplets(anchors, positives, negatives)
 
 
-def triplet_margins(embedded: np.ndarray, triplets: list[TripletSample]) -> np.ndarray:
+def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values.
 
     Filled one negative column at a time through one T x d difference
     buffer, so memory stays O(T * d) whatever k is.
     """
-    anchors = np.array([t.anchor for t in triplets])
-    positives = np.array([t.positive for t in triplets])
-    negatives = np.array([t.negatives for t in triplets])
-    fa = embedded[anchors]
-    fp = embedded[positives]
+    top = max(triplets.anchors.max(), triplets.positives.max(), triplets.negatives.max())
+    if top >= embedded.shape[0]:
+        raise ValidationError(f"triplet row index {top} out of range for "
+                              f"{embedded.shape[0]} rows")
+    fa = embedded[triplets.anchors]
+    fp = embedded[triplets.positives]
     diff = np.empty_like(fp)
-    margins = np.empty(negatives.shape)
-    for j in range(negatives.shape[1]):
-        np.subtract(fp, embedded[negatives[:, j]], out=diff)
+    margins = np.empty(triplets.negatives.shape)
+    for j in range(triplets.k):
+        np.subtract(fp, embedded[triplets.negatives[:, j]], out=diff)
         margins[:, j] = np.einsum("td,td->t", fa, diff)
     return margins
 
@@ -139,15 +168,13 @@ def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:
 def empirical_unsup_loss(
     f,
     dataset: EmbeddingDataset,
-    triplets: list[TripletSample],
+    triplets: Triplets,
     loss_kind: str = LOGISTIC,
 ) -> float:
     """Mean margin loss of an embedding map over sampled triplets.
 
     `f` maps the whole (N, d) matrix to an (N, d') matrix in one call.
     """
-    if not triplets:
-        raise ValidationError("need at least one triplet")
     embedded = np.asarray(f(dataset.vectors), dtype=np.float64)
     if embedded.ndim != 2 or embedded.shape[0] != dataset.count:
         raise ShapeError(f"embedding map must return ({dataset.count}, d') rows, "
@@ -178,7 +205,7 @@ class SkipInequalityReport:
 
 
 def skip_inequality_check(
-    dataset: EmbeddingDataset, triplets: list[TripletSample]
+    dataset: EmbeddingDataset, triplets: Triplets
 ) -> SkipInequalityReport:
     """Compare logistic L_un under the identity map and the doubled map.
 
@@ -187,8 +214,6 @@ def skip_inequality_check(
     states that ordering restricted to that subset (vacuously true when
     the subset is empty; the subset size is reported alongside).
     """
-    if not triplets:
-        raise ValidationError("need at least one triplet")
     margins = triplet_margins(dataset.vectors, triplets)
     nonneg_rows = np.all(margins >= 0.0, axis=1)
     l_identity = _margin_loss(margins, LOGISTIC)
@@ -224,7 +249,7 @@ def bound_rhs(l_un_value: float, gen: float, inputs: BoundInputs) -> float:
 
 def bound_report(
     dataset: EmbeddingDataset,
-    triplets: list[TripletSample],
+    triplets: Triplets,
     inputs: BoundInputs,
 ) -> dict:
     """JSON-ready summary: margin stats, both L_un values, Gen_M, bound RHS.

@@ -2,6 +2,7 @@
 
 import os
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import ValidationError
@@ -28,8 +29,10 @@ def worker_count() -> int:
     return n
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Write `data` (bytes, or text in the default encoding) to `path` whole.
+def atomic_write(path, data: bytes | str | Sequence) -> None:
+    """Write `data` to `path` whole: bytes, text in the default encoding, or
+    a sequence of bytes-like chunks (bytes, memoryviews, C-contiguous
+    arrays) written in order, so a large file is never joined in memory.
 
     The data goes to a temporary file in the same directory, which then
     replaces `path` in one `os.replace`. If anything fails, the temporary
@@ -37,9 +40,11 @@ def atomic_write(path, data: bytes | str) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    chunks = [data] if isinstance(data, (bytes, str)) else data
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data)
+        with open(tmp, "w" if isinstance(data, str) else "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

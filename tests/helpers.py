@@ -150,8 +150,5 @@ def reference_train_probe(vectors, labels, kind, hidden_dim, lr, epochs, seed):
 def reference_triplet_margins(embedded, triplets):
     """Triplet margins as computed before the one-column-at-a-time loop: one
     einsum over T x k x d gathered negatives and their differences."""
-    anchors = np.array([t.anchor for t in triplets])
-    positives = np.array([t.positive for t in triplets])
-    negatives = np.array([t.negatives for t in triplets])
-    diff = embedded[positives][:, None, :] - embedded[negatives]
-    return np.einsum("td,tkd->tk", embedded[anchors], diff)
+    diff = embedded[triplets.positives][:, None, :] - embedded[triplets.negatives]
+    return np.einsum("td,tkd->tk", embedded[triplets.anchors], diff)

@@ -212,13 +212,21 @@ class TestProbes:
         breakdown = per_class_accuracy(model, ds)
         assert set(breakdown) == {0, 1}
 
-    @pytest.mark.parametrize("kind,hidden,dim", [
-        (LINEAR, 16, 8), (LINEAR, 16, 64), (MLP3, 16, 8), (MLP3, 64, 32), (MLP3, 16, 96),
-        (MLP3, 16, 200),
+    # 3 classes unless a fourth entry says otherwise: 2 is the column-wise
+    # row max's shortest loop, 8 the eval-theory workload's width, 9 an odd
+    # width, and 40 past `_COLUMN_MAX_WIDTH`, where the row max is a reduction
+    @pytest.mark.parametrize("kind,hidden,dim,classes", [
+        pytest.param(kind, hidden, dim, classes,
+                     id=f"{kind}-{hidden}-{dim}" + (f"-{classes}cls" if classes != 3 else ""))
+        for kind, hidden, dim, classes in [
+            (LINEAR, 16, 8, 3), (LINEAR, 16, 64, 3), (MLP3, 16, 8, 3), (MLP3, 64, 32, 3),
+            (MLP3, 16, 96, 3), (MLP3, 16, 200, 3),
+            *[(kind, 16, 8, classes) for kind in (LINEAR, MLP3) for classes in (2, 8, 9, 40)],
+        ]
     ])
-    def test_bitwise_equal_to_reference_fit(self, kind, hidden, dim):
+    def test_bitwise_equal_to_reference_fit(self, kind, hidden, dim, classes):
         ds = apply_class_mixing(generate_gaussian_mixture(
-            MixtureSpec(3, dim, 30, class_separation=3.0, seed=dim)), 0.3, seed=1)
+            MixtureSpec(classes, dim, 30, class_separation=3.0, seed=dim)), 0.3, seed=1)
         cfg = ProbeConfig(kind=kind, hidden_dim=hidden, epochs=40, seed=5)
         got = train_probe(ds, cfg).layers
         want = reference_train_probe(ds.vectors, ds.labels, kind, hidden,

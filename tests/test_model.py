@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ class TestCheckpoint:
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_streams_tensors_to_the_file(self, tmp_path):
+        # joining the file in memory and copying it peaked at 2.1x its size
+        params = init_params(256, seed=0)
+        path = tmp_path / "m.sskp"
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 16
 
     def test_bad_magic(self, tmp_path):
         params = self._trained_like_params()

@@ -15,7 +15,7 @@ from simskip.theory import (
     HINGE,
     LOGISTIC,
     BoundInputs,
-    TripletSample,
+    Triplets,
     _margin_loss,
     bound_rhs,
     empirical_unsup_loss,
@@ -28,6 +28,12 @@ from simskip.theory import (
 identity = lambda x: x
 
 
+def triplets_of(*rows):
+    """Triplets from (anchor, positive, negatives) tuples."""
+    anchors, positives, negatives = zip(*rows)
+    return Triplets(np.array(anchors), np.array(positives), np.array(negatives))
+
+
 def directional_mixture(num_classes=8, dim=16, per=50, sep=10.0, seed=7):
     spec = MixtureSpec(num_classes, dim, per, class_separation=sep, seed=seed)
     return generate_gaussian_mixture(spec, orthogonal_class_means(num_classes, dim, sep))
@@ -36,28 +42,28 @@ def directional_mixture(num_classes=8, dim=16, per=50, sep=10.0, seed=7):
 class TestSampling:
     def test_forced_pair_in_two_point_class(self):
         ds = EmbeddingDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 0])
-        (t,) = sample_triplets(ds, k=1, count=1, seed=0)
-        assert {t.anchor, t.positive} == {0, 1}
-        assert t.k == 1
+        t = sample_triplets(ds, k=1, count=1, seed=0)
+        assert len(t) == 1 and t.k == 1
+        assert {int(t.anchors[0]), int(t.positives[0])} == {0, 1}
 
     def test_negatives_are_dataset_wide_uniform(self):
         # with 2 balanced classes about half the negatives share the anchor label
         ds = directional_mixture(num_classes=2, dim=4, per=100)
-        triplets = sample_triplets(ds, k=1, count=1000, seed=3)
-        share = np.mean([
-            ds.labels[t.negatives[0]] == ds.labels[t.anchor] for t in triplets
-        ])
+        t = sample_triplets(ds, k=1, count=1000, seed=3)
+        share = np.mean(ds.labels[t.negatives[:, 0]] == ds.labels[t.anchors])
         assert abs(share - 0.5) < 0.05
 
     def test_positive_shares_label_and_differs_from_anchor(self):
         ds = directional_mixture(num_classes=3, dim=4, per=20)
-        for t in sample_triplets(ds, k=2, count=200, seed=4):
-            assert t.positive != t.anchor
-            assert ds.labels[t.positive] == ds.labels[t.anchor]
+        t = sample_triplets(ds, k=2, count=200, seed=4)
+        assert np.all(t.positives != t.anchors)
+        assert np.array_equal(ds.labels[t.positives], ds.labels[t.anchors])
 
     def test_deterministic(self):
         ds = directional_mixture(num_classes=2, dim=4, per=10)
-        assert sample_triplets(ds, 2, 50, seed=5) == sample_triplets(ds, 2, 50, seed=5)
+        a, b = sample_triplets(ds, 2, 50, seed=5), sample_triplets(ds, 2, 50, seed=5)
+        for name in ("anchors", "positives", "negatives"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_singleton_class_rejected(self):
         ds = EmbeddingDataset(np.eye(3), [0, 0, 1])
@@ -65,11 +71,60 @@ class TestSampling:
             sample_triplets(ds, 1, 10, seed=0)
 
 
+def within_binomial(counts, n, p, sigmas=5.0):
+    """Each count lies within `sigmas` standard deviations of Binomial(n, p)'s mean."""
+    counts, n = np.asarray(counts, dtype=float), np.asarray(n, dtype=float)
+    return np.all(np.abs(counts - n * p) <= sigmas * np.sqrt(n * p * (1 - p)))
+
+
+class TestTriplets:
+    def test_draw_has_the_documented_distribution(self):
+        # classes of 2, 3 and 7 rows, interleaved so members are not contiguous
+        labels = np.random.default_rng(0).permutation([0] * 2 + [1] * 3 + [2] * 7)
+        n, count, k = labels.size, 60_000, 3
+        ds = EmbeddingDataset(np.zeros((n, 1)), labels)
+        t = sample_triplets(ds, k=k, count=count, seed=11)
+        assert len(t) == count and t.k == k
+        assert np.all(t.positives != t.anchors)
+        assert np.array_equal(labels[t.positives], labels[t.anchors])
+
+        per_anchor = np.bincount(t.anchors, minlength=n)
+        assert within_binomial(per_anchor, count, 1 / n)
+        # given its anchor, a positive is uniform over the class's other rows
+        pairs = np.bincount(t.anchors * n + t.positives, minlength=n * n).reshape(n, n)
+        for a in range(n):
+            others = np.flatnonzero((labels == labels[a]) & (np.arange(n) != a))
+            assert pairs[a].sum() == pairs[a, others].sum() == per_anchor[a]
+            assert within_binomial(pairs[a, others], per_anchor[a], 1 / others.size)
+        assert within_binomial(np.bincount(t.negatives.ravel(), minlength=n), count * k, 1 / n)
+
+    @pytest.mark.parametrize("anchors,positives,negatives", [
+        ([0.0], [1], [[2]]),
+        ([0], [1], [[True]]),
+        ([[0]], [1], [[2]]),
+        ([0], [1, 1], [[2]]),
+        ([0], [1], [2]),
+        ([0], [1], np.zeros((1, 0), dtype=int)),
+        ([0], [1], [[2], [2]]),
+        (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 1), dtype=int)),
+        ([-1], [1], [[2]]),
+    ], ids=["float-anchors", "bool-negatives", "2-d-anchors", "positives-length",
+            "1-d-negatives", "no-negatives", "negatives-rows", "no-triplets",
+            "negative-index"])
+    def test_bad_shapes_and_dtypes_rejected(self, anchors, positives, negatives):
+        with pytest.raises(ValidationError):
+            Triplets(np.array(anchors), np.array(positives), np.array(negatives))
+
+    def test_index_beyond_the_embedding_rejected(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            triplet_margins(np.eye(3), triplets_of((0, 1, (3,))))
+
+
 class TestEmpiricalLoss:
     def _unit_triplet_dataset(self):
         # anchor (1,0), positive (1,0), negative (0,1): margin exactly 1
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        return EmbeddingDataset(vectors, [0, 0, 1]), [TripletSample(0, 1, (2,))]
+        return EmbeddingDataset(vectors, [0, 0, 1]), triplets_of((0, 1, (2,)))
 
     def test_logistic_single_triplet(self):
         ds, triplets = self._unit_triplet_dataset()
@@ -136,10 +191,8 @@ class TestTripletMargins:
         rng = np.random.default_rng(3)
         count, dim, k = 4000, 64, 7
         embedded = rng.standard_normal((500, dim))
-        triplets = [TripletSample(int(a), int(p), tuple(int(j) for j in negs))
-                    for a, p, negs in zip(rng.integers(500, size=count),
-                                          rng.integers(500, size=count),
-                                          rng.integers(500, size=(count, k)))]
+        triplets = Triplets(rng.integers(500, size=count), rng.integers(500, size=count),
+                            rng.integers(500, size=(count, k)))
         tracemalloc.start()
         try:
             triplet_margins(embedded, triplets)
@@ -184,7 +237,7 @@ class TestSkipInequality:
         # margins u and 4u with u >= 0: elementwise monotone decrease
         vectors = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
-        triplets = [TripletSample(0, 1, (2,)), TripletSample(0, 1, (3,))]
+        triplets = triplets_of((0, 1, (2,)), (0, 1, (3,)))
         report = skip_inequality_check(ds, triplets)
         assert report.nonneg_margin_fraction == 1.0
         assert report.holds is True
@@ -194,7 +247,7 @@ class TestSkipInequality:
         # margin 0.5: losses logistic(0.5) and logistic(2.0)
         vectors = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 1.0]])
         ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
-        triplets = [TripletSample(0, 1, (3,))]
+        triplets = triplets_of((0, 1, (3,)))
         report = skip_inequality_check(ds, triplets)
         assert report.l_un_identity == pytest.approx(0.6840, abs=1e-3)
         assert report.l_un_doubled == pytest.approx(0.1832, abs=1e-3)

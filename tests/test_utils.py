@@ -60,6 +60,13 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        utils.atomic_write(path, [b"ab", memoryview(b"cd"), np.array([[1, 2]], dtype="<u2")])
+        assert path.read_bytes() == b"abcd\x01\x00\x02\x00"
+        utils.atomic_write(path, [])
+        assert path.read_bytes() == b""
+
     def test_failed_eval_csv_exits_one_and_keeps_previous_file(self, tmp_path, monkeypatch,
                                                                capsys):
         path = tmp_path / "eval.csv"
