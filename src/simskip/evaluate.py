@@ -56,11 +56,6 @@ MLP3 = "mlp3"
 # anchor rows per block of the distance matrix in `knn_same_label_score`
 _KNN_BLOCK_ROWS = 256
 
-# widest logits whose row max is taken one column at a time: at 800 rows (on a
-# 2-vCPU Xeon) a reduction along rows 8 wide took 73 us against 17 us for the
-# column loop, and the two cross at about 32 columns
-_COLUMN_MAX_WIDTH = 16
-
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -265,15 +260,12 @@ def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray, ws: _ProbeWorkspace) -
     """Overwrite `logits` with the gradient of the mean softmax cross-entropy
     with respect to them, and return it.
 
-    Up to `_COLUMN_MAX_WIDTH` classes the row max is a running maximum over
-    the logit columns; max is exact, so it equals the reduction along rows."""
-    if logits.shape[1] <= _COLUMN_MAX_WIDTH:
-        row_max = ws.col[:, 0]
-        np.copyto(row_max, logits[:, 0])
-        for j in range(1, logits.shape[1]):
-            np.maximum(row_max, logits[:, j], out=row_max)
-    else:
-        np.max(logits, axis=1, keepdims=True, out=ws.col)
+    The row max is a running maximum over the logit columns; max is exact,
+    so it equals the reduction along rows."""
+    row_max = ws.col[:, 0]
+    np.copyto(row_max, logits[:, 0])
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
     logits -= ws.col
     np.exp(logits, out=logits)
     np.sum(logits, axis=1, keepdims=True, out=ws.col)

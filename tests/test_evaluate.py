@@ -214,7 +214,7 @@ class TestProbes:
 
     # 3 classes unless a fourth entry says otherwise: 2 is the column-wise
     # row max's shortest loop, 8 the eval-theory workload's width, 9 an odd
-    # width, and 40 past `_COLUMN_MAX_WIDTH`, where the row max is a reduction
+    # width, and 40 a wide one
     @pytest.mark.parametrize("kind,hidden,dim,classes", [
         pytest.param(kind, hidden, dim, classes,
                      id=f"{kind}-{hidden}-{dim}" + (f"-{classes}cls" if classes != 3 else ""))
