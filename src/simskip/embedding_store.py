@@ -115,7 +115,8 @@ def save_embeddings(dataset: EmbeddingDataset, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingDataset:
-    """Read an EMBF file, validating magic, version, and payload length."""
+    """Read an EMBF file, validating magic, version, payload length, and
+    that every vector value is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: file too short for EMBF header")
@@ -137,6 +138,8 @@ def load_embeddings(path) -> EmbeddingDataset:
         )
     off = _HEADER.size
     vectors = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=off)
+    if not np.all(np.isfinite(vectors)):
+        raise FormatError(f"{path}: vector payload holds NaN or Inf")
     vectors = vectors.reshape(count, dim).astype(np.float64)
     labels = None
     if has_labels:

@@ -10,8 +10,8 @@ Two metrics:
   once, finds the k-th smallest by partitioning a copy, and counts the
   entries below it plus the lowest-index entries equal to it. Worker
   threads take the blocks in turn; memory is two block x N buffers per
-  worker, and since the blocks do not depend on the thread count, neither
-  does the score.
+  worker (64 x N floats each), and since the blocks do not depend on the
+  thread count, neither does the score.
 * probe accuracy: a classifier trained on frozen embeddings. Both kinds
   are a list of nn_core linear layers with ReLU between them, run by one
   forward/backward pair. "linear" is a single layer, multinomial logistic
@@ -54,7 +54,7 @@ LINEAR = "linear"
 MLP3 = "mlp3"
 
 # anchor rows per block of the distance matrix in `knn_same_label_score`
-_KNN_BLOCK_ROWS = 256
+_KNN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)

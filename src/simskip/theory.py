@@ -6,8 +6,9 @@ as one `Triplets` of row-index arrays: anchors (T,), positives (T,) and
 negatives (T, k), drawn by three vectorised calls with no per-triplet
 loop. The empirical unsupervised loss of an embedding map f is the mean
 of l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or
-logistic margin loss; the margins are filled one negative column at a
-time, so memory stays O(T * d) whatever k is. For the identity map the
+logistic margin loss; the margins are filled in blocks of triplets, one
+negative column at a time, so memory stays O(block * d) plus the (T, k)
+result whatever T and k are. For the identity map the
 margins are u_i = x^T (x+ - x-_i); doubling the map (f = 2I, the
 idealized effect of adding an identity branch to an identity network)
 scales every margin by 4, and because both losses are monotonically
@@ -37,6 +38,9 @@ from .losses import LN2
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
+
+# triplets per block in `triplet_margins`
+_MARGIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +133,27 @@ def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) ->
 def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values.
 
-    Filled one negative column at a time through one T x d difference
-    buffer, so memory stays O(T * d) whatever k is.
+    Filled in blocks of `_MARGIN_BLOCK_ROWS` triplets: each block gathers
+    its own anchors and positives and fills its k columns one at a time
+    through one block x d difference buffer, so memory stays
+    O(block * d) plus the (T, k) result whatever T and k are. Each margin
+    is the same per-row dot product at any block size.
     """
     top = max(triplets.anchors.max(), triplets.positives.max(), triplets.negatives.max())
     if top >= embedded.shape[0]:
         raise ValidationError(f"triplet row index {top} out of range for "
                               f"{embedded.shape[0]} rows")
-    fa = embedded[triplets.anchors]
-    fp = embedded[triplets.positives]
-    diff = np.empty_like(fp)
+    t = len(triplets)
     margins = np.empty(triplets.negatives.shape)
-    for j in range(triplets.k):
-        np.subtract(fp, embedded[triplets.negatives[:, j]], out=diff)
-        margins[:, j] = np.einsum("td,td->t", fa, diff)
+    diff = np.empty((min(_MARGIN_BLOCK_ROWS, t), embedded.shape[1]), dtype=embedded.dtype)
+    for r0 in range(0, t, _MARGIN_BLOCK_ROWS):
+        r1 = min(r0 + _MARGIN_BLOCK_ROWS, t)
+        fa = embedded[triplets.anchors[r0:r1]]
+        fp = embedded[triplets.positives[r0:r1]]
+        block = diff[:r1 - r0]
+        for j in range(triplets.k):
+            np.subtract(fp, embedded[triplets.negatives[r0:r1, j]], out=block)
+            margins[r0:r1, j] = np.einsum("td,td->t", fa, block)
     return margins
 
 

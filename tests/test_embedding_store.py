@@ -134,7 +134,7 @@ class TestBinaryFormat:
         raw = bytearray(path.read_bytes())
         raw[16:20] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError):
+        with pytest.raises(FormatError):
             load_embeddings(path)
 
     def test_bad_version(self, tmp_path):

@@ -147,6 +147,19 @@ class TestKnnBlocked:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_default_block_keeps_memory_under_8_mb(self, monkeypatch):
+        # two 64 x 4096 float64 buffers take 4.2 MB; 256-row blocks took about 19 MB
+        monkeypatch.setenv("SIMSKIP_THREADS", "1")
+        rng = np.random.default_rng(11)
+        ds = EmbeddingDataset(rng.standard_normal((4096, 8)), rng.integers(0, 4, 4096))
+        tracemalloc.start()
+        try:
+            knn_same_label_score(ds, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestProbes:
     def test_linear_probe_fits_separable_data(self):

@@ -1,10 +1,9 @@
 """Fuzzed EMBF and SSKP files: header fields rewritten, bytes overwritten,
 the file cut short or extended. Each mutated file is judged by a parser
-written here from the format descriptions. A malformed one must raise
-`FormatError` from its loader (an EMBF file laid out right but holding a
-NaN or Inf vector raises `ValidationError`, as `EmbeddingDataset` does)
-and make `simskip inspect` exit 1; a well-formed one must load and exit 0.
-No other exception may escape."""
+written here from the format descriptions. A malformed one, an EMBF file
+laid out right but holding a NaN or Inf vector included, must raise
+`FormatError` from its loader and make `simskip inspect` exit 1; a
+well-formed one must load and exit 0. No other exception may escape."""
 
 import contextlib
 import io
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
-from simskip.errors import FormatError, ValidationError
+from simskip.errors import FormatError
 from simskip.model import init_params, load_checkpoint, save_checkpoint
 
 # name -> (offset, struct format) of each header field
@@ -29,10 +28,7 @@ SSKP_FIELDS = {"magic": (0, "4s"), "version": (4, "B"), "flags": (5, "B"), "dim"
 
 
 def embf_verdict(raw: bytes) -> type[Exception] | None:
-    """None for a well-formed EMBF file, else the error loading it must raise.
-
-    A file whose layout is right but whose vectors hold NaN or Inf is
-    rejected by the dataset itself, with `ValidationError`."""
+    """None for a well-formed EMBF file, else the error loading it must raise."""
     if len(raw) < 16:
         return FormatError
     magic, version, has_labels, reserved, count, dim = struct.unpack_from("<4sBBHII", raw)
@@ -41,7 +37,7 @@ def embf_verdict(raw: bytes) -> type[Exception] | None:
     if len(raw) != 16 + 4 * count * (dim + has_labels):
         return FormatError
     if not np.isfinite(np.frombuffer(raw, "<f4", count * dim, 16)).all():
-        return ValidationError
+        return FormatError
     return None
 
 
