@@ -88,10 +88,8 @@ def _cmd_gen_synth(args) -> int:
         cluster_sigma=args.sigma,
         seed=args.seed,
     )
-    dataset = generate_gaussian_mixture(spec)
-    if args.mix_strength > 0:
-        mix_seed = args.mix_seed if args.mix_seed is not None else args.seed
-        dataset = apply_class_mixing(dataset, args.mix_strength, mix_seed)
+    mix_seed = args.mix_seed if args.mix_seed is not None else args.seed
+    dataset = apply_class_mixing(generate_gaussian_mixture(spec), args.mix_strength, mix_seed)
     save_embeddings(dataset, args.out)
     print(f"wrote {args.out} ({dataset.count} rows, dim {dataset.dim})")
     return 0

@@ -5,13 +5,13 @@ Two metrics:
 * k-nearest-neighbor same-label score: for every labeled point, the
   fraction of its k nearest neighbors (Euclidean by default, self
   excluded, distance ties broken toward the lower row index) that share
-  its label, averaged over all points. Query rows are handled in fixed
-  blocks of `_KNN_BLOCK_ROWS`: each block forms its block x N distances
-  once, finds the k-th smallest by partitioning a copy, and counts the
-  entries below it plus the lowest-index entries equal to it. Worker
-  threads take the blocks in turn; memory is two block x N buffers per
-  worker (64 x N floats each), and since the blocks do not depend on the
-  thread count, neither does the score.
+  its label, averaged over all points. Query rows are handled in blocks,
+  as many as `utils.block_rows` fits in the cache budget at 16 * N bytes
+  a row: each block forms its block x N distances once, finds the k-th
+  smallest by partitioning a copy, and counts the entries below it plus
+  the lowest-index entries equal to it. Worker threads take the blocks in
+  turn; memory is two block x N buffers per worker, and since the blocks
+  do not depend on the thread count, neither does the score.
 * probe accuracy: a classifier trained on frozen embeddings. Both kinds
   are a list of nn_core linear layers with ReLU between them, run by one
   forward/backward pair. "linear" is a single layer, multinomial logistic
@@ -48,13 +48,10 @@ from .embedding_store import (
 from .errors import ShapeError, ValidationError
 from .nn_core import LinearLayer, flat_views, linear_init
 from .trainer import adam_init, adam_step
-from .utils import worker_count
+from .utils import block_rows, worker_count
 
 LINEAR = "linear"
 MLP3 = "mlp3"
-
-# anchor rows per block of the distance matrix in `knn_same_label_score`
-_KNN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -132,19 +129,19 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10,
             np.subtract(1.0, out, out=out)
 
     fractions = np.empty(n)
-    starts = range(0, n, _KNN_BLOCK_ROWS)
+    block = block_rows(16 * n, n)
+    starts = range(0, n, block)
     workers = min(worker_count(), len(starts))
     # Two block x N buffers per worker, allocated by the calling thread: the
     # blocks that worker threads allocate themselves stay cached in their
     # malloc arenas after the call, where the rest of the process cannot
     # reuse them, and the process's peak RSS then varies from run to run.
-    rows = min(_KNN_BLOCK_ROWS, n)
-    scratch = [(np.empty((rows, n)), np.empty((rows, n))) for _ in range(workers)]
+    scratch = [(np.empty((block, n)), np.empty((block, n))) for _ in range(workers)]
 
     def fill(worker: int):
         dist_buf, part_buf = scratch[worker]
         for r0 in starts[worker::workers]:
-            r1 = min(r0 + _KNN_BLOCK_ROWS, n)
+            r1 = min(r0 + block, n)
             d, part = dist_buf[:r1 - r0], part_buf[:r1 - r0]
             distances(r0, r1, out=d)
             local = np.arange(r1 - r0)

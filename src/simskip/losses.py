@@ -12,9 +12,11 @@ the positive term (the standard form, guaranteeing loss > 0); pass
 `exclude_positive=True` for the variant whose denominator ranges over
 k != i, p only.
 
-The loss and its gradient are evaluated over blocks of `_BLOCK_ROWS`
-anchor rows. Each block forms its slice of the similarity matrix once and
-works on it in place, so memory is O(block x 2N) rather than several
+The loss and its gradient are evaluated over blocks of anchor rows, as
+many as `utils.block_rows` fits in the cache budget at 8 * 2N bytes a row.
+One block x 2N buffer is allocated per call; each block forms its slice of
+the similarity matrix in it and works on it in place, so every pass over
+the block stays in cache and memory is O(block x 2N) rather than several
 2N x 2N temporaries. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
 
@@ -33,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ShapeError, ValidationError
+from .utils import block_rows
 
 LN2 = math.log(2.0)
-
-# anchor rows per block of the similarity matrix in `nt_xent`
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,16 @@ def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossVa
     scale = tau * rows
     per_anchor = np.empty(rows)
     d_zh = np.zeros_like(zh)
-    for r0 in range(0, rows, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, rows)
+    block = block_rows(8 * rows, rows)
+    buf = np.empty((block, rows))
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
         local = np.arange(r1 - r0)
         pos = partner[r0:r1]
 
         # this block's logits, then the positives before they are masked
-        s = zh[r0:r1] @ zh.T
+        s = buf[:r1 - r0]
+        np.matmul(zh[r0:r1], zh.T, out=s)
         np.clip(s, -1.0, 1.0, out=s)
         s /= tau
         pos_logits = s[local, pos]

@@ -6,9 +6,9 @@ as one `Triplets` of row-index arrays: anchors (T,), positives (T,) and
 negatives (T, k), drawn by three vectorised calls with no per-triplet
 loop. The empirical unsupervised loss of an embedding map f is the mean
 of l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or
-logistic margin loss; the margins are filled in blocks of triplets, one
-negative column at a time, so memory stays O(block * d) plus the (T, k)
-result whatever T and k are. For the identity map the
+logistic margin loss; the margins are filled in cache-sized blocks of
+triplets, one negative column at a time, so memory stays O(block * d) plus
+the (T, k) result whatever T and k are. For the identity map the
 margins are u_i = x^T (x+ - x-_i); doubling the map (f = 2I, the
 idealized effect of adding an identity branch to an identity network)
 scales every margin by 4, and because both losses are monotonically
@@ -35,12 +35,10 @@ import numpy as np
 from .embedding_store import EmbeddingDataset
 from .errors import NumericsError, ShapeError, ValidationError
 from .losses import LN2
+from .utils import block_rows
 
 HINGE = "hinge"
 LOGISTIC = "logistic"
-
-# triplets per block in `triplet_margins`
-_MARGIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +131,12 @@ def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) ->
 def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values.
 
-    Filled in blocks of `_MARGIN_BLOCK_ROWS` triplets: each block gathers
-    its own anchors and positives and fills its k columns one at a time
-    through one block x d difference buffer, so memory stays
-    O(block * d) plus the (T, k) result whatever T and k are. Each margin
-    is the same per-row dot product at any block size.
+    Filled in blocks of triplets, as many as `utils.block_rows` fits in
+    the cache budget at 24 * d bytes a row: each block gathers its own
+    anchors and positives and fills its k columns one at a time through
+    one block x d difference buffer, so memory stays O(block * d) plus
+    the (T, k) result whatever T and k are. Each margin is the same
+    per-row dot product at any block size.
     """
     top = max(triplets.anchors.max(), triplets.positives.max(), triplets.negatives.max())
     if top >= embedded.shape[0]:
@@ -145,9 +144,10 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
                               f"{embedded.shape[0]} rows")
     t = len(triplets)
     margins = np.empty(triplets.negatives.shape)
-    diff = np.empty((min(_MARGIN_BLOCK_ROWS, t), embedded.shape[1]), dtype=embedded.dtype)
-    for r0 in range(0, t, _MARGIN_BLOCK_ROWS):
-        r1 = min(r0 + _MARGIN_BLOCK_ROWS, t)
+    rows = block_rows(24 * embedded.shape[1], t)
+    diff = np.empty((rows, embedded.shape[1]), dtype=embedded.dtype)
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
         fa = embedded[triplets.anchors[r0:r1]]
         fp = embedded[triplets.positives[r0:r1]]
         block = diff[:r1 - r0]

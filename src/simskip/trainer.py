@@ -37,14 +37,10 @@ from .model import (
     init_params,
 )
 from .nn_core import TRAIN
-from .utils import atomic_write
+from .utils import atomic_write, block_rows
 
 # learning-rate sweep exposed by the CLI
 LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
-
-# elements per block of the in-place Adam update: the block and its moments,
-# gradient and two scratch blocks fit in a per-core L2 cache
-_ADAM_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -124,10 +120,12 @@ def adam_step(
     arena, say), in place; t counts from 1. `grads` is only read.
 
     A gradient of the wrong shape or with a non-finite entry is rejected
-    before anything changes. The update then runs over blocks of at most
-    `_ADAM_BLOCK` elements, each kept in cache through every pass, in the
-    order of the textbook form lr * m_hat / (sqrt(v_hat) + eps), so the
-    result is bitwise the same as evaluating that expression.
+    before anything changes. The update then runs over blocks of as many
+    elements as `utils.block_rows` fits in the cache budget at 48 bytes an
+    element (the parameters, m, v, g and two scratch arrays), each block
+    kept in cache through every pass, in the order of the textbook form
+    lr * m_hat / (sqrt(v_hat) + eps), so the result is bitwise the same as
+    evaluating that expression.
     """
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
@@ -136,11 +134,11 @@ def adam_step(
                               f"parameter vector's {params.shape}")
     if not np.all(np.isfinite(grads)):
         raise NumericsError("non-finite gradient")
-    width = min(params.size, _ADAM_BLOCK)
+    width = block_rows(48, params.size)
     buf, step_buf = np.empty(width), np.empty(width)
     c1, c2 = 1 - beta1**t, 1 - beta2**t
-    for b0 in range(0, params.size, _ADAM_BLOCK):
-        b1 = b0 + _ADAM_BLOCK
+    for b0 in range(0, params.size, width):
+        b1 = b0 + width
         g, m, v = grads[b0:b1], state.m[b0:b1], state.v[b0:b1]
         scratch, step = buf[:g.size], step_buf[:g.size]
         # m = beta1 * m + (1 - beta1) * g

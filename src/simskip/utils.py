@@ -7,6 +7,16 @@ from pathlib import Path
 
 from .errors import ValidationError
 
+# bytes one block of a blocked kernel may touch: half of a 2 MiB per-core L2,
+# leaving the rest for the operands the block is formed from
+_CACHE_BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int, rows: int) -> int:
+    """Rows per block of a kernel whose blocks cost `row_bytes` a row: as
+    many of `rows` as fit in the cache budget, and at least one."""
+    return max(1, min(rows, _CACHE_BLOCK_BYTES // row_bytes))
+
 
 def worker_count() -> int:
     """Number of worker threads for parallel-friendly operations.

@@ -2,12 +2,32 @@
 
 Everything here is deliberately written as plain loops over scalars, or as
 a plain-NumPy copy of an earlier implementation, so it shares no code path
-with the implementations it checks.
+with the implementations it checks. `patch_block_budget` is the exception:
+it shrinks the blocked kernels' cache budget and counts the blocks they run.
 """
 
 import math
 
 import numpy as np
+
+from simskip import utils
+
+
+def patch_block_budget(mp, module, budget):
+    """Set the blocked kernels' cache budget to `budget` bytes under the
+    MonkeyPatch `mp`, and spy on the block sizes `module` takes from
+    `utils.block_rows`. Returns a list that gets, per call, the number of
+    blocks the kernel's rows split into."""
+    mp.setattr(utils, "_CACHE_BLOCK_BYTES", budget)
+    counts = []
+
+    def spy(row_bytes, rows):
+        block = utils.block_rows(row_bytes, rows)
+        counts.append(math.ceil(rows / block))
+        return block
+
+    mp.setattr(module, "block_rows", spy)
+    return counts
 
 
 def brute_force_nt_xent(z, tau, exclude_positive=False):

@@ -70,6 +70,13 @@ class TestGenSynth:
                     "--seed", 3, "--mix-strength", 0.5, "--out", out]) == 0
         assert load_embeddings(out).count == 20
 
+    @pytest.mark.parametrize("strength", ["-1", "nan"])
+    def test_out_of_range_mixing_is_rejected(self, tmp_path, strength):
+        out = tmp_path / "m.embf"
+        assert run(["gen-synth", "--classes", 2, "--dim", 8, "--per-class", 10,
+                    "--seed", 3, "--mix-strength", strength, "--out", out]) == 1
+        assert not out.exists()
+
 
 class TestRefineAndEval:
     def test_full_pipeline(self, tmp_path, synth_file, train_cfg, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_knn_score, reference_train_probe
+from helpers import brute_force_knn_score, patch_block_budget, reference_train_probe
 from simskip import evaluate
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import ShapeError, ValidationError
@@ -94,11 +95,15 @@ class TestKnnScore:
 
 
 def blocked_knn(ds, k, block, threads):
-    """knn_same_label_score with `block` anchor rows per block on `threads` threads."""
+    """knn_same_label_score on `threads` threads with the cache budget set to
+    `block` anchor rows of 16 * N bytes, checking that it ran in blocks of
+    that many rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluate, "_KNN_BLOCK_ROWS", block)
+        counts = patch_block_budget(mp, evaluate, block * 16 * ds.count)
         mp.setenv("SIMSKIP_THREADS", str(threads))
-        return knn_same_label_score(ds, k)
+        score = knn_same_label_score(ds, k)
+    assert counts == [math.ceil(ds.count / block)]
+    return score
 
 
 def duplicated_rows(rng, distinct, dim):
@@ -148,7 +153,7 @@ class TestKnnBlocked:
         assert peak < 48 * 2**20
 
     def test_default_block_keeps_memory_under_8_mb(self, monkeypatch):
-        # two 64 x 4096 float64 buffers take 4.2 MB; 256-row blocks took about 19 MB
+        # two 16 x 4096 float64 buffers take 1 MB; 256-row blocks took about 19 MB
         monkeypatch.setenv("SIMSKIP_THREADS", "1")
         rng = np.random.default_rng(11)
         ds = EmbeddingDataset(rng.standard_normal((4096, 8)), rng.integers(0, 4, 4096))

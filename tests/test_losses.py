@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nt_xent, log_space_nt_xent
+from helpers import brute_force_nt_xent, log_space_nt_xent, patch_block_budget
 from simskip import losses
 from simskip.errors import NumericsError, ValidationError
 from simskip.losses import cosine_sim, hinge_loss, logistic_loss, nt_xent
@@ -106,10 +106,14 @@ class TestNtXent:
 
 
 def blocked_nt_xent(z, tau, block, exclude_positive=False):
-    """nt_xent evaluated with `block` anchor rows per block."""
+    """nt_xent evaluated with the cache budget set to `block` anchor rows
+    of 8 * 2N bytes, checking that it ran in blocks of that many rows."""
+    rows = len(z)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(losses, "_BLOCK_ROWS", block)
-        return nt_xent(z, tau, exclude_positive=exclude_positive)
+        counts = patch_block_budget(mp, losses, block * 8 * rows)
+        lv = nt_xent(z, tau, exclude_positive=exclude_positive)
+    assert counts == [math.ceil(rows / block)]
+    return lv
 
 
 class TestNtXentBlocked:
@@ -169,7 +173,8 @@ class TestNtXentNumerics:
             assert abs(got.value - log_space_nt_xent(z, tau, exclude_positive)) < 1e-9
 
     def test_memory_is_bounded_by_the_block(self):
-        # a single 4096 x 4096 float64 array would be 134 MB
+        # a single 4096 x 4096 float64 array would be 134 MB; 256-row blocks
+        # took 17 MB, and the 32 x 4096 blocks of the cache budget 1 MB
         z = np.random.default_rng(42).standard_normal((4096, 16))
         tracemalloc.start()
         try:
@@ -177,7 +182,7 @@ class TestNtXentNumerics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8 * 2**20
 
 class TestMarginLosses:
     def test_hinge_values(self):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_class_means, reference_triplet_margins
-from simskip import theory
+from helpers import orthogonal_class_means, patch_block_budget, reference_triplet_margins
+from simskip import theory, utils
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import NumericsError, ShapeError, ValidationError
 from simskip.losses import hinge_loss, logistic_loss
@@ -189,15 +189,17 @@ class TestTripletMargins:
     @pytest.mark.parametrize("dim", [2, 32, 768])
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_bitwise_equal_in_small_blocks(self, dim, k, monkeypatch):
-        # 1000 triplets in blocks of 7: 142 full blocks and a 6-row tail
-        monkeypatch.setattr(theory, "_MARGIN_BLOCK_ROWS", 7)
+        # 1000 triplets in blocks of 7 rows of 24 * d bytes: 142 full blocks
+        # and a 6-row tail
+        counts = patch_block_budget(monkeypatch, theory, 7 * 24 * dim)
         rng = np.random.default_rng(dim * 10 + k + 1)
         ds = EmbeddingDataset(rng.standard_normal((60, dim)) * 3.0, rng.integers(0, 3, 60))
         triplets = sample_triplets(ds, k=k, count=1000, seed=k)
         got = triplet_margins(ds.vectors, triplets)
+        assert counts == [143]
         assert np.array_equal(got, reference_triplet_margins(ds.vectors, triplets))
 
-    def test_memory_is_bounded_by_the_block(self):
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
         # beyond the (T, k) result, only block-sized buffers: the whole-T
         # gathers took 4 T x d arrays (82 MB here)
         rng = np.random.default_rng(4)
@@ -205,13 +207,25 @@ class TestTripletMargins:
         embedded = rng.standard_normal((500, dim))
         triplets = Triplets(rng.integers(500, size=count), rng.integers(500, size=count),
                             rng.integers(500, size=(count, k)))
-        tracemalloc.start()
-        try:
-            triplet_margins(embedded, triplets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - count * k * 8 < 8 * theory._MARGIN_BLOCK_ROWS * dim * 8
+
+        def peak_beyond_result():
+            tracemalloc.start()
+            try:
+                triplet_margins(embedded, triplets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - count * k * 8
+
+        with pytest.MonkeyPatch.context() as mp:
+            # 256-row blocks of 24 * d bytes: 156 full blocks and a tail
+            counts = patch_block_budget(mp, theory, 256 * 24 * dim)
+            assert peak_beyond_result() < 8 * 256 * dim * 8
+            assert counts == [157]
+        # at the default budget, 682-row blocks: the block's buffers fit in it
+        counts = patch_block_budget(monkeypatch, theory, utils._CACHE_BLOCK_BYTES)
+        assert peak_beyond_result() < 2 * utils._CACHE_BLOCK_BYTES
+        assert counts == [59]
 
     def test_memory_does_not_grow_with_k(self):
         # the gathered T x k x d negatives and their differences took 2k

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import patch_block_budget
 from simskip.augment import AugmentConfig
 from simskip.errors import NumericsError, ValidationError
 from simskip.model import trainable_params
@@ -111,14 +112,15 @@ class TestAdam:
 
 
 class TestBlockedAdam:
-    """`adam_step` with `_ADAM_BLOCK` patched to 5 elements, so that the
-    vector spans several blocks and blocks straddle tensor boundaries."""
+    """`adam_step` with the cache budget patched to 5 elements of 48 bytes,
+    so that the vector spans several blocks and blocks straddle tensor
+    boundaries."""
 
     CFG = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(trainer, "_ADAM_BLOCK", 5)
+        self.counts = patch_block_budget(monkeypatch, trainer, 5 * 48)
 
     def step(self, params, grads, state, t):
         cfg = self.CFG
@@ -126,9 +128,10 @@ class TestBlockedAdam:
                   cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     def test_bitwise_equal_to_the_textbook_update_across_blocks(self):
-        # 72 elements: 14 full blocks and a last partial one
+        # 105 elements: 21 blocks of 5, three of them straddling two tensors
         shapes = {"bias": (1,), "long": (23,), "w": (7, 3), "wide": (3, 12), "t3": (4, 2, 3)}
         assert_flat_adam_is_textbook(shapes, self.CFG, seed=6)
+        assert self.counts == [21] * 5
 
     def test_non_finite_gradient_leaves_its_tensor_untouched(self):
         # the check runs over the whole vector first, so nothing is updated
@@ -136,6 +139,7 @@ class TestBlockedAdam:
         params = rng.standard_normal(23)
         state = adam_init(params)
         self.step(params, rng.standard_normal(23), state, 1)
+        assert self.counts == [5]
         before = (params.copy(), state.m.copy(), state.v.copy())
         grad = rng.standard_normal(23)
         grad[-1] = np.inf  # in the last block

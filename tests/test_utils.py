@@ -102,3 +102,38 @@ class TestWorkerCount:
         monkeypatch.setenv("SIMSKIP_THREADS", "3")
         monkeypatch.setattr(utils.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert utils.worker_count() == 3
+
+
+class TestBlockRows:
+    def test_a_row_wider_than_the_budget_gets_a_block_of_one(self):
+        assert utils.block_rows(utils._CACHE_BLOCK_BYTES + 1, 10) == 1
+        assert utils.block_rows(10 * utils._CACHE_BLOCK_BYTES, 10) == 1
+
+    def test_capped_at_the_rows_there_are(self):
+        assert utils.block_rows(8, 100) == 100
+        assert utils.block_rows(8, 1) == 1
+
+    def test_exact_multiple_of_the_row_size(self):
+        assert utils.block_rows(utils._CACHE_BLOCK_BYTES // 4, 100) == 4
+        assert utils.block_rows(utils._CACHE_BLOCK_BYTES // 4 + 1, 100) == 3
+        assert utils.block_rows(utils._CACHE_BLOCK_BYTES, 100) == 1
+
+    @pytest.mark.parametrize("row_bytes, rows, expected", [
+        # nt_xent, 8 * 2N bytes a row: train-narrow's 2N = 1024, and the
+        # 2N = 128 of train-wide and eval-theory in one block
+        (8 * 1024, 1024, 128),
+        (8 * 128, 128, 128),
+        # kNN, 16 * N bytes a row: eval-theory, train-wide, train-narrow
+        (16 * 1600, 1600, 40),
+        (16 * 512, 512, 128),
+        (16 * 1024, 1024, 64),
+        # triplet margins, 24 * d bytes a row: eval-theory's 10 000 triplets
+        # at d = 32, train-wide's 1000 at d = 768, train-narrow's at d = 16
+        (24 * 32, 10_000, 1365),
+        (24 * 768, 1000, 56),
+        (24 * 16, 1000, 1000),
+        # Adam, 48 bytes an element of train-wide's d = 768 arena
+        (48, 2_365_056, 21_845),
+    ])
+    def test_block_sizes_of_the_benchmark_workloads(self, row_bytes, rows, expected):
+        assert utils.block_rows(row_bytes, rows) == expected
