@@ -42,8 +42,8 @@ class AugmentConfig:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ValidationError(f"mask_prob must lie in [0,1], got {self.mask_prob}")
-        if self.noise_scale < 0:
-            raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 def random_mask(x: np.ndarray, mask_prob: float, rng: np.random.Generator) -> np.ndarray:

@@ -14,8 +14,7 @@ Subcommands
 Exit codes: 0 success, 1 validation/format/usage errors, 2 internal
 numeric failure. Every run is deterministic for fixed seeds: rerunning a
 command overwrites its outputs with identical bytes, and input files are
-never modified. The SIMSKIP_THREADS environment variable caps worker
-threads (default: available parallelism).
+never modified.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ Two metrics:
   as many as `utils.block_rows` fits in the cache budget at 16 * N bytes
   a row: each block forms its block x N distances once, finds the k-th
   smallest by partitioning a copy, and counts the entries below it plus
-  the lowest-index entries equal to it. Worker threads take the blocks in
-  turn; memory is two block x N buffers per worker, and since the blocks
-  do not depend on the thread count, neither does the score.
+  the lowest-index entries equal to it. The blocks run in one loop on the
+  calling thread through two block x N buffers allocated once per call.
 * probe accuracy: a classifier trained on frozen embeddings. Both kinds
   are a list of nn_core linear layers with ReLU between them, run by one
   forward/backward pair. "linear" is a single layer, multinomial logistic
@@ -33,7 +32,6 @@ original/refined dataset pair and reports both metrics plus deltas.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +46,7 @@ from .embedding_store import (
 from .errors import ShapeError, ValidationError
 from .nn_core import LinearLayer, flat_views, linear_init
 from .trainer import adam_init, adam_step
-from .utils import block_rows, worker_count
+from .utils import block_rows
 
 LINEAR = "linear"
 MLP3 = "mlp3"
@@ -130,44 +128,29 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10,
 
     fractions = np.empty(n)
     block = block_rows(16 * n, n)
-    starts = range(0, n, block)
-    workers = min(worker_count(), len(starts))
-    # Two block x N buffers per worker, allocated by the calling thread: the
-    # blocks that worker threads allocate themselves stay cached in their
-    # malloc arenas after the call, where the rest of the process cannot
-    # reuse them, and the process's peak RSS then varies from run to run.
-    scratch = [(np.empty((block, n)), np.empty((block, n))) for _ in range(workers)]
-
-    def fill(worker: int):
-        dist_buf, part_buf = scratch[worker]
-        for r0 in starts[worker::workers]:
-            r1 = min(r0 + block, n)
-            d, part = dist_buf[:r1 - r0], part_buf[:r1 - r0]
-            distances(r0, r1, out=d)
-            local = np.arange(r1 - r0)
-            d[local, local + r0] = np.inf  # exclude self
-            part[...] = d
-            part.partition(k - 1, axis=1)
-            kth = part[:, k - 1:k]
-            same = labels[None, :] == labels[r0:r1, None]
-            within = d <= kth
-            hits = (within & same).sum(axis=1)
-            # ties at the k-th distance go to the lower index: where more than
-            # k entries are within reach, drop the surplus highest-index ties
-            surplus = within.sum(axis=1) - k
-            over = np.flatnonzero(surplus > 0)
-            if over.size:
-                ties = d[over] == kth[over]
-                kept = ties.sum(axis=1) - surplus[over]
-                dropped = ties & (np.cumsum(ties, axis=1) > kept[:, None])
-                hits[over] -= (dropped & same[over]).sum(axis=1)
-            fractions[r0:r1] = hits / k
-
-    if workers <= 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(workers)))
+    dist_buf, part_buf = np.empty((block, n)), np.empty((block, n))
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
+        d, part = dist_buf[:r1 - r0], part_buf[:r1 - r0]
+        distances(r0, r1, out=d)
+        local = np.arange(r1 - r0)
+        d[local, local + r0] = np.inf  # exclude self
+        part[...] = d
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1:k]
+        same = labels[None, :] == labels[r0:r1, None]
+        within = d <= kth
+        hits = (within & same).sum(axis=1)
+        # ties at the k-th distance go to the lower index: where more than
+        # k entries are within reach, drop the surplus highest-index ties
+        surplus = within.sum(axis=1) - k
+        over = np.flatnonzero(surplus > 0)
+        if over.size:
+            ties = d[over] == kth[over]
+            kept = ties.sum(axis=1) - surplus[over]
+            dropped = ties & (np.cumsum(ties, axis=1) > kept[:, None])
+            hits[over] -= (dropped & same[over]).sum(axis=1)
+        fractions[r0:r1] = hits / k
     return float(fractions.mean())
 
 
@@ -200,9 +183,10 @@ class ProbeModel:
 
 class _ProbeWorkspace:
     """Every buffer one forward/backward pass of a layer stack over n rows
-    writes, allocated once so that a fit's steps reuse them."""
+    writes, allocated once so that a fit's steps reuse them. A fit passes
+    its n class indices `y`."""
 
-    def __init__(self, layers: list[LinearLayer], n: int):
+    def __init__(self, layers: list[LinearLayer], n: int, y: np.ndarray | None = None):
         # each layer's output; a hidden layer's holds its ReLU output
         self.acts = [np.empty((n, layer.out_dim)) for layer in layers]
         self.masks = [np.empty((n, layer.out_dim), dtype=bool) for layer in layers[:-1]]
@@ -212,7 +196,8 @@ class _ProbeWorkspace:
         self.grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
         widths = [layers[0].in_dim] + [layer.out_dim for layer in layers]
         self.grads = _layer_views(self.grad, widths)
-        self.rows = np.arange(n)
+        # flat index of each row's label logit in the last layer's output
+        self.label_logits = None if y is None else np.arange(n) * layers[-1].out_dim + y
         self.col = np.empty((n, 1))
 
 
@@ -247,15 +232,15 @@ def _probe_backward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspac
         if i < len(layers) - 1:
             np.multiply(dh, ws.masks[i], out=dh)  # ReLU: subgradient 0 at 0
         np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[i].weight)
-        np.sum(dh, axis=0, out=ws.grads[i].bias)
+        np.einsum("ij->j", dh, out=ws.grads[i].bias)  # rows summed in order
         if i:
             dh = np.matmul(dh, layers[i].weight, out=ws.dins[i - 1])
     return ws.grad
 
 
-def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
-    """Overwrite `logits` with the gradient of the mean softmax cross-entropy
-    with respect to them, and return it.
+def _softmax_xent_grad(logits: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
+    """Overwrite `logits`, the last layer output in `ws`, with the gradient
+    of the mean softmax cross-entropy with respect to them, and return it.
 
     The row max is a running maximum over the logit columns; max is exact,
     so it equals the reduction along rows."""
@@ -267,7 +252,7 @@ def _softmax_xent_grad(logits: np.ndarray, y: np.ndarray, ws: _ProbeWorkspace) -
     np.exp(logits, out=logits)
     np.sum(logits, axis=1, keepdims=True, out=ws.col)
     logits /= ws.col
-    logits[ws.rows, y] -= 1.0
+    logits.reshape(-1)[ws.label_logits] -= 1.0
     logits /= logits.shape[0]
     return logits
 
@@ -295,10 +280,10 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
             linear_init(layer, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
     lr = cfg.resolved_lr
-    ws = _ProbeWorkspace(layers, train.count)
+    ws = _ProbeWorkspace(layers, train.count, y)
     for t in range(1, cfg.resolved_epochs + 1):
         logits = _probe_forward(layers, xs, ws)
-        grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, y, ws))
+        grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))
         if cfg.kind == LINEAR:
             grad *= lr
             flat -= grad

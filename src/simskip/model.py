@@ -154,7 +154,7 @@ def init_params(
 
 
 def _block_forward(lin, bn, drop, x, mode, rng):
-    a, lin_cache = linear_apply(lin, x, mode)
+    a, lin_cache = linear_apply(lin, x)
     b, bn_cache = batchnorm_apply(bn, a, mode)
     c, relu_cache = relu_apply(b)
     y, drop_cache = dropout_apply(drop, c, mode, rng)
@@ -181,7 +181,7 @@ def encoder_forward(
         raise ShapeError(f"expected input (B, {params.dim}), got {x.shape}")
     h1, c1 = _block_forward(params.layer1_lin, params.layer1_bn, params.layer1_drop, x, mode, rng)
     h2, c2 = _block_forward(params.layer2_lin, params.layer2_bn, params.layer2_drop, h1, mode, rng)
-    r, c_out = linear_apply(params.out_lin, h2, mode)
+    r, c_out = linear_apply(params.out_lin, h2)
     out = x + r if params.skip_enabled else r
     return out, (c1, c2, c_out, params.skip_enabled)
 
@@ -197,16 +197,11 @@ def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> n
     return dx
 
 
-def projector_forward(
-    params: SimSkipParams,
-    h_batch: np.ndarray,
-    mode: str = EVAL,
-    rng: np.random.Generator | None = None,
-):
-    """z = proj2(relu(proj1(h))); no stochastic layers, so mode/rng are inert."""
-    a, c1 = linear_apply(params.proj1, h_batch, mode)
+def projector_forward(params: SimSkipParams, h_batch: np.ndarray):
+    """z = proj2(relu(proj1(h))); no stochastic layers, so no mode or rng."""
+    a, c1 = linear_apply(params.proj1, h_batch)
     b, c_relu = relu_apply(a)
-    z, c2 = linear_apply(params.proj2, b, mode)
+    z, c2 = linear_apply(params.proj2, b)
     return z, (c1, c_relu, c2)
 
 
@@ -237,7 +232,7 @@ def contrastive_loss_and_grads(
     from .losses import nt_xent  # local import keeps module deps one-way
 
     h, enc_cache = encoder_forward(params, pairs, mode, rng)
-    z, proj_cache = projector_forward(params, h, mode, rng)
+    z, proj_cache = projector_forward(params, h)
     lv = nt_xent(z, tau, exclude_positive=exclude_positive)
     dh = projector_backward(proj_cache, lv.grad, grads)
     loss = lv.value

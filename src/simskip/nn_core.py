@@ -80,9 +80,8 @@ def linear_init(layer: LinearLayer, rng: np.random.Generator, zero: bool = False
     return layer
 
 
-def linear_apply(layer: LinearLayer, x: np.ndarray, mode: str = EVAL):
+def linear_apply(layer: LinearLayer, x: np.ndarray):
     """out = x @ W.T + b, rowwise over the batch."""
-    _check_mode(mode)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ShapeError(f"expected input (B, {layer.in_dim}), got {x.shape}")

@@ -58,20 +58,18 @@ class TrainConfig:
     skip_enabled: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
+        for name in ("learning_rate", "tau", "adam_eps"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
         if self.batch_size < 2:
             raise ValidationError("batch_size must be >= 2 (the loss needs negatives)")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.tau <= 0:
-            raise ValidationError("tau must be > 0")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not (0.0 < b < 1.0):
                 raise ValidationError(f"{name} must lie in (0,1), got {b}")
-        if self.adam_eps <= 0:
-            raise ValidationError("adam_eps must be > 0")
 
 
 @dataclass

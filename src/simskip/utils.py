@@ -5,8 +5,6 @@ import threading
 from collections.abc import Sequence
 from pathlib import Path
 
-from .errors import ValidationError
-
 # bytes one block of a blocked kernel may touch: half of a 2 MiB per-core L2,
 # leaving the rest for the operands the block is formed from
 _CACHE_BLOCK_BYTES = 1 << 20
@@ -16,27 +14,6 @@ def block_rows(row_bytes: int, rows: int) -> int:
     """Rows per block of a kernel whose blocks cost `row_bytes` a row: as
     many of `rows` as fit in the cache budget, and at least one."""
     return max(1, min(rows, _CACHE_BLOCK_BYTES // row_bytes))
-
-
-def worker_count() -> int:
-    """Number of worker threads for parallel-friendly operations.
-
-    Capped by the SIMSKIP_THREADS environment variable; defaults to the
-    available parallelism: the CPUs this process may run on where the
-    platform reports its affinity, else the machine's CPU count.
-    """
-    raw = os.environ.get("SIMSKIP_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0)) or 1
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"SIMSKIP_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"SIMSKIP_THREADS must be >= 1, got {n}")
-    return n
 
 
 def atomic_write(path, data: bytes | str | Sequence) -> None:

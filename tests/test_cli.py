@@ -14,6 +14,7 @@ from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embe
 from simskip.errors import ValidationError
 from simskip.evaluate import ProbeConfig
 from simskip.model import load_checkpoint
+from simskip.trainer import load_train_config
 
 
 def run(argv):
@@ -241,6 +242,20 @@ class TestErrorPaths:
         cfg.write_text("not_a_key = 1\n")
         assert run(["refine", "--in", synth_file, "--config", cfg,
                     "--out", tmp_path / "r.embf"]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "tau = nan", "tau = inf", "learning_rate = inf", "adam_eps = nan",
+        "augment.noise_scale = nan", "augment.noise_scale = inf"])
+    def test_non_finite_train_config_exits_one(self, tmp_path, synth_file, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"epochs = 1\nbatch_size = 32\n{line}\n")
+        with pytest.raises(ValidationError, match="finite"):
+            load_train_config(cfg)
+        out, ckpt = tmp_path / "r.embf", tmp_path / "m.sskp"
+        assert run(["refine", "--in", synth_file, "--config", cfg,
+                    "--out", out, "--checkpoint", ckpt]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "d.embf"]
 
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):

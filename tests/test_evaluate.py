@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -84,23 +85,12 @@ class TestKnnScore:
         with pytest.raises(ValidationError):
             knn_same_label_score(small, 10)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        ds = EmbeddingDataset(rng.standard_normal((150, 4)), rng.integers(0, 3, 150))
-        monkeypatch.setenv("SIMSKIP_THREADS", "1")
-        serial = knn_same_label_score(ds, 7)
-        monkeypatch.setenv("SIMSKIP_THREADS", "4")
-        threaded = knn_same_label_score(ds, 7)
-        assert serial == threaded
 
-
-def blocked_knn(ds, k, block, threads):
-    """knn_same_label_score on `threads` threads with the cache budget set to
-    `block` anchor rows of 16 * N bytes, checking that it ran in blocks of
-    that many rows."""
+def blocked_knn(ds, k, block):
+    """knn_same_label_score with the cache budget set to `block` anchor rows
+    of 16 * N bytes, checking that it ran in blocks of that many rows."""
     with pytest.MonkeyPatch.context() as mp:
         counts = patch_block_budget(mp, evaluate, block * 16 * ds.count)
-        mp.setenv("SIMSKIP_THREADS", str(threads))
         score = knn_same_label_score(ds, k)
     assert counts == [math.ceil(ds.count / block)]
     return score
@@ -126,22 +116,32 @@ class TestKnnBlocked:
         ds = EmbeddingDataset(vectors, labels)
         for k in (1, 2, 3, 5, 10):
             expected = brute_force_knn_score(vectors, labels, k)
-            assert blocked_knn(ds, k, block, 2) == pytest.approx(expected, abs=1e-12)
+            assert blocked_knn(ds, k, block) == pytest.approx(expected, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(1, 4),
-           st.integers(1, 8), st.sampled_from([1, 2]), st.data())
+           st.integers(1, 8), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_any_block_and_thread_count_agree(self, seed, distinct, dim, k, threads, data):
+    def test_any_block_and_thread_count_agree(self, seed, distinct, dim, k, data):
         vectors, labels = duplicated_rows(np.random.default_rng(seed), distinct, dim)
         ds = EmbeddingDataset(vectors, labels)
         block = data.draw(st.integers(1, len(vectors)))
-        got = blocked_knn(ds, k, block, threads)
-        assert got == blocked_knn(ds, k, len(vectors), 1)
+        got = blocked_knn(ds, k, block)
+        assert got == blocked_knn(ds, k, len(vectors))
         assert got == pytest.approx(brute_force_knn_score(vectors, labels, k), abs=1e-12)
 
-    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"kNN started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rng = np.random.default_rng(12)
+        vectors, labels = duplicated_rows(rng, distinct=12, dim=3)
+        ds = EmbeddingDataset(vectors, labels)
+        assert blocked_knn(ds, 5, 4) == pytest.approx(
+            brute_force_knn_score(vectors, labels, 5), abs=1e-12)
+
+    def test_memory_is_bounded_by_the_block(self):
         # a single 4096 x 4096 float64 distance matrix would be 134 MB
-        monkeypatch.setenv("SIMSKIP_THREADS", "1")
         rng = np.random.default_rng(11)
         ds = EmbeddingDataset(rng.standard_normal((4096, 8)), rng.integers(0, 4, 4096))
         tracemalloc.start()
@@ -152,9 +152,8 @@ class TestKnnBlocked:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
-    def test_default_block_keeps_memory_under_8_mb(self, monkeypatch):
+    def test_default_block_keeps_memory_under_8_mb(self):
         # two 16 x 4096 float64 buffers take 1 MB; 256-row blocks took about 19 MB
-        monkeypatch.setenv("SIMSKIP_THREADS", "1")
         rng = np.random.default_rng(11)
         ds = EmbeddingDataset(rng.standard_normal((4096, 8)), rng.integers(0, 4, 4096))
         tracemalloc.start()

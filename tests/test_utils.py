@@ -83,27 +83,6 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
 
 
-class TestWorkerCount:
-    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv("SIMSKIP_THREADS", raising=False)
-        monkeypatch.setattr(utils.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        monkeypatch.setattr(utils.os, "cpu_count", lambda: 8)
-        assert utils.worker_count() == 2
-
-    def test_falls_back_to_the_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("SIMSKIP_THREADS", raising=False)
-        monkeypatch.delattr(utils.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(utils.os, "cpu_count", lambda: 8)
-        assert utils.worker_count() == 8
-        monkeypatch.setattr(utils.os, "cpu_count", lambda: None)
-        assert utils.worker_count() == 1
-
-    def test_environment_variable_overrides(self, monkeypatch):
-        monkeypatch.setenv("SIMSKIP_THREADS", "3")
-        monkeypatch.setattr(utils.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert utils.worker_count() == 3
-
-
 class TestBlockRows:
     def test_a_row_wider_than_the_budget_gets_a_block_of_one(self):
         assert utils.block_rows(utils._CACHE_BLOCK_BYTES + 1, 10) == 1
