@@ -47,7 +47,7 @@ from .evaluate import (
     knn_same_label_score,
     train_probe,
 )
-from .losses import LossValue, cosine_sim, hinge_loss, logistic_loss, nt_xent
+from .losses import LossValue, hinge_loss, logistic_loss, nt_xent
 from .model import (
     SimSkipParams,
     encoder_forward,

@@ -61,7 +61,12 @@ class _UsageError(Exception):
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write `payload` as strict JSON (RFC 8259): a NaN or infinite value
+    raises NumericsError and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"report holds a non-finite number ({exc})") from exc
     if path is None:
         sys.stdout.write(text)
     else:
@@ -240,8 +245,7 @@ def _cmd_augment(args) -> int:
             "view_b": [float(v) for v in b],
         })
     payload = {
-        "config": {"kind": cfg.kind, "mask_prob": cfg.mask_prob,
-                   "noise_scale": cfg.noise_scale, "seed": args.seed},
+        "config": {**dataclasses.asdict(cfg), "seed": args.seed},
         "previews": previews,
     }
     _write_json(payload, args.report)

@@ -104,14 +104,13 @@ def dataset_fingerprint(dataset: EmbeddingDataset) -> str:
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:
-    """Write the dataset to `path` in the EMBF layout."""
-    has_labels = dataset.labels is not None
-    header = _HEADER.pack(MAGIC, VERSION, int(has_labels), 0, dataset.count, dataset.dim)
-    blob = bytearray(header)
-    blob += dataset.vectors.astype("<f4").tobytes()
-    if has_labels:
-        blob += dataset.labels.astype("<u4").tobytes()
-    atomic_write(path, bytes(blob))
+    """Write the dataset to `path` in the EMBF layout, streaming the header
+    and each array's buffer to the file."""
+    header = _HEADER.pack(MAGIC, VERSION, int(dataset.has_labels), 0, dataset.count, dataset.dim)
+    chunks = [header, dataset.vectors.astype("<f4")]
+    if dataset.has_labels:
+        chunks.append(dataset.labels.astype("<u4"))
+    atomic_write(path, chunks)
 
 
 def load_embeddings(path) -> EmbeddingDataset:

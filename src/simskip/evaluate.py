@@ -3,11 +3,11 @@
 Two metrics:
 
 * k-nearest-neighbor same-label score: for every labeled point, the
-  fraction of its k nearest neighbors (Euclidean by default, self
-  excluded, distance ties broken toward the lower row index) that share
-  its label, averaged over all points. Query rows are handled in blocks,
-  as many as `utils.block_rows` fits in the cache budget at 16 * N bytes
-  a row: each block forms its block x N distances once, finds the k-th
+  fraction of its k nearest Euclidean neighbors (self excluded, distance
+  ties broken toward the lower row index) that share its label, averaged
+  over all points. Query rows are handled in blocks, as many as
+  `utils.block_rows` fits in the cache budget at 16 * N bytes a row: each
+  block forms its block x N squared distances once, finds the k-th
   smallest by partitioning a copy, and counts the entries below it plus
   the lowest-index entries equal to it. The blocks run in one loop on the
   calling thread through two block x N buffers allocated once per call.
@@ -23,7 +23,8 @@ Two metrics:
   its first step. Every step writes through it, softmax cross-entropy
   gradient included, and updates the weight vector in one pass. The first
   layer's input gradient is never formed: nothing reads it. Prediction
-  runs the same forward pass through fresh buffers.
+  runs the same forward pass through fresh buffers, once per test set:
+  the accuracy and the per-class accuracies both come from it.
 
 `compare_embeddings` applies one shared train/test index split to an
 original/refined dataset pair and reports both metrics plus deltas.
@@ -94,45 +95,28 @@ class SplitConfig:
 # kNN same-label score
 
 
-def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10,
-                         metric: str = "euclidean") -> float:
+def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10) -> float:
     if dataset.labels is None:
         raise ValidationError("knn_same_label_score requires labels")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if dataset.count <= k:
         raise ValidationError(f"need more than k={k} points, got {dataset.count}")
-    if metric not in ("euclidean", "cosine"):
-        raise ValidationError(f"metric must be 'euclidean' or 'cosine', got {metric!r}")
 
     x = dataset.vectors
     labels = dataset.labels
     n = dataset.count
-    if metric == "euclidean":
-        sq = (x * x).sum(axis=1)
-
-        def distances(r0, r1, out):
-            np.matmul(x[r0:r1], x.T, out=out)
-            out *= -2.0
-            out += sq[r0:r1, None]
-            out += sq[None, :]
-    else:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0.0):
-            raise ValidationError("cosine metric requires nonzero rows")
-        xn = x / norms[:, None]
-
-        def distances(r0, r1, out):
-            np.matmul(xn[r0:r1], xn.T, out=out)
-            np.subtract(1.0, out, out=out)
-
+    sq = (x * x).sum(axis=1)
     fractions = np.empty(n)
     block = block_rows(16 * n, n)
     dist_buf, part_buf = np.empty((block, n)), np.empty((block, n))
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
         d, part = dist_buf[:r1 - r0], part_buf[:r1 - r0]
-        distances(r0, r1, out=d)
+        np.matmul(x[r0:r1], x.T, out=d)
+        d *= -2.0
+        d += sq[r0:r1, None]
+        d += sq[None, :]
         local = np.arange(r1 - r0)
         d[local, local + r0] = np.inf  # exclude self
         part[...] = d
@@ -293,20 +277,17 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
     return ProbeModel(cfg.kind, classes, mean, scale, layers)
 
 
-def evaluate_probe(model: ProbeModel, test: EmbeddingDataset) -> float:
+def evaluate_probe(model: ProbeModel, test: EmbeddingDataset) -> tuple[float, dict[int, float]]:
+    """The probe's accuracy on `test` and its accuracy on each class there,
+    both from one prediction of the test rows."""
     if test.labels is None:
         raise ValidationError("evaluate_probe requires labels")
     if test.count == 0:
         raise ValidationError("test set is empty")
-    return float((model.predict(test.vectors) == test.labels).mean())
-
-
-def per_class_accuracy(model: ProbeModel, test: EmbeddingDataset) -> dict[int, float]:
-    pred = model.predict(test.vectors)
-    return {
-        int(c): float((pred[test.labels == c] == c).mean())
-        for c in np.unique(test.labels)
-    }
+    correct = model.predict(test.vectors) == test.labels
+    per_class = {int(c): float(correct[test.labels == c].mean())
+                 for c in np.unique(test.labels)}
+    return float(correct.mean()), per_class
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +323,6 @@ class ComparisonReport:
     knn_delta: float
     probe_delta: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "original": self.original.to_json_dict(),
-            "refined": self.refined.to_json_dict(),
-            "deltas": {"knn_score": self.knn_delta, "probe_accuracy": self.probe_delta},
-        }
-
     def to_csv_row(self) -> tuple[list[str], list[str]]:
         header = ["orig_knn", "orig_probe", "refined_knn", "refined_probe",
                   "knn_delta", "probe_delta"]
@@ -361,11 +335,11 @@ class ComparisonReport:
 
 
 def _evaluate_with_split(dataset, train_idx_ds, test_idx_ds, probe_cfg, split_cfg, knn_k):
-    model = train_probe(train_idx_ds, probe_cfg)
+    accuracy, per_class = evaluate_probe(train_probe(train_idx_ds, probe_cfg), test_idx_ds)
     return EvalReport(
         knn_score=knn_same_label_score(dataset, k=knn_k),
-        probe_accuracy=evaluate_probe(model, test_idx_ds),
-        per_class=per_class_accuracy(model, test_idx_ds),
+        probe_accuracy=accuracy,
+        per_class=per_class,
         probe_config=probe_cfg,
         split_config=split_cfg,
         knn_k=knn_k,

@@ -8,9 +8,7 @@ other rows:
     loss_i = -log( exp(sim(z_i, z_p)/tau) / sum_{k != i} exp(sim(z_i, z_k)/tau) )
 
 and the total is the mean over all 2N anchors. The denominator includes
-the positive term (the standard form, guaranteeing loss > 0); pass
-`exclude_positive=True` for the variant whose denominator ranges over
-k != i, p only.
+the positive term (the standard SimCLR form, guaranteeing loss > 0).
 
 The loss and its gradient are evaluated over blocks of anchor rows, as
 many as `utils.block_rows` fits in the cache budget at 8 * 2N bytes a row.
@@ -21,10 +19,10 @@ the block stays in cache and memory is O(block x 2N) rather than several
 before `exp`, so the denominator cannot underflow however small tau is.
 
 `hinge_loss` and `logistic_loss` are the margin losses of the
-bound-checking machinery for one margin vector: max(0, 1 - min_i v_i)
-and log2(1 + sum_i exp(-v_i)). Both are monotonically decreasing in every
-coordinate of v. `theory` evaluates the same formulas row-wise over a
-whole margin matrix.
+bound-checking machinery, max(0, 1 - min_i v_i) and
+log2(1 + sum_i exp(-v_i)), reduced over the last axis: a margin vector
+gives one value and a (T, k) margin matrix gives T, one per row. Both are
+monotonically decreasing in every coordinate of v.
 """
 
 from __future__ import annotations
@@ -46,17 +44,7 @@ class LossValue:
     grad: np.ndarray  # d(loss)/d(input rows)
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two nonzero vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0 or not (np.isfinite(na) and np.isfinite(nb)):
-        raise NumericsError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
-def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossValue:
+def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     """Contrastive loss and its gradient for paired rows (2i, 2i+1)."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -89,8 +77,6 @@ def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossVa
         s /= tau
         pos_logits = s[local, pos]
         s[local, local + r0] = -np.inf
-        if exclude_positive:
-            s[local, pos] = -np.inf
 
         row_max = s.max(axis=1)
         s -= row_max[:, None]
@@ -113,24 +99,25 @@ def nt_xent(z: np.ndarray, tau: float, exclude_positive: bool = False) -> LossVa
     return LossValue(value, grad)
 
 
-def hinge_loss(v: np.ndarray) -> float:
-    """max(0, 1 - min_i v_i)."""
+def _margins(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
-        raise ValidationError("hinge_loss needs at least one margin")
+        raise ValidationError(f"{name} needs at least one margin")
     if not np.all(np.isfinite(v)):
-        raise ValidationError("hinge_loss requires finite margins")
-    return float(max(0.0, 1.0 - v.min()))
+        raise ValidationError(f"{name} requires finite margins")
+    return v
 
 
-def logistic_loss(v: np.ndarray) -> float:
-    """log2(1 + sum_i exp(-v_i)), stabilized against large -v_i."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValidationError("logistic_loss needs at least one margin")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("logistic_loss requires finite margins")
-    a = -v
-    m = max(float(a.max()), 0.0)
-    s = math.exp(-m) + float(np.exp(a - m).sum())
-    return (m + math.log(s)) / LN2
+def hinge_loss(v) -> float | np.ndarray:
+    """max(0, 1 - min_i v_i) over the last axis of `v`."""
+    v = _margins(v, "hinge_loss")
+    return np.maximum(0.0, 1.0 - v.min(axis=-1))
+
+
+def logistic_loss(v) -> float | np.ndarray:
+    """log2(1 + sum_i exp(-v_i)) over the last axis of `v`, each row shifted
+    by max(0, max_i -v_i) so that a large -v_i cannot overflow."""
+    a = -_margins(v, "logistic_loss")
+    m = np.maximum(a.max(axis=-1), 0.0)
+    s = np.exp(-m) + np.exp(a - m[..., None]).sum(axis=-1)
+    return (m + np.log(s)) / LN2

@@ -225,7 +225,6 @@ def contrastive_loss_and_grads(
     grads: dict[str, np.ndarray],
     mode: str = EVAL,
     rng: np.random.Generator | None = None,
-    exclude_positive: bool = False,
 ):
     """Full-graph loss of a 2N-row paired batch and its input gradient; every
     parameter gradient is written into `grads` (keyed like `PARAM_TABLE`)."""
@@ -233,7 +232,7 @@ def contrastive_loss_and_grads(
 
     h, enc_cache = encoder_forward(params, pairs, mode, rng)
     z, proj_cache = projector_forward(params, h)
-    lv = nt_xent(z, tau, exclude_positive=exclude_positive)
+    lv = nt_xent(z, tau)
     dh = projector_backward(proj_cache, lv.grad, grads)
     loss = lv.value
     del h, z, proj_cache, lv  # the encoder's backward pass reads none of them

@@ -1,20 +1,20 @@
 """Numerical checks of the loss-bound machinery.
 
-The pieces fit together as follows. Triplets (anchor x, same-label
-positive x+, k negatives x-) are sampled from a labeled dataset and held
-as one `Triplets` of row-index arrays: anchors (T,), positives (T,) and
-negatives (T, k), drawn by three vectorised calls with no per-triplet
-loop. The empirical unsupervised loss of an embedding map f is the mean
-of l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or
-logistic margin loss; the margins are filled in cache-sized blocks of
-triplets, one negative column at a time, so memory stays O(block * d) plus
-the (T, k) result whatever T and k are. For the identity map the
-margins are u_i = x^T (x+ - x-_i); doubling the map (f = 2I, the
-idealized effect of adding an identity branch to an identity network)
-scales every margin by 4, and because both losses are monotonically
-decreasing, l(4u) <= l(u) whenever u >= 0. `skip_inequality_check`
-measures how often that margin condition holds on real triplets and
-whether the implied loss ordering comes out.
+The pieces fit together as follows. Triplets (anchor x, same-label positive
+x+, k negatives x-) are sampled from a labeled dataset and held as one
+`Triplets` of row-index arrays: anchors (T,), positives (T,) and negatives
+(T, k), drawn by three vectorised calls with no per-triplet loop. The
+empirical unsupervised loss of an embedding map f is the mean of
+l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or logistic
+loss of `losses`, applied row-wise to the whole (T, k) margin matrix. The
+margins are filled in cache-sized blocks of triplets, one negative column
+at a time, so memory stays O(block * d) plus the (T, k) result whatever T
+and k are. For the identity map the margins are u_i = x^T (x+ - x-_i);
+doubling the map (f = 2I, the idealized effect of adding an identity branch
+to an identity network) scales every margin by 4, and because both losses
+are monotonically decreasing, l(4u) <= l(u) whenever u >= 0.
+`skip_inequality_check` measures how often that margin condition holds on
+real triplets and whether the implied loss ordering comes out.
 
 `gen_m` evaluates the generalization-error expression
 
@@ -22,11 +22,12 @@ whether the implied loss ordering comes out.
 
 with the asymptotic constants fixed at 1 and natural logs, and `bound_rhs`
 assembles alpha * L_un + eta * gen + eps_slack. The Rademacher average is
-always a user-supplied input, never estimated.
+always a user-supplied input, never estimated. Every input must be finite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingDataset
 from .errors import NumericsError, ShapeError, ValidationError
-from .losses import LN2
+from .losses import hinge_loss, logistic_loss
 from .utils import block_rows
 
 HINGE = "hinge"
@@ -86,16 +87,17 @@ class BoundInputs:
     eps_slack: float = 0.0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValidationError("R must be > 0")
-        if self.rademacher < 0 or self.alpha < 0 or self.eta < 0 or self.eps_slack < 0:
-            raise ValidationError("rademacher, alpha, eta, eps_slack must be >= 0")
-        if self.M < 1:
-            raise ValidationError("M must be >= 1")
+        if not 0 < self.R < math.inf:
+            raise ValidationError(f"R must be finite and > 0, got {self.R}")
+        for name in ("rademacher", "alpha", "eta", "eps_slack"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 1 <= self.M < math.inf:
+            raise ValidationError(f"M must be finite and >= 1, got {self.M}")
         if not (0.0 < self.delta_conf < 1.0):
             raise ValidationError("delta_conf must lie in (0,1)")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        if not 1 <= self.k < math.inf:
+            raise ValidationError(f"k must be finite and >= 1, got {self.k}")
 
 
 def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) -> Triplets:
@@ -158,22 +160,12 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
 
 
 def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:
-    """Mean over rows of `hinge_loss` or `logistic_loss`, in one array pass."""
+    """Mean over the rows of a (T, k) margin matrix of `hinge_loss` or
+    `logistic_loss`, each evaluated row-wise in one array pass."""
     if loss_kind not in (HINGE, LOGISTIC):
         raise ValidationError(f"loss_kind must be {HINGE!r} or {LOGISTIC!r}, got {loss_kind!r}")
-    if margins.size == 0:
-        raise ValidationError(f"{loss_kind} loss needs at least one margin")
-    if not np.all(np.isfinite(margins)):
-        raise ValidationError(f"{loss_kind} loss requires finite margins")
-    if loss_kind == HINGE:
-        per_row = np.maximum(0.0, 1.0 - margins.min(axis=1))
-    else:
-        # log2(1 + sum_i exp(-v_i)), each row shifted by max(0, max_i -v_i)
-        a = -margins
-        m = np.maximum(a.max(axis=1), 0.0)
-        s = np.exp(-m) + np.exp(a - m[:, None]).sum(axis=1)
-        per_row = (m + np.log(s)) / LN2
-    return float(per_row.mean())
+    loss = hinge_loss if loss_kind == HINGE else logistic_loss
+    return float(loss(margins).mean())
 
 
 def empirical_unsup_loss(
@@ -247,9 +239,12 @@ def skip_inequality_check(
 def gen_m(inputs: BoundInputs) -> float:
     """Generalization-error expression with implied constants set to 1."""
     first = inputs.R * math.sqrt(inputs.k) * inputs.rademacher / inputs.M
-    second = (inputs.R**2 + math.log(inputs.k)) * math.sqrt(
-        math.log(1.0 / inputs.delta_conf) / inputs.M
-    )
+    try:
+        second = (inputs.R**2 + math.log(inputs.k)) * math.sqrt(
+            math.log(1.0 / inputs.delta_conf) / inputs.M
+        )
+    except OverflowError as exc:  # R**2 past the largest float
+        raise NumericsError(f"Gen_M overflows: R = {inputs.R} squared is out of range") from exc
     return first + second
 
 
@@ -273,10 +268,5 @@ def bound_report(
     report = skip_rep.to_json_dict()
     report["gen_m"] = g
     report["bound_rhs"] = bound_rhs(skip_rep.l_un_identity, g, inputs)
-    report["config"] = {
-        "R": inputs.R, "rademacher": inputs.rademacher, "M": inputs.M,
-        "delta_conf": inputs.delta_conf, "k": inputs.k,
-        "alpha": inputs.alpha, "eta": inputs.eta, "eps_slack": inputs.eps_slack,
-        "loss": LOGISTIC,
-    }
+    report["config"] = {**dataclasses.asdict(inputs), "loss": LOGISTIC}
     return report

@@ -84,14 +84,8 @@ class TrainReport:
             "epochs_run": len(self.epoch_losses),
             "final_loss": self.epoch_losses[-1] if self.epoch_losses else None,
             "checkpoint_path": self.checkpoint_path,
-            "config": config_to_dict(self.config),
+            "config": dataclasses.asdict(self.config),
         }
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["augment"] = dataclasses.asdict(cfg.augment)
-    return d
 
 
 @dataclass
@@ -213,16 +207,15 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
-_TOP_FIELDS = {
-    "learning_rate": float, "batch_size": int, "epochs": int, "tau": float,
-    "seed": int, "adam_beta1": float, "adam_beta2": float, "adam_eps": float,
-    "zero_init_residual_out": "bool", "skip_enabled": "bool",
-}
-_AUG_FIELDS = {"kind": str, "mask_prob": float, "noise_scale": float}
+# each config key's parser, from its field's annotation
+_PARSERS = {"float": float, "int": int, "str": str, "bool": bool}
+_TOP_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
+               if f.name != "augment"}
+_AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfig)}
 
 
 def _convert(key: str, value: str, kind):
-    if kind == "bool":
+    if kind is bool:
         if value.lower() not in _BOOL_WORDS:
             raise ValidationError(f"config key {key!r}: expected a boolean, got {value!r}")
         return _BOOL_WORDS[value.lower()]
@@ -243,15 +236,11 @@ def load_train_config(path) -> TrainConfig:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("augment."):
-            sub = key[len("augment."):]
-            if sub not in _AUG_FIELDS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            aug[sub] = _convert(key, value, _AUG_FIELDS[sub])
-        elif key in _TOP_FIELDS:
-            top[key] = _convert(key, value, _TOP_FIELDS[key])
-        else:
+        name = key.removeprefix("augment.")
+        fields, values = (_TOP_FIELDS, top) if name == key else (_AUG_FIELDS, aug)
+        if name not in fields:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[name] = _convert(key, value, fields[name])
     return TrainConfig(augment=AugmentConfig(**aug), **top)
 
 

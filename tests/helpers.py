@@ -30,7 +30,7 @@ def patch_block_budget(mp, module, budget):
     return counts
 
 
-def brute_force_nt_xent(z, tau, exclude_positive=False):
+def brute_force_nt_xent(z, tau):
     """O(N^2) literal evaluation of the paired contrastive loss."""
     z = np.asarray(z, dtype=np.float64)
     rows = z.shape[0]
@@ -49,14 +49,12 @@ def brute_force_nt_xent(z, tau, exclude_positive=False):
         for k in range(rows):
             if k == i:
                 continue
-            if exclude_positive and k == partner:
-                continue
             denom += math.exp(cos(i, k) / tau)
         total += -math.log(numer / denom)
     return total / rows
 
 
-def log_space_nt_xent(z, tau, exclude_positive=False):
+def log_space_nt_xent(z, tau):
     """The same literal loop as `brute_force_nt_xent`, with each anchor's
     log-sum-exp shifted by its largest logit, so tiny tau cannot overflow."""
     z = np.asarray(z, dtype=np.float64)
@@ -70,8 +68,7 @@ def log_space_nt_xent(z, tau, exclude_positive=False):
     total = 0.0
     for i in range(rows):
         partner = i + 1 if i % 2 == 0 else i - 1
-        others = [logit(i, k) for k in range(rows)
-                  if k != i and not (exclude_positive and k == partner)]
+        others = [logit(i, k) for k in range(rows) if k != i]
         top = max(others)
         lse = top + math.log(sum(math.exp(x - top) for x in others))
         total += lse - logit(i, partner)

@@ -187,6 +187,50 @@ class TestTheoryCommand:
                     "holds", "gen_m", "bound_rhs", "config"):
             assert key in payload
 
+    # a NaN or infinite input exits 1; a finite input whose bound overflows exits 2
+    @pytest.mark.parametrize("flags,code", [
+        (["--radius", "nan"], 1),
+        (["--radius", "inf"], 1),
+        (["--rademacher", "nan"], 1),
+        (["--eta", "nan"], 1),
+        (["--alpha", "inf"], 1),
+        (["--rademacher", "1e308", "--radius", "10"], 2),
+        (["--radius", "1e200"], 2),
+    ], ids=["radius-nan", "radius-inf", "rademacher-nan", "eta-nan", "alpha-inf",
+            "gen-m-inf", "radius-squared-overflows"])
+    def test_non_finite_bound_writes_nothing(self, tmp_path, synth_file, capsys, flags, code):
+        report = tmp_path / "bound.json"
+        assert run(["theory", "--in", synth_file, "--triplets", 50, "--k", 1,
+                    *flags, "--report", report]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("finite" in err or "overflow" in err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON number {name}")
+
+
+class TestStrictJson:
+    def test_every_report_parses_as_strict_json(self, tmp_path, synth_file, train_cfg):
+        refined, ckpt = tmp_path / "r.embf", tmp_path / "m.sskp"
+        commands = {
+            "refine": ["refine", "--in", synth_file, "--config", train_cfg, "--out", refined,
+                       "--checkpoint", ckpt],
+            "ablate": ["ablate", "--in", synth_file, "--config", train_cfg,
+                       "--out", tmp_path / "a.embf"],
+            "eval": ["eval", "--original", synth_file, "--refined", refined, "--knn-k", 5,
+                     "--probe-epochs", 20, "--csv", tmp_path / "eval.csv"],
+            "theory": ["theory", "--in", synth_file, "--triplets", 50],
+            "augment": ["augment", "--in", synth_file, "--rows", 2],
+            "inspect-embf": ["inspect", "--in", refined],
+            "inspect-sskp": ["inspect", "--in", ckpt],
+        }
+        for name, argv in commands.items():
+            report = tmp_path / f"{name}.json"
+            assert run([*argv, "--report", report]) == 0, name
+            assert json.loads(report.read_text(), parse_constant=reject_constant), name
+
 
 class TestAugmentCommand:
     def test_preview(self, tmp_path, synth_file):

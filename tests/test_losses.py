@@ -9,24 +9,8 @@ from hypothesis import strategies as st
 from helpers import brute_force_nt_xent, log_space_nt_xent, patch_block_budget
 from simskip import losses
 from simskip.errors import NumericsError, ValidationError
-from simskip.losses import cosine_sim, hinge_loss, logistic_loss, nt_xent
+from simskip.losses import hinge_loss, logistic_loss, nt_xent
 from simskip.nn_core import grad_check
-
-
-class TestCosine:
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_scale_invariant(self):
-        assert cosine_sim([2.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(NumericsError):
-            cosine_sim([1.0, 0.0], [0.0, 0.0])
-
-    def test_clamped_to_unit_interval(self):
-        v = np.full(64, 0.1)
-        assert cosine_sim(v, v) <= 1.0
 
 
 class TestNtXent:
@@ -47,12 +31,6 @@ class TestNtXent:
         for _ in range(3):
             z = rng.standard_normal((2 * n, 5))
             assert abs(nt_xent(z, tau).value - brute_force_nt_xent(z, tau)) < 1e-10
-
-    def test_exclude_positive_variant_matches_brute_force(self):
-        rng = np.random.default_rng(21)
-        z = rng.standard_normal((8, 4))
-        got = nt_xent(z, 0.5, exclude_positive=True).value
-        assert abs(got - brute_force_nt_xent(z, 0.5, exclude_positive=True)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -105,13 +83,13 @@ class TestNtXent:
             nt_xent(np.ones((8, 3)), 0.0)
 
 
-def blocked_nt_xent(z, tau, block, exclude_positive=False):
+def blocked_nt_xent(z, tau, block):
     """nt_xent evaluated with the cache budget set to `block` anchor rows
     of 8 * 2N bytes, checking that it ran in blocks of that many rows."""
     rows = len(z)
     with pytest.MonkeyPatch.context() as mp:
         counts = patch_block_budget(mp, losses, block * 8 * rows)
-        lv = nt_xent(z, tau, exclude_positive=exclude_positive)
+        lv = nt_xent(z, tau)
     assert counts == [math.ceil(rows / block)]
     return lv
 
@@ -119,38 +97,35 @@ def blocked_nt_xent(z, tau, block, exclude_positive=False):
 class TestNtXentBlocked:
     # 2N = 14 and 22 span three and four blocks of 6, the last one partial
     @pytest.mark.parametrize("rows", [14, 22])
-    @pytest.mark.parametrize("exclude_positive", [False, True])
     @pytest.mark.parametrize("tau", [0.07, 0.5])
-    def test_matches_brute_force(self, rows, exclude_positive, tau):
+    def test_matches_brute_force(self, rows, tau):
         rng = np.random.default_rng(rows + int(100 * tau))
         z = rng.standard_normal((rows, 5))
-        got = blocked_nt_xent(z, tau, 6, exclude_positive).value
-        assert abs(got - brute_force_nt_xent(z, tau, exclude_positive)) < 1e-10
+        got = blocked_nt_xent(z, tau, 6).value
+        assert abs(got - brute_force_nt_xent(z, tau)) < 1e-10
 
     @pytest.mark.parametrize("rows", [14, 22])
-    @pytest.mark.parametrize("exclude_positive", [False, True])
-    def test_gradient_matches_finite_differences(self, rows, exclude_positive):
+    def test_gradient_matches_finite_differences(self, rows):
         rng = np.random.default_rng(30 + rows)
         z = rng.standard_normal((rows, 6))
 
         def loss_fn():
-            lv = blocked_nt_xent(z, 0.5, 6, exclude_positive)
+            lv = blocked_nt_xent(z, 0.5, 6)
             return lv.value, {"z": lv.grad}
 
         assert grad_check(loss_fn, {"z": z}) < 1e-5
 
     @given(
         st.integers(2, 16), st.integers(1, 8), st.floats(0.05, 2.0),
-        st.booleans(), st.integers(0, 2**32 - 1), st.data(),
+        st.integers(0, 2**32 - 1), st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_blocked_agrees_with_single_block(self, pairs, dim, tau, exclude_positive,
-                                              seed, data):
+    def test_blocked_agrees_with_single_block(self, pairs, dim, tau, seed, data):
         rows = 2 * pairs
         block = data.draw(st.integers(1, rows - 1))
         z = np.random.default_rng(seed).standard_normal((rows, dim))
-        single = nt_xent(z, tau, exclude_positive=exclude_positive)
-        blocked = blocked_nt_xent(z, tau, block, exclude_positive)
+        single = nt_xent(z, tau)
+        blocked = blocked_nt_xent(z, tau, block)
         assert abs(blocked.value - single.value) < 1e-12
         scale = max(1.0, float(np.abs(single.grad).max()))
         assert np.abs(blocked.grad - single.grad).max() < 1e-12 * scale
@@ -159,18 +134,16 @@ class TestNtXentBlocked:
 class TestNtXentNumerics:
     @pytest.mark.parametrize("tau", [1e-3, 1e-2])
     @pytest.mark.parametrize("block", [256, 6])
-    @pytest.mark.parametrize("exclude_positive", [False, True])
-    def test_small_tau_matches_log_space_oracle(self, tau, block, exclude_positive):
+    def test_small_tau_matches_log_space_oracle(self, tau, block):
         rng = np.random.default_rng(40)
         random_rows = rng.standard_normal((14, 5))
-        # pairs along distinct axes: with the positive excluded every logit of
-        # every anchor lies near 0, so shifting by the bound 1/tau instead of
-        # the row max would underflow each denominator to 0
+        # pairs along distinct axes: each positive logit lies near 1/tau and
+        # every other near 0, so each negative's shifted exp underflows to 0
         axis_pairs = np.repeat(np.eye(7), 2, axis=0) + 0.05 * rng.standard_normal((14, 7))
         for z in (random_rows, axis_pairs):
-            got = blocked_nt_xent(z, tau, block, exclude_positive)
+            got = blocked_nt_xent(z, tau, block)
             assert np.isfinite(got.value) and np.all(np.isfinite(got.grad))
-            assert abs(got.value - log_space_nt_xent(z, tau, exclude_positive)) < 1e-9
+            assert abs(got.value - log_space_nt_xent(z, tau)) < 1e-9
 
     def test_memory_is_bounded_by_the_block(self):
         # a single 4096 x 4096 float64 array would be 134 MB; 256-row blocks
@@ -201,10 +174,24 @@ class TestMarginLosses:
         assert logistic_loss(v) == pytest.approx(1000.0 / math.log(2.0), rel=1e-6)
 
     def test_empty_rejected(self):
+        for empty in ([], np.empty((0, 3)), np.empty((3, 0))):
+            with pytest.raises(ValidationError):
+                hinge_loss(empty)
+            with pytest.raises(ValidationError):
+                logistic_loss(empty)
+
+    @pytest.mark.parametrize("loss", [hinge_loss, logistic_loss])
+    def test_matrix_gives_one_value_per_row(self, loss):
+        rng = np.random.default_rng(26)
+        margins = 3.0 * rng.standard_normal((7, 4))
+        margins[0] -= 1000.0  # exp(1000) overflows unless the row is shifted
+        margins[1] += 1000.0
+        per_row = loss(margins)
+        assert per_row.shape == (7,)
+        assert np.array_equal(per_row, [loss(row) for row in margins])
+        margins[3, 2] = np.nan
         with pytest.raises(ValidationError):
-            hinge_loss([])
-        with pytest.raises(ValidationError):
-            logistic_loss([])
+            loss(margins)
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),

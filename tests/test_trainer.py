@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -233,8 +234,13 @@ class TestConfigFile:
             learning_rate=0.0003, batch_size=64, epochs=12, tau=0.2, seed=42,
             augment=AugmentConfig(kind="mask+gaussian", mask_prob=0.25,
                                   noise_scale=0.5),
+            adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
             zero_init_residual_out=False, skip_enabled=False,
         )
+        # every field, nested ones included, differs from its default
+        for got, default in ((cfg, TrainConfig()), (cfg.augment, AugmentConfig())):
+            for f in dataclasses.fields(got):
+                assert getattr(got, f.name) != getattr(default, f.name), f.name
         path = tmp_path / "train.cfg"
         save_train_config(cfg, path)
         assert load_train_config(path) == cfg
