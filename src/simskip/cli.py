@@ -73,6 +73,13 @@ def _write_json(payload: dict, path: str | None) -> None:
         atomic_write(path, text)
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: numpy takes non-negative seeds only."""
+    if int(text) < 0:  # argparse reports a ValueError as an invalid value
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
+
+
 def _require_inputs(*paths) -> None:
     for p in paths:
         if p is not None and not Path(p).is_file():
@@ -111,13 +118,15 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
 
     sweep_results = None
     if args.lr_sweep:
-        # train once per grid rate, keep the run with the lowest final loss
-        runs = []
+        # train once per grid rate, holding only the lowest (final loss, lr) run so far
+        sweep_results, best = {}, None
         for lr in LEARNING_RATE_GRID:
             cand_params, cand_report = train(dataset, dataclasses.replace(cfg, learning_rate=lr))
-            runs.append((cand_report.epoch_losses[-1], lr, cand_params, cand_report))
-        final_loss, best_lr, params, report = min(runs, key=lambda r: (r[0], r[1]))
-        sweep_results = {f"{lr:g}": loss for loss, lr, _, _ in runs}
+            sweep_results[f"{lr:g}"] = loss = cand_report.epoch_losses[-1]
+            if best is None or (loss, lr) < best[:2]:
+                best = (loss, lr, cand_params, cand_report)
+            del cand_params, cand_report  # a losing run is freed before the next trains
+        _, _, params, report = best
     else:
         params, report = train(dataset, cfg)
 
@@ -306,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--separation", type=float, default=10.0)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mix-strength", type=float, default=0.0,
                    help="blend rows with random rows to degrade class structure")
-    p.add_argument("--mix-seed", type=int, default=None)
+    p.add_argument("--mix-seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
@@ -335,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int, default=64)
     p.add_argument("--probe-lr", type=float, default=None)
     p.add_argument("--probe-epochs", type=int, default=None)
-    p.add_argument("--probe-seed", type=int, default=0)
+    p.add_argument("--probe-seed", type=_seed, default=0)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("theory", help="triplet margins and loss-bound report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--triplets", type=int, default=1000)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--radius", type=float, default=1.0, help="norm bound R")
     p.add_argument("--rademacher", type=float, default=1.0)
     p.add_argument("--sample-size", type=int, default=None,
@@ -361,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default="gaussian")
     p.add_argument("--mask-prob", type=float, default=0.2)
     p.add_argument("--noise-scale", type=float, default=AugmentConfig().noise_scale)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rows", type=int, default=1)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_augment)

@@ -229,12 +229,6 @@ def split_indices(
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def take_rows(dataset: EmbeddingDataset, idx: np.ndarray) -> EmbeddingDataset:
-    """Dataset restricted to the given row indices."""
-    labels = dataset.labels[idx] if dataset.labels is not None else None
-    return EmbeddingDataset(dataset.vectors[idx], labels)
-
-
 def split(
     dataset: EmbeddingDataset,
     train_fraction: float,
@@ -248,4 +242,6 @@ def split(
         dataset.count, train_fraction, seed,
         labels=dataset.labels if stratify else None,
     )
-    return take_rows(dataset, train_idx), take_rows(dataset, test_idx)
+    labels = dataset.labels
+    return tuple(EmbeddingDataset(dataset.vectors[idx], None if labels is None else labels[idx])
+                 for idx in (train_idx, test_idx))

@@ -18,16 +18,20 @@ Two metrics:
   network (input -> hidden -> hidden -> classes) fit with the trainer's
   Adam. Features are standardized with train-split statistics inside the
   probe. A fit packs every weight and bias into one vector, the layers
-  being views of it, and allocates one workspace (activations, ReLU masks,
+  being views of it, and allocates one workspace (activations,
   input-gradient buffers, one gradient vector of the same layout) before
   its first step. Every step writes through it, softmax cross-entropy
-  gradient included, and updates the weight vector in one pass. The first
-  layer's input gradient is never formed: nothing reads it. Prediction
-  runs the same forward pass through fresh buffers, once per test set:
-  the accuracy and the per-class accuracies both come from it.
+  gradient included, and updates the weight vector in one pass. The ReLU
+  backward reads its mask off the stored activation, positive exactly
+  where its input is, and the first layer's input gradient is never
+  formed. Prediction runs the same forward pass through activation
+  buffers only, once per test set, for the accuracy and the per-class
+  accuracies alike.
 
-`compare_embeddings` applies one shared train/test index split to an
-original/refined dataset pair and reports both metrics plus deltas.
+`evaluate_embeddings` is the one path that scores a dataset: split, probe
+fit, one prediction, kNN and fingerprint. `compare_embeddings` runs it on
+an original/refined pair, which must share row count and labels, so both
+get the same split, and reports the deltas.
 """
 
 from __future__ import annotations
@@ -37,13 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_store import (
-    EmbeddingDataset,
-    dataset_fingerprint,
-    split,
-    split_indices,
-    take_rows,
-)
+from .embedding_store import EmbeddingDataset, dataset_fingerprint, split
 from .errors import ShapeError, ValidationError
 from .nn_core import LinearLayer, flat_views, linear_init
 from .trainer import adam_init, adam_step
@@ -144,36 +142,28 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10) -> float:
 
 @dataclass
 class ProbeModel:
-    kind: str
     classes: np.ndarray     # original label values, sorted
     feat_mean: np.ndarray
     feat_scale: np.ndarray
     layers: list[LinearLayer]
 
-    @property
-    def dim(self) -> int:
-        return self.layers[0].in_dim
-
-    def scores(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise ShapeError(f"probe expects dim {self.dim}, got {vectors.shape}")
-        xs = (vectors - self.feat_mean) / self.feat_scale
-        return _probe_forward(self.layers, xs, _ProbeWorkspace(self.layers, len(xs)))
-
     def predict(self, vectors: np.ndarray) -> np.ndarray:
-        return self.classes[self.scores(vectors).argmax(axis=1)]
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != self.layers[0].in_dim:
+            raise ShapeError(f"probe expects dim {self.layers[0].in_dim}, got {vectors.shape}")
+        xs = (vectors - self.feat_mean) / self.feat_scale
+        acts = [np.empty((len(xs), layer.out_dim)) for layer in self.layers]
+        return self.classes[_probe_forward(self.layers, xs, acts).argmax(axis=1)]
 
 
 class _ProbeWorkspace:
-    """Every buffer one forward/backward pass of a layer stack over n rows
-    writes, allocated once so that a fit's steps reuse them. A fit passes
-    its n class indices `y`."""
+    """Every buffer one forward/backward pass of a fit writes over its rows,
+    whose class indices are `y`, allocated once so that its steps reuse them."""
 
-    def __init__(self, layers: list[LinearLayer], n: int, y: np.ndarray | None = None):
+    def __init__(self, layers: list[LinearLayer], y: np.ndarray):
+        n = len(y)
         # each layer's output; a hidden layer's holds its ReLU output
         self.acts = [np.empty((n, layer.out_dim)) for layer in layers]
-        self.masks = [np.empty((n, layer.out_dim), dtype=bool) for layer in layers[:-1]]
         # gradient with respect to the input of layers 1.. (never layer 0's)
         self.dins = [np.empty((n, layer.in_dim)) for layer in layers[1:]]
         # one gradient vector laid out like the fit's weight vector
@@ -181,7 +171,7 @@ class _ProbeWorkspace:
         widths = [layers[0].in_dim] + [layer.out_dim for layer in layers]
         self.grads = _layer_views(self.grad, widths)
         # flat index of each row's label logit in the last layer's output
-        self.label_logits = None if y is None else np.arange(n) * layers[-1].out_dim + y
+        self.label_logits = np.arange(n) * layers[-1].out_dim + y
         self.col = np.empty((n, 1))
 
 
@@ -193,16 +183,16 @@ def _layer_views(flat: np.ndarray, widths: list[int]) -> list[LinearLayer]:
     return [LinearLayer(w, b) for w, b in zip(views[::2], views[1::2])]
 
 
-def _probe_forward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
+def _probe_forward(layers: list[LinearLayer], x: np.ndarray,
+                   acts: list[np.ndarray]) -> np.ndarray:
     """Logits of the layer stack, x @ W.T + b with ReLU between layers,
-    written into `ws.acts`; the last of them is returned."""
+    written into `acts`, one buffer a layer; the last of them is returned."""
     h = x
     for i, layer in enumerate(layers):
-        out = ws.acts[i]
+        out = acts[i]
         np.matmul(h, layer.weight.T, out=out)
         out += layer.bias
         if i < len(layers) - 1:
-            np.greater(out, 0.0, out=ws.masks[i])
             np.maximum(out, 0.0, out=out)
         h = out
     return h
@@ -214,7 +204,7 @@ def _probe_backward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspac
     dh = dlogits
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1:
-            np.multiply(dh, ws.masks[i], out=dh)  # ReLU: subgradient 0 at 0
+            np.multiply(dh, ws.acts[i] > 0.0, out=dh)  # ReLU: subgradient 0 at 0
         np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[i].weight)
         np.einsum("ij->j", dh, out=ws.grads[i].bias)  # rows summed in order
         if i:
@@ -264,9 +254,9 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
             linear_init(layer, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
     lr = cfg.resolved_lr
-    ws = _ProbeWorkspace(layers, train.count, y)
+    ws = _ProbeWorkspace(layers, y)
     for t in range(1, cfg.resolved_epochs + 1):
-        logits = _probe_forward(layers, xs, ws)
+        logits = _probe_forward(layers, xs, ws.acts)
         grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))
         if cfg.kind == LINEAR:
             grad *= lr
@@ -274,7 +264,7 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
         else:
             adam_step(flat, grad, state, t, lr)
 
-    return ProbeModel(cfg.kind, classes, mean, scale, layers)
+    return ProbeModel(classes, mean, scale, layers)
 
 
 def evaluate_probe(model: ProbeModel, test: EmbeddingDataset) -> tuple[float, dict[int, float]]:
@@ -334,8 +324,19 @@ class ComparisonReport:
         return header, row
 
 
-def _evaluate_with_split(dataset, train_idx_ds, test_idx_ds, probe_cfg, split_cfg, knn_k):
-    accuracy, per_class = evaluate_probe(train_probe(train_idx_ds, probe_cfg), test_idx_ds)
+def evaluate_embeddings(
+    dataset: EmbeddingDataset,
+    probe_cfg: ProbeConfig | None = None,
+    split_cfg: SplitConfig | None = None,
+    knn_k: int = 10,
+) -> EvalReport:
+    """One dataset's report: the probe fit on the train rows of its split
+    and scored on the test rows, and the kNN score over all rows."""
+    probe_cfg = probe_cfg or ProbeConfig()
+    split_cfg = split_cfg or SplitConfig()
+    train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed,
+                        stratify=split_cfg.stratified)
+    accuracy, per_class = evaluate_probe(train_probe(train, probe_cfg), test)
     return EvalReport(
         knn_score=knn_same_label_score(dataset, k=knn_k),
         probe_accuracy=accuracy,
@@ -347,20 +348,6 @@ def _evaluate_with_split(dataset, train_idx_ds, test_idx_ds, probe_cfg, split_cf
     )
 
 
-def evaluate_embeddings(
-    dataset: EmbeddingDataset,
-    probe_cfg: ProbeConfig | None = None,
-    split_cfg: SplitConfig | None = None,
-    knn_k: int = 10,
-) -> EvalReport:
-    """Single-dataset report: kNN score on all points, probe on a fresh split."""
-    probe_cfg = probe_cfg or ProbeConfig()
-    split_cfg = split_cfg or SplitConfig()
-    train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed,
-                        stratify=split_cfg.stratified)
-    return _evaluate_with_split(dataset, train, test, probe_cfg, split_cfg, knn_k)
-
-
 def compare_embeddings(
     original: EmbeddingDataset,
     refined: EmbeddingDataset,
@@ -368,29 +355,16 @@ def compare_embeddings(
     split_cfg: SplitConfig | None = None,
     knn_k: int = 10,
 ) -> ComparisonReport:
-    """Evaluate both datasets under one shared train/test index split."""
-    probe_cfg = probe_cfg or ProbeConfig()
-    split_cfg = split_cfg or SplitConfig()
+    """Evaluate both datasets, which share rows and labels and so one
+    train/test split, and report the deltas."""
     if original.labels is None or refined.labels is None:
         raise ValidationError("compare_embeddings requires labels on both datasets")
     if original.count != refined.count:
         raise ValidationError("datasets must have the same number of rows")
     if not np.array_equal(original.labels, refined.labels):
         raise ValidationError("datasets must carry identical labels")
-
-    # split once on row indices, then apply to both datasets
-    train_idx, test_idx = split_indices(
-        original.count, split_cfg.train_fraction, split_cfg.seed,
-        labels=original.labels if split_cfg.stratified else None,
-    )
-    rep_orig = _evaluate_with_split(
-        original, take_rows(original, train_idx), take_rows(original, test_idx),
-        probe_cfg, split_cfg, knn_k,
-    )
-    rep_ref = _evaluate_with_split(
-        refined, take_rows(refined, train_idx), take_rows(refined, test_idx),
-        probe_cfg, split_cfg, knn_k,
-    )
+    rep_orig = evaluate_embeddings(original, probe_cfg, split_cfg, knn_k)
+    rep_ref = evaluate_embeddings(refined, probe_cfg, split_cfg, knn_k)
     return ComparisonReport(
         original=rep_orig,
         refined=rep_ref,

@@ -32,8 +32,10 @@ class MixtureSpec:
     def __post_init__(self):
         if self.num_classes < 1 or self.dim < 1 or self.points_per_class < 1:
             raise ValidationError("num_classes, dim, points_per_class must be positive")
-        if self.class_separation <= 0 or self.cluster_sigma <= 0:
-            raise ValidationError("class_separation and cluster_sigma must be > 0")
+        for name in ("class_separation", "cluster_sigma"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 def class_means(spec: MixtureSpec) -> np.ndarray:

@@ -111,6 +111,8 @@ def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) ->
         raise ValidationError("sample_triplets requires labels")
     if k < 1 or count < 1:
         raise ValidationError("k and count must be >= 1")
+    if dataset.count == 0:
+        raise ValidationError("sample_triplets needs a non-empty dataset")
     classes, cls, sizes = np.unique(dataset.labels, return_inverse=True, return_counts=True)
     if sizes.min() < 2:
         c = int(np.argmin(sizes))

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 2 (the loss needs negatives)")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not (0.0 < b < 1.0):

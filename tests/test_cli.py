@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simskip
+from simskip import cli
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
@@ -79,6 +81,16 @@ class TestGenSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [["--separation", "nan"], ["--sigma", "inf"]],
+                             ids=["separation-nan", "sigma-inf"])
+    def test_non_finite_spec_is_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.embf"
+        assert run(["gen-synth", *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert not out.exists()
+
+
 class TestRefineAndEval:
     def test_full_pipeline(self, tmp_path, synth_file, train_cfg, capsys):
         refined = tmp_path / "refined.embf"
@@ -141,6 +153,23 @@ class TestRefineAndEval:
         best = min(payload["lr_sweep_final_losses"].values())
         assert payload["final_loss"] == best
 
+    def test_lr_sweep_holds_one_finished_run(self, tmp_path, synth_file, monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 32\nseed = 1\n")
+        trained, alive = [], []
+        real_train = cli.train
+
+        def spy(dataset, config):
+            alive.append(sum(ref() is not None for ref in trained))
+            params, report = real_train(dataset, config)
+            trained.append(weakref.ref(params))
+            return params, report
+
+        monkeypatch.setattr(cli, "train", spy)
+        assert run(["refine", "--in", synth_file, "--config", cfg, "--lr-sweep",
+                    "--out", tmp_path / "s.embf"]) == 0
+        assert alive == [0, 1, 1, 1]  # only the best run so far outlives its loop step
+
     def test_eval_multiple_refined(self, tmp_path, synth_file, train_cfg):
         r1, r2 = tmp_path / "r1.embf", tmp_path / "r2.embf"
         for out in (r1, r2):
@@ -186,6 +215,13 @@ class TestTheoryCommand:
         for key in ("nonneg_margin_fraction", "L_un_identity", "L_un_doubled",
                     "holds", "gen_m", "bound_rhs", "config"):
             assert key in payload
+
+    def test_empty_labeled_file_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.embf"
+        save_embeddings(EmbeddingDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)), empty)
+        assert run(["theory", "--in", empty, "--report", tmp_path / "bound.json"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.embf"]
 
     # a NaN or infinite input exits 1; a finite input whose bound overflows exits 2
     @pytest.mark.parametrize("flags,code", [
@@ -320,6 +356,34 @@ class TestErrorPaths:
                     "--probe-epochs", -3, "--report", report]) == 1
         assert "epochs" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen-synth", "--seed"), ("gen-synth", "--mix-seed"), ("eval", "--split-seed"),
+        ("eval", "--probe-seed"), ("theory", "--seed"), ("augment", "--seed"),
+        ("refine", "config"), ("ablate", "config")])
+    def test_negative_seed_exits_one(self, tmp_path, synth_file, capsys, command, flag):
+        out = tmp_path / "out"
+        argv = {
+            "gen-synth": ["--mix-strength", 0.5, "--out", out],
+            "eval": ["--original", synth_file, "--refined", synth_file, "--report", out],
+            "theory": ["--in", synth_file, "--report", out],
+            "augment": ["--in", synth_file, "--report", out],
+        }.get(command)
+        if flag == "config":
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text("epochs = 1\nbatch_size = 32\nseed = -1\n")
+            with pytest.raises(ValidationError, match="seed"):
+                load_train_config(cfg)
+            argv = ["--in", synth_file, "--config", cfg, "--out", out,
+                    "--checkpoint", tmp_path / "m.sskp", "--report", tmp_path / "r.json"]
+        else:
+            argv = [*argv, flag, -1]
+        assert run([command, *argv]) == 1
+        # a usage error prints the usage lines first; the error line is last
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and "seed" in last
+        assert not out.exists()
+        assert {p.name for p in tmp_path.iterdir()} <= {"d.embf", "seed.cfg"}
 
     @pytest.mark.parametrize("rows", [0, -1])
     def test_augment_rows_must_be_positive(self, tmp_path, synth_file, capsys, rows):

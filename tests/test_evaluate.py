@@ -17,6 +17,7 @@ from simskip.evaluate import (
     ProbeConfig,
     SplitConfig,
     compare_embeddings,
+    evaluate_embeddings,
     evaluate_probe,
     knn_same_label_score,
     train_probe,
@@ -292,3 +293,31 @@ class TestCompare:
         assert predicted == [40, 40]  # one fit per dataset, 40 test rows each
         assert comp.original.per_class == comp.refined.per_class
         assert set(comp.original.per_class) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("cfg", [ProbeConfig(epochs=30),
+                                     ProbeConfig(kind=MLP3, hidden_dim=8, epochs=30, seed=2)],
+                             ids=[LINEAR, MLP3])
+    def test_reports_are_single_dataset_evaluations(self, cfg):
+        original = generate_gaussian_mixture(MixtureSpec(3, 8, 30, class_separation=3.0, seed=4))
+        refined = apply_class_mixing(original, 0.4, seed=6)
+        split_cfg = SplitConfig(train_fraction=0.7, seed=5)
+        comp = compare_embeddings(original, refined, cfg, split_cfg, knn_k=4)
+        want_orig = evaluate_embeddings(original, cfg, split_cfg, knn_k=4)
+        want_ref = evaluate_embeddings(refined, cfg, split_cfg, knn_k=4)
+        assert comp.original.to_json_dict() == want_orig.to_json_dict()
+        assert comp.refined.to_json_dict() == want_ref.to_json_dict()
+        assert comp.knn_delta == want_ref.knn_score - want_orig.knn_score
+        assert comp.probe_delta == want_ref.probe_accuracy - want_orig.probe_accuracy
+
+    def test_one_workspace_per_fit(self, monkeypatch):
+        ds = generate_gaussian_mixture(MixtureSpec(4, 8, 50, seed=3))
+        built = []
+        workspace = evaluate._ProbeWorkspace
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return workspace(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "_ProbeWorkspace", spy)
+        compare_embeddings(ds, ds)
+        assert len(built) == 2  # one per fit; prediction writes activations only

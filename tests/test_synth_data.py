@@ -47,8 +47,11 @@ class TestGaussianMixture:
         assert np.allclose(ds.vectors[ds.labels == 0], [5.0, 5.0], atol=1e-6)
 
     def test_invalid_spec(self):
-        with pytest.raises(ValidationError):
-            MixtureSpec(2, 4, 10, cluster_sigma=0.0)
+        for name, value in [("cluster_sigma", 0.0), ("class_separation", -1.0),
+                            ("class_separation", np.nan), ("cluster_sigma", np.nan),
+                            ("class_separation", np.inf), ("cluster_sigma", np.inf)]:
+            with pytest.raises(ValidationError, match=name):
+                MixtureSpec(2, 4, 10, **{name: value})
 
 
 class TestClassMixing:

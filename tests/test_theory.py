@@ -71,6 +71,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_triplets(ds, 1, 10, seed=0)
 
+    def test_empty_dataset_rejected(self):
+        ds = EmbeddingDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValidationError, match="empty"):
+            sample_triplets(ds, 1, 10, seed=0)
+
 
 def within_binomial(counts, n, p, sigmas=5.0):
     """Each count lies within `sigmas` standard deviations of Binomial(n, p)'s mean."""
