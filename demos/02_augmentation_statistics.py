@@ -27,7 +27,7 @@ print(ss.random_mask(x, 0.2, np.random.default_rng(1)))
 
 print()
 print("-- a positive pair under mask+gaussian -----------------------------")
-cfg = ss.AugmentConfig(kind="mask+gaussian", mask_prob=0.2)
+cfg = ss.AugmentConfig(mask_prob=0.2)  # masking, then the default noise
 view_a, view_b = ss.make_positive_pair(x, cfg, np.random.default_rng(3))
 print("view a:", view_a.round(3))
 print("view b:", view_b.round(3))

@@ -12,7 +12,6 @@ motivate the skip connection.
 
 from .augment import (
     AugmentConfig,
-    DEFAULT_MASK_PROB,
     DEFAULT_NOISE_SCALE,
     gaussian_noise,
     make_positive_pair,
@@ -27,7 +26,6 @@ from .embedding_store import (
     save_csv,
     save_embeddings,
     split,
-    split_indices,
 )
 from .errors import (
     FormatError,

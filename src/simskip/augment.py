@@ -9,8 +9,11 @@ Two primitives operate elementwise on arrays of any shape:
   sqrt(0.13)).
 
 A positive pair is two independently augmented views of the same input.
-When masking and noise are combined, masking is applied first so the noise
-statistics are uniform across coordinates.
+`AugmentConfig` holds one strength per primitive, and a view applies every
+primitive whose strength is nonzero: masking first, so the noise
+statistics are uniform across coordinates, then noise. A zero strength
+skips its step and its random draws, so noise alone (the default), masking
+alone, and both draw exactly the numbers of their own steps.
 """
 
 from __future__ import annotations
@@ -22,24 +25,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-MASK = "mask"
-GAUSSIAN = "gaussian"
-MASK_PLUS_GAUSSIAN = "mask+gaussian"
-KINDS = (MASK, GAUSSIAN, MASK_PLUS_GAUSSIAN)
-
-DEFAULT_MASK_PROB = 0.2
 DEFAULT_NOISE_SCALE = math.sqrt(0.13)
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    kind: str = GAUSSIAN
-    mask_prob: float = DEFAULT_MASK_PROB
+    mask_prob: float = 0.0
     noise_scale: float = DEFAULT_NOISE_SCALE
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ValidationError(f"mask_prob must lie in [0,1], got {self.mask_prob}")
         if not 0 <= self.noise_scale < np.inf:
@@ -64,12 +58,15 @@ def gaussian_noise(x: np.ndarray, noise_scale: float, rng: np.random.Generator) 
 
 
 def augment_view(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """One augmented view of x under the configured augmentation(s)."""
-    if cfg.kind == MASK:
-        return random_mask(x, cfg.mask_prob, rng)
-    if cfg.kind == GAUSSIAN:
-        return gaussian_noise(x, cfg.noise_scale, rng)
-    return gaussian_noise(random_mask(x, cfg.mask_prob, rng), cfg.noise_scale, rng)
+    """One augmented view of x: masked if mask_prob > 0, then noised if
+    noise_scale > 0."""
+    view = x
+    if cfg.mask_prob > 0:
+        view = random_mask(view, cfg.mask_prob, rng)
+    if cfg.noise_scale > 0:
+        view = gaussian_noise(view, cfg.noise_scale, rng)
+    # with both steps off, still a new array: the views of a pair never alias
+    return np.array(x, dtype=np.float64) if view is x else view
 
 
 def make_positive_pair(

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import AugmentConfig, KINDS, make_positive_pair
+from .augment import AugmentConfig, make_positive_pair
 from .embedding_store import (
     dataset_fingerprint,
     load_embeddings,
@@ -116,6 +116,8 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
         cfg = dataclasses.replace(cfg, skip_enabled=skip_enabled_override,
                                   zero_init_residual_out=False)
 
+    if args.lr_sweep and cfg.epochs == 0:
+        raise ValidationError("--lr-sweep ranks runs by final loss, so it needs epochs >= 1")
     sweep_results = None
     if args.lr_sweep:
         # train once per grid rate, holding only the lowest (final loss, lr) run so far
@@ -240,8 +242,7 @@ def _cmd_augment(args) -> int:
         raise ValidationError(f"--rows must be >= 1, got {args.rows}")
     _require_inputs(args.infile)
     dataset = load_embeddings(args.infile)
-    cfg = AugmentConfig(kind=args.kind, mask_prob=args.mask_prob,
-                        noise_scale=args.noise_scale)
+    cfg = AugmentConfig(mask_prob=args.mask_prob, noise_scale=args.noise_scale)
     rng = np.random.default_rng(args.seed)
     rows = min(args.rows, dataset.count)
     previews = []
@@ -367,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="preview augmented positive pairs")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--kind", choices=KINDS, default="gaussian")
-    p.add_argument("--mask-prob", type=float, default=0.2)
+    p.add_argument("--mask-prob", type=float, default=AugmentConfig().mask_prob)
     p.add_argument("--noise-scale", type=float, default=AugmentConfig().noise_scale)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rows", type=int, default=1)

@@ -14,7 +14,8 @@ Binary format "EMBF", version 1, little-endian throughout:
 Vectors are stored as float32 on disk and promoted to float64 in memory;
 all in-memory math runs at 64-bit precision. The CSV interchange format is
 one row per embedding: dim comma-separated decimal literals, with an
-optional final integer label column.
+optional final integer label column. `split` partitions a labeled dataset
+into train and test rows, stratified by class.
 """
 
 from __future__ import annotations
@@ -185,31 +186,31 @@ def load_csv(path, labeled: bool = False) -> EmbeddingDataset:
                             np.asarray(labels) if labeled else None)
 
 
-def split_indices(
-    count: int,
+def split(
+    dataset: EmbeddingDataset,
     train_fraction: float,
     seed: int,
-    labels: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices for a deterministic train/test partition.
+) -> tuple[EmbeddingDataset, EmbeddingDataset]:
+    """Deterministic stratified train/test split of a labeled dataset.
 
-    Train size is floor(train_fraction * count); the remainder is test.
-    Passing `labels` stratifies the allocation per class (largest-remainder
-    rounding keeps the total train size exact).
+    Train size is floor(train_fraction * count) and must be at least one
+    row; the remainder is test. Each class is shuffled and allocated in
+    proportion, with largest-remainder rounding keeping the total train
+    size exact.
     """
-    if count < 2:
+    labels = dataset.labels
+    if labels is None:
+        raise ValidationError("split requires labels (it stratifies by class)")
+    if dataset.count < 2:
         raise ValidationError("split needs at least 2 rows")
     if not (0.0 < train_fraction < 1.0):
         raise ValidationError(f"train_fraction must lie in (0,1), got {train_fraction}")
+    n_train = int(np.floor(train_fraction * dataset.count))
+    if n_train == 0:
+        raise ValidationError(f"train_fraction {train_fraction} of {dataset.count} rows "
+                              f"leaves no training rows")
 
     rng = np.random.default_rng(seed)
-    n_train = int(np.floor(train_fraction * count))
-
-    if labels is None:
-        order = rng.permutation(count)
-        return order[:n_train], order[n_train:]
-
-    labels = np.asarray(labels)
     classes = np.unique(labels)
     per_class = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
     base = {c: int(np.floor(train_fraction * len(per_class[c]))) for c in classes}
@@ -221,27 +222,7 @@ def split_indices(
     )
     for c in remainders[:short]:
         base[c] += 1
-    train_parts, test_parts = [], []
-    for c in classes:
-        idx = per_class[c]
-        train_parts.append(idx[: base[c]])
-        test_parts.append(idx[base[c]:])
-    return np.concatenate(train_parts), np.concatenate(test_parts)
-
-
-def split(
-    dataset: EmbeddingDataset,
-    train_fraction: float,
-    seed: int,
-    stratify: bool = False,
-) -> tuple[EmbeddingDataset, EmbeddingDataset]:
-    """Deterministic train/test split; see `split_indices` for the contract."""
-    if stratify and dataset.labels is None:
-        raise ValidationError("stratified split requires labels")
-    train_idx, test_idx = split_indices(
-        dataset.count, train_fraction, seed,
-        labels=dataset.labels if stratify else None,
-    )
-    labels = dataset.labels
-    return tuple(EmbeddingDataset(dataset.vectors[idx], None if labels is None else labels[idx])
+    train_idx = np.concatenate([per_class[c][:base[c]] for c in classes])
+    test_idx = np.concatenate([per_class[c][base[c]:] for c in classes])
+    return tuple(EmbeddingDataset(dataset.vectors[idx], labels[idx])
                  for idx in (train_idx, test_idx))

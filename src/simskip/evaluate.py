@@ -28,10 +28,10 @@ Two metrics:
   buffers only, once per test set, for the accuracy and the per-class
   accuracies alike.
 
-`evaluate_embeddings` is the one path that scores a dataset: split, probe
-fit, one prediction, kNN and fingerprint. `compare_embeddings` runs it on
-an original/refined pair, which must share row count and labels, so both
-get the same split, and reports the deltas.
+`evaluate_embeddings` is the one path that scores a dataset: stratified
+split, probe fit, one prediction, kNN and fingerprint. `compare_embeddings`
+runs it on an original/refined pair, which must share row count and
+labels, so both get the same split, and reports the deltas.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class ProbeConfig:
 class SplitConfig:
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +333,7 @@ def evaluate_embeddings(
     and scored on the test rows, and the kNN score over all rows."""
     probe_cfg = probe_cfg or ProbeConfig()
     split_cfg = split_cfg or SplitConfig()
-    train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed,
-                        stratify=split_cfg.stratified)
+    train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed)
     accuracy, per_class = evaluate_probe(train_probe(train, probe_cfg), test)
     return EvalReport(
         knn_score=knn_same_label_score(dataset, k=knn_k),

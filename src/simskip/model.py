@@ -4,6 +4,7 @@ Encoder (input width d, d even):
 
     block1 = Dropout(ReLU(BN(Linear d -> d/2)))
     block2 = Dropout(ReLU(BN(Linear d/2 -> d)))
+    (both dropouts at the fixed rate DROPOUT_RATE)
     residual r(x) = Linear_dxd(block2(block1(x)))
     output = x + r(x)        when skip_enabled
            = r(x)            otherwise (the ablation variant)
@@ -22,6 +23,8 @@ laid end to end in table order; running statistics are separate arrays.
 Assign to a trainable field through `[...]`, never rebind it. Backward
 passes write each parameter gradient into `grads`, buffers keyed like the
 table (`arena_views` of one gradient vector), and return the input's.
+A model holds exactly the tensors its checkpoint stores, plus the skip flag
+and the width.
 
 Checkpoint format "SSKP", version 1, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then float64 tensors in
@@ -43,7 +46,6 @@ from .errors import FormatError, ShapeError, ValidationError
 from .nn_core import (
     EVAL,
     BatchNormLayer,
-    DropoutLayer,
     LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
@@ -63,6 +65,8 @@ CHECKPOINT_VERSION = 1
 
 _CKPT_HEADER = struct.Struct("<4sBBI")  # magic, version, flags, d
 
+DROPOUT_RATE = 0.1
+
 
 @dataclass
 class SimSkipParams:
@@ -70,10 +74,8 @@ class SimSkipParams:
     skip_enabled: bool
     layer1_lin: LinearLayer
     layer1_bn: BatchNormLayer
-    layer1_drop: DropoutLayer
     layer2_lin: LinearLayer
     layer2_bn: BatchNormLayer
-    layer2_drop: DropoutLayer
     out_lin: LinearLayer
     proj1: LinearLayer
     proj2: LinearLayer
@@ -132,8 +134,7 @@ def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
         fields.setdefault(attr, {})[field] = tensor
     layers = {attr: (BatchNormLayer if attr.endswith("_bn") else LinearLayer)(**f)
               for attr, f in fields.items()}
-    return SimSkipParams(dim=d, skip_enabled=skip_enabled, layer1_drop=DropoutLayer(),
-                         layer2_drop=DropoutLayer(), flat=flat, **layers)
+    return SimSkipParams(dim=d, skip_enabled=skip_enabled, flat=flat, **layers)
 
 
 def init_params(
@@ -153,11 +154,11 @@ def init_params(
     return params
 
 
-def _block_forward(lin, bn, drop, x, mode, rng):
+def _block_forward(lin, bn, x, mode, rng):
     a, lin_cache = linear_apply(lin, x)
     b, bn_cache = batchnorm_apply(bn, a, mode)
     c, relu_cache = relu_apply(b)
-    y, drop_cache = dropout_apply(drop, c, mode, rng)
+    y, drop_cache = dropout_apply(c, DROPOUT_RATE, mode, rng)
     return y, (lin_cache, bn_cache, relu_cache, drop_cache)
 
 
@@ -179,8 +180,8 @@ def encoder_forward(
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"expected input (B, {params.dim}), got {x.shape}")
-    h1, c1 = _block_forward(params.layer1_lin, params.layer1_bn, params.layer1_drop, x, mode, rng)
-    h2, c2 = _block_forward(params.layer2_lin, params.layer2_bn, params.layer2_drop, h1, mode, rng)
+    h1, c1 = _block_forward(params.layer1_lin, params.layer1_bn, x, mode, rng)
+    h2, c2 = _block_forward(params.layer2_lin, params.layer2_bn, h1, mode, rng)
     r, c_out = linear_apply(params.out_lin, h2)
     out = x + r if params.skip_enabled else r
     return out, (c1, c2, c_out, params.skip_enabled)
@@ -210,12 +211,6 @@ def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray]) -> n
     dhidden = linear_backward(c2, dz, grads["proj2.weight"], grads["proj2.bias"])
     da = relu_backward(c_relu, dhidden)
     return linear_backward(c1, da, grads["proj1.weight"], grads["proj1.bias"])
-
-
-def trainable_params(params: SimSkipParams) -> dict[str, np.ndarray]:
-    """The trainable arrays themselves, keyed like `PARAM_TABLE`."""
-    return {key: getattr(getattr(params, attr), field)
-            for key, attr, field, trainable in PARAM_TABLE if trainable}
 
 
 def contrastive_loss_and_grads(

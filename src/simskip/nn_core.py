@@ -4,9 +4,10 @@ Every layer follows the same convention: `*_apply` returns (output, cache)
 and the matching `*_backward` consumes the cache plus the upstream gradient
 and returns the input gradient; parameter gradients go into buffers the
 caller passes (views of one gradient vector, in `model`). Parameters may be
-views too: assign to them through `[...]`, never rebind them. All math runs
-in float64 so analytic gradients can be checked against central finite
-differences to tight tolerances.
+views too: assign to them through `[...]`, never rebind them. ReLU and
+dropout hold no parameters, so they take no layer object; dropout takes
+its rate as an argument. All math runs in float64 so analytic gradients
+can be checked against central finite differences to tight tolerances.
 
 Modes: TRAIN uses batch statistics / stochastic masks, EVAL is fully
 deterministic (batch norm reads its running stats, dropout is the
@@ -184,25 +185,18 @@ def relu_backward(cache, dout: np.ndarray):
     return np.asarray(dout, dtype=np.float64) * cache
 
 
-@dataclass
-class DropoutLayer:
-    rate: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ValidationError(f"dropout rate must lie in [0,1), got {self.rate}")
-
-
-def dropout_apply(layer: DropoutLayer, x: np.ndarray, mode: str = EVAL,
+def dropout_apply(x: np.ndarray, rate: float, mode: str = EVAL,
                   rng: np.random.Generator | None = None):
     """Inverted dropout: survivors are scaled by 1/(1-rate); EVAL is the identity."""
     _check_mode(mode)
+    if not (0.0 <= rate < 1.0):
+        raise ValidationError(f"dropout rate must lie in [0,1), got {rate}")
     x = np.asarray(x, dtype=np.float64)
-    if mode == EVAL or layer.rate == 0.0:
+    if mode == EVAL or rate == 0.0:
         return x, None
     if rng is None:
         raise ValidationError("dropout in train mode needs an rng")
-    scale = (rng.random(x.shape) >= layer.rate) / (1.0 - layer.rate)
+    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * scale, scale
 
 

@@ -13,10 +13,11 @@ The model's trainable tensors are views of one vector, its arena (see
 every backward pass overwrites, and Adam updates the arena from it in
 place, in cache-sized blocks; the result is bitwise the textbook update.
 
-Config files are plain text, one `key = value` per line with `#` comments.
-Keys match TrainConfig field names; augmentation settings are nested as
-`augment.kind`, `augment.mask_prob`, `augment.noise_scale`. `seed` alone
-drives every random draw of a run, augmentation included.
+Config files are plain text, one `key = value` per line with `#` comments,
+each key at most once. Keys match TrainConfig field names; augmentation
+settings are nested as `augment.mask_prob` and `augment.noise_scale`, and a
+zero strength turns its augmentation off. `seed` alone drives every random
+draw of a run, augmentation included.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 # each config key's parser, from its field's annotation
-_PARSERS = {"float": float, "int": int, "str": str, "bool": bool}
+_PARSERS = {"float": float, "int": int, "bool": bool}
 _TOP_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
                if f.name != "augment"}
 _AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfig)}
@@ -231,6 +232,7 @@ def load_train_config(path) -> TrainConfig:
     """Parse a key/value config file into a TrainConfig."""
     top: dict = {}
     aug: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -242,6 +244,10 @@ def load_train_config(path) -> TrainConfig:
         fields, values = (_TOP_FIELDS, top) if name == key else (_AUG_FIELDS, aug)
         if name not in fields:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValidationError(f"{path}:{lineno}: config key {key!r} is given twice "
+                                  f"(lines {first_line[key]} and {lineno})")
+        first_line[key] = lineno
         values[name] = _convert(key, value, fields[name])
     return TrainConfig(augment=AugmentConfig(**aug), **top)
 

@@ -25,7 +25,6 @@ from simskip.model import (
 from simskip.nn_core import (
     EVAL,
     TRAIN,
-    DropoutLayer,
     LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
@@ -102,10 +101,9 @@ def test_c01_gradient_correctness():
     # dropout with a deterministic mask (fresh seeded rng each evaluation)
     xd = rng.standard_normal((4, 3))
     rd = rng.standard_normal((4, 3))
-    drop = DropoutLayer(0.4)
 
     def dropout_loss():
-        y, cache = dropout_apply(drop, xd, TRAIN, np.random.default_rng(123))
+        y, cache = dropout_apply(xd, 0.4, TRAIN, np.random.default_rng(123))
         return float((y * rd).sum()), {"x": dropout_backward(cache, rd)}
 
     err_drop = grad_check(dropout_loss, {"x": xd}, h=H)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from simskip.augment import (
+    DEFAULT_NOISE_SCALE,
     AugmentConfig,
-    GAUSSIAN,
-    MASK,
-    MASK_PLUS_GAUSSIAN,
     augment_view,
     gaussian_noise,
     make_positive_pair,
@@ -76,14 +74,15 @@ class TestGaussianNoise:
 
 class TestPositivePairs:
     def test_identity_config_gives_equal_views(self):
-        cfg = AugmentConfig(kind=MASK, mask_prob=0.0)
+        cfg = AugmentConfig(mask_prob=0.0, noise_scale=0.0)
         rng = np.random.default_rng(0)
         x = np.array([1.0, 2.0, 3.0])
         a, b = make_positive_pair(x, cfg, rng)
         assert np.array_equal(a, x) and np.array_equal(b, x)
+        assert not np.shares_memory(a, b)
 
     def test_views_differ_with_noise(self):
-        cfg = AugmentConfig(kind=GAUSSIAN, noise_scale=0.3)
+        cfg = AugmentConfig(noise_scale=0.3)
         rng = np.random.default_rng(5)
         x = np.ones(8)
         for _ in range(100):
@@ -93,7 +92,7 @@ class TestPositivePairs:
     def test_mask_applies_before_noise(self):
         # with every coordinate masked, the view is pure noise: it must not
         # depend on the input at all
-        cfg = AugmentConfig(kind=MASK_PLUS_GAUSSIAN, mask_prob=1.0, noise_scale=0.5)
+        cfg = AugmentConfig(mask_prob=1.0, noise_scale=0.5)
         x = np.array([100.0, -50.0, 7.0])
         view_x = augment_view(x, cfg, np.random.default_rng(6))
         view_0 = augment_view(np.zeros(3), cfg, np.random.default_rng(6))
@@ -102,8 +101,24 @@ class TestPositivePairs:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            AugmentConfig(kind="flip")
-        with pytest.raises(ValidationError):
             AugmentConfig(mask_prob=-0.1)
         with pytest.raises(ValidationError):
             AugmentConfig(noise_scale=-1.0)
+
+    def test_default_is_noise_only(self):
+        assert AugmentConfig() == AugmentConfig(mask_prob=0.0, noise_scale=DEFAULT_NOISE_SCALE)
+
+    @pytest.mark.parametrize("mask_prob,noise_scale", [(0.0, 0.3), (0.4, 0.0), (0.4, 0.3)],
+                             ids=["noise", "mask", "mask-then-noise"])
+    def test_a_zero_strength_skips_its_draws(self, mask_prob, noise_scale):
+        # each nonzero step draws its own numbers, in order, and nothing else
+        x = np.random.default_rng(7).standard_normal((5, 4))
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = augment_view(x, AugmentConfig(mask_prob, noise_scale), got_rng)
+        want = x
+        if mask_prob:
+            want = random_mask(want, mask_prob, want_rng)
+        if noise_scale:
+            want = gaussian_noise(want, noise_scale, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()

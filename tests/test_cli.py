@@ -187,7 +187,7 @@ class TestExtremeInputs:
 
     @pytest.mark.parametrize("extra", [
         "",
-        "augment.kind = mask\naugment.mask_prob = 1.0\n",
+        "augment.noise_scale = 0\naugment.mask_prob = 1.0\n",
         "tau = 1e-6\n",
         "learning_rate = 1e6\n",
     ], ids=["constant-rows", "mask-everything", "tiny-tau", "huge-lr"])
@@ -271,12 +271,18 @@ class TestStrictJson:
 class TestAugmentCommand:
     def test_preview(self, tmp_path, synth_file):
         report = tmp_path / "aug.json"
-        assert run(["augment", "--in", synth_file, "--kind", "mask",
+        assert run(["augment", "--in", synth_file, "--noise-scale", 0,
                     "--mask-prob", 0.5, "--rows", 2, "--seed", 4,
                     "--report", report]) == 0
         payload = json.loads(report.read_text())
+        assert payload["config"] == {"mask_prob": 0.5, "noise_scale": 0.0, "seed": 4}
         assert len(payload["previews"]) == 2
         assert len(payload["previews"][0]["view_a"]) == 8
+        for preview in payload["previews"]:
+            # masking alone: every coordinate is kept or zeroed
+            original = np.array(preview["original"])
+            for view in (preview["view_a"], preview["view_b"]):
+                assert np.all((np.array(view) == original) | (np.array(view) == 0.0))
 
 
 class TestInspectCommand:
@@ -336,6 +342,36 @@ class TestErrorPaths:
                     "--out", out, "--checkpoint", ckpt]) == 1
         assert "finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "d.embf"]
+
+    @pytest.mark.parametrize("command", ["refine", "ablate"])
+    def test_lr_sweep_needs_epochs(self, tmp_path, synth_file, capsys, command):
+        # the sweep ranks runs by final loss, which a zero-epoch run lacks
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("epochs = 0\nbatch_size = 32\n")
+        assert run([command, "--in", synth_file, "--config", cfg, "--lr-sweep",
+                    "--out", tmp_path / "r.embf", "--checkpoint", tmp_path / "m.sskp",
+                    "--report", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:") and "epochs" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
+
+    def test_repeated_config_key_exits_one(self, tmp_path, synth_file, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs = 3\nbatch_size = 32\nepochs = 5\n")
+        assert run(["refine", "--in", synth_file, "--config", cfg, "--out", tmp_path / "r.embf",
+                    "--checkpoint", tmp_path / "m.sskp", "--report", tmp_path / "r.json"]) == 1
+        assert "'epochs' is given twice (lines 1 and 3)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "twice.cfg"]
+
+    def test_empty_training_split_exits_one(self, tmp_path, synth_file, capsys):
+        # floor(0.01 * 80) = 0 training rows
+        report, csv_out = tmp_path / "eval.json", tmp_path / "eval.csv"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--train-fraction", 0.01, "--report", report, "--csv", csv_out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
+        assert not report.exists() and not csv_out.exists()
 
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):

@@ -9,7 +9,6 @@ from simskip.embedding_store import (
     save_csv,
     save_embeddings,
     split,
-    split_indices,
 )
 from simskip.errors import FormatError, ValidationError
 
@@ -170,7 +169,7 @@ class TestCsv:
 
 class TestSplit:
     def test_sizes(self):
-        ds = random_dataset(10, 2)
+        ds = random_dataset(10, 2, labeled=True)
         train, test = split(ds, 0.8, seed=7)
         assert train.count == 8 and test.count == 2
 
@@ -183,28 +182,44 @@ class TestSplit:
     @pytest.mark.parametrize("seed", [7, 8])
     def test_partition_property(self, seed):
         # row-index multisets partition {0..9} for any seed
-        train_idx, test_idx = split_indices(10, 0.8, seed)
-        merged = sorted(list(train_idx) + list(test_idx))
+        labels = np.random.default_rng(seed).integers(0, 3, 10)
+        ds = EmbeddingDataset(np.arange(10.0).reshape(10, 1), labels)
+        train, test = split(ds, 0.8, seed)
+        merged = sorted(np.concatenate([train.vectors[:, 0], test.vectors[:, 0]]))
         assert merged == list(range(10))
+        for part in (train, test):
+            assert np.array_equal(part.labels, labels[part.vectors[:, 0].astype(int)])
 
     def test_stratified_keeps_total_exact(self):
         rng = np.random.default_rng(0)
         labels = np.array([0] * 3 + [1] * 3 + [2] * 4)
         ds = EmbeddingDataset(rng.standard_normal((10, 2)), labels)
-        train, test = split(ds, 0.5, seed=1, stratify=True)
+        train, test = split(ds, 0.5, seed=1)
         assert train.count == 5 and test.count == 5
         # every class appears in the train part
         assert set(np.unique(train.labels)) == {0, 1, 2}
 
     def test_too_small(self):
-        ds = random_dataset(1, 2)
-        with pytest.raises(ValidationError):
+        ds = random_dataset(1, 2, labeled=True)
+        with pytest.raises(ValidationError, match="at least 2 rows"):
             split(ds, 0.5, seed=0)
 
     def test_bad_fraction(self):
-        ds = random_dataset(4, 2)
-        with pytest.raises(ValidationError):
+        ds = random_dataset(4, 2, labeled=True)
+        with pytest.raises(ValidationError, match="train_fraction must lie in"):
             split(ds, 1.0, seed=0)
+
+    def test_labels_required(self):
+        # the split stratifies by class, so an unlabeled dataset has none
+        with pytest.raises(ValidationError, match="requires labels"):
+            split(random_dataset(10, 2), 0.8, seed=0)
+
+    def test_empty_train_part_rejected(self):
+        # floor(0.02 * 40) = 0 rows would reach the probe as "fewer than 2 classes"
+        ds = random_dataset(40, 2, labeled=True)
+        with pytest.raises(ValidationError, match="train_fraction 0.02 of 40 rows leaves no"):
+            split(ds, 0.02, seed=0)
+        assert split(ds, 0.025, seed=0)[0].count == 1
 
 
 class TestFingerprint:

@@ -5,7 +5,6 @@ from simskip.errors import ShapeError, ValidationError
 from simskip.nn_core import (
     EVAL,
     TRAIN,
-    DropoutLayer,
     LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
@@ -201,37 +200,36 @@ class TestRelu:
 
 class TestDropout:
     def test_rate_zero_is_identity_in_both_modes(self):
-        layer = DropoutLayer(0.0)
         x = np.random.default_rng(10).standard_normal((3, 4))
         for mode in (TRAIN, EVAL):
-            y, _ = dropout_apply(layer, x, mode, np.random.default_rng(0))
+            y, _ = dropout_apply(x, 0.0, mode, np.random.default_rng(0))
             assert np.array_equal(y, x)
 
     def test_eval_mode_is_identity(self):
-        layer = DropoutLayer(0.7)
         x = np.random.default_rng(11).standard_normal((3, 4))
-        y, _ = dropout_apply(layer, x, EVAL)
+        y, _ = dropout_apply(x, 0.7, EVAL)
         assert np.array_equal(y, x)
 
     def test_inverted_scaling_preserves_expectation(self):
-        layer = DropoutLayer(0.5)
         rng = np.random.default_rng(12)
         x = np.ones((100_000, 4))
-        y, _ = dropout_apply(layer, x, TRAIN, rng)
+        y, _ = dropout_apply(x, 0.5, TRAIN, rng)
         assert np.all(np.abs(y.mean(axis=0) - 1.0) < 0.02)
 
     def test_backward_reuses_forward_mask(self):
-        layer = DropoutLayer(0.4)
         rng = np.random.default_rng(13)
         x = np.ones((50, 8))
-        y, cache = dropout_apply(layer, x, TRAIN, rng)
+        y, cache = dropout_apply(x, 0.4, TRAIN, rng)
         g = dropout_backward(cache, np.ones_like(x))
         assert np.array_equal(g == 0.0, y == 0.0)
         assert np.allclose(g[g != 0.0], 1.0 / 0.6)
 
     def test_invalid_rate(self):
-        with pytest.raises(ValidationError):
-            DropoutLayer(1.0)
+        # checked in either mode, though EVAL never reads the rate
+        for mode in (TRAIN, EVAL):
+            for rate in (1.0, -0.1, np.nan):
+                with pytest.raises(ValidationError, match="dropout rate"):
+                    dropout_apply(np.ones((2, 3)), rate, mode, np.random.default_rng(0))
 
 
 class TestGradCheck:

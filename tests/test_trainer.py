@@ -8,7 +8,6 @@ import pytest
 from helpers import patch_block_budget
 from simskip.augment import AugmentConfig
 from simskip.errors import NumericsError, ValidationError
-from simskip.model import trainable_params
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
 from simskip.trainer import (
@@ -173,9 +172,7 @@ class TestTrain:
         params, report = train(ds, cfg)
         assert report.epoch_losses == []
         from simskip.model import init_params
-        fresh = init_params(ds.dim, cfg.seed)
-        for key, arr in trainable_params(params).items():
-            assert np.array_equal(arr, trainable_params(fresh)[key]), key
+        assert np.array_equal(params.flat, init_params(ds.dim, cfg.seed).flat)
 
     def test_identity_init_refines_to_input_before_training(self):
         from simskip.model import init_params, refine
@@ -189,8 +186,7 @@ class TestTrain:
         p1, r1 = train(ds, cfg)
         p2, r2 = train(ds, cfg)
         assert r1.epoch_losses == r2.epoch_losses
-        for key, arr in trainable_params(p1).items():
-            assert np.array_equal(arr, trainable_params(p2)[key]), key
+        assert np.array_equal(p1.flat, p2.flat)
 
     def test_one_gradient_set_alive_at_a_time(self):
         # parameters, both Adam moments and one gradient set make 4x the
@@ -199,7 +195,7 @@ class TestTrain:
         ds = mixture(count_per_class=16, dim=256)
         cfg = TrainConfig(batch_size=8, epochs=1, seed=0)
         from simskip.model import init_params
-        nbytes = sum(a.nbytes for a in trainable_params(init_params(ds.dim, 0)).values())
+        nbytes = init_params(ds.dim, 0).flat.nbytes
         tracemalloc.start()
         try:
             train(ds, cfg)
@@ -232,8 +228,7 @@ class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = TrainConfig(
             learning_rate=0.0003, batch_size=64, epochs=12, tau=0.2, seed=42,
-            augment=AugmentConfig(kind="mask+gaussian", mask_prob=0.25,
-                                  noise_scale=0.5),
+            augment=AugmentConfig(mask_prob=0.25, noise_scale=0.5),
             adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
             zero_init_residual_out=False, skip_enabled=False,
         )
@@ -247,10 +242,11 @@ class TestConfigFile:
 
     def test_partial_file_fills_defaults(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text("epochs = 3\naugment.kind = mask\n# comment\n\n")
+        path.write_text("epochs = 3\naugment.mask_prob = 0.2\n# comment\n\n")
         cfg = load_train_config(path)
         assert cfg.epochs == 3
-        assert cfg.augment.kind == "mask"
+        assert cfg.augment.mask_prob == 0.2
+        assert cfg.augment.noise_scale == AugmentConfig().noise_scale
         assert cfg.learning_rate == TrainConfig().learning_rate
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -264,6 +260,19 @@ class TestConfigFile:
         path = tmp_path / "train.cfg"
         path.write_text("augment.seed = 4\n")
         with pytest.raises(ValidationError, match="unknown config key 'augment.seed'"):
+            load_train_config(path)
+
+    @pytest.mark.parametrize("text,key,lines", [
+        ("epochs = 3\n# comment\nepochs = 5\n", "epochs", (1, 3)),
+        ("augment.mask_prob = 0.2\nseed = 1\naugment.mask_prob = 0\n",
+         "augment.mask_prob", (1, 3)),
+    ], ids=["top-level", "augment"])
+    def test_repeated_key_rejected(self, tmp_path, text, key, lines):
+        # a second value would silently override the first
+        path = tmp_path / "train.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError,
+                           match=f"'{key}' is given twice \\(lines {lines[0]} and {lines[1]}\\)"):
             load_train_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
