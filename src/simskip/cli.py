@@ -14,14 +14,19 @@ Subcommands
 Exit codes: 0 success, 1 validation/format/usage errors, 2 internal
 numeric failure. Every run is deterministic for fixed seeds: rerunning a
 command overwrites its outputs with identical bytes, and input files are
-never modified.
+never modified: an output path that names the same file as one of the
+command's inputs exits 1 before anything is written.
+
+Each command loads only the modules it runs. This module imports at top
+level only what `gen-synth` and the parser need; `refine`, `ablate`,
+`eval`, `theory` and `inspect` import the training, model, evaluation and
+theory modules inside their own functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -29,24 +34,13 @@ import numpy as np
 
 from . import __version__
 from .augment import AugmentConfig, make_positive_pair
-from .embedding_store import (
-    dataset_fingerprint,
-    load_embeddings,
-    save_embeddings,
-)
+from .embedding_store import dataset_fingerprint, load_embeddings, save_embeddings
 from .errors import NumericsError, SimSkipError, ValidationError
-from .evaluate import LINEAR, MLP3, ProbeConfig, SplitConfig, compare_embeddings
-from .model import (
-    CHECKPOINT_MAGIC,
-    load_checkpoint,
-    parameter_counts,
-    refine,
-    save_checkpoint,
-)
 from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
-from .theory import BoundInputs, bound_report, sample_triplets
-from .trainer import LEARNING_RATE_GRID, TrainConfig, load_train_config, train
 from .utils import atomic_write
+
+# rates `--lr-sweep` trains at, in order
+LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +57,8 @@ class _UsageError(Exception):
 def _write_json(payload: dict, path: str | None) -> None:
     """Write `payload` as strict JSON (RFC 8259): a NaN or infinite value
     raises NumericsError and nothing is written."""
+    import json  # gen-synth writes no JSON
+
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -86,6 +82,16 @@ def _require_inputs(*paths) -> None:
             raise ValidationError(f"input file not found: {p}")
 
 
+def _forbid_overwrite(inputs, outputs) -> None:
+    """Reject an output that is the same file as an input, comparing resolved
+    paths; `inputs` and `outputs` are (flag, path) pairs, a None path unset."""
+    named = {Path(p).resolve(): flag for flag, p in inputs if p is not None}
+    for flag, p in outputs:
+        source = p is not None and named.get(Path(p).resolve())
+        if source:
+            raise ValidationError(f"{flag} {p} is the {source} input; inputs are never overwritten")
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -107,7 +113,13 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
+    from .model import refine, save_checkpoint
+    from .trainer import TrainConfig, load_train_config, train
+
     _require_inputs(args.infile, args.config)
+    _forbid_overwrite([("--in", args.infile), ("--config", args.config)],
+                      [("--out", args.out), ("--checkpoint", args.checkpoint),
+                       ("--report", args.report)])
     dataset = load_embeddings(args.infile)
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     if skip_enabled_override is not None:
@@ -159,17 +171,21 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluate import LINEAR, MLP3, ProbeConfig, SplitConfig, compare_embeddings
+
     _require_inputs(args.original, *args.refined)
+    _forbid_overwrite([("--original", args.original), *(("--refined", p) for p in args.refined)],
+                      [("--report", args.report), ("--csv", args.csv)])
     original = load_embeddings(args.original)
     probe_cfg = ProbeConfig(
-        kind=args.probe,
+        kind=args.probe or LINEAR,
         hidden_dim=args.hidden_dim,
         learning_rate=args.probe_lr,
         epochs=args.probe_epochs,
         seed=args.probe_seed,
     )
     # the other probe kind is reported alongside the primary one
-    other_kind = MLP3 if args.probe == LINEAR else LINEAR
+    other_kind = MLP3 if probe_cfg.kind == LINEAR else LINEAR
     other_cfg = dataclasses.replace(probe_cfg, kind=other_kind,
                                     learning_rate=None, epochs=None)
     split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
@@ -216,7 +232,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    from .theory import BoundInputs, bound_report, sample_triplets
+
     _require_inputs(args.infile)
+    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
     triplets = sample_triplets(dataset, k=args.k, count=args.triplets, seed=args.seed)
     inputs = BoundInputs(
@@ -241,6 +260,7 @@ def _cmd_augment(args) -> int:
     if args.rows < 1:
         raise ValidationError(f"--rows must be >= 1, got {args.rows}")
     _require_inputs(args.infile)
+    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
     cfg = AugmentConfig(mask_prob=args.mask_prob, noise_scale=args.noise_scale)
     rng = np.random.default_rng(args.seed)
@@ -263,7 +283,10 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from .model import CHECKPOINT_MAGIC, load_checkpoint, parameter_counts
+
     _require_inputs(args.infile)
+    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
     with open(args.infile, "rb") as fh:
         magic = fh.read(4)
     if magic == CHECKPOINT_MAGIC:
@@ -341,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--csv", default=None, help="optional flat CSV output")
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--probe", choices=(LINEAR, MLP3), default=LINEAR)
+    p.add_argument("--probe", default=None,
+                   help="primary probe kind: linear (the default) or mlp3")
     p.add_argument("--hidden-dim", type=int, default=64)
     p.add_argument("--probe-lr", type=float, default=None)
     p.add_argument("--probe-epochs", type=int, default=None)

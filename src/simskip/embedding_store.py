@@ -106,9 +106,19 @@ def dataset_fingerprint(dataset: EmbeddingDataset) -> str:
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:
     """Write the dataset to `path` in the EMBF layout, streaming the header
-    and each array's buffer to the file."""
+    and each array's buffer to the file.
+
+    A vector value beyond float32 range would be stored as Inf, which no
+    reader accepts; such a dataset raises ValidationError and nothing is
+    written."""
+    with np.errstate(over="ignore"):
+        vectors = dataset.vectors.astype("<f4")
+    if not np.all(np.isfinite(vectors)):
+        raise ValidationError(
+            f"vectors overflow float32 storage: largest magnitude "
+            f"{np.abs(dataset.vectors).max():.6g} exceeds {np.finfo(np.float32).max:.6g}")
     header = _HEADER.pack(MAGIC, VERSION, int(dataset.has_labels), 0, dataset.count, dataset.dim)
-    chunks = [header, dataset.vectors.astype("<f4")]
+    chunks = [header, vectors]
     if dataset.has_labels:
         chunks.append(dataset.labels.astype("<u4"))
     atomic_write(path, chunks)

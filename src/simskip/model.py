@@ -22,7 +22,8 @@ The trainable tensors are views of one float64 vector, the arena `flat`,
 laid end to end in table order; running statistics are separate arrays.
 Assign to a trainable field through `[...]`, never rebind it. Backward
 passes write each parameter gradient into `grads`, buffers keyed like the
-table (`arena_views` of one gradient vector), and return the input's.
+table (`arena_views` of one gradient vector), and return the input's
+unless told not to form it, as training does.
 A model holds exactly the tensors its checkpoint stores, plus the skip flag
 and the width.
 
@@ -162,12 +163,13 @@ def _block_forward(lin, bn, x, mode, rng):
     return y, (lin_cache, bn_cache, relu_cache, drop_cache)
 
 
-def _block_backward(cache, dout, grads, name):
+def _block_backward(cache, dout, grads, name, input_grad=True):
     lin_cache, bn_cache, relu_cache, drop_cache = cache
     d1 = dropout_backward(drop_cache, dout)
     d2 = relu_backward(relu_cache, d1)
     d3 = batchnorm_backward(bn_cache, d2, grads[name + ".gamma"], grads[name + ".beta"])
-    return linear_backward(lin_cache, d3, grads[name + ".weight"], grads[name + ".bias"])
+    return linear_backward(lin_cache, d3, grads[name + ".weight"], grads[name + ".bias"],
+                           input_grad)
 
 
 def encoder_forward(
@@ -187,13 +189,16 @@ def encoder_forward(
     return out, (c1, c2, c_out, params.skip_enabled)
 
 
-def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
+                     input_grad: bool = True) -> np.ndarray | None:
+    """Write every encoder gradient into `grads`; return the input gradient,
+    or None when `input_grad` is false (training never reads it)."""
     c1, c2, c_out, skip_enabled = cache
     dout = np.asarray(dout, dtype=np.float64)
     dh2 = linear_backward(c_out, dout, grads["out.weight"], grads["out.bias"])
     dh1 = _block_backward(c2, dh2, grads, "layer2")
-    dx = _block_backward(c1, dh1, grads, "layer1")
-    if skip_enabled:
+    dx = _block_backward(c1, dh1, grads, "layer1", input_grad)
+    if input_grad and skip_enabled:
         dx += dout
     return dx
 
@@ -220,9 +225,11 @@ def contrastive_loss_and_grads(
     grads: dict[str, np.ndarray],
     mode: str = EVAL,
     rng: np.random.Generator | None = None,
+    input_grad: bool = True,
 ):
-    """Full-graph loss of a 2N-row paired batch and its input gradient; every
-    parameter gradient is written into `grads` (keyed like `PARAM_TABLE`)."""
+    """Full-graph loss of a 2N-row paired batch and its input gradient (None
+    when `input_grad` is false); every parameter gradient is written into
+    `grads` (keyed like `PARAM_TABLE`)."""
     from .losses import nt_xent  # local import keeps module deps one-way
 
     h, enc_cache = encoder_forward(params, pairs, mode, rng)
@@ -231,7 +238,7 @@ def contrastive_loss_and_grads(
     dh = projector_backward(proj_cache, lv.grad, grads)
     loss = lv.value
     del h, z, proj_cache, lv  # the encoder's backward pass reads none of them
-    return loss, encoder_backward(enc_cache, dh, grads)
+    return loss, encoder_backward(enc_cache, dh, grads, input_grad)
 
 
 def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset:

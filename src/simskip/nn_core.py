@@ -90,14 +90,17 @@ def linear_apply(layer: LinearLayer, x: np.ndarray):
     return out, (x, layer.weight)
 
 
-def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray) -> np.ndarray:
+def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray,
+                    input_grad: bool = True) -> np.ndarray | None:
+    """Write the weight and bias gradients into `dw` and `db`; return the
+    input gradient, or None when `input_grad` is false."""
     x, weight = cache
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != (x.shape[0], weight.shape[0]):
         raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
     np.matmul(dout.T, x, out=dw)
     np.sum(dout, axis=0, out=db)
-    return dout @ weight
+    return dout @ weight if input_grad else None
 
 
 # ---------------------------------------------------------------------------

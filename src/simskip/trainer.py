@@ -40,9 +40,6 @@ from .model import (
 from .nn_core import TRAIN
 from .utils import atomic_write, block_rows
 
-# learning-rate sweep exposed by the CLI
-LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -188,7 +185,8 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
-            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, mode=TRAIN, rng=rng)
+            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, mode=TRAIN,
+                                                 rng=rng, input_grad=False)
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"

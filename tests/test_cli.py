@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 import simskip
-from simskip import cli
+from simskip import cli, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
 from simskip.evaluate import ProbeConfig
 from simskip.model import load_checkpoint
+from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import load_train_config
 
 
@@ -27,14 +29,25 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_child(argv, flags=()):
+def run_child(argv, flags=(), main=("-m", "simskip.cli")):
     """`python -m simskip.cli argv` in a fresh interpreter that imports the
-    same package as this process, installed or not."""
+    same package as this process, installed or not; `main` replaces the
+    `-m simskip.cli` part."""
     package_root = str(Path(simskip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *flags, "-m", "simskip.cli", *argv],
+    return subprocess.run([sys.executable, *flags, *main, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def loaded_package_modules(argv, main=("-m", "simskip.cli")) -> set[str]:
+    """The `simskip` modules a fresh interpreter imports running `argv`, read
+    from its `-X importtime` report."""
+    proc = run_child(argv, flags=("-X", "importtime"), main=main)
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "simskip"}
 
 
 @pytest.fixture()
@@ -80,7 +93,6 @@ class TestGenSynth:
                     "--seed", 3, "--mix-strength", strength, "--out", out]) == 1
         assert not out.exists()
 
-
     @pytest.mark.parametrize("flags", [["--separation", "nan"], ["--sigma", "inf"]],
                              ids=["separation-nan", "sigma-inf"])
     def test_non_finite_spec_is_rejected(self, tmp_path, capsys, flags):
@@ -89,6 +101,24 @@ class TestGenSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be finite" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags", [["--separation", "1e308"], ["--sigma", "1e300"]],
+                             ids=["separation-1e308", "sigma-1e300"])
+    def test_float32_overflow_writes_nothing(self, tmp_path, capsys, flags):
+        # finite in float64, Inf in the float32 payload that every reader rejects
+        spec = {"--separation": "class_separation", "--sigma": "cluster_sigma"}
+        largest = np.abs(generate_gaussian_mixture(
+            MixtureSpec(2, 16, 200, **{spec[flags[0]]: float(flags[1])})).vectors).max()
+        old, new = tmp_path / "old.embf", tmp_path / "new.embf"
+        old.write_bytes(b"previous contents")
+        for out in (old, new):
+            assert run(["gen-synth", *flags, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "overflow float32" in err
+            assert f"largest magnitude {largest:.6g}" in err
+        assert old.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.embf"]
 
 
 class TestRefineAndEval:
@@ -157,7 +187,7 @@ class TestRefineAndEval:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("epochs = 1\nbatch_size = 32\nseed = 1\n")
         trained, alive = [], []
-        real_train = cli.train
+        real_train = trainer.train
 
         def spy(dataset, config):
             alive.append(sum(ref() is not None for ref in trained))
@@ -165,7 +195,8 @@ class TestRefineAndEval:
             trained.append(weakref.ref(params))
             return params, report
 
-        monkeypatch.setattr(cli, "train", spy)
+        # the command imports `train` from its module each time it runs
+        monkeypatch.setattr(trainer, "train", spy)
         assert run(["refine", "--in", synth_file, "--config", cfg, "--lr-sweep",
                     "--out", tmp_path / "s.embf"]) == 0
         assert alive == [0, 1, 1, 1]  # only the best run so far outlives its loop step
@@ -373,6 +404,14 @@ class TestErrorPaths:
         assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
         assert not report.exists() and not csv_out.exists()
 
+    def test_unknown_probe_kind_exits_one(self, tmp_path, synth_file, capsys):
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--probe", "knn", "--report", report]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "probe kind must be 'linear' or 'mlp3'" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
         with pytest.raises(ValidationError, match="learning_rate"):
@@ -421,6 +460,36 @@ class TestErrorPaths:
         assert not out.exists()
         assert {p.name for p in tmp_path.iterdir()} <= {"d.embf", "seed.cfg"}
 
+    # (command, its arguments) with {d} the data file, {c} a config file, {e}
+    # a copy of {d} and {l} a symlink to {d}; one output names an input
+    @pytest.mark.parametrize("command,argv", [
+        ("refine", "--in {d} --out {d}"),
+        ("refine", "--in {d} --config {c} --out {e} --checkpoint {c}"),
+        ("refine", "--in {d} --out {e} --report {l}"),
+        ("ablate", "--in {d} --config {c} --out {l}"),
+        ("eval", "--original {d} --refined {e} --report {d}"),
+        ("eval", "--original {d} --refined {d} {e} --csv {l}"),
+        ("eval", "--original {l} --refined {e} --report {e}"),
+        ("theory", "--in {d} --report {d}"),
+        ("augment", "--in {l} --report {d}"),
+        ("inspect", "--in {d} --report {l}"),
+    ], ids=["refine-out", "refine-checkpoint", "refine-report-link", "ablate-out-link",
+            "eval-report", "eval-csv-link", "eval-report-refined", "theory-report",
+            "augment-report", "inspect-report-link"])
+    def test_output_naming_an_input_exits_one(self, tmp_path, synth_file, train_cfg,
+                                              capsys, command, argv):
+        copy, link = tmp_path / "e.embf", tmp_path / "l.embf"
+        copy.write_bytes(synth_file.read_bytes())
+        link.symlink_to(synth_file)
+        files = {p: p.read_bytes() for p in (synth_file, train_cfg, copy)}
+        argv = argv.format(d=synth_file, c=train_cfg, e=copy, l=link).split()
+        assert run([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "inputs are never overwritten" in err
+        assert {p: p.read_bytes() for p in files} == files
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.embf", "e.embf", "l.embf", "train.cfg"]
+
     @pytest.mark.parametrize("rows", [0, -1])
     def test_augment_rows_must_be_positive(self, tmp_path, synth_file, capsys, rows):
         report = tmp_path / "aug.json"
@@ -442,3 +511,70 @@ class TestErrorPaths:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["kind"] == "embeddings"
+
+
+# every public name of the package, by the submodule that defines it
+PUBLIC_NAMES = {
+    "augment": ["AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
+                "make_positive_pair", "make_positive_pairs", "random_mask"],
+    "cli": ["LEARNING_RATE_GRID"],
+    "embedding_store": ["EmbeddingDataset", "dataset_fingerprint", "load_csv",
+                        "load_embeddings", "save_csv", "save_embeddings", "split"],
+    "errors": ["FormatError", "NumericsError", "ShapeError", "SimSkipError",
+               "ValidationError"],
+    "evaluate": ["ComparisonReport", "EvalReport", "ProbeConfig", "SplitConfig",
+                 "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
+                 "knn_same_label_score", "train_probe"],
+    "losses": ["LossValue", "hinge_loss", "logistic_loss", "nt_xent"],
+    "model": ["SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
+              "projector_forward", "refine", "save_checkpoint"],
+    "nn_core": ["EVAL", "TRAIN", "grad_check"],
+    "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
+    "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs",
+               "empirical_unsup_loss", "gen_m", "sample_triplets", "skip_inequality_check"],
+    "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
+                "load_train_config", "save_train_config", "train"],
+}
+
+
+class TestImports:
+    """A fresh start loads only the modules its command runs."""
+
+    def test_gen_synth_loads_no_training_evaluation_or_theory(self, tmp_path):
+        loaded = loaded_package_modules(["gen-synth", "--out", str(tmp_path / "d.embf")])
+        assert "simskip.synth_data" in loaded
+        assert loaded.isdisjoint({f"simskip.{m}" for m in (
+            "trainer", "model", "nn_core", "losses", "evaluate", "theory")}), loaded
+
+    def test_theory_loads_no_training_or_evaluation(self, tmp_path, synth_file):
+        loaded = loaded_package_modules(["theory", "--in", str(synth_file), "--triplets", "50",
+                                         "--report", str(tmp_path / "bound.json")])
+        assert "simskip.theory" in loaded
+        assert loaded.isdisjoint({f"simskip.{m}" for m in (
+            "trainer", "model", "nn_core", "evaluate")}), loaded
+
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_package_modules([], main=("-c", "import simskip")) == {"simskip"}
+
+    def test_public_names_resolve_to_their_module_attributes(self):
+        assert sorted(simskip.__all__) == sorted(n for names in PUBLIC_NAMES.values()
+                                                 for n in names)
+        for module_name, names in PUBLIC_NAMES.items():
+            module = importlib.import_module(f"simskip.{module_name}")
+            assert getattr(simskip, module_name) is module
+            for name in names:
+                assert getattr(simskip, name) is getattr(module, name), name
+                assert name in dir(simskip), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            simskip.no_such_name  # noqa: B018
+
+    def test_names_are_read_from_their_module_on_every_access(self, monkeypatch):
+        # a wrapper swapped into a module and then restored never sticks in the package
+        sentinel = object()
+        monkeypatch.setattr(trainer, "train", sentinel)
+        assert simskip.train is sentinel
+        monkeypatch.undo()
+        assert simskip.train is trainer.train
+        assert "train" not in vars(simskip)

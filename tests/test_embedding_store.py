@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,28 @@ class TestBinaryFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("big", [3.5e38, -1e39, 1e308])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, big):
+        # finite in float64 but Inf once cast to float32, which load rejects
+        path = tmp_path / "o.embf"
+        save_embeddings(random_dataset(2, 2), path)
+        before = path.read_bytes()
+        v = np.ones((3, 2))
+        v[1, 0] = big
+        with pytest.raises(ValidationError, match=re.escape(f"largest magnitude {abs(big):.6g}")):
+            save_embeddings(EmbeddingDataset(v), path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValidationError, match="overflow float32"):
+            save_embeddings(EmbeddingDataset(v), tmp_path / "new.embf")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.embf"]
+
+    def test_values_that_round_to_float32_max_are_kept(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        v = np.array([[top, -top], [top * (1 + 2.0**-26), 0.0]])
+        path = tmp_path / "m.embf"
+        save_embeddings(EmbeddingDataset(v), path)
+        assert load_embeddings(path).vectors.tolist() == [[top, -top], [top, 0.0]]
 
     def test_bad_version(self, tmp_path):
         ds = random_dataset(2, 2)

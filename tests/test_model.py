@@ -161,6 +161,19 @@ class TestFullGraph:
 
         assert grad_check(loss_fn, {"params": params.flat, "input": pairs}) < 1e-4
 
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip", "no-skip"])
+    def test_skipping_the_input_gradient_keeps_every_parameter_gradient(self, skip):
+        # training asks for no input gradient; the parameter gradients stay bitwise
+        params = init_params(8, seed=3, skip_enabled=skip, zero_init_residual_out=False)
+        pairs = np.random.default_rng(4).standard_normal((8, 8))
+        grads = [np.full_like(params.flat, np.nan) for _ in range(2)]
+        results = [contrastive_loss_and_grads(params, pairs, 0.5, arena_views(g, 8), mode=TRAIN,
+                                              rng=np.random.default_rng(5), input_grad=wanted)
+                   for g, wanted in zip(grads, (True, False))]
+        assert results[0][1].shape == pairs.shape and results[1][1] is None
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(grads[0], grads[1])
+
     # batch norm subtracts the batch mean right after these biases, so their
     # true gradient in TRAIN mode is 0 and finite differences there see only
     # roundoff, which grad_check's 1e-8 floor inflates to about 2e-3

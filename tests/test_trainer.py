@@ -10,8 +10,8 @@ from simskip.augment import AugmentConfig
 from simskip.errors import NumericsError, ValidationError
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
+from simskip.cli import LEARNING_RATE_GRID
 from simskip.trainer import (
-    LEARNING_RATE_GRID,
     TrainConfig,
     adam_init,
     adam_step,
