@@ -26,8 +26,8 @@ _EXPORTS = {
     "augment": ("AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
                 "make_positive_pair", "make_positive_pairs", "random_mask"),
     "cli": ("LEARNING_RATE_GRID",),
-    "embedding_store": ("EmbeddingDataset", "dataset_fingerprint", "load_csv",
-                        "load_embeddings", "save_csv", "save_embeddings", "split"),
+    "embedding_store": ("EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
+                        "save_embeddings", "split"),
     "errors": ("FormatError", "NumericsError", "ShapeError", "SimSkipError",
                "ValidationError"),
     "evaluate": ("ComparisonReport", "EvalReport", "ProbeConfig", "SplitConfig",
@@ -38,8 +38,8 @@ _EXPORTS = {
               "projector_forward", "refine", "save_checkpoint"),
     "nn_core": ("EVAL", "TRAIN", "grad_check"),
     "synth_data": ("MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"),
-    "theory": ("BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs",
-               "empirical_unsup_loss", "gen_m", "sample_triplets", "skip_inequality_check"),
+    "theory": ("BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
+               "sample_triplets", "skip_inequality_check"),
     "trainer": ("TrainConfig", "TrainReport", "adam_init", "adam_step",
                 "load_train_config", "save_train_config", "train"),
     "utils": (),

@@ -14,8 +14,10 @@ Subcommands
 Exit codes: 0 success, 1 validation/format/usage errors, 2 internal
 numeric failure. Every run is deterministic for fixed seeds: rerunning a
 command overwrites its outputs with identical bytes, and input files are
-never modified: an output path that names the same file as one of the
-command's inputs exits 1 before anything is written.
+never modified. Before anything is read or written, every input must
+exist, every output must name a file in an existing directory, and no
+output may name the same file as an input or another output; a failed
+check exits 1.
 
 Each command loads only the modules it runs. This module imports at top
 level only what `gen-synth` and the parser need; `refine`, `ablate`,
@@ -76,20 +78,31 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _require_inputs(*paths) -> None:
-    for p in paths:
+def _check_paths(inputs, outputs) -> None:
+    """Check a command's file paths before it reads or writes anything.
+
+    `inputs` and `outputs` are (flag, path) pairs, a None path unset. Each
+    input must be an existing file, and each output a path in an existing
+    directory that is not itself a directory. No output may be the same
+    file as an input or as another output, comparing resolved paths."""
+    for _, p in inputs:
         if p is not None and not Path(p).is_file():
             raise ValidationError(f"input file not found: {p}")
-
-
-def _forbid_overwrite(inputs, outputs) -> None:
-    """Reject an output that is the same file as an input, comparing resolved
-    paths; `inputs` and `outputs` are (flag, path) pairs, a None path unset."""
-    named = {Path(p).resolve(): flag for flag, p in inputs if p is not None}
+    # each resolved path a flag has claimed -> how the error names that claim
+    claimed = {Path(p).resolve(): f"the {flag} input; inputs are never overwritten"
+               for flag, p in inputs if p is not None}
     for flag, p in outputs:
-        source = p is not None and named.get(Path(p).resolve())
-        if source:
-            raise ValidationError(f"{flag} {p} is the {source} input; inputs are never overwritten")
+        if p is None:
+            continue
+        out = Path(p)
+        if not out.parent.is_dir():
+            raise ValidationError(f"{flag} {p}: {out.parent} is not an existing directory")
+        if out.is_dir():
+            raise ValidationError(f"{flag} {p} is a directory, not a file")
+        out = out.resolve()
+        if out in claimed:
+            raise ValidationError(f"{flag} {p} is {claimed[out]}")
+        claimed[out] = f"also the {flag} output; each output needs its own file"
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +110,7 @@ def _forbid_overwrite(inputs, outputs) -> None:
 
 
 def _cmd_gen_synth(args) -> int:
+    _check_paths([], [("--out", args.out)])
     spec = MixtureSpec(
         num_classes=args.classes,
         dim=args.dim,
@@ -116,10 +130,9 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
     from .model import refine, save_checkpoint
     from .trainer import TrainConfig, load_train_config, train
 
-    _require_inputs(args.infile, args.config)
-    _forbid_overwrite([("--in", args.infile), ("--config", args.config)],
-                      [("--out", args.out), ("--checkpoint", args.checkpoint),
-                       ("--report", args.report)])
+    _check_paths([("--in", args.infile), ("--config", args.config)],
+                 [("--out", args.out), ("--checkpoint", args.checkpoint),
+                  ("--report", args.report)])
     dataset = load_embeddings(args.infile)
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     if skip_enabled_override is not None:
@@ -173,9 +186,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_eval(args) -> int:
     from .evaluate import LINEAR, MLP3, ProbeConfig, SplitConfig, compare_embeddings
 
-    _require_inputs(args.original, *args.refined)
-    _forbid_overwrite([("--original", args.original), *(("--refined", p) for p in args.refined)],
-                      [("--report", args.report), ("--csv", args.csv)])
+    _check_paths([("--original", args.original), *(("--refined", p) for p in args.refined)],
+                 [("--report", args.report), ("--csv", args.csv)])
     original = load_embeddings(args.original)
     probe_cfg = ProbeConfig(
         kind=args.probe or LINEAR,
@@ -234,8 +246,7 @@ def _cmd_eval(args) -> int:
 def _cmd_theory(args) -> int:
     from .theory import BoundInputs, bound_report, sample_triplets
 
-    _require_inputs(args.infile)
-    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
+    _check_paths([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
     triplets = sample_triplets(dataset, k=args.k, count=args.triplets, seed=args.seed)
     inputs = BoundInputs(
@@ -259,8 +270,7 @@ def _cmd_theory(args) -> int:
 def _cmd_augment(args) -> int:
     if args.rows < 1:
         raise ValidationError(f"--rows must be >= 1, got {args.rows}")
-    _require_inputs(args.infile)
-    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
+    _check_paths([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
     cfg = AugmentConfig(mask_prob=args.mask_prob, noise_scale=args.noise_scale)
     rng = np.random.default_rng(args.seed)
@@ -285,8 +295,7 @@ def _cmd_augment(args) -> int:
 def _cmd_inspect(args) -> int:
     from .model import CHECKPOINT_MAGIC, load_checkpoint, parameter_counts
 
-    _require_inputs(args.infile)
-    _forbid_overwrite([("--in", args.infile)], [("--report", args.report)])
+    _check_paths([("--in", args.infile)], [("--report", args.report)])
     with open(args.infile, "rb") as fh:
         magic = fh.read(4)
     if magic == CHECKPOINT_MAGIC:

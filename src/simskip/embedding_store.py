@@ -12,10 +12,10 @@ Binary format "EMBF", version 1, little-endian throughout:
     labels       count u32 values, only present when has_labels = 1
 
 Vectors are stored as float32 on disk and promoted to float64 in memory;
-all in-memory math runs at 64-bit precision. The CSV interchange format is
-one row per embedding: dim comma-separated decimal literals, with an
-optional final integer label column. `split` partitions a labeled dataset
-into train and test rows, stratified by class.
+all in-memory math runs at 64-bit precision. EMBF is the one file format:
+a matrix held as text becomes an EMBF file through
+`save_embeddings(EmbeddingDataset(np.loadtxt(...)), path)`. `split`
+partitions a labeled dataset into train and test rows, stratified by class.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ _MAX_LABEL = 2**32 - 1  # labels persist as u32
 class EmbeddingDataset:
     """An N x d matrix of finite embeddings plus optional integer class labels.
 
-    Instances are immutable: the backing arrays are marked read-only so a
-    loaded dataset can be shared across threads.
+    Instances are immutable: the backing arrays are marked read-only, so
+    no caller can change a dataset another caller holds.
     """
 
     vectors: np.ndarray
@@ -156,44 +156,6 @@ def load_embeddings(path) -> EmbeddingDataset:
         off += count * dim * 4
         labels = np.frombuffer(raw, dtype="<u4", count=count, offset=off).astype(np.int64)
     return EmbeddingDataset(vectors, labels)
-
-
-def save_csv(dataset: EmbeddingDataset, path) -> None:
-    """Write one comma-separated row per embedding, label (if any) last."""
-    lines = []
-    for i in range(dataset.count):
-        cells = [repr(float(v)) for v in dataset.vectors[i]]
-        if dataset.labels is not None:
-            cells.append(str(int(dataset.labels[i])))
-        lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_csv(path, labeled: bool = False) -> EmbeddingDataset:
-    """Parse a CSV of embedding rows; `labeled` treats the last column as a label."""
-    rows = []
-    labels = [] if labeled else None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        try:
-            if labeled:
-                if len(cells) < 2:
-                    raise ValueError("need at least one feature and a label")
-                rows.append([float(c) for c in cells[:-1]])
-                labels.append(int(cells[-1]))
-            else:
-                rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise FormatError(f"{path}:{lineno}: inconsistent column count")
-    if not rows:
-        raise FormatError(f"{path}: no embedding rows found")
-    return EmbeddingDataset(np.asarray(rows, dtype=np.float64),
-                            np.asarray(labels) if labeled else None)
 
 
 def split(

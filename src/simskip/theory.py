@@ -4,17 +4,17 @@ The pieces fit together as follows. Triplets (anchor x, same-label positive
 x+, k negatives x-) are sampled from a labeled dataset and held as one
 `Triplets` of row-index arrays: anchors (T,), positives (T,) and negatives
 (T, k), drawn by three vectorised calls with no per-triplet loop. The
-empirical unsupervised loss of an embedding map f is the mean of
-l({f(x)^T (f(x+) - f(x-_i))}_i) over triplets, with l the hinge or logistic
-loss of `losses`, applied row-wise to the whole (T, k) margin matrix. The
-margins are filled in cache-sized blocks of triplets, one negative column
-at a time, so memory stays O(block * d) plus the (T, k) result whatever T
-and k are. For the identity map the margins are u_i = x^T (x+ - x-_i);
-doubling the map (f = 2I, the idealized effect of adding an identity branch
-to an identity network) scales every margin by 4, and because both losses
-are monotonically decreasing, l(4u) <= l(u) whenever u >= 0.
-`skip_inequality_check` measures how often that margin condition holds on
-real triplets and whether the implied loss ordering comes out.
+empirical unsupervised loss L_un of an embedding is the mean of
+l({x^T (x+ - x-_i)}_i) over triplets, with l the logistic loss of `losses`,
+applied row-wise to the whole (T, k) margin matrix. The margins are filled
+in cache-sized blocks of triplets, one negative column at a time, so
+memory stays O(block * d) plus the (T, k) result whatever T and k are.
+Doubling the identity map (f = 2I, the idealized effect of adding an
+identity branch to an identity network) scales every margin by 4, and
+because the loss is monotonically decreasing, l(4u) <= l(u) whenever
+u >= 0. `skip_inequality_check` measures how often that margin condition
+holds on real triplets and whether the implied loss ordering comes out;
+its `l_un_identity` is the L_un of the dataset's own embedding.
 
 `gen_m` evaluates the generalization-error expression
 
@@ -34,12 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding_store import EmbeddingDataset
-from .errors import NumericsError, ShapeError, ValidationError
-from .losses import hinge_loss, logistic_loss
+from .errors import NumericsError, ValidationError
+from .losses import logistic_loss
 from .utils import block_rows
-
-HINGE = "hinge"
-LOGISTIC = "logistic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,32 +158,10 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     return margins
 
 
-def _margin_loss(margins: np.ndarray, loss_kind: str) -> float:
-    """Mean over the rows of a (T, k) margin matrix of `hinge_loss` or
-    `logistic_loss`, each evaluated row-wise in one array pass."""
-    if loss_kind not in (HINGE, LOGISTIC):
-        raise ValidationError(f"loss_kind must be {HINGE!r} or {LOGISTIC!r}, got {loss_kind!r}")
-    loss = hinge_loss if loss_kind == HINGE else logistic_loss
-    return float(loss(margins).mean())
-
-
-def empirical_unsup_loss(
-    f,
-    dataset: EmbeddingDataset,
-    triplets: Triplets,
-    loss_kind: str = LOGISTIC,
-) -> float:
-    """Mean margin loss of an embedding map over sampled triplets.
-
-    `f` maps the whole (N, d) matrix to an (N, d') matrix in one call.
-    """
-    embedded = np.asarray(f(dataset.vectors), dtype=np.float64)
-    if embedded.ndim != 2 or embedded.shape[0] != dataset.count:
-        raise ShapeError(f"embedding map must return ({dataset.count}, d') rows, "
-                         f"got shape {embedded.shape}")
-    if not np.all(np.isfinite(embedded)):
-        raise NumericsError("embedding map produced non-finite values")
-    return _margin_loss(triplet_margins(embedded, triplets), loss_kind)
+def _l_un(margins: np.ndarray) -> float:
+    """Mean over the rows of a (T, k) margin matrix of `logistic_loss`,
+    evaluated row-wise in one array pass."""
+    return float(logistic_loss(margins).mean())
 
 
 @dataclass(frozen=True)
@@ -221,11 +196,11 @@ def skip_inequality_check(
     """
     margins = triplet_margins(dataset.vectors, triplets)
     nonneg_rows = np.all(margins >= 0.0, axis=1)
-    l_identity = _margin_loss(margins, LOGISTIC)
-    l_doubled = _margin_loss(4.0 * margins, LOGISTIC)
+    l_identity = _l_un(margins)
+    l_doubled = _l_un(4.0 * margins)
     if nonneg_rows.any():
         sub = margins[nonneg_rows]
-        holds = _margin_loss(4.0 * sub, LOGISTIC) <= _margin_loss(sub, LOGISTIC)
+        holds = _l_un(4.0 * sub) <= _l_un(sub)
     else:
         holds = True
     return SkipInequalityReport(
@@ -270,5 +245,5 @@ def bound_report(
     report = skip_rep.to_json_dict()
     report["gen_m"] = g
     report["bound_rhs"] = bound_rhs(skip_rep.l_un_identity, g, inputs)
-    report["config"] = {**dataclasses.asdict(inputs), "loss": LOGISTIC}
+    report["config"] = {**dataclasses.asdict(inputs), "loss": "logistic"}
     return report

@@ -490,6 +490,44 @@ class TestErrorPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "d.embf", "e.embf", "l.embf", "train.cfg"]
 
+    # {o} an output path that two of the command's outputs name
+    @pytest.mark.parametrize("command,argv", [
+        ("refine", "--in {d} --config {c} --out {o} --checkpoint {o}"),
+        ("ablate", "--in {d} --out r.embf --checkpoint {o} --report {o}"),
+        ("eval", "--original {d} --refined {d} --report {o} --csv {o}"),
+    ], ids=["refine-out-checkpoint", "ablate-checkpoint-report", "eval-report-csv"])
+    def test_two_outputs_naming_one_file_exit_one(self, tmp_path, synth_file, train_cfg,
+                                                  capsys, monkeypatch, command, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = argv.format(d=synth_file, c=train_cfg, o=tmp_path / "o.out").split()
+        assert run([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "each output needs its own file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "train.cfg"]
+
+    @pytest.mark.parametrize("command,argv,problem", [
+        ("refine", "--in {d} --config {c} --out r.embf --checkpoint m.sskp "
+                   "--report nodir/train.json", "--report nodir/train.json: nodir is not"),
+        ("gen-synth", "--out nodir/d.embf", "--out nodir/d.embf: nodir is not"),
+        ("eval", "--original {d} --refined {d} --report e.json --csv nodir/e.csv",
+         "--csv nodir/e.csv: nodir is not"),
+        ("theory", "--in {d} --report d.embf/bound.json",
+         "--report d.embf/bound.json: d.embf is not"),
+        ("refine", "--in {d} --config {c} --out adir --report t.json",
+         "--out adir is a directory"),
+    ], ids=["refine-report", "gen-synth-out", "eval-csv", "theory-report-under-a-file",
+            "refine-out-is-a-directory"])
+    def test_output_that_cannot_be_a_file_exits_one(self, tmp_path, synth_file, train_cfg,
+                                                     capsys, monkeypatch, command, argv,
+                                                     problem):
+        # checked before anything is read or trained, so no output is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert run([command, *argv.format(d=synth_file, c=train_cfg).split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}") and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "d.embf", "train.cfg"]
+
     @pytest.mark.parametrize("rows", [0, -1])
     def test_augment_rows_must_be_positive(self, tmp_path, synth_file, capsys, rows):
         report = tmp_path / "aug.json"
@@ -518,8 +556,8 @@ PUBLIC_NAMES = {
     "augment": ["AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
                 "make_positive_pair", "make_positive_pairs", "random_mask"],
     "cli": ["LEARNING_RATE_GRID"],
-    "embedding_store": ["EmbeddingDataset", "dataset_fingerprint", "load_csv",
-                        "load_embeddings", "save_csv", "save_embeddings", "split"],
+    "embedding_store": ["EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
+                        "save_embeddings", "split"],
     "errors": ["FormatError", "NumericsError", "ShapeError", "SimSkipError",
                "ValidationError"],
     "evaluate": ["ComparisonReport", "EvalReport", "ProbeConfig", "SplitConfig",
@@ -530,8 +568,8 @@ PUBLIC_NAMES = {
               "projector_forward", "refine", "save_checkpoint"],
     "nn_core": ["EVAL", "TRAIN", "grad_check"],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
-    "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs",
-               "empirical_unsup_loss", "gen_m", "sample_triplets", "skip_inequality_check"],
+    "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
+               "sample_triplets", "skip_inequality_check"],
     "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
                 "load_train_config", "save_train_config", "train"],
 }
@@ -569,6 +607,12 @@ class TestImports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             simskip.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss"])
+    def test_removed_names_raise_attribute_error(self, name):
+        # EMBF is the one file format; skip_inequality_check is the one L_un path
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(simskip, name)
 
     def test_names_are_read_from_their_module_on_every_access(self, monkeypatch):
         # a wrapper swapped into a module and then restored never sticks in the package

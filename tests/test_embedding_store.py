@@ -6,9 +6,7 @@ import pytest
 from simskip.embedding_store import (
     EmbeddingDataset,
     dataset_fingerprint,
-    load_csv,
     load_embeddings,
-    save_csv,
     save_embeddings,
     split,
 )
@@ -169,26 +167,6 @@ class TestBinaryFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_embeddings(path)
-
-
-class TestCsv:
-    def test_round_trip_labeled(self, tmp_path):
-        ds = random_dataset(8, 3, seed=3, labeled=True)
-        path = tmp_path / "a.csv"
-        save_csv(ds, path)
-        assert load_csv(path, labeled=True) == ds
-
-    def test_round_trip_unlabeled(self, tmp_path):
-        ds = random_dataset(5, 2, seed=4)
-        path = tmp_path / "b.csv"
-        save_csv(ds, path)
-        assert load_csv(path) == ds
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(FormatError):
-            load_csv(path)
 
 
 class TestSplit:

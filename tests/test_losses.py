@@ -189,9 +189,10 @@ class TestMarginLosses:
         per_row = loss(margins)
         assert per_row.shape == (7,)
         assert np.array_equal(per_row, [loss(row) for row in margins])
-        margins[3, 2] = np.nan
-        with pytest.raises(ValidationError):
-            loss(margins)
+        for bad in (np.nan, np.inf, -np.inf):
+            margins[3, 2] = bad
+            with pytest.raises(ValidationError):
+                loss(margins)
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),

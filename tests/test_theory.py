@@ -9,24 +9,19 @@ from hypothesis import strategies as st
 from helpers import orthogonal_class_means, patch_block_budget, reference_triplet_margins
 from simskip import theory, utils
 from simskip.embedding_store import EmbeddingDataset
-from simskip.errors import NumericsError, ShapeError, ValidationError
+from simskip.errors import ValidationError
 from simskip.losses import hinge_loss, logistic_loss
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
-    HINGE,
-    LOGISTIC,
     BoundInputs,
     Triplets,
-    _margin_loss,
+    _l_un,
     bound_rhs,
-    empirical_unsup_loss,
     gen_m,
     sample_triplets,
     skip_inequality_check,
     triplet_margins,
 )
-
-identity = lambda x: x
 
 
 def triplets_of(*rows):
@@ -127,57 +122,22 @@ class TestTriplets:
 
 
 class TestEmpiricalLoss:
-    def _unit_triplet_dataset(self):
-        # anchor (1,0), positive (1,0), negative (0,1): margin exactly 1
-        vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        return EmbeddingDataset(vectors, [0, 0, 1]), triplets_of((0, 1, (2,)))
+    """L_un of an embedding is `skip_inequality_check(...).l_un_identity` on it."""
 
     def test_logistic_single_triplet(self):
-        ds, triplets = self._unit_triplet_dataset()
-        expected = math.log2(1 + math.exp(-1.0))
-        assert empirical_unsup_loss(identity, ds, triplets, LOGISTIC) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_hinge_single_triplet(self):
-        ds, triplets = self._unit_triplet_dataset()
-        assert empirical_unsup_loss(identity, ds, triplets, HINGE) == 0.0
+        # anchor (1,0), positive (1,0), negative (0,1): margin exactly 1
+        ds = EmbeddingDataset(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 1])
+        report = skip_inequality_check(ds, triplets_of((0, 1, (2,))))
+        assert report.l_un_identity == pytest.approx(math.log2(1 + math.exp(-1.0)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_constant_map_gives_log2_of_k_plus_one(self, k):
-        ds = directional_mixture(num_classes=2, dim=4, per=10)
+        # the constant map's embedding is all-zero rows: every margin is 0
+        labels = directional_mixture(num_classes=2, dim=4, per=10).labels
+        ds = EmbeddingDataset(np.zeros((labels.size, 4)), labels)
         triplets = sample_triplets(ds, k=k, count=100, seed=6)
-        constant = lambda x: np.zeros_like(x)
-        got = empirical_unsup_loss(constant, ds, triplets, LOGISTIC)
+        got = skip_inequality_check(ds, triplets).l_un_identity
         assert got == pytest.approx(math.log2(1 + k), abs=1e-12)
-
-    def test_non_finite_embedding_rejected(self):
-        ds, triplets = self._unit_triplet_dataset()
-        bad = lambda x: np.full_like(x, np.inf)
-        with pytest.raises(NumericsError):
-            empirical_unsup_loss(bad, ds, triplets)
-
-    @pytest.mark.parametrize("bad", [
-        lambda x: x[:-1],
-        lambda x: np.vstack([x, x]),
-        lambda x: x[0],
-        lambda x: x[:, :, None],
-    ], ids=["drops-a-row", "doubles-the-rows", "one-vector", "3-d"])
-    def test_map_must_return_one_row_per_input(self, bad):
-        ds, triplets = self._unit_triplet_dataset()
-        with pytest.raises(ShapeError):
-            empirical_unsup_loss(bad, ds, triplets)
-
-    def test_map_is_called_once_on_the_whole_matrix(self):
-        ds, triplets = self._unit_triplet_dataset()
-        calls = []
-
-        def f(x):
-            calls.append(x.shape)
-            return 2.0 * x
-
-        empirical_unsup_loss(f, ds, triplets)
-        assert calls == [(3, 2)]
 
 
 class TestTripletMargins:
@@ -250,26 +210,23 @@ class TestTripletMargins:
 
 
 class TestMarginLoss:
-    @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("kind", [HINGE, LOGISTIC])
-    def test_equals_mean_of_scalar_losses(self, kind, k):
+    @pytest.mark.parametrize("k", [1, 4], ids=lambda k: f"logistic-{k}")
+    def test_equals_mean_of_scalar_losses(self, k):
         rng = np.random.default_rng(20 + k)
         margins = 3.0 * rng.standard_normal((300, k))
         # exp(1000) overflows unless each row is shifted by max(0, its max of -v)
         margins[:10] -= 1000.0
         margins[10:20, 0] = -1000.0 + rng.standard_normal(10)
         margins[20:30] += 1000.0
-        scalar = hinge_loss if kind == HINGE else logistic_loss
-        expected = float(np.mean([scalar(row) for row in margins]))
-        assert _margin_loss(margins, kind) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        expected = float(np.mean([logistic_loss(row) for row in margins]))
+        assert _l_un(margins) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("kind", [HINGE, LOGISTIC])
-    def test_non_finite_margin_rejected(self, kind, bad):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=lambda v: f"logistic-{v}")
+    def test_non_finite_margin_rejected(self, bad):
         margins = np.ones((5, 4))
         margins[3, 2] = bad
         with pytest.raises(ValidationError):
-            _margin_loss(margins, kind)
+            _l_un(margins)
 
 
 class TestSkipInequality:
