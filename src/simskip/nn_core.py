@@ -49,7 +49,7 @@ def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarr
 @dataclass
 class LinearLayer:
     weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray    # (out_dim,)
+    bias: np.ndarray | None = None  # (out_dim,); None before batch norm, which cancels it
 
     @property
     def in_dim(self) -> int:
@@ -62,16 +62,16 @@ class LinearLayer:
 
 def linear_init(layer: LinearLayer, rng: np.random.Generator, zero: bool = False) -> LinearLayer:
     """Fill `layer` in place with Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
-    weights, then biases, and return it.
+    weights, then biases (none when `bias` is None), and return it.
 
     The draws go straight into the layer's (contiguous) arrays, bitwise the
     values of `rng.uniform(-bound, bound)`. Nonzero biases keep ReLU-dead
     rows away from the exact zero vector, where cosine similarity is
-    undefined. `zero` zeroes both tensors (used for the residual output head
-    so the encoder starts as the identity).
+    undefined. `zero` zeroes the tensors (the residual output head, so the
+    encoder starts as the identity).
     """
     bound = 1.0 / np.sqrt(layer.in_dim)
-    for tensor in (layer.weight, layer.bias):
+    for tensor in (t for t in (layer.weight, layer.bias) if t is not None):
         if zero:
             tensor[...] = 0.0
         else:
@@ -82,24 +82,25 @@ def linear_init(layer: LinearLayer, rng: np.random.Generator, zero: bool = False
 
 
 def linear_apply(layer: LinearLayer, x: np.ndarray):
-    """out = x @ W.T + b, rowwise over the batch."""
+    """out = x @ W.T + b rowwise over the batch, or x @ W.T with no bias."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ShapeError(f"expected input (B, {layer.in_dim}), got {x.shape}")
-    out = x @ layer.weight.T + layer.bias
+    out = x @ layer.weight.T if layer.bias is None else x @ layer.weight.T + layer.bias
     return out, (x, layer.weight)
 
 
-def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray,
+def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray | None,
                     input_grad: bool = True) -> np.ndarray | None:
-    """Write the weight and bias gradients into `dw` and `db`; return the
-    input gradient, or None when `input_grad` is false."""
+    """Write the gradients into `dw` and `db` (None when the layer has no
+    bias); return the input gradient, or None when `input_grad` is false."""
     x, weight = cache
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != (x.shape[0], weight.shape[0]):
         raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
     np.matmul(dout.T, x, out=dw)
-    np.sum(dout, axis=0, out=db)
+    if db is not None:
+        np.sum(dout, axis=0, out=db)
     return dout @ weight if input_grad else None
 
 

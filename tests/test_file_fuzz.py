@@ -44,8 +44,8 @@ def embf_verdict(raw: bytes) -> type[Exception] | None:
 def sskp_tensor_sizes(d: int) -> list[tuple[str, int]]:
     """(kind, element count) of each tensor of a width-d checkpoint, in file order."""
     h = d // 2
-    block = lambda n_in, n_out: [("w", n_in * n_out), ("b", n_out), ("gamma", n_out),
-                                 ("beta", n_out), ("mean", n_out), ("var", n_out)]
+    block = lambda n_in, n_out: [("w", n_in * n_out), ("gamma", n_out), ("beta", n_out),
+                                 ("mean", n_out), ("var", n_out)]
     return block(d, h) + block(h, d) + [("w", d * d), ("b", d)] * 3
 
 
@@ -54,7 +54,7 @@ def sskp_verdict(raw: bytes) -> type[Exception] | None:
     if len(raw) < 10:
         return FormatError
     magic, version, flags, d = struct.unpack_from("<4sBBI", raw)
-    if magic != b"SSKP" or version != 1 or flags > 1 or d < 2 or d % 2:
+    if magic != b"SSKP" or version != 2 or flags > 1 or d < 2 or d % 2:
         return FormatError
     sizes = sskp_tensor_sizes(d)
     if len(raw) != 10 + 8 * sum(n for _, n in sizes):
@@ -167,3 +167,18 @@ class TestSskpFuzz:
         raw = bytearray(SSKP_FILES[0])
         struct.pack_into("<I", raw, 6, d)
         _check(bytes(raw), sskp_verdict, load_checkpoint, "sskp")
+
+    def test_version_1_file_is_rejected(self, tmp_path, capsys):
+        # version 1 also stored a bias right after each batch-norm block's weight;
+        # this file is laid out right for version 1 at d = 4 (2 x 4 and 4 x 2 weights)
+        raw = SSKP_FILES[0]
+        w1_end, w2_end = 10 + 8 * 8, 10 + 8 * (8 + 4 * 2 + 8)
+        v1 = (struct.pack("<4sBBI", b"SSKP", 1, 1, 4) + raw[10:w1_end] + bytes(8 * 2)
+              + raw[w1_end:w2_end] + bytes(8 * 4) + raw[w2_end:])
+        assert len(v1) == len(raw) + 8 * (2 + 4)
+        path = tmp_path / "m.sskp"
+        path.write_bytes(v1)
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            load_checkpoint(path)
+        assert parse_and_run(["inspect", "--in", str(path)]) == 1
+        assert "unsupported version 1" in capsys.readouterr().err

@@ -174,11 +174,6 @@ class TestFullGraph:
         assert results[0][0] == results[1][0]
         assert np.array_equal(grads[0], grads[1])
 
-    # batch norm subtracts the batch mean right after these biases, so their
-    # true gradient in TRAIN mode is 0 and finite differences there see only
-    # roundoff, which grad_check's 1e-8 floor inflates to about 2e-3
-    MEAN_CANCELLED = ("layer1.bias", "layer2.bias")
-
     @pytest.mark.parametrize("skip", [True, False], ids=["skip", "no-skip"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_train_mode_gradients_match_finite_differences(self, seed, skip):
@@ -188,9 +183,7 @@ class TestFullGraph:
         params = init_params(8, seed=seed, skip_enabled=skip, zero_init_residual_out=False)
         pairs = rng.standard_normal((8, 8))  # batch of 4 positive pairs
         grads = arena_views(np.empty_like(params.flat), 8)
-        arrays = {key: view for key, view in arena_views(params.flat, 8).items()
-                  if key not in self.MEAN_CANCELLED}
-        arrays["input"] = pairs
+        arrays = {**arena_views(params.flat, 8), "input": pairs}
 
         def loss_fn():
             loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=TRAIN,
@@ -198,9 +191,6 @@ class TestFullGraph:
             return loss, {**grads, "input": dx}
 
         assert grad_check(loss_fn, arrays) < 1e-4
-        loss_fn()
-        for key in self.MEAN_CANCELLED:
-            assert np.abs(grads[key]).max() <= 1e-12, key
 
 
 class TestRefine:
@@ -226,6 +216,29 @@ class TestRefine:
         params = init_params(8, seed=16)
         with pytest.raises(ShapeError):
             refine(params, ds)
+
+    def test_blocks_match_one_forward_pass(self):
+        # d = 768 gives 170-row blocks, so 500 rows run as three blocks
+        ds = random_dataset(500, 768, seed=20)
+        params = init_params(768, seed=20, zero_init_residual_out=False)
+        whole, _ = encoder_forward(params, ds.vectors, EVAL)
+        assert np.allclose(refine(params, ds).vectors, whole, rtol=0, atol=1e-12)
+
+    def test_memory_beyond_the_output_does_not_grow_with_rows(self):
+        # the unblocked forward pass kept every layer's cache: 20.5 MiB beyond
+        # the output at 10 000 rows and 81.9 MiB at 40 000
+        params = init_params(64, seed=21, zero_init_residual_out=False)
+        extra = []
+        for count in (10_000, 40_000):
+            ds = random_dataset(count, 64, seed=21, labeled=False)
+            tracemalloc.start()
+            try:
+                refine(params, ds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - ds.vectors.nbytes)
+        assert extra[1] <= 1.05 * extra[0]
 
 
 class TestCheckpoint:
@@ -360,20 +373,22 @@ class TestParamTable:
     def test_table_covers_every_tensor_once(self):
         params = init_params(6, seed=3)
         fields = [(attr, field) for _, attr, field, _ in PARAM_TABLE]
-        assert len(set(fields)) == len(fields) == 18
+        assert len(set(fields)) == len(fields) == 16
         for attr, field in fields:
             assert isinstance(getattr(getattr(params, attr), field), np.ndarray)
 
 
 class TestCheckpointBytes:
-    """sha256 of SSKP files as written before the parameter table existed.
+    """sha256 of SSKP version 2 files: the header, the tensor order of
+    `PARAM_TABLE` and the init random stream (weights, then biases, of each
+    linear layer in turn; the two layers before batch norm have no bias).
 
     The trained digest also pins the float64 results of one training epoch
     with this platform's NumPy/BLAS build (x86-64, NumPy 2.x).
     """
 
-    INIT_SHA256 = "19d52d74cc2548628020510eb52b87816f64d2c9f6a7269f327d63e4e16c92ce"
-    TRAINED_SHA256 = "6f0f1727bd50ec1fa1eb927da370f88b7123e6c7e1e7966ef81d67d305d25ef5"
+    INIT_SHA256 = "63548382251f87cb56c427f43429179fbc72e63a4a16c7ad063abac5deaf54d7"
+    TRAINED_SHA256 = "2db923a95e3eefc17846b0dd7ddb08d021a18687fa86e8ac27a898b472c33c92"
 
     def _digest(self, params, path):
         save_checkpoint(params, path)

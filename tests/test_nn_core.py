@@ -89,6 +89,40 @@ class TestLinear:
         dw_double, _, _ = linear_grads(layer, cache_double, np.vstack([g, g]))
         assert np.allclose(dw_double, 2.0 * dw_single)
 
+    def test_bias_free_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(4)
+        layer = LinearLayer(rng.standard_normal((2, 3)))
+        x = rng.standard_normal((4, 3))
+        r = rng.standard_normal((4, 2))
+
+        def loss_fn():
+            out, cache = linear_apply(layer, x)
+            dw = np.full_like(layer.weight, np.nan)
+            dx = linear_backward(cache, r, dw, None)
+            return float((out * r).sum()), {"w": dw, "x": dx}
+
+        assert grad_check(loss_fn, {"w": layer.weight, "x": x}) < 1e-6
+
+    def test_bias_free_backward_matches_the_biased_call(self):
+        rng = np.random.default_rng(5)
+        layer = new_linear(3, 2, rng)
+        bias_free = LinearLayer(layer.weight)
+        x, dout = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        out, cache = linear_apply(bias_free, x)
+        assert np.array_equal(out, x @ layer.weight.T)
+        dw, _, dx = linear_grads(layer, linear_apply(layer, x)[1], dout)
+        dw_free = np.full_like(dw, np.nan)
+        dx_free = linear_backward(cache, dout, dw_free, None)
+        assert np.array_equal(dw_free, dw) and np.array_equal(dx_free, dx)
+
+    def test_bias_free_init_draws_only_the_weight(self):
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        layer = linear_init(LinearLayer(np.empty((2, 3))), rng)
+        assert layer.bias is None
+        bound = 1 / np.sqrt(3)
+        assert np.array_equal(layer.weight, twin.uniform(-bound, bound, (2, 3)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestBatchNorm:
     def test_hand_computed_normalization(self):
