@@ -6,8 +6,10 @@ Subcommands
                 checkpoint, and a JSON training report
     ablate      `refine` with the skip connection removed (reports tagged
                 "simskip-minus")
-    eval        compare an original embedding against refined ones
-    theory      triplet margins, loss-bound terms, JSON bound report
+    eval        compare an original embedding against refined ones: kNN
+                score and linear probe, with the mlp3 probe alongside
+    theory      triplet margins, loss-bound terms, JSON bound report; the
+                bound's sample size M is the triplet count
     augment     preview augmented positive pairs for the first rows
     inspect     print a JSON summary of an EMBF or SSKP file
 
@@ -119,8 +121,7 @@ def _cmd_gen_synth(args) -> int:
         cluster_sigma=args.sigma,
         seed=args.seed,
     )
-    mix_seed = args.mix_seed if args.mix_seed is not None else args.seed
-    dataset = apply_class_mixing(generate_gaussian_mixture(spec), args.mix_strength, mix_seed)
+    dataset = apply_class_mixing(generate_gaussian_mixture(spec), args.mix_strength, args.seed)
     save_embeddings(dataset, args.out)
     print(f"wrote {args.out} ({dataset.count} rows, dim {dataset.dim})")
     return 0
@@ -161,9 +162,9 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
     save_embeddings(refined, args.out)
     if args.checkpoint:
         save_checkpoint(params, args.checkpoint)
-        report.checkpoint_path = args.checkpoint
     if args.report:
         payload = report.to_json_dict()
+        payload["checkpoint_path"] = args.checkpoint
         payload["variant"] = variant
         payload["input"] = str(args.infile)
         payload["output"] = str(args.out)
@@ -187,59 +188,32 @@ def _cmd_eval(args) -> int:
     from .evaluate import LINEAR, MLP3, ProbeConfig, SplitConfig, compare_embeddings
 
     _check_paths([("--original", args.original), *(("--refined", p) for p in args.refined)],
-                 [("--report", args.report), ("--csv", args.csv)])
+                 [("--report", args.report)])
     original = load_embeddings(args.original)
-    probe_cfg = ProbeConfig(
-        kind=args.probe or LINEAR,
-        hidden_dim=args.hidden_dim,
-        learning_rate=args.probe_lr,
-        epochs=args.probe_epochs,
-        seed=args.probe_seed,
-    )
-    # the other probe kind is reported alongside the primary one
-    other_kind = MLP3 if probe_cfg.kind == LINEAR else LINEAR
-    other_cfg = dataclasses.replace(probe_cfg, kind=other_kind,
-                                    learning_rate=None, epochs=None)
+    # the linear probe heads the report; mlp3 rides along at its own rate and epochs
+    linear_cfg = ProbeConfig(kind=LINEAR, hidden_dim=args.hidden_dim, learning_rate=args.probe_lr,
+                             epochs=args.probe_epochs, seed=args.probe_seed)
+    mlp3_cfg = ProbeConfig(kind=MLP3, hidden_dim=args.hidden_dim, seed=args.probe_seed)
     split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
-    comparisons = []
+    original_entry, refined_entries = None, []
     for path in args.refined:
         refined_ds = load_embeddings(path)
-        comp = compare_embeddings(original, refined_ds, probe_cfg, split_cfg, knn_k=args.knn_k)
-        other = compare_embeddings(original, refined_ds, other_cfg, split_cfg, knn_k=args.knn_k)
-        comparisons.append((str(path), comp, other))
-
-    first_comp, first_other = comparisons[0][1], comparisons[0][2]
-    payload = {
-        "original": {
-            "path": str(args.original),
-            **first_comp.original.to_json_dict(),
-            "secondary_probe": {
-                "kind": other_kind,
-                "accuracy": first_other.original.probe_accuracy,
-            },
-        },
-        "refined": [
-            {
-                "path": path,
-                **comp.refined.to_json_dict(),
-                "secondary_probe": {
-                    "kind": other_kind,
-                    "accuracy": other.refined.probe_accuracy,
-                    "delta": other.probe_delta,
-                },
-                "deltas": {"knn_score": comp.knn_delta, "probe_accuracy": comp.probe_delta},
+        comp = compare_embeddings(original, refined_ds, linear_cfg, split_cfg, knn_k=args.knn_k)
+        mlp3 = compare_embeddings(original, refined_ds, mlp3_cfg, split_cfg, knn_k=args.knn_k)
+        if original_entry is None:  # every comparison scores the same original
+            original_entry = {
+                "path": str(args.original),
+                **comp.original.to_json_dict(),
+                "secondary_probe": {"kind": MLP3, "accuracy": mlp3.original.probe_accuracy},
             }
-            for path, comp, other in comparisons
-        ],
-    }
-    _write_json(payload, args.report)
-    if args.csv:
-        header, _ = comparisons[0][1].to_csv_row()
-        lines = ["path," + ",".join(header)]
-        for path, comp, _other in comparisons:
-            _, row = comp.to_csv_row()
-            lines.append(path + "," + ",".join(row))
-        atomic_write(args.csv, "\n".join(lines) + "\n")
+        refined_entries.append({
+            "path": str(path),
+            **comp.refined.to_json_dict(),
+            "secondary_probe": {"kind": MLP3, "accuracy": mlp3.refined.probe_accuracy,
+                                "delta": mlp3.probe_delta},
+            "deltas": {"knn_score": comp.knn_delta, "probe_accuracy": comp.probe_delta},
+        })
+    _write_json({"original": original_entry, "refined": refined_entries}, args.report)
     return 0
 
 
@@ -252,7 +226,7 @@ def _cmd_theory(args) -> int:
     inputs = BoundInputs(
         R=args.radius,
         rademacher=args.rademacher,
-        M=args.sample_size if args.sample_size is not None else args.triplets,
+        M=args.triplets,  # Arora et al.'s M: the tuples L_un averages over
         delta_conf=args.delta_conf,
         k=args.k,
         alpha=args.alpha,
@@ -348,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--separation", type=float, default=10.0)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="seeds the mixture and the mixing")
     p.add_argument("--mix-strength", type=float, default=0.0,
                    help="blend rows with random rows to degrade class structure")
-    p.add_argument("--mix-seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
@@ -371,13 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original", required=True)
     p.add_argument("--refined", nargs="+", required=True)
     p.add_argument("--report", default=None, help="JSON report path (default: stdout)")
-    p.add_argument("--csv", default=None, help="optional flat CSV output")
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--probe", default=None,
-                   help="primary probe kind: linear (the default) or mlp3")
     p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--probe-lr", type=float, default=None)
-    p.add_argument("--probe-epochs", type=int, default=None)
+    p.add_argument("--probe-lr", type=float, default=None, help="linear probe learning rate")
+    p.add_argument("--probe-epochs", type=int, default=None, help="linear probe epochs")
     p.add_argument("--probe-seed", type=_seed, default=0)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--split-seed", type=_seed, default=0)
@@ -385,13 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="triplet margins and loss-bound report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--triplets", type=int, default=1000)
+    p.add_argument("--triplets", type=int, default=1000,
+                   help="triplet count, also the sample size M in the bound")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--radius", type=float, default=1.0, help="norm bound R")
     p.add_argument("--rademacher", type=float, default=1.0)
-    p.add_argument("--sample-size", type=int, default=None,
-                   help="M in the bound (default: triplet count)")
     p.add_argument("--delta-conf", type=float, default=0.05)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=1.0)

@@ -312,16 +312,6 @@ class ComparisonReport:
     knn_delta: float
     probe_delta: float
 
-    def to_csv_row(self) -> tuple[list[str], list[str]]:
-        header = ["orig_knn", "orig_probe", "refined_knn", "refined_probe",
-                  "knn_delta", "probe_delta"]
-        row = [f"{v:.6f}" for v in (
-            self.original.knn_score, self.original.probe_accuracy,
-            self.refined.knn_score, self.refined.probe_accuracy,
-            self.knn_delta, self.probe_delta,
-        )]
-        return header, row
-
 
 def evaluate_embeddings(
     dataset: EmbeddingDataset,

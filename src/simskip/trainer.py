@@ -75,7 +75,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-    checkpoint_path: str | None
     config: TrainConfig
 
     def to_json_dict(self) -> dict:
@@ -83,7 +82,6 @@ class TrainReport:
             "epoch_losses": list(self.epoch_losses),
             "epochs_run": len(self.epoch_losses),
             "final_loss": self.epoch_losses[-1] if self.epoch_losses else None,
-            "checkpoint_path": self.checkpoint_path,
             "config": dataclasses.asdict(self.config),
         }
 
@@ -199,7 +197,7 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         if not np.all(np.isfinite(params.flat)):
             raise NumericsError(f"parameters became non-finite at epoch {epoch}")
 
-    return params, TrainReport(epoch_losses=epoch_losses, checkpoint_path=None, config=cfg)
+    return params, TrainReport(epoch_losses=epoch_losses, config=cfg)
 
 
 # ---------------------------------------------------------------------------

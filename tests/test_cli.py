@@ -134,15 +134,13 @@ class TestRefineAndEval:
         assert len(payload["epoch_losses"]) == 3
 
         eval_report = tmp_path / "eval.json"
-        csv_out = tmp_path / "eval.csv"
         assert run(["eval", "--original", synth_file, "--refined", refined,
-                    "--report", eval_report, "--csv", csv_out, "--knn-k", 5]) == 0
+                    "--report", eval_report, "--knn-k", 5]) == 0
         payload = json.loads(eval_report.read_text())
         assert "deltas" in payload["refined"][0]
         assert "knn_score" in payload["refined"][0]["deltas"]
         # the other probe kind rides along in the report
         assert payload["refined"][0]["secondary_probe"]["kind"] == "mlp3"
-        assert csv_out.read_text().startswith("path,orig_knn")
 
     def test_refine_is_idempotent_and_input_untouched(self, tmp_path, synth_file, train_cfg):
         before = sha(synth_file)
@@ -287,7 +285,7 @@ class TestStrictJson:
             "ablate": ["ablate", "--in", synth_file, "--config", train_cfg,
                        "--out", tmp_path / "a.embf"],
             "eval": ["eval", "--original", synth_file, "--refined", refined, "--knn-k", 5,
-                     "--probe-epochs", 20, "--csv", tmp_path / "eval.csv"],
+                     "--probe-epochs", 20],
             "theory": ["theory", "--in", synth_file, "--triplets", 50],
             "augment": ["augment", "--in", synth_file, "--rows", 2],
             "inspect-embf": ["inspect", "--in", refined],
@@ -397,20 +395,26 @@ class TestErrorPaths:
 
     def test_empty_training_split_exits_one(self, tmp_path, synth_file, capsys):
         # floor(0.01 * 80) = 0 training rows
-        report, csv_out = tmp_path / "eval.json", tmp_path / "eval.csv"
-        assert run(["eval", "--original", synth_file, "--refined", synth_file,
-                    "--train-fraction", 0.01, "--report", report, "--csv", csv_out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
-        assert not report.exists() and not csv_out.exists()
-
-    def test_unknown_probe_kind_exits_one(self, tmp_path, synth_file, capsys):
         report = tmp_path / "eval.json"
         assert run(["eval", "--original", synth_file, "--refined", synth_file,
-                    "--probe", "knn", "--report", report]) == 1
+                    "--train-fraction", 0.01, "--report", report]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "probe kind must be 'linear' or 'mlp3'" in err
+        assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
         assert not report.exists()
+
+    # each removed flag, given a value its command once took
+    @pytest.mark.parametrize("command,argv,flag", [
+        ("eval", "--original {d} --refined {d} --report {o} --csv {c}", "--csv"),
+        ("eval", "--original {d} --refined {d} --report {o} --probe mlp3", "--probe"),
+        ("theory", "--in {d} --report {o} --sample-size 10", "--sample-size"),
+        ("gen-synth", "--mix-strength 0.5 --out {o} --mix-seed 3", "--mix-seed"),
+    ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed"])
+    def test_removed_flag_exits_one(self, tmp_path, synth_file, capsys, command, argv, flag):
+        argv = argv.format(d=synth_file, o=tmp_path / "out", c=tmp_path / "e.csv").split()
+        assert run([command, *argv]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and flag in last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
 
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
@@ -433,7 +437,7 @@ class TestErrorPaths:
         assert not report.exists()
 
     @pytest.mark.parametrize("command,flag", [
-        ("gen-synth", "--seed"), ("gen-synth", "--mix-seed"), ("eval", "--split-seed"),
+        ("gen-synth", "--seed"), ("eval", "--split-seed"),
         ("eval", "--probe-seed"), ("theory", "--seed"), ("augment", "--seed"),
         ("refine", "config"), ("ablate", "config")])
     def test_negative_seed_exits_one(self, tmp_path, synth_file, capsys, command, flag):
@@ -468,7 +472,7 @@ class TestErrorPaths:
         ("refine", "--in {d} --out {e} --report {l}"),
         ("ablate", "--in {d} --config {c} --out {l}"),
         ("eval", "--original {d} --refined {e} --report {d}"),
-        ("eval", "--original {d} --refined {d} {e} --csv {l}"),
+        ("eval", "--original {d} --refined {d} {e} --report {l}"),
         ("eval", "--original {l} --refined {e} --report {e}"),
         ("theory", "--in {d} --report {d}"),
         ("augment", "--in {l} --report {d}"),
@@ -494,8 +498,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command,argv", [
         ("refine", "--in {d} --config {c} --out {o} --checkpoint {o}"),
         ("ablate", "--in {d} --out r.embf --checkpoint {o} --report {o}"),
-        ("eval", "--original {d} --refined {d} --report {o} --csv {o}"),
-    ], ids=["refine-out-checkpoint", "ablate-checkpoint-report", "eval-report-csv"])
+    ], ids=["refine-out-checkpoint", "ablate-checkpoint-report"])
     def test_two_outputs_naming_one_file_exit_one(self, tmp_path, synth_file, train_cfg,
                                                   capsys, monkeypatch, command, argv):
         monkeypatch.chdir(tmp_path)
@@ -509,8 +512,8 @@ class TestErrorPaths:
         ("refine", "--in {d} --config {c} --out r.embf --checkpoint m.sskp "
                    "--report nodir/train.json", "--report nodir/train.json: nodir is not"),
         ("gen-synth", "--out nodir/d.embf", "--out nodir/d.embf: nodir is not"),
-        ("eval", "--original {d} --refined {d} --report e.json --csv nodir/e.csv",
-         "--csv nodir/e.csv: nodir is not"),
+        ("eval", "--original {d} --refined {d} --report nodir/e.json",
+         "--report nodir/e.json: nodir is not"),
         ("theory", "--in {d} --report d.embf/bound.json",
          "--report d.embf/bound.json: d.embf is not"),
         ("refine", "--in {d} --config {c} --out adir --report t.json",

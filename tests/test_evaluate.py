@@ -191,6 +191,10 @@ class TestProbes:
         model = train_probe(ds, ProbeConfig(epochs=0))  # zero-init: constant scores
         assert evaluate_probe(model, ds)[0] == 0.5
 
+    def test_unknown_probe_kind_rejected(self):
+        with pytest.raises(ValidationError, match="probe kind must be 'linear' or 'mlp3'"):
+            ProbeConfig(kind="knn")
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
         ds = EmbeddingDataset(rng.standard_normal((20, 3)), np.zeros(20, dtype=int))

@@ -31,13 +31,13 @@ def _break_writes(monkeypatch):
                         raising=False)
 
 
-def _write_eval_csv(path):
+def _write_eval_report(path):
     data = path.with_name("d.embf")
     if not data.exists():
         labels = np.arange(20) % 2
         save_embeddings(EmbeddingDataset(np.arange(40.0).reshape(20, 2), labels), data)
     return parse_and_run(["eval", "--original", str(data), "--refined", str(data),
-                          "--probe-epochs", "2", "--csv", str(path)])
+                          "--probe-epochs", "2", "--report", str(path)])
 
 
 WRITERS = {
@@ -67,19 +67,19 @@ class TestAtomicWrite:
         utils.atomic_write(path, [])
         assert path.read_bytes() == b""
 
-    def test_failed_eval_csv_exits_one_and_keeps_previous_file(self, tmp_path, monkeypatch,
-                                                               capsys):
-        path = tmp_path / "eval.csv"
-        assert _write_eval_csv(path) == 0
+    def test_failed_eval_report_exits_one_and_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        path = tmp_path / "eval.json"
+        assert _write_eval_report(path) == 0
         before = path.read_bytes()
         path.write_text("previous\n")
         _break_writes(monkeypatch)
-        assert _write_eval_csv(path) == 1
+        assert _write_eval_report(path) == 1
         assert "No space left on device" in capsys.readouterr().err
         assert path.read_text() == "previous\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "eval.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "eval.json"]
         monkeypatch.undo()
-        assert _write_eval_csv(path) == 0
+        assert _write_eval_report(path) == 0
         assert path.read_bytes() == before
 
 
