@@ -41,7 +41,7 @@ _EXPORTS = {
     "theory": ("BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
                "sample_triplets", "skip_inequality_check"),
     "trainer": ("TrainConfig", "TrainReport", "adam_init", "adam_step",
-                "load_train_config", "save_train_config", "train"),
+                "load_train_config", "train"),
     "utils": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,6 +48,10 @@ LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: an abbreviated flag is an error, never a longer flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on usage errors; the pipeline contract is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -191,8 +195,7 @@ def _cmd_eval(args) -> int:
                  [("--report", args.report)])
     original = load_embeddings(args.original)
     # the linear probe heads the report; mlp3 rides along at its own rate and epochs
-    linear_cfg = ProbeConfig(kind=LINEAR, hidden_dim=args.hidden_dim, learning_rate=args.probe_lr,
-                             epochs=args.probe_epochs, seed=args.probe_seed)
+    linear_cfg = ProbeConfig(kind=LINEAR, learning_rate=args.probe_lr, epochs=args.probe_epochs)
     mlp3_cfg = ProbeConfig(kind=MLP3, hidden_dim=args.hidden_dim, seed=args.probe_seed)
     split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
     original_entry, refined_entries = None, []
@@ -204,13 +207,14 @@ def _cmd_eval(args) -> int:
             original_entry = {
                 "path": str(args.original),
                 **comp.original.to_json_dict(),
-                "secondary_probe": {"kind": MLP3, "accuracy": mlp3.original.probe_accuracy},
+                "secondary_probe": {"kind": MLP3, "accuracy": mlp3.original.probe_accuracy,
+                                    "probe_config": mlp3_cfg.to_json_dict()},
             }
         refined_entries.append({
             "path": str(path),
             **comp.refined.to_json_dict(),
             "secondary_probe": {"kind": MLP3, "accuracy": mlp3.refined.probe_accuracy,
-                                "delta": mlp3.probe_delta},
+                                "delta": mlp3.probe_delta, "probe_config": mlp3_cfg.to_json_dict()},
             "deltas": {"knn_score": comp.knn_delta, "probe_accuracy": comp.probe_delta},
         })
     _write_json({"original": original_entry, "refined": refined_entries}, args.report)
@@ -345,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined", nargs="+", required=True)
     p.add_argument("--report", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--hidden-dim", type=int, default=64)
+    p.add_argument("--hidden-dim", type=int, default=64, help="mlp3 probe hidden width")
     p.add_argument("--probe-lr", type=float, default=None, help="linear probe learning rate")
     p.add_argument("--probe-epochs", type=int, default=None, help="linear probe epochs")
-    p.add_argument("--probe-seed", type=_seed, default=0)
+    p.add_argument("--probe-seed", type=_seed, default=0, help="mlp3 probe initial weights")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--split-seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_eval)

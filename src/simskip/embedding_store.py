@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError, ValidationError
-from .utils import atomic_write
+from .utils import atomic_write, block_rows
 
 MAGIC = b"EMBF"
 VERSION = 1
@@ -55,7 +55,9 @@ class EmbeddingDataset:
             raise ShapeError(f"vectors must be 2-D, got shape {v.shape}")
         if v.shape[1] < 1:
             raise ValidationError("embedding dimension must be >= 1")
-        if not np.all(np.isfinite(v)):
+        # one block's bool mask at a time, never one for the whole matrix
+        rows = block_rows(v.shape[1], len(v))
+        if not all(np.isfinite(v[r:r + rows]).all() for r in range(0, len(v), rows)):
             raise ValidationError("vectors contain NaN or Inf")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)

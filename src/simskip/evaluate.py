@@ -55,31 +55,32 @@ MLP3 = "mlp3"
 class ProbeConfig:
     kind: str = LINEAR
     hidden_dim: int = 64
-    learning_rate: float | None = None  # None -> per-kind default
+    # None is replaced by the kind's default: linear 0.5 and 500, mlp3 0.01 and 300
+    learning_rate: float | None = None
     epochs: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (LINEAR, MLP3):
             raise ValidationError(f"probe kind must be {LINEAR!r} or {MLP3!r}")
+        if self.learning_rate is None:
+            object.__setattr__(self, "learning_rate", 0.5 if self.kind == LINEAR else 0.01)
+        if self.epochs is None:
+            object.__setattr__(self, "epochs", 500 if self.kind == LINEAR else 300)
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
-        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+        if not 0 < self.learning_rate < np.inf:
             raise ValidationError("probe learning_rate must be finite and > 0")
-        if self.epochs is not None and self.epochs < 0:
+        if self.epochs < 0:
             raise ValidationError("probe epochs must be >= 0")
 
-    @property
-    def resolved_lr(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return 0.5 if self.kind == LINEAR else 0.01
-
-    @property
-    def resolved_epochs(self) -> int:
-        if self.epochs is not None:
-            return self.epochs
-        return 500 if self.kind == LINEAR else 300
+    def to_json_dict(self) -> dict:
+        """The settings the fit reads: a linear probe has no hidden layer and
+        starts at zero, so it reads neither hidden_dim nor seed."""
+        settings = dataclasses.asdict(self)
+        if self.kind == LINEAR:
+            del settings["hidden_dim"], settings["seed"]
+        return settings
 
 
 @dataclass(frozen=True)
@@ -252,16 +253,15 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
         for layer in layers:
             linear_init(layer, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
-    lr = cfg.resolved_lr
     ws = _ProbeWorkspace(layers, y)
-    for t in range(1, cfg.resolved_epochs + 1):
+    for t in range(1, cfg.epochs + 1):
         logits = _probe_forward(layers, xs, ws.acts)
         grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))
         if cfg.kind == LINEAR:
-            grad *= lr
+            grad *= cfg.learning_rate
             flat -= grad
         else:
-            adam_step(flat, grad, state, t, lr)
+            adam_step(flat, grad, state, t, cfg.learning_rate)
 
     return ProbeModel(classes, mean, scale, layers)
 
@@ -298,7 +298,7 @@ class EvalReport:
             "knn_score": self.knn_score,
             "probe_accuracy": self.probe_accuracy,
             "per_class_accuracy": {str(k): v for k, v in self.per_class.items()},
-            "probe_config": dataclasses.asdict(self.probe_config),
+            "probe_config": self.probe_config.to_json_dict(),
             "split_config": dataclasses.asdict(self.split_config),
             "knn_k": self.knn_k,
             "dataset_fingerprint": self.fingerprint,

@@ -3,10 +3,12 @@
 Each step draws a batch, builds two augmented views per example (2N rows,
 pairs interleaved), runs a train-mode forward through encoder + projector,
 evaluates the contrastive loss, backpropagates, and applies one Adam
-update. A single seeded generator drives shuffling, augmentation, and
-dropout, so a fixed (dataset, config, seed) reproduces the loss curve and
-final parameters bitwise. The last partial batch of each epoch is dropped
-to keep the negative count uniform.
+update. Adam runs at the fixed constants of Kingma & Ba (2015), beta1 = 0.9,
+beta2 = 0.999 and eps = 1e-8; its learning rate is the one setting. A
+single seeded generator drives shuffling, augmentation, and dropout, so a
+fixed (dataset, config, seed) reproduces the loss curve and final
+parameters bitwise. The last partial batch of each epoch is dropped to
+keep the negative count uniform.
 
 The model's trainable tensors are views of one vector, its arena (see
 `model`). A run allocates one gradient vector with the same layout, which
@@ -38,7 +40,10 @@ from .model import (
     init_params,
 )
 from .nn_core import TRAIN
-from .utils import atomic_write, block_rows
+from .utils import block_rows
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,14 +54,11 @@ class TrainConfig:
     tau: float = 0.5
     seed: int = 0
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     zero_init_residual_out: bool = True
     skip_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("learning_rate", "tau", "adam_eps"):
+        for name in ("learning_rate", "tau"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
@@ -66,10 +68,6 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        for name in ("adam_beta1", "adam_beta2"):
-            b = getattr(self, name)
-            if not (0.0 < b < 1.0):
-                raise ValidationError(f"{name} must lie in (0,1), got {b}")
 
 
 @dataclass
@@ -96,18 +94,11 @@ def adam_init(params: np.ndarray) -> AdamState:
     return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update of the 1-D vector `params` (a model's
-    arena, say), in place; t counts from 1. `grads` is only read.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
+              lr: float) -> None:
+    """One bias-corrected Adam update at ADAM_BETA1, ADAM_BETA2 and ADAM_EPS
+    of the 1-D vector `params` (a model's arena, say), in place; t counts
+    from 1. `grads` is only read.
 
     A gradient of the wrong shape or with a non-finite entry is rejected
     before anything changes. The update then runs over blocks of as many
@@ -126,24 +117,24 @@ def adam_step(
         raise NumericsError("non-finite gradient")
     width = block_rows(48, params.size)
     buf, step_buf = np.empty(width), np.empty(width)
-    c1, c2 = 1 - beta1**t, 1 - beta2**t
+    c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
     for b0 in range(0, params.size, width):
         b1 = b0 + width
         g, m, v = grads[b0:b1], state.m[b0:b1], state.v[b0:b1]
         scratch, step = buf[:g.size], step_buf[:g.size]
         # m = beta1 * m + (1 - beta1) * g
-        np.multiply(g, 1 - beta1, out=scratch)
-        m *= beta1
+        np.multiply(g, 1 - ADAM_BETA1, out=scratch)
+        m *= ADAM_BETA1
         m += scratch
         # v = beta2 * v + (1 - beta2) * g * g
-        np.multiply(g, 1 - beta2, out=scratch)
+        np.multiply(g, 1 - ADAM_BETA2, out=scratch)
         scratch *= g
-        v *= beta2
+        v *= ADAM_BETA2
         v += scratch
         # params -= lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(v, c2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += eps
+        scratch += ADAM_EPS
         np.divide(m, c1, out=step)
         step *= lr
         step /= scratch
@@ -190,8 +181,7 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
                 )
             t += 1
-            adam_step(params.flat, grad, state, t, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(params.flat, grad, state, t, cfg.learning_rate)
             batch_losses[b] = loss
         epoch_losses.append(float(batch_losses.mean()))
         if not np.all(np.isfinite(params.flat)):
@@ -246,13 +236,3 @@ def load_train_config(path) -> TrainConfig:
         first_line[key] = lineno
         values[name] = _convert(key, value, fields[name])
     return TrainConfig(augment=AugmentConfig(**aug), **top)
-
-
-def save_train_config(cfg: TrainConfig, path) -> None:
-    """Write a config file `load_train_config` parses back to an equal config."""
-    lines = []
-    for name in _TOP_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    for name in _AUG_FIELDS:
-        lines.append(f"augment.{name} = {getattr(cfg.augment, name)}")
-    atomic_write(path, "\n".join(lines) + "\n")

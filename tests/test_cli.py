@@ -210,6 +210,20 @@ class TestRefineAndEval:
         payload = json.loads(report.read_text())
         assert len(payload["refined"]) == 2
 
+    def test_each_probe_record_holds_the_settings_its_fit_reads(self, tmp_path, synth_file):
+        # the linear probe has no hidden layer and starts at zero, so it reads
+        # neither --hidden-dim nor --probe-seed; the mlp3 probe reads all five
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file, "--knn-k", 5,
+                    "--probe-epochs", 20, "--hidden-dim", 8, "--probe-seed", 3,
+                    "--report", report]) == 0
+        payload = json.loads(report.read_text(), parse_constant=reject_constant)
+        linear = {"kind": "linear", "learning_rate": 0.5, "epochs": 20}
+        mlp3 = {"kind": "mlp3", "hidden_dim": 8, "learning_rate": 0.01, "epochs": 300, "seed": 3}
+        for entry in (payload["original"], *payload["refined"]):
+            assert entry["probe_config"] == linear
+            assert entry["secondary_probe"]["probe_config"] == mlp3
+
 
 class TestExtremeInputs:
     """Inputs at the edge of the numerics still refine to finite output."""
@@ -359,7 +373,7 @@ class TestErrorPaths:
                     "--out", tmp_path / "r.embf"]) == 1
 
     @pytest.mark.parametrize("line", [
-        "tau = nan", "tau = inf", "learning_rate = inf", "adam_eps = nan",
+        "tau = nan", "tau = inf", "learning_rate = inf",
         "augment.noise_scale = nan", "augment.noise_scale = inf"])
     def test_non_finite_train_config_exits_one(self, tmp_path, synth_file, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -384,6 +398,17 @@ class TestErrorPaths:
         assert err.splitlines()[-1].startswith("error:") and "epochs" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
+
+    # Adam runs at fixed constants, so its former keys are unknown ones
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])
+    def test_removed_config_key_exits_one(self, tmp_path, synth_file, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"epochs = 1\nbatch_size = 32\n{key} = 0.5\n")
+        assert run(["refine", "--in", synth_file, "--config", cfg, "--out", tmp_path / "r.embf",
+                    "--checkpoint", tmp_path / "m.sskp", "--report", tmp_path / "r.json"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and f"unknown config key {key!r}" in last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "old.cfg"]
 
     def test_repeated_config_key_exits_one(self, tmp_path, synth_file, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -415,6 +440,13 @@ class TestErrorPaths:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error:") and flag in last
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
+
+    def test_abbreviated_flag_exits_one(self, tmp_path, capsys):
+        # with prefix matching, --mix would run as --mix-strength
+        assert run(["gen-synth", "--mix", 0.5, "--out", tmp_path / "x.embf"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and "--mix" in last
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
@@ -574,7 +606,7 @@ PUBLIC_NAMES = {
     "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
                "sample_triplets", "skip_inequality_check"],
     "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
-                "load_train_config", "save_train_config", "train"],
+                "load_train_config", "train"],
 }
 
 
@@ -611,9 +643,11 @@ class TestImports:
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             simskip.no_such_name  # noqa: B018
 
-    @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss"])
+    @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss",
+                                      "save_train_config"])
     def test_removed_names_raise_attribute_error(self, name):
-        # EMBF is the one file format; skip_inequality_check is the one L_un path
+        # EMBF is the one file format; skip_inequality_check is the one L_un path;
+        # only people write config files
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(simskip, name)
 

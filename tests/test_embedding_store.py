@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ class TestDatasetInvariants:
         v = np.ones((2, 2))
         v[1, 0] = np.inf
         with pytest.raises(ValidationError):
+            EmbeddingDataset(v)
+
+    def test_finite_check_runs_in_blocks(self):
+        # a whole-matrix bool mask would take 4.9 MiB here; one block's is 1 MiB
+        v = np.zeros((20_000, 256))
+        tracemalloc.start()
+        try:
+            EmbeddingDataset(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2**20
+        v = v.copy()  # the dataset made the first array read-only
+        v[-1, -1] = np.nan
+        with pytest.raises(ValidationError, match="NaN or Inf"):
             EmbeddingDataset(v)
 
     def test_rejects_label_length_mismatch(self):

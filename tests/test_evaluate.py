@@ -191,6 +191,16 @@ class TestProbes:
         model = train_probe(ds, ProbeConfig(epochs=0))  # zero-init: constant scores
         assert evaluate_probe(model, ds)[0] == 0.5
 
+    @pytest.mark.parametrize("kind,lr,epochs", [(LINEAR, 0.5, 500), (MLP3, 0.01, 300)])
+    def test_unset_rate_and_epochs_take_the_kind_default(self, kind, lr, epochs):
+        cfg = ProbeConfig(kind=kind)
+        assert (cfg.learning_rate, cfg.epochs) == (lr, epochs)
+        cfg = ProbeConfig(kind=kind, learning_rate=0.2, epochs=7)
+        assert (cfg.learning_rate, cfg.epochs) == (0.2, 7)
+        assert ProbeConfig(kind=kind, epochs=0).epochs == 0
+        with pytest.raises(ValidationError, match="learning_rate"):
+            ProbeConfig(kind=kind, learning_rate=0)
+
     def test_unknown_probe_kind_rejected(self):
         with pytest.raises(ValidationError, match="probe kind must be 'linear' or 'mlp3'"):
             ProbeConfig(kind="knn")
@@ -246,7 +256,7 @@ class TestProbes:
         cfg = ProbeConfig(kind=kind, hidden_dim=hidden, epochs=40, seed=5)
         got = train_probe(ds, cfg).layers
         want = reference_train_probe(ds.vectors, ds.labels, kind, hidden,
-                                     cfg.resolved_lr, 40, seed=5)
+                                     cfg.learning_rate, 40, seed=5)
         assert len(got) == len(want)
         for layer, (w, b) in zip(got, want):
             assert np.array_equal(layer.weight, w)

@@ -16,7 +16,6 @@ from simskip.trainer import (
     adam_init,
     adam_step,
     load_train_config,
-    save_train_config,
     train,
 )
 
@@ -25,16 +24,17 @@ def mixture(count_per_class=128, dim=16, seed=7):
     return generate_gaussian_mixture(MixtureSpec(2, dim, count_per_class, seed=seed))
 
 
-def textbook_adam_step(params, grads, state, t, cfg):
-    """Bias-corrected Adam written out of place, one whole tensor at a time."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+def textbook_adam_step(params, grads, state, t, lr):
+    """Bias-corrected Adam at the constants of Kingma & Ba (2015), written
+    out of place, one whole tensor at a time."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for key in sorted(params):
         g = np.asarray(grads[key], dtype=np.float64)
         state.m[key] = b1 * state.m[key] + (1 - b1) * g
         state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
         m_hat = state.m[key] / (1 - b1**t)
         v_hat = state.v[key] / (1 - b2**t)
-        params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        params[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def flat(tensors):
@@ -42,7 +42,7 @@ def flat(tensors):
     return np.concatenate([tensors[k].ravel() for k in sorted(tensors)])
 
 
-def assert_flat_adam_is_textbook(shapes, cfg, seed, steps=5):
+def assert_flat_adam_is_textbook(shapes, lr, seed, steps=5):
     """`adam_step` over the tensors packed into one vector is bitwise the
     textbook update of each tensor on its own, and only reads the gradient."""
     rng = np.random.default_rng(seed)
@@ -55,9 +55,8 @@ def assert_flat_adam_is_textbook(shapes, cfg, seed, steps=5):
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
         grad = flat(grads)
         before = grad.copy()
-        adam_step(got, grad, got_state, t, cfg.learning_rate,
-                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-        textbook_adam_step(want, grads, want_state, t, cfg)
+        adam_step(got, grad, got_state, t, lr)
+        textbook_adam_step(want, grads, want_state, t, lr)
         assert np.array_equal(grad, before)
     assert np.array_equal(got, flat(want))
     assert np.array_equal(got_state.m, flat(want_state.m))
@@ -106,9 +105,10 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_bitwise_equal_to_the_textbook_update(self):
-        cfg = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
+        # the constants are the paper's, the ones the textbook step writes out
+        assert (trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
         shapes = {"w1": (6, 3), "b1": (1,), "w2": (3, 6), "s": (5,)}
-        assert_flat_adam_is_textbook(shapes, cfg, seed=4)
+        assert_flat_adam_is_textbook(shapes, 0.003, seed=4)
 
 
 class TestBlockedAdam:
@@ -116,21 +116,19 @@ class TestBlockedAdam:
     so that the vector spans several blocks and blocks straddle tensor
     boundaries."""
 
-    CFG = TrainConfig(learning_rate=0.003, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6)
+    LR = 0.003
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         self.counts = patch_block_budget(monkeypatch, trainer, 5 * 48)
 
     def step(self, params, grads, state, t):
-        cfg = self.CFG
-        adam_step(params, grads, state, t, cfg.learning_rate,
-                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam_step(params, grads, state, t, self.LR)
 
     def test_bitwise_equal_to_the_textbook_update_across_blocks(self):
         # 105 elements: 21 blocks of 5, three of them straddling two tensors
         shapes = {"bias": (1,), "long": (23,), "w": (7, 3), "wide": (3, 12), "t3": (4, 2, 3)}
-        assert_flat_adam_is_textbook(shapes, self.CFG, seed=6)
+        assert_flat_adam_is_textbook(shapes, self.LR, seed=6)
         assert self.counts == [21] * 5
 
     def test_non_finite_gradient_leaves_its_tensor_untouched(self):
@@ -220,8 +218,6 @@ class TestTrain:
             TrainConfig(batch_size=1)
         with pytest.raises(ValidationError):
             TrainConfig(tau=0.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(adam_beta1=1.0)
 
 
 class TestConfigFile:
@@ -229,7 +225,6 @@ class TestConfigFile:
         cfg = TrainConfig(
             learning_rate=0.0003, batch_size=64, epochs=12, tau=0.2, seed=42,
             augment=AugmentConfig(mask_prob=0.25, noise_scale=0.5),
-            adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
             zero_init_residual_out=False, skip_enabled=False,
         )
         # every field, nested ones included, differs from its default
@@ -237,7 +232,10 @@ class TestConfigFile:
             for f in dataclasses.fields(got):
                 assert getattr(got, f.name) != getattr(default, f.name), f.name
         path = tmp_path / "train.cfg"
-        save_train_config(cfg, path)
+        path.write_text("".join(
+            f"{prefix}{f.name} = {getattr(obj, f.name)}\n"
+            for prefix, obj in (("", cfg), ("augment.", cfg.augment))
+            for f in dataclasses.fields(obj) if f.name != "augment"))
         assert load_train_config(path) == cfg
 
     def test_partial_file_fills_defaults(self, tmp_path):
