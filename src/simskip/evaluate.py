@@ -12,7 +12,7 @@ Two metrics:
   the lowest-index entries equal to it. The blocks run in one loop on the
   calling thread through two block x N buffers allocated once per call.
 * probe accuracy: a classifier trained on frozen embeddings. Both kinds
-  are a list of nn_core linear layers with ReLU between them, run by one
+  are a list of (weight, bias) layers with ReLU between them, run by one
   forward/backward pair. "linear" is a single layer, multinomial logistic
   regression fit by full-batch gradient descent; "mlp3" is a 3-layer ReLU
   network (input -> hidden -> hidden -> classes) fit with the trainer's
@@ -43,12 +43,14 @@ import numpy as np
 
 from .embedding_store import EmbeddingDataset, dataset_fingerprint, split
 from .errors import ShapeError, ValidationError
-from .nn_core import LinearLayer, flat_views, linear_init
+from .nn_core import flat_views, linear_init
 from .trainer import adam_init, adam_step
 from .utils import block_rows
 
 LINEAR = "linear"
 MLP3 = "mlp3"
+
+_Layers = list[tuple[np.ndarray, np.ndarray]]  # each layer's (weight, bias), input layer first
 
 
 @dataclass(frozen=True)
@@ -145,70 +147,71 @@ class ProbeModel:
     classes: np.ndarray     # original label values, sorted
     feat_mean: np.ndarray
     feat_scale: np.ndarray
-    layers: list[LinearLayer]
+    layers: _Layers
 
     def predict(self, vectors: np.ndarray) -> np.ndarray:
         vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] != self.layers[0].in_dim:
-            raise ShapeError(f"probe expects dim {self.layers[0].in_dim}, got {vectors.shape}")
+        in_dim = self.layers[0][0].shape[1]
+        if vectors.ndim != 2 or vectors.shape[1] != in_dim:
+            raise ShapeError(f"probe expects dim {in_dim}, got {vectors.shape}")
         xs = (vectors - self.feat_mean) / self.feat_scale
-        acts = [np.empty((len(xs), layer.out_dim)) for layer in self.layers]
+        acts = [np.empty((len(xs), weight.shape[0])) for weight, _ in self.layers]
         return self.classes[_probe_forward(self.layers, xs, acts).argmax(axis=1)]
 
 
 class _ProbeWorkspace:
-    """Every buffer one forward/backward pass of a fit writes over its rows,
-    whose class indices are `y`, allocated once so that its steps reuse them."""
+    """Every buffer one forward/backward pass of a fit of the layer `widths`
+    writes over its rows, whose class indices are `y`, allocated once so
+    that its steps reuse them."""
 
-    def __init__(self, layers: list[LinearLayer], y: np.ndarray):
+    def __init__(self, widths: list[int], y: np.ndarray):
         n = len(y)
         # each layer's output; a hidden layer's holds its ReLU output
-        self.acts = [np.empty((n, layer.out_dim)) for layer in layers]
+        self.acts = [np.empty((n, width)) for width in widths[1:]]
         # gradient with respect to the input of layers 1.. (never layer 0's)
-        self.dins = [np.empty((n, layer.in_dim)) for layer in layers[1:]]
+        self.dins = [np.empty((n, width)) for width in widths[1:-1]]
         # one gradient vector laid out like the fit's weight vector
-        self.grad = np.empty(sum(layer.weight.size + layer.bias.size for layer in layers))
-        widths = [layers[0].in_dim] + [layer.out_dim for layer in layers]
+        self.grad = np.empty(sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:])))
         self.grads = _layer_views(self.grad, widths)
         # flat index of each row's label logit in the last layer's output
-        self.label_logits = np.arange(n) * layers[-1].out_dim + y
+        self.label_logits = np.arange(n) * widths[-1] + y
         self.col = np.empty((n, 1))
 
 
-def _layer_views(flat: np.ndarray, widths: list[int]) -> list[LinearLayer]:
-    """Layers whose weights and biases are views of `flat`, end to end;
+def _layer_views(flat: np.ndarray, widths: list[int]) -> _Layers:
+    """(weight, bias) of each layer, views of `flat` laid end to end;
     layer i maps widths[i] features to widths[i + 1]."""
     views = flat_views(flat, [shape for n_in, n_out in zip(widths, widths[1:])
                               for shape in ((n_out, n_in), (n_out,))])
-    return [LinearLayer(w, b) for w, b in zip(views[::2], views[1::2])]
+    return list(zip(views[::2], views[1::2]))
 
 
-def _probe_forward(layers: list[LinearLayer], x: np.ndarray,
-                   acts: list[np.ndarray]) -> np.ndarray:
+def _probe_forward(layers: _Layers, x: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
     """Logits of the layer stack, x @ W.T + b with ReLU between layers,
     written into `acts`, one buffer a layer; the last of them is returned."""
     h = x
-    for i, layer in enumerate(layers):
+    for i, (weight, bias) in enumerate(layers):
         out = acts[i]
-        np.matmul(h, layer.weight.T, out=out)
-        out += layer.bias
+        np.matmul(h, weight.T, out=out)
+        out += bias
         if i < len(layers) - 1:
             np.maximum(out, 0.0, out=out)
         h = out
     return h
 
 
-def _probe_backward(layers: list[LinearLayer], x: np.ndarray, ws: _ProbeWorkspace,
+def _probe_backward(layers: _Layers, x: np.ndarray, ws: _ProbeWorkspace,
                     dlogits: np.ndarray) -> np.ndarray:
     """`ws.grad`, filled after a `_probe_forward` of `x` through `ws`."""
     dh = dlogits
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1:
             np.multiply(dh, ws.acts[i] > 0.0, out=dh)  # ReLU: subgradient 0 at 0
-        np.matmul(dh.T, ws.acts[i - 1] if i else x, out=ws.grads[i].weight)
-        np.einsum("ij->j", dh, out=ws.grads[i].bias)  # rows summed in order
+        dw, db = ws.grads[i]
+        np.matmul(dh.T, ws.acts[i - 1] if i else x, out=dw)
+        np.einsum("ij->j", dh, out=db)  # rows summed in order
         if i:
-            dh = np.matmul(dh, layers[i].weight, out=ws.dins[i - 1])
+            dh = np.matmul(dh, layers[i][0], out=ws.dins[i - 1])
     return ws.grad
 
 
@@ -245,15 +248,16 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
     n_classes = classes.size
 
     widths = [train.dim, *([cfg.hidden_dim] * 2 if cfg.kind == MLP3 else []), n_classes]
-    # every weight and bias is a view of one vector; the linear probe starts at zero
-    flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:])))
+    ws = _ProbeWorkspace(widths, y)
+    # every weight and bias is a view of one vector laid out like the gradient
+    # vector; the linear probe starts at zero
+    flat = np.zeros_like(ws.grad)
     layers = _layer_views(flat, widths)
     if cfg.kind == MLP3:
         rng = np.random.default_rng(cfg.seed)
-        for layer in layers:
-            linear_init(layer, rng)
+        for weight, bias in layers:
+            linear_init(weight, bias, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
-    ws = _ProbeWorkspace(layers, y)
     for t in range(1, cfg.epochs + 1):
         logits = _probe_forward(layers, xs, ws.acts)
         grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))

@@ -17,20 +17,21 @@ With `zero_init_residual_out` the final d x d linear starts at zero, so the
 freshly initialized encoder is exactly the identity map and refinement
 starts from the original embedding.
 
-`PARAM_TABLE` names every tensor once, in the checkpoint's tensor order.
-The trainable tensors are views of one float64 vector, the arena `flat`,
-laid end to end in table order; running statistics are separate arrays.
-Assign to a trainable field through `[...]`, never rebind it. Backward
-passes write each parameter gradient into `grads`, buffers keyed like the
-table (`arena_views` of one gradient vector), and return the input's
-unless told not to form it, as training does.
-A model holds exactly the tensors its checkpoint stores, plus the skip flag
-and the width.
+Every tensor has one name, its `PARAM_TABLE` key ("layer1.gamma"), and
+the table lists them in the checkpoint's tensor order. A model holds
+exactly the tensors its checkpoint stores, in `tensors` keyed like the
+table, plus the skip flag and the width. Forward passes read
+`tensors[key]`; backward passes write each parameter gradient into
+`grads[key]`, buffers keyed the same way (`arena_views` of one gradient
+vector), and return the input's unless told not to form it, as training
+does. The trainable tensors are views of one float64 vector, the arena
+`flat`, laid end to end in table order; batch norm's running statistics
+(`TRAINABLE` leaves them out) are separate arrays that TRAIN-mode forward
+passes update in place. No tensor is ever rebound: assign through `[...]`.
 
 Checkpoint format "SSKP", version 2, little-endian: magic "SSKP", u8
-version, u8 flags (bit0 = skip_enabled), u32 d, then float64 tensors in
-fixed order: layer1 W,gamma,beta,mean,var; layer2 W,gamma,beta,mean,var;
-out W,b; projector1 W,b; projector2 W,b. Version 1 is rejected.
+version, u8 flags (bit0 = skip_enabled), u32 d, then the float64 tensors
+in `PARAM_TABLE` order. Version 1 is rejected.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .embedding_store import EmbeddingDataset
 from .errors import FormatError, ShapeError, ValidationError
 from .nn_core import (
     EVAL,
-    BatchNormLayer,
-    LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
     dropout_apply,
@@ -69,40 +68,24 @@ _CKPT_HEADER = struct.Struct("<4sBBI")  # magic, version, flags, d
 DROPOUT_RATE = 0.1
 
 
+# every tensor of a model, in SSKP order
+PARAM_TABLE = (
+    "layer1.weight", "layer1.gamma", "layer1.beta", "layer1.running_mean", "layer1.running_var",
+    "layer2.weight", "layer2.gamma", "layer2.beta", "layer2.running_mean", "layer2.running_var",
+    "out.weight", "out.bias", "proj1.weight", "proj1.bias", "proj2.weight", "proj2.bias",
+)
+# batch norm keeps its running statistics as state; every other tensor trains
+TRAINABLE = tuple(key for key in PARAM_TABLE if ".running_" not in key)
+_BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")  # batchnorm_apply's order
+
+
 @dataclass
 class SimSkipParams:
     dim: int
     skip_enabled: bool
-    layer1_lin: LinearLayer
-    layer1_bn: BatchNormLayer
-    layer2_lin: LinearLayer
-    layer2_bn: BatchNormLayer
-    out_lin: LinearLayer
-    proj1: LinearLayer
-    proj2: LinearLayer
-    # the arena: every trainable tensor above is a view of this vector
+    # the arena: every trainable tensor is a view of this vector
     flat: np.ndarray
-
-
-# (key, layer attribute, field, trainable), in SSKP tensor order
-PARAM_TABLE = (
-    ("layer1.weight", "layer1_lin", "weight", True),
-    ("layer1.gamma", "layer1_bn", "gamma", True),
-    ("layer1.beta", "layer1_bn", "beta", True),
-    ("layer1.running_mean", "layer1_bn", "running_mean", False),
-    ("layer1.running_var", "layer1_bn", "running_var", False),
-    ("layer2.weight", "layer2_lin", "weight", True),
-    ("layer2.gamma", "layer2_bn", "gamma", True),
-    ("layer2.beta", "layer2_bn", "beta", True),
-    ("layer2.running_mean", "layer2_bn", "running_mean", False),
-    ("layer2.running_var", "layer2_bn", "running_var", False),
-    ("out.weight", "out_lin", "weight", True),
-    ("out.bias", "out_lin", "bias", True),
-    ("proj1.weight", "proj1", "weight", True),
-    ("proj1.bias", "proj1", "bias", True),
-    ("proj2.weight", "proj2", "weight", True),
-    ("proj2.bias", "proj2", "bias", True),
-)
+    tensors: dict[str, np.ndarray]  # keyed and ordered like PARAM_TABLE
 
 
 def _shape(key: str, d: int) -> tuple[int, ...]:
@@ -115,25 +98,20 @@ def _shape(key: str, d: int) -> tuple[int, ...]:
 def arena_views(flat: np.ndarray, d: int) -> dict[str, np.ndarray]:
     """Views of `flat` shaped as the trainable tensors of a width-d model,
     end to end in table order and keyed like `PARAM_TABLE`."""
-    keys = [key for key, _, _, trainable in PARAM_TABLE if trainable]
-    return dict(zip(keys, flat_views(flat, [_shape(key, d) for key in keys])))
+    return dict(zip(TRAINABLE, flat_views(flat, [_shape(key, d) for key in TRAINABLE])))
 
 
 def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
     """A width-d model on a new arena: batch norm starts at gamma 1, beta 0
     and running statistics 0 and 1; the linear tensors are left unfilled."""
-    flat = np.empty(sum(math.prod(_shape(key, d)) for key, _, _, trainable in PARAM_TABLE
-                        if trainable))
+    flat = np.empty(sum(math.prod(_shape(key, d)) for key in TRAINABLE))
     views = arena_views(flat, d)
-    fields: dict[str, dict[str, np.ndarray]] = {}
-    for key, attr, field, trainable in PARAM_TABLE:
-        tensor = views[key] if trainable else np.empty(_shape(key, d))
-        if attr.endswith("_bn"):
-            tensor[...] = field in ("gamma", "running_var")
-        fields.setdefault(attr, {})[field] = tensor
-    layers = {attr: (BatchNormLayer if attr.endswith("_bn") else LinearLayer)(**f)
-              for attr, f in fields.items()}
-    return SimSkipParams(dim=d, skip_enabled=skip_enabled, flat=flat, **layers)
+    tensors = {key: views[key] if key in views else np.empty(_shape(key, d))
+               for key in PARAM_TABLE}
+    for layer in ("layer1", "layer2"):
+        for field, start in zip(_BN_FIELDS, (1.0, 0.0, 0.0, 1.0)):
+            tensors[f"{layer}.{field}"][...] = start
+    return SimSkipParams(dim=d, skip_enabled=skip_enabled, flat=flat, tensors=tensors)
 
 
 def init_params(
@@ -148,25 +126,27 @@ def init_params(
     rng = np.random.default_rng(seed)
     params = _arena_model(d, skip_enabled)
     # drawn straight into the arena; this order fixes the random stream
-    for attr in ("layer1_lin", "layer2_lin", "out_lin", "proj1", "proj2"):
-        linear_init(getattr(params, attr), rng, zero=zero_init_residual_out and attr == "out_lin")
+    t = params.tensors
+    for layer in ("layer1", "layer2", "out", "proj1", "proj2"):
+        linear_init(t[layer + ".weight"], t.get(layer + ".bias"), rng,
+                    zero=zero_init_residual_out and layer == "out")
     return params
 
 
-def _block_forward(lin, bn, x, mode, rng):
-    a, lin_cache = linear_apply(lin, x)
-    b, bn_cache = batchnorm_apply(bn, a, mode)
+def _block_forward(t, layer, x, mode, rng):
+    a, lin_cache = linear_apply(x, t[layer + ".weight"])
+    b, bn_cache = batchnorm_apply(a, *(t[f"{layer}.{field}"] for field in _BN_FIELDS), mode)
     c, relu_cache = relu_apply(b)
     y, drop_cache = dropout_apply(c, DROPOUT_RATE, mode, rng)
     return y, (lin_cache, bn_cache, relu_cache, drop_cache)
 
 
-def _block_backward(cache, dout, grads, name, input_grad=True):
+def _block_backward(cache, dout, grads, layer, input_grad=True):
     lin_cache, bn_cache, relu_cache, drop_cache = cache
     d1 = dropout_backward(drop_cache, dout)
     d2 = relu_backward(relu_cache, d1)
-    d3 = batchnorm_backward(bn_cache, d2, grads[name + ".gamma"], grads[name + ".beta"])
-    return linear_backward(lin_cache, d3, grads[name + ".weight"], None, input_grad)
+    d3 = batchnorm_backward(bn_cache, d2, grads[layer + ".gamma"], grads[layer + ".beta"])
+    return linear_backward(lin_cache, d3, grads[layer + ".weight"], None, input_grad)
 
 
 def encoder_forward(
@@ -179,9 +159,10 @@ def encoder_forward(
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"expected input (B, {params.dim}), got {x.shape}")
-    h1, c1 = _block_forward(params.layer1_lin, params.layer1_bn, x, mode, rng)
-    h2, c2 = _block_forward(params.layer2_lin, params.layer2_bn, h1, mode, rng)
-    r, c_out = linear_apply(params.out_lin, h2)
+    t = params.tensors
+    h1, c1 = _block_forward(t, "layer1", x, mode, rng)
+    h2, c2 = _block_forward(t, "layer2", h1, mode, rng)
+    r, c_out = linear_apply(h2, t["out.weight"], t["out.bias"])
     out = x + r if params.skip_enabled else r
     return out, (c1, c2, c_out, params.skip_enabled)
 
@@ -202,9 +183,10 @@ def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
 
 def projector_forward(params: SimSkipParams, h_batch: np.ndarray):
     """z = proj2(relu(proj1(h))); no stochastic layers, so no mode or rng."""
-    a, c1 = linear_apply(params.proj1, h_batch)
+    t = params.tensors
+    a, c1 = linear_apply(h_batch, t["proj1.weight"], t["proj1.bias"])
     b, c_relu = relu_apply(a)
-    z, c2 = linear_apply(params.proj2, b)
+    z, c2 = linear_apply(b, t["proj2.weight"], t["proj2.bias"])
     return z, (c1, c_relu, c2)
 
 
@@ -253,20 +235,17 @@ def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset
 
 
 def parameter_counts(d: int) -> dict[str, int]:
-    """Weight-matrix entry counts (biases excluded, matching the reporting convention)."""
-    names = {"encoder_layer1": "layer1", "encoder_layer2": "layer2", "encoder_out_linear": "out",
-             "projector_layer1": "proj1", "projector_layer2": "proj2"}
-    return {name: math.prod(_shape(layer + ".weight", d)) for name, layer in names.items()}
+    """Entry counts of the five weight matrices, keyed like `PARAM_TABLE`
+    (biases and batch norm excluded, matching the reporting convention)."""
+    return {key: math.prod(_shape(key, d)) for key in PARAM_TABLE if key.endswith(".weight")}
 
 
 def save_checkpoint(params: SimSkipParams, path) -> None:
     """Write `params` as SSKP, streaming each tensor's buffer to the file."""
     flags = 1 if params.skip_enabled else 0
     header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags, params.dim)
-    atomic_write(path, [header] + [
-        np.ascontiguousarray(getattr(getattr(params, attr), field_name), dtype="<f8")
-        for _, attr, field_name, _ in PARAM_TABLE
-    ])
+    atomic_write(path, [header] + [np.ascontiguousarray(params.tensors[key], dtype="<f8")
+                                   for key in PARAM_TABLE])
 
 
 def load_checkpoint(path) -> SimSkipParams:
@@ -284,7 +263,7 @@ def load_checkpoint(path) -> SimSkipParams:
         raise FormatError(f"{path}: header dim {d} is not a valid even width")
 
     # checked before anything is allocated, so a corrupt d cannot ask for d^2 floats
-    expected = _CKPT_HEADER.size + 8 * sum(math.prod(_shape(key, d)) for key, *_ in PARAM_TABLE)
+    expected = _CKPT_HEADER.size + 8 * sum(math.prod(_shape(key, d)) for key in PARAM_TABLE)
     if len(raw) < expected:
         raise FormatError(f"{path}: truncated tensor data ({len(raw)} bytes, "
                           f"expected {expected} for d={d})")
@@ -293,13 +272,12 @@ def load_checkpoint(path) -> SimSkipParams:
 
     params = _arena_model(d, skip_enabled=bool(flags & 1))
     off = _CKPT_HEADER.size
-    for key, attr, field_name, _ in PARAM_TABLE:
-        tensor = getattr(getattr(params, attr), field_name)
+    for key, tensor in params.tensors.items():
         tensor[...] = np.frombuffer(raw, dtype="<f8", count=tensor.size,
                                     offset=off).reshape(tensor.shape)
         if not np.all(np.isfinite(tensor)):
             raise FormatError(f"{path}: tensor {key!r} holds NaN or Inf")
-        if field_name == "running_var" and np.any(tensor < 0):
+        if key.endswith(".running_var") and np.any(tensor < 0):
             raise FormatError(f"{path}: tensor {key!r} holds a negative variance")
         off += 8 * tensor.size
     return params

@@ -1,13 +1,15 @@
 """Differentiable building blocks with explicit forward/backward passes.
 
-Every layer follows the same convention: `*_apply` returns (output, cache)
-and the matching `*_backward` consumes the cache plus the upstream gradient
-and returns the input gradient; parameter gradients go into buffers the
-caller passes (views of one gradient vector, in `model`). Parameters may be
-views too: assign to them through `[...]`, never rebind them. ReLU and
-dropout hold no parameters, so they take no layer object; dropout takes
-its rate as an argument. All math runs in float64 so analytic gradients
-can be checked against central finite differences to tight tolerances.
+Every layer is a pair of functions over plain arrays: `*_apply` takes the
+input and the layer's tensors and returns (output, cache), and the matching
+`*_backward` consumes the cache plus the upstream gradient and returns the
+input gradient; parameter gradients go into buffers the caller passes
+(views of one gradient vector, in `model`). Tensors may be views too, and
+no function here rebinds one: TRAIN-mode batch norm writes its running
+statistics into the arrays it is given. Assign to a tensor through `[...]`.
+ReLU and dropout hold no tensors; dropout takes its rate as an argument.
+All math runs in float64 so analytic gradients can be checked against
+central finite differences to tight tolerances.
 
 Modes: TRAIN uses batch statistics / stochastic masks, EVAL is fully
 deterministic (batch norm reads its running stats, dropout is the
@@ -17,7 +19,6 @@ identity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,48 +47,35 @@ def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarr
 # linear
 
 
-@dataclass
-class LinearLayer:
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray | None = None  # (out_dim,); None before batch norm, which cancels it
+def linear_init(weight: np.ndarray, bias: np.ndarray | None, rng: np.random.Generator,
+                zero: bool = False) -> None:
+    """Fill `weight` (out_dim, in_dim), then `bias` (out_dim,; None for a
+    layer without one), in place with Uniform(-1/sqrt(in_dim), +1/sqrt(in_dim)).
 
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-
-def linear_init(layer: LinearLayer, rng: np.random.Generator, zero: bool = False) -> LinearLayer:
-    """Fill `layer` in place with Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
-    weights, then biases (none when `bias` is None), and return it.
-
-    The draws go straight into the layer's (contiguous) arrays, bitwise the
-    values of `rng.uniform(-bound, bound)`. Nonzero biases keep ReLU-dead
-    rows away from the exact zero vector, where cosine similarity is
-    undefined. `zero` zeroes the tensors (the residual output head, so the
-    encoder starts as the identity).
+    The draws go straight into the (contiguous) arrays, bitwise the values
+    of `rng.uniform(-bound, bound)`. Nonzero biases keep ReLU-dead rows away
+    from the exact zero vector, where cosine similarity is undefined. `zero`
+    zeroes the tensors (the residual output head, so the encoder starts as
+    the identity).
     """
-    bound = 1.0 / np.sqrt(layer.in_dim)
-    for tensor in (t for t in (layer.weight, layer.bias) if t is not None):
+    bound = 1.0 / np.sqrt(weight.shape[1])
+    for tensor in (t for t in (weight, bias) if t is not None):
         if zero:
             tensor[...] = 0.0
         else:
             rng.random(out=tensor)
             tensor *= 2 * bound
             tensor -= bound
-    return layer
 
 
-def linear_apply(layer: LinearLayer, x: np.ndarray):
-    """out = x @ W.T + b rowwise over the batch, or x @ W.T with no bias."""
+def linear_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None):
+    """out = x @ weight.T + bias rowwise over the batch, or x @ weight.T when
+    `bias` is None (a layer before batch norm, which cancels any bias)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
-        raise ShapeError(f"expected input (B, {layer.in_dim}), got {x.shape}")
-    out = x @ layer.weight.T if layer.bias is None else x @ layer.weight.T + layer.bias
-    return out, (x, layer.weight)
+    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"expected input (B, {weight.shape[1]}), got {x.shape}")
+    out = x @ weight.T if bias is None else x @ weight.T + bias
+    return out, (x, weight)
 
 
 def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray | None,
@@ -112,33 +100,14 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - momentum) * old + momentum * batch
 
 
-@dataclass
-class BatchNormLayer:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.running_var < 0):
-            raise ValidationError("running_var must be nonnegative")
-
-
-def batchnorm_init(dim: int) -> BatchNormLayer:
-    return BatchNormLayer(
-        gamma=np.ones(dim),
-        beta=np.zeros(dim),
-        running_mean=np.zeros(dim),
-        running_var=np.ones(dim),
-    )
-
-
-def batchnorm_apply(layer: BatchNormLayer, x: np.ndarray, mode: str = EVAL):
-    """Normalize per column; TRAIN uses (biased) batch stats and updates running stats."""
+def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                    running_mean: np.ndarray, running_var: np.ndarray, mode: str = EVAL):
+    """Normalize per column. TRAIN uses the (biased) batch statistics and
+    updates `running_mean` and `running_var` in place; EVAL reads them."""
     _check_mode(mode)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.gamma.shape[0]:
-        raise ShapeError(f"expected input (B, {layer.gamma.shape[0]}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
+        raise ShapeError(f"expected input (B, {gamma.shape[0]}), got {x.shape}")
     if mode == TRAIN:
         if x.shape[0] < 2:
             raise ValidationError("batch norm in train mode needs a batch of >= 2 rows")
@@ -146,13 +115,14 @@ def batchnorm_apply(layer: BatchNormLayer, x: np.ndarray, mode: str = EVAL):
         var = x.var(axis=0)  # biased (divide by B)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
-        layer.running_mean = (1 - BN_MOMENTUM) * layer.running_mean + BN_MOMENTUM * mean
-        layer.running_var = (1 - BN_MOMENTUM) * layer.running_var + BN_MOMENTUM * var
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            running *= 1 - BN_MOMENTUM
+            running += BN_MOMENTUM * batch
     else:
-        inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
-        xhat = (x - layer.running_mean) * inv_std
-    out = layer.gamma * xhat + layer.beta
-    return out, (xhat, inv_std, layer.gamma, mode)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
+        xhat = (x - running_mean) * inv_std
+    out = gamma * xhat + beta
+    return out, (xhat, inv_std, gamma, mode)
 
 
 def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,

@@ -215,11 +215,16 @@ def _convert(key: str, value: str, kind):
 
 
 def load_train_config(path) -> TrainConfig:
-    """Parse a key/value config file into a TrainConfig."""
+    """Parse a key/value config file, UTF-8 text, into a TrainConfig."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+                              f"at offset {exc.start})") from None
     top: dict = {}
     aug: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

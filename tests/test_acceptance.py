@@ -25,10 +25,8 @@ from simskip.model import (
 from simskip.nn_core import (
     EVAL,
     TRAIN,
-    LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
-    batchnorm_init,
     dropout_apply,
     dropout_backward,
     grad_check,
@@ -54,14 +52,15 @@ def test_c01_gradient_correctness():
     rng = np.random.default_rng(0)
 
     # linear layer
-    layer = linear_init(LinearLayer(np.empty((2, 3)), np.empty(2)), rng)
+    weight, bias = np.empty((2, 3)), np.empty(2)
+    linear_init(weight, bias, rng)
     x = rng.standard_normal((4, 3))
     r = rng.standard_normal((4, 2))
-    arrays = {"w": layer.weight, "b": layer.bias, "x": x}
+    arrays = {"w": weight, "b": bias, "x": x}
 
     def linear_loss():
-        out, cache = linear_apply(layer, x)
-        dw, db = np.empty_like(layer.weight), np.empty_like(layer.bias)
+        out, cache = linear_apply(x, weight, bias)
+        dw, db = np.empty_like(weight), np.empty_like(bias)
         dx = linear_backward(cache, r, dw, db)
         return float((out * r).sum()), {"w": dw, "b": db, "x": dx}
 
@@ -76,9 +75,7 @@ def test_c01_gradient_correctness():
     bn_arrays = {"gamma": gamma, "beta": beta, "x": xb}
 
     def bn_loss():
-        bn = batchnorm_init(3)
-        bn.gamma, bn.beta = gamma.copy(), beta.copy()
-        out, cache = batchnorm_apply(bn, xb, TRAIN)
+        out, cache = batchnorm_apply(xb, gamma, beta, np.zeros(3), np.ones(3), TRAIN)
         dgamma, dbeta = np.empty(3), np.empty(3)
         dx = batchnorm_backward(cache, rb, dgamma, dbeta)
         return float((out * rb).sum()), {"gamma": dgamma, "beta": dbeta, "x": dx}
@@ -111,10 +108,10 @@ def test_c01_gradient_correctness():
 
     # full encoder + projector + contrastive loss graph, d=8, B=4, eval mode
     params = init_params(8, seed=1, zero_init_residual_out=False)
-    params.layer1_bn.running_mean += 0.1 * rng.standard_normal(4)
-    params.layer1_bn.running_var += 0.5 * rng.random(4)
-    params.layer2_bn.running_mean += 0.1 * rng.standard_normal(8)
-    params.layer2_bn.running_var += 0.5 * rng.random(8)
+    params.tensors["layer1.running_mean"] += 0.1 * rng.standard_normal(4)
+    params.tensors["layer1.running_var"] += 0.5 * rng.random(4)
+    params.tensors["layer2.running_mean"] += 0.1 * rng.standard_normal(8)
+    params.tensors["layer2.running_var"] += 0.5 * rng.random(8)
     pairs = rng.standard_normal((8, 8))
     grad = np.empty_like(params.flat)
     grads = arena_views(grad, 8)

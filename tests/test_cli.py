@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -16,7 +17,7 @@ from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
 from simskip.evaluate import ProbeConfig
-from simskip.model import load_checkpoint
+from simskip.model import init_params, load_checkpoint, save_checkpoint
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import load_train_config
 
@@ -344,7 +345,7 @@ class TestInspectCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "checkpoint"
         assert payload["dim"] == 8
-        assert payload["weight_parameter_counts"]["encoder_layer1"] == 8 * 4
+        assert payload["weight_parameter_counts"]["layer1.weight"] == 8 * 4
 
 
 class TestErrorPaths:
@@ -398,6 +399,24 @@ class TestErrorPaths:
         assert err.splitlines()[-1].startswith("error:") and "epochs" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
+
+    @pytest.mark.parametrize("command", ["refine", "ablate"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff"])
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, synth_file, capsys, command,
+                                               kind):
+        cfg = tmp_path / "m.cfg"
+        if kind == "checkpoint":  # a binary file passed as the config
+            save_checkpoint(init_params(8, seed=0), cfg)
+            where = r"byte 0x[0-9a-f]{2} at offset \d+"
+        else:
+            cfg.write_bytes(b"epochs = 1\nbatch_size = 32\nseed = 1\xff\n")
+            where = r"byte 0xff at offset 35"
+        assert run([command, "--in", synth_file, "--config", cfg, "--out", tmp_path / "r.embf",
+                    "--checkpoint", tmp_path / "r.sskp", "--report", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(cfg))}: not UTF-8 text \({where}\)\n", err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "m.cfg"]
 
     # Adam runs at fixed constants, so its former keys are unknown ones
     @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])

@@ -177,9 +177,9 @@ class TestProbes:
         cfg = ProbeConfig(kind=MLP3, hidden_dim=16, epochs=50, seed=3)
         m1 = train_probe(ds, cfg)
         m2 = train_probe(ds, cfg)
-        for l1, l2 in zip(m1.layers, m2.layers):
-            assert np.array_equal(l1.weight, l2.weight)
-            assert np.array_equal(l1.bias, l2.bias)
+        for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
+            assert np.array_equal(w1, w2)
+            assert np.array_equal(b1, b2)
 
     def test_mlp_probe_fits_separable_data(self):
         ds = two_clusters(per=50, sep=10.0, sigma=1.0)
@@ -258,9 +258,9 @@ class TestProbes:
         want = reference_train_probe(ds.vectors, ds.labels, kind, hidden,
                                      cfg.learning_rate, 40, seed=5)
         assert len(got) == len(want)
-        for layer, (w, b) in zip(got, want):
-            assert np.array_equal(layer.weight, w)
-            assert np.array_equal(layer.bias, b)
+        for (got_w, got_b), (w, b) in zip(got, want):
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(got_b, b)
 
 
 class TestCompare:

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from simskip import trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import FormatError, ShapeError, ValidationError
 from simskip.model import (
     PARAM_TABLE,
+    TRAINABLE,
     arena_views,
     contrastive_loss_and_grads,
     encoder_backward,
@@ -65,11 +67,11 @@ class TestInit:
 
     def test_parameter_count_scheme(self):
         counts = parameter_counts(16)
-        assert counts["encoder_layer1"] == 16 * 8
-        assert counts["encoder_layer2"] == 8 * 16
-        assert counts["encoder_out_linear"] == 16 * 16
-        assert counts["projector_layer1"] == 16 * 16
-        assert counts["projector_layer2"] == 16 * 16
+        assert counts["layer1.weight"] == 16 * 8
+        assert counts["layer2.weight"] == 8 * 16
+        assert counts["out.weight"] == 16 * 16
+        assert counts["proj1.weight"] == 16 * 16
+        assert counts["proj2.weight"] == 16 * 16
 
 
 class TestEncoder:
@@ -107,18 +109,18 @@ class TestEncoder:
 class TestProjector:
     def test_identity_on_nonnegative_orthant(self):
         params = init_params(4, seed=7)
-        params.proj1.weight = np.eye(4)
-        params.proj1.bias = np.zeros(4)
-        params.proj2.weight = np.eye(4)
-        params.proj2.bias = np.zeros(4)
+        params.tensors["proj1.weight"][...] = np.eye(4)
+        params.tensors["proj1.bias"][...] = 0.0
+        params.tensors["proj2.weight"][...] = np.eye(4)
+        params.tensors["proj2.bias"][...] = 0.0
         h = np.abs(np.random.default_rng(8).standard_normal((3, 4)))
         z, _ = projector_forward(params, h)
         assert np.array_equal(z, h)
 
     def test_null_second_layer(self):
         params = init_params(4, seed=9)
-        params.proj2.weight = np.zeros((4, 4))
-        params.proj2.bias = np.zeros(4)
+        params.tensors["proj2.weight"][...] = 0.0
+        params.tensors["proj2.bias"][...] = 0.0
         z, _ = projector_forward(params, np.random.default_rng(10).standard_normal((3, 4)))
         assert np.array_equal(z, np.zeros((3, 4)))
 
@@ -127,11 +129,9 @@ class TestProjector:
         params = init_params(6, seed=11)
         h = rng.standard_normal((4, 6))
         r = rng.standard_normal((4, 6))
-        arrays = {
-            "proj1.weight": params.proj1.weight, "proj1.bias": params.proj1.bias,
-            "proj2.weight": params.proj2.weight, "proj2.bias": params.proj2.bias,
-            "input": h,
-        }
+        arrays = {key: params.tensors[key] for key in
+                  ("proj1.weight", "proj1.bias", "proj2.weight", "proj2.bias")}
+        arrays["input"] = h
         grads = arena_views(np.empty_like(params.flat), 6)
 
         def loss_fn():
@@ -147,10 +147,10 @@ class TestFullGraph:
         rng = np.random.default_rng(12)
         params = init_params(8, seed=12, zero_init_residual_out=False)
         # nudge running stats so eval-mode batch norm is not a pure rescale
-        params.layer1_bn.running_mean += 0.1 * rng.standard_normal(4)
-        params.layer1_bn.running_var += 0.5 * rng.random(4)
-        params.layer2_bn.running_mean += 0.1 * rng.standard_normal(8)
-        params.layer2_bn.running_var += 0.5 * rng.random(8)
+        params.tensors["layer1.running_mean"] += 0.1 * rng.standard_normal(4)
+        params.tensors["layer1.running_var"] += 0.5 * rng.random(4)
+        params.tensors["layer2.running_mean"] += 0.1 * rng.standard_normal(8)
+        params.tensors["layer2.running_var"] += 0.5 * rng.random(8)
         pairs = rng.standard_normal((8, 8))  # batch of 4 positive pairs
         grad = np.empty_like(params.flat)
         grads = arena_views(grad, 8)
@@ -258,11 +258,9 @@ class TestCheckpoint:
         assert back.dim == params.dim and back.skip_enabled == params.skip_enabled
         for key, arr in arena_views(params.flat, params.dim).items():
             assert np.array_equal(arr, arena_views(back.flat, back.dim)[key]), key
-        for attr in ("layer1_bn", "layer2_bn"):
-            assert np.array_equal(getattr(params, attr).running_mean,
-                                  getattr(back, attr).running_mean)
-            assert np.array_equal(getattr(params, attr).running_var,
-                                  getattr(back, attr).running_var)
+        for key in ("layer1.running_mean", "layer1.running_var",
+                    "layer2.running_mean", "layer2.running_var"):
+            assert np.array_equal(params.tensors[key], back.tensors[key]), key
 
     def test_skip_flag_round_trips(self, tmp_path):
         params = init_params(8, seed=18, skip_enabled=False, zero_init_residual_out=False)
@@ -308,14 +306,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("attr,field,value,message", [
-        ("out_lin", "weight", np.nan, "'out.weight' holds NaN or Inf"),
-        ("layer1_bn", "running_mean", np.inf, "'layer1.running_mean' holds NaN or Inf"),
-        ("layer2_bn", "running_var", -0.5, "'layer2.running_var' holds a negative variance"),
+    @pytest.mark.parametrize("key,value,message", [
+        ("out.weight", np.nan, "'out.weight' holds NaN or Inf"),
+        ("layer1.running_mean", np.inf, "'layer1.running_mean' holds NaN or Inf"),
+        ("layer2.running_var", -0.5, "'layer2.running_var' holds a negative variance"),
     ], ids=["nan-weight", "inf-running-mean", "negative-running-var"])
-    def test_bad_tensor_values_are_rejected(self, tmp_path, capsys, attr, field, value, message):
+    def test_bad_tensor_values_are_rejected(self, tmp_path, capsys, key, value, message):
         params = self._trained_like_params()
-        getattr(getattr(params, attr), field)[1] = value
+        params.tensors[key][1] = value
         path = tmp_path / "m.sskp"
         save_checkpoint(params, path)
         with pytest.raises(FormatError, match=message):
@@ -341,11 +339,9 @@ class TestParamTable:
         z, proj_cache = projector_forward(params, h)
         grad = np.full_like(params.flat, np.nan)
         grads = arena_views(grad, 6)
-        trainable = [(key, getattr(getattr(params, attr), field))
-                     for key, attr, field, is_trainable in PARAM_TABLE if is_trainable]
-        assert list(grads) == [key for key, _ in trainable]
-        for key, arr in trainable:
-            assert grads[key].shape == arr.shape, key
+        assert list(grads) == list(TRAINABLE)
+        for key in TRAINABLE:
+            assert grads[key].shape == params.tensors[key].shape, key
         projector_backward(proj_cache, np.ones_like(z), grads)
         for key, view in grads.items():
             # the projector writes its own tensors and nothing else
@@ -359,9 +355,9 @@ class TestParamTable:
         save_checkpoint(trained, tmp_path / "m.sskp")
         for params in (init_params(6, seed=3), load_checkpoint(tmp_path / "m.sskp"), trained):
             views = arena_views(params.flat, 6)
-            for key, attr, field, trainable in PARAM_TABLE:
-                arr = getattr(getattr(params, attr), field)
-                if not trainable:  # the running statistics live apart
+            for key in PARAM_TABLE:
+                arr = params.tensors[key]
+                if key not in TRAINABLE:  # the running statistics live apart
                     assert not np.shares_memory(arr, params.flat), key
                     continue
                 assert np.shares_memory(arr, params.flat), key
@@ -370,12 +366,53 @@ class TestParamTable:
         with pytest.raises(ShapeError):
             arena_views(np.empty(trained.flat.size + 1), 6)
 
+    def test_no_tensor_is_rebound(self, tmp_path, monkeypatch):
+        # a TRAIN forward pass and a training run write every tensor through
+        # the buffer `init_params` made, and the checkpoint holds what they wrote
+        made = []
+
+        def recorded_init_params(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            made.append(dict(params.tensors))
+            return params
+
+        def assert_in_place(params, buffers):
+            for key in PARAM_TABLE:
+                assert params.tensors[key] is buffers[key], key
+                assert np.shares_memory(params.tensors[key], params.flat) == (key in TRAINABLE)
+            save_checkpoint(params, tmp_path / "m.sskp")
+            back = load_checkpoint(tmp_path / "m.sskp")
+            for key in PARAM_TABLE:
+                assert np.array_equal(back.tensors[key], params.tensors[key]), key
+
+        params = recorded_init_params(6, seed=3)
+        x = np.random.default_rng(4).standard_normal((8, 6))
+        encoder_forward(params, x, TRAIN, np.random.default_rng(5))
+        assert_in_place(params, made[0])
+        # layer 1's batch statistics come before any dropout: from mean 0 and var 1
+        a = x @ params.tensors["layer1.weight"].T
+        assert np.array_equal(params.tensors["layer1.running_mean"], 0.1 * a.mean(axis=0))
+        assert np.array_equal(params.tensors["layer1.running_var"],
+                              0.9 * 1.0 + 0.1 * a.var(axis=0))
+
+        monkeypatch.setattr(trainer, "init_params", recorded_init_params)
+        ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))
+        trained, _ = train(ds, TrainConfig(batch_size=16, epochs=1, seed=2))
+        assert len(made) == 2
+        assert_in_place(trained, made[1])
+        assert trained.tensors["layer2.running_mean"].any()  # moved off its start
+
     def test_table_covers_every_tensor_once(self):
         params = init_params(6, seed=3)
-        fields = [(attr, field) for _, attr, field, _ in PARAM_TABLE]
-        assert len(set(fields)) == len(fields) == 16
-        for attr, field in fields:
-            assert isinstance(getattr(getattr(params, attr), field), np.ndarray)
+        assert len(set(PARAM_TABLE)) == len(PARAM_TABLE) == 16
+        assert all(isinstance(key, str) for key in PARAM_TABLE)
+        assert list(params.tensors) == list(PARAM_TABLE)
+        for key in PARAM_TABLE:
+            assert isinstance(params.tensors[key], np.ndarray), key
+        # the running statistics are the only tensors that do not train
+        assert [key for key in PARAM_TABLE if key not in TRAINABLE] == [
+            "layer1.running_mean", "layer1.running_var",
+            "layer2.running_mean", "layer2.running_var"]
 
 
 class TestCheckpointBytes:

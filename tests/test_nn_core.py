@@ -5,10 +5,8 @@ from simskip.errors import ShapeError, ValidationError
 from simskip.nn_core import (
     EVAL,
     TRAIN,
-    LinearLayer,
     batchnorm_apply,
     batchnorm_backward,
-    batchnorm_init,
     dropout_apply,
     dropout_backward,
     grad_check,
@@ -21,13 +19,20 @@ from simskip.nn_core import (
 
 
 def new_linear(in_dim, out_dim, rng):
-    """A fresh `in_dim -> out_dim` layer, filled by `linear_init`."""
-    return linear_init(LinearLayer(np.empty((out_dim, in_dim)), np.empty(out_dim)), rng)
+    """A fresh `in_dim -> out_dim` layer's (weight, bias), filled by `linear_init`."""
+    weight, bias = np.empty((out_dim, in_dim)), np.empty(out_dim)
+    linear_init(weight, bias, rng)
+    return weight, bias
 
 
-def linear_grads(layer, cache, dout):
+def new_batchnorm(dim):
+    """A fresh batch-norm layer's tensors: gamma 1, beta 0, running mean 0, running var 1."""
+    return np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim)
+
+
+def linear_grads(weight, cache, dout):
     """`linear_backward` into fresh NaN-filled buffers: (dw, db, dx)."""
-    dw, db = np.full_like(layer.weight, np.nan), np.full_like(layer.bias, np.nan)
+    dw, db = np.full_like(weight, np.nan), np.full(weight.shape[0], np.nan)
     dx = linear_backward(cache, dout, dw, db)
     return dw, db, dx
 
@@ -41,128 +46,135 @@ def batchnorm_grads(cache, dout):
 
 class TestLinear:
     def test_identity_map(self):
-        layer = LinearLayer(np.eye(3), np.zeros(3))
         x = np.random.default_rng(0).standard_normal((4, 3))
-        out, _ = linear_apply(layer, x)
+        out, _ = linear_apply(x, np.eye(3), np.zeros(3))
         assert np.array_equal(out, x)
 
     def test_manual_multiply(self):
-        layer = LinearLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
-        out, _ = linear_apply(layer, np.array([[1.0, 1.0]]))
+        out, _ = linear_apply(np.array([[1.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                              np.zeros(2))
         assert np.array_equal(out, [[3.0, 7.0]])
 
     def test_shape_mismatch(self):
-        layer = LinearLayer(np.eye(3), np.zeros(3))
         with pytest.raises(ShapeError):
-            linear_apply(layer, np.ones((2, 4)))
+            linear_apply(np.ones((2, 4)), np.eye(3), np.zeros(3))
 
     def test_zero_upstream_gives_zero_grads(self):
-        layer = new_linear(3, 2, np.random.default_rng(1))
-        out, cache = linear_apply(layer, np.ones((4, 3)))
-        dw, db, dx = linear_grads(layer, cache, np.zeros_like(out))
+        weight, bias = new_linear(3, 2, np.random.default_rng(1))
+        out, cache = linear_apply(np.ones((4, 3)), weight, bias)
+        dw, db, dx = linear_grads(weight, cache, np.zeros_like(out))
         assert not dw.any() and not db.any() and not dx.any()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        layer = new_linear(3, 2, rng)
+        weight, bias = new_linear(3, 2, rng)
         x = rng.standard_normal((4, 3))
         r = rng.standard_normal((4, 2))  # fixed projection makes the loss scalar
 
-        arrays = {"w": layer.weight, "b": layer.bias, "x": x}
+        arrays = {"w": weight, "b": bias, "x": x}
 
         def loss_fn():
-            out, cache = linear_apply(layer, x)
+            out, cache = linear_apply(x, weight, bias)
             loss = float((out * r).sum())
-            dw, db, dx = linear_grads(layer, cache, r)
+            dw, db, dx = linear_grads(weight, cache, r)
             return loss, {"w": dw, "b": db, "x": dx}
 
         assert grad_check(loss_fn, arrays) < 1e-6
 
     def test_batch_gradient_is_sum_of_rows(self):
         rng = np.random.default_rng(3)
-        layer = new_linear(3, 2, rng)
+        weight, bias = new_linear(3, 2, rng)
         row = rng.standard_normal(3)
         g = rng.standard_normal(2)
-        _, cache_single = linear_apply(layer, row[None, :])
-        dw_single, _, _ = linear_grads(layer, cache_single, g[None, :])
-        _, cache_double = linear_apply(layer, np.vstack([row, row]))
-        dw_double, _, _ = linear_grads(layer, cache_double, np.vstack([g, g]))
+        _, cache_single = linear_apply(row[None, :], weight, bias)
+        dw_single, _, _ = linear_grads(weight, cache_single, g[None, :])
+        _, cache_double = linear_apply(np.vstack([row, row]), weight, bias)
+        dw_double, _, _ = linear_grads(weight, cache_double, np.vstack([g, g]))
         assert np.allclose(dw_double, 2.0 * dw_single)
 
     def test_bias_free_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        layer = LinearLayer(rng.standard_normal((2, 3)))
+        weight = rng.standard_normal((2, 3))
         x = rng.standard_normal((4, 3))
         r = rng.standard_normal((4, 2))
 
         def loss_fn():
-            out, cache = linear_apply(layer, x)
-            dw = np.full_like(layer.weight, np.nan)
+            out, cache = linear_apply(x, weight)
+            dw = np.full_like(weight, np.nan)
             dx = linear_backward(cache, r, dw, None)
             return float((out * r).sum()), {"w": dw, "x": dx}
 
-        assert grad_check(loss_fn, {"w": layer.weight, "x": x}) < 1e-6
+        assert grad_check(loss_fn, {"w": weight, "x": x}) < 1e-6
 
     def test_bias_free_backward_matches_the_biased_call(self):
         rng = np.random.default_rng(5)
-        layer = new_linear(3, 2, rng)
-        bias_free = LinearLayer(layer.weight)
+        weight, bias = new_linear(3, 2, rng)
         x, dout = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
-        out, cache = linear_apply(bias_free, x)
-        assert np.array_equal(out, x @ layer.weight.T)
-        dw, _, dx = linear_grads(layer, linear_apply(layer, x)[1], dout)
+        out, cache = linear_apply(x, weight)
+        assert np.array_equal(out, x @ weight.T)
+        dw, _, dx = linear_grads(weight, linear_apply(x, weight, bias)[1], dout)
         dw_free = np.full_like(dw, np.nan)
         dx_free = linear_backward(cache, dout, dw_free, None)
         assert np.array_equal(dw_free, dw) and np.array_equal(dx_free, dx)
 
     def test_bias_free_init_draws_only_the_weight(self):
         rng, twin = np.random.default_rng(6), np.random.default_rng(6)
-        layer = linear_init(LinearLayer(np.empty((2, 3))), rng)
-        assert layer.bias is None
+        weight = np.empty((2, 3))
+        linear_init(weight, None, rng)
         bound = 1 / np.sqrt(3)
-        assert np.array_equal(layer.weight, twin.uniform(-bound, bound, (2, 3)))
+        assert np.array_equal(weight, twin.uniform(-bound, bound, (2, 3)))
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestBatchNorm:
     def test_hand_computed_normalization(self):
         # column (1,3): mean 2, biased var 1 -> +-1/sqrt(1+eps)
-        layer = batchnorm_init(1)
-        out, _ = batchnorm_apply(layer, np.array([[1.0], [3.0]]), TRAIN)
+        out, _ = batchnorm_apply(np.array([[1.0], [3.0]]), *new_batchnorm(1), TRAIN)
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
         assert abs(out[0, 0] + expected) < 1e-12
         assert abs(out[1, 0] - expected) < 1e-12
 
     def test_eval_with_identity_stats(self):
-        layer = batchnorm_init(3)
         x = np.random.default_rng(4).standard_normal((5, 3))
-        out, _ = batchnorm_apply(layer, x, EVAL)
+        out, _ = batchnorm_apply(x, *new_batchnorm(3), EVAL)
         assert np.allclose(out, x, atol=1e-4)  # 1/sqrt(1+eps) effect only
 
     def test_constant_column_normalizes_to_zero(self):
-        layer = batchnorm_init(1)
-        out, _ = batchnorm_apply(layer, np.array([[5.0], [5.0]]), TRAIN)
+        out, _ = batchnorm_apply(np.array([[5.0], [5.0]]), *new_batchnorm(1), TRAIN)
         assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_running_stats_update_rule(self):
-        layer = batchnorm_init(1)
-        layer.running_mean = np.array([1.0])
-        layer.running_var = np.array([2.0])
+        gamma, beta = np.ones(1), np.zeros(1)
+        running_mean, running_var = np.array([1.0]), np.array([2.0])
         x = np.array([[1.0], [3.0]])  # batch mean 2, biased var 1
-        batchnorm_apply(layer, x, TRAIN)
-        assert np.allclose(layer.running_mean, 0.9 * 1.0 + 0.1 * 2.0)
-        assert np.allclose(layer.running_var, 0.9 * 2.0 + 0.1 * 1.0)
+        batchnorm_apply(x, gamma, beta, running_mean, running_var, TRAIN)
+        assert np.allclose(running_mean, 0.9 * 1.0 + 0.1 * 2.0)
+        assert np.allclose(running_var, 0.9 * 2.0 + 0.1 * 1.0)
+
+    def test_train_writes_the_running_stats_into_the_given_buffers(self):
+        # the model's running statistics are never rebound: TRAIN writes
+        # through the arrays it was given, here views of one vector
+        rng = np.random.default_rng(9)
+        stats = np.concatenate([rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)])
+        old = stats.copy()
+        running_mean, running_var = stats[:3], stats[3:]
+        x = rng.standard_normal((6, 3))
+        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var, TRAIN)
+        assert np.shares_memory(running_mean, stats) and np.shares_memory(running_var, stats)
+        assert np.array_equal(stats[:3], 0.9 * old[:3] + 0.1 * x.mean(axis=0))
+        assert np.array_equal(stats[3:], 0.9 * old[3:] + 0.1 * x.var(axis=0))
+        before = stats.copy()
+        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var, EVAL)
+        assert np.array_equal(stats, before)  # EVAL only reads them
 
     def test_train_needs_two_rows(self):
-        layer = batchnorm_init(2)
         with pytest.raises(ValidationError):
-            batchnorm_apply(layer, np.ones((1, 2)), TRAIN)
+            batchnorm_apply(np.ones((1, 2)), *new_batchnorm(2), TRAIN)
 
     def test_gamma_gradient_is_sum_of_normalized_product(self):
         rng = np.random.default_rng(5)
-        layer = batchnorm_init(3)
         x = rng.standard_normal((6, 3))
-        out, cache = batchnorm_apply(layer, x, TRAIN)
+        out, cache = batchnorm_apply(x, *new_batchnorm(3), TRAIN)
         xhat = cache[0]
         g = rng.standard_normal(out.shape)
         dgamma, dbeta, _ = batchnorm_grads(cache, g)
@@ -170,8 +182,8 @@ class TestBatchNorm:
         assert np.allclose(dbeta, g.sum(axis=0))
 
     def test_zero_upstream_gives_zero_grads(self):
-        layer = batchnorm_init(2)
-        _, cache = batchnorm_apply(layer, np.random.default_rng(6).standard_normal((4, 2)), TRAIN)
+        x = np.random.default_rng(6).standard_normal((4, 2))
+        _, cache = batchnorm_apply(x, *new_batchnorm(2), TRAIN)
         dgamma, dbeta, dx = batchnorm_grads(cache, np.zeros((4, 2)))
         assert not dgamma.any() and not dbeta.any() and not dx.any()
 
@@ -184,10 +196,9 @@ class TestBatchNorm:
         params = {"gamma": gamma0.copy(), "beta": beta0.copy(), "x": x}
 
         def loss_fn():
-            layer = batchnorm_init(3)
-            layer.gamma = params["gamma"].copy()
-            layer.beta = params["beta"].copy()
-            out, cache = batchnorm_apply(layer, params["x"], TRAIN)
+            _, _, running_mean, running_var = new_batchnorm(3)
+            out, cache = batchnorm_apply(params["x"], params["gamma"], params["beta"],
+                                         running_mean, running_var, TRAIN)
             loss = float((out * r).sum())
             dgamma, dbeta, dx = batchnorm_grads(cache, r)
             return loss, {"gamma": dgamma, "beta": dbeta, "x": dx}
@@ -198,8 +209,7 @@ class TestBatchNorm:
         # before affine: mean ~0, variance ~ var/(var+eps)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((200, 4)) * 3.0
-        layer = batchnorm_init(4)
-        out, _ = batchnorm_apply(layer, x, TRAIN)
+        out, _ = batchnorm_apply(x, *new_batchnorm(4), TRAIN)
         var = x.var(axis=0)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(out.var(axis=0) - var / (var + 1e-5)) < 1e-6)
