@@ -4,8 +4,8 @@ Subcommands
     gen-synth   write a labeled synthetic mixture as an EMBF file
     refine      train a refiner on an EMBF file; write refined EMBF,
                 checkpoint, and a JSON training report
-    ablate      `refine` with the skip connection removed (reports tagged
-                "simskip-minus")
+    ablate      `refine` without the skip path; the command, never the config
+                file, sets that path (reports tagged "simskip-minus")
     eval        compare an original embedding against refined ones: kNN
                 score and linear probe, with the mlp3 probe alongside
     theory      triplet margins, loss-bound terms, JSON bound report; the
@@ -131,7 +131,8 @@ def _cmd_gen_synth(args) -> int:
     return 0
 
 
-def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
+def _cmd_refine(args) -> int:
+    """`refine`, or `ablate`: the same training with the skip path removed."""
     from .model import refine, save_checkpoint
     from .trainer import TrainConfig, load_train_config, train
 
@@ -140,11 +141,10 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
                   ("--report", args.report)])
     dataset = load_embeddings(args.infile)
     cfg = load_train_config(args.config) if args.config else TrainConfig()
-    if skip_enabled_override is not None:
+    if args.command == "ablate":
         # the ablation removes the skip path; a zero-initialized residual
         # head would then make the encoder the zero map, so drop that too
-        cfg = dataclasses.replace(cfg, skip_enabled=skip_enabled_override,
-                                  zero_init_residual_out=False)
+        cfg = dataclasses.replace(cfg, skip_enabled=False, zero_init_residual_out=False)
 
     if args.lr_sweep and cfg.epochs == 0:
         raise ValidationError("--lr-sweep ranks runs by final loss, so it needs epochs >= 1")
@@ -169,7 +169,7 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
     if args.report:
         payload = report.to_json_dict()
         payload["checkpoint_path"] = args.checkpoint
-        payload["variant"] = variant
+        payload["variant"] = "simskip" if cfg.skip_enabled else "simskip-minus"
         payload["input"] = str(args.infile)
         payload["output"] = str(args.out)
         if sweep_results is not None:
@@ -178,14 +178,6 @@ def _run_refine(args, skip_enabled_override: bool | None, variant: str) -> int:
     print(f"wrote {args.out} (final loss {report.epoch_losses[-1]:.4f})"
           if report.epoch_losses else f"wrote {args.out} (no training epochs)")
     return 0
-
-
-def _cmd_refine(args) -> int:
-    return _run_refine(args, skip_enabled_override=None, variant="simskip")
-
-
-def _cmd_ablate(args) -> int:
-    return _run_refine(args, skip_enabled_override=False, variant="simskip-minus")
 
 
 def _cmd_eval(args) -> int:
@@ -250,11 +242,12 @@ def _cmd_augment(args) -> int:
         raise ValidationError(f"--rows must be >= 1, got {args.rows}")
     _check_paths([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
+    if args.rows > dataset.count:
+        raise ValidationError(f"--rows {args.rows} exceeds the file's {dataset.count} rows")
     cfg = AugmentConfig(mask_prob=args.mask_prob, noise_scale=args.noise_scale)
     rng = np.random.default_rng(args.seed)
-    rows = min(args.rows, dataset.count)
     previews = []
-    for i in range(rows):
+    for i in range(args.rows):
         a, b = make_positive_pair(dataset.vectors[i], cfg, rng)
         previews.append({
             "row": i,
@@ -342,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", default=None, help="JSON training report path")
         p.add_argument("--lr-sweep", action="store_true",
                        help=f"train at each rate in {LEARNING_RATE_GRID} and keep the best")
-        p.set_defaults(func=_cmd_refine if name == "refine" else _cmd_ablate)
+        p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("eval", help="compare original vs refined embeddings")
     p.add_argument("--original", required=True)

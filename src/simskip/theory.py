@@ -238,8 +238,11 @@ def bound_report(
     """JSON-ready summary: margin stats, both L_un values, Gen_M, bound RHS.
 
     The bound RHS uses the identity-map L_un, i.e. the bound as it applies
-    to the dataset's own embedding.
+    to the dataset's own embedding. `inputs` must hold the triplets' M and k.
     """
+    if (inputs.M, inputs.k) != (len(triplets), triplets.k):
+        raise ValidationError(f"bound inputs M = {inputs.M}, k = {inputs.k} do not match the "
+                              f"{len(triplets)} triplets with k = {triplets.k}")
     skip_rep = skip_inequality_check(dataset, triplets)
     g = gen_m(inputs)
     report = skip_rep.to_json_dict()

@@ -16,10 +16,11 @@ every backward pass overwrites, and Adam updates the arena from it in
 place, in cache-sized blocks; the result is bitwise the textbook update.
 
 Config files are plain text, one `key = value` per line with `#` comments,
-each key at most once. Keys match TrainConfig field names; augmentation
-settings are nested as `augment.mask_prob` and `augment.noise_scale`, and a
-zero strength turns its augmentation off. `seed` alone drives every random
-draw of a run, augmentation included.
+each key at most once. The keys are TrainConfig's and AugmentConfig's
+numeric fields, the latter nested as `augment.mask_prob` and
+`augment.noise_scale`; a zero strength turns its augmentation off. The
+command (`refine` or `ablate`), not the file, sets the skip path. `seed`
+alone drives every random draw of a run, augmentation included.
 """
 
 from __future__ import annotations
@@ -193,31 +194,18 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
 # ---------------------------------------------------------------------------
 # config files
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
-
-# each config key's parser, from its field's annotation
-_PARSERS = {"float": float, "int": int, "bool": bool}
+# each config key's parser, from its numeric field's annotation
+_PARSERS = {"float": float, "int": int}
 _TOP_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
-               if f.name != "augment"}
+               if f.type in _PARSERS}
 _AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfig)}
 
 
-def _convert(key: str, value: str, kind):
-    if kind is bool:
-        if value.lower() not in _BOOL_WORDS:
-            raise ValidationError(f"config key {key!r}: expected a boolean, got {value!r}")
-        return _BOOL_WORDS[value.lower()]
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from exc
-
-
 def load_train_config(path) -> TrainConfig:
-    """Parse a key/value config file, UTF-8 text, into a TrainConfig."""
+    """Parse a key/value config file, UTF-8 text, byte-order mark or not, into a TrainConfig."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # dropping the mark after decoding keeps a bad byte's offset a file offset
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
                               f"at offset {exc.start})") from None
@@ -239,5 +227,8 @@ def load_train_config(path) -> TrainConfig:
             raise ValidationError(f"{path}:{lineno}: config key {key!r} is given twice "
                                   f"(lines {first_line[key]} and {lineno})")
         first_line[key] = lineno
-        values[name] = _convert(key, value, fields[name])
+        try:
+            values[name] = fields[name](value)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return TrainConfig(augment=AugmentConfig(**aug), **top)

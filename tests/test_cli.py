@@ -162,6 +162,19 @@ class TestRefineAndEval:
         assert code == 1
         assert "missing.embf" in capsys.readouterr().err
 
+    def test_command_sets_skip_path(self, tmp_path, synth_file, train_cfg):
+        # one config, two commands: only the command decides the variant
+        tags = {}
+        for command in ("refine", "ablate"):
+            report = tmp_path / f"{command}.json"
+            assert run([command, "--in", synth_file, "--config", train_cfg,
+                        "--out", tmp_path / f"{command}.embf", "--report", report]) == 0
+            payload = json.loads(report.read_text())
+            tags[command] = (payload["variant"], payload["config"]["skip_enabled"],
+                             payload["config"]["zero_init_residual_out"])
+        assert tags == {"refine": ("simskip", True, True),
+                        "ablate": ("simskip-minus", False, False)}
+
     def test_ablate_tags_report(self, tmp_path, synth_file, train_cfg):
         refined = tmp_path / "ab.embf"
         report = tmp_path / "ab.json"
@@ -401,16 +414,17 @@ class TestErrorPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
 
     @pytest.mark.parametrize("command", ["refine", "ablate"])
-    @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff", "bom-stray-0xff"])
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, synth_file, capsys, command,
                                                kind):
         cfg = tmp_path / "m.cfg"
         if kind == "checkpoint":  # a binary file passed as the config
             save_checkpoint(init_params(8, seed=0), cfg)
             where = r"byte 0x[0-9a-f]{2} at offset \d+"
-        else:
-            cfg.write_bytes(b"epochs = 1\nbatch_size = 32\nseed = 1\xff\n")
-            where = r"byte 0xff at offset 35"
+        else:  # the offset counts from the start of the file, byte-order mark included
+            bom = b"\xef\xbb\xbf" if kind.startswith("bom") else b""
+            cfg.write_bytes(bom + b"epochs = 1\nbatch_size = 32\nseed = 1\xff\n")
+            where = rf"byte 0xff at offset {35 + len(bom)}"
         assert run([command, "--in", synth_file, "--config", cfg, "--out", tmp_path / "r.embf",
                     "--checkpoint", tmp_path / "r.sskp", "--report", tmp_path / "r.json"]) == 1
         err = capsys.readouterr().err
@@ -418,16 +432,46 @@ class TestErrorPaths:
         assert re.fullmatch(rf"error: {re.escape(str(cfg))}: not UTF-8 text \({where}\)\n", err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "m.cfg"]
 
-    # Adam runs at fixed constants, so its former keys are unknown ones
-    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])
+    # Adam runs at fixed constants and the command sets the skip path, so
+    # those former keys are unknown ones
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps",
+                                     "skip_enabled", "zero_init_residual_out"])
     def test_removed_config_key_exits_one(self, tmp_path, synth_file, capsys, key):
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(f"epochs = 1\nbatch_size = 32\n{key} = 0.5\n")
+        cfg.write_text(f"epochs = 1\nbatch_size = 32\n{key} = 0\n")
+        for command in ("refine", "ablate"):
+            assert run([command, "--in", synth_file, "--config", cfg,
+                        "--out", tmp_path / "r.embf", "--checkpoint", tmp_path / "m.sskp",
+                        "--report", tmp_path / "r.json"]) == 1, command
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == f"error: {cfg}:3: unknown config key {key!r}", command
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "old.cfg"]
+
+    @pytest.mark.parametrize("line,key", [("epochs = 1.5", "epochs"),
+                                          ("learning_rate = 1e-3x", "learning_rate")],
+                             ids=["int", "float"])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, synth_file, capsys, line,
+                                                  key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"batch_size = 32\n{line}\n")
         assert run(["refine", "--in", synth_file, "--config", cfg, "--out", tmp_path / "r.embf",
-                    "--checkpoint", tmp_path / "m.sskp", "--report", tmp_path / "r.json"]) == 1
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error:") and f"unknown config key {key!r}" in last
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "old.cfg"]
+                    "--report", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}:2: config key {key!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "d.embf"]
+
+    def test_config_with_byte_order_mark(self, tmp_path, synth_file):
+        # as some editors save it: the mark is not part of the first key
+        text = b"epochs = 2\nbatch_size = 32\nseed = 3\n"
+        outputs = {}
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            embf, ckpt = tmp_path / f"{name}.embf", tmp_path / f"{name}.sskp"
+            assert run(["refine", "--in", synth_file, "--config", cfg, "--out", embf,
+                        "--checkpoint", ckpt]) == 0
+            outputs[name] = (load_train_config(cfg), embf.read_bytes(), ckpt.read_bytes())
+        assert outputs["bom"] == outputs["plain"]
 
     def test_repeated_config_key_exits_one(self, tmp_path, synth_file, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -587,6 +631,13 @@ class TestErrorPaths:
         report = tmp_path / "aug.json"
         assert run(["augment", "--in", synth_file, "--rows", rows, "--report", report]) == 1
         assert "--rows" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_augment_rows_beyond_the_file_exits_one(self, tmp_path, synth_file, capsys):
+        # previews are never silently cut to the rows the file has
+        report = tmp_path / "aug.json"
+        assert run(["augment", "--in", synth_file, "--rows", 81, "--report", report]) == 1
+        assert "--rows 81 exceeds the file's 80 rows" in capsys.readouterr().err
         assert not report.exists()
 
     def test_console_entry_point(self, tmp_path):

@@ -16,6 +16,7 @@ from simskip.theory import (
     BoundInputs,
     Triplets,
     _l_un,
+    bound_report,
     bound_rhs,
     gen_m,
     sample_triplets,
@@ -306,3 +307,14 @@ class TestBound:
             BoundInputs(M=0)
         with pytest.raises(ValidationError):
             BoundInputs(k=0)
+
+
+class TestBoundReport:
+    @pytest.mark.parametrize("M,k", [(10, 4), (500, 1), (10, 1)],
+                             ids=["M", "k", "both"])
+    def test_inputs_must_match_the_triplets(self, M, k):
+        ds = directional_mixture(num_classes=4, per=20)
+        triplets = sample_triplets(ds, k=4, count=500, seed=0)
+        with pytest.raises(ValidationError, match="do not match the 500 triplets with k = 4"):
+            bound_report(ds, triplets, BoundInputs(M=M, k=k))
+        assert bound_report(ds, triplets, BoundInputs(M=500, k=4))["config"]["M"] == 500
