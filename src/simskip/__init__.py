@@ -36,7 +36,7 @@ _EXPORTS = {
     "losses": ("LossValue", "hinge_loss", "logistic_loss", "nt_xent"),
     "model": ("SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"),
-    "nn_core": ("EVAL", "TRAIN", "grad_check"),
+    "nn_core": ("grad_check",),
     "synth_data": ("MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"),
     "theory": ("BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
                "sample_triplets", "skip_inequality_check"),

@@ -26,8 +26,12 @@ table, plus the skip flag and the width. Forward passes read
 vector), and return the input's unless told not to form it, as training
 does. The trainable tensors are views of one float64 vector, the arena
 `flat`, laid end to end in table order; batch norm's running statistics
-(`TRAINABLE` leaves them out) are separate arrays that TRAIN-mode forward
-passes update in place. No tensor is ever rebound: assign through `[...]`.
+(`TRAINABLE` leaves them out) are separate arrays that training passes
+update in place. No tensor is ever rebound: assign through `[...]`.
+
+A forward pass given a generator `rng` is a training pass: batch norm
+uses batch statistics, and the dropout masks are drawn from `rng`.
+Without one it is the deterministic eval pass that `refine` runs.
 
 Checkpoint format "SSKP", version 2, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then the float64 tensors
@@ -46,7 +50,6 @@ import numpy as np
 from .embedding_store import EmbeddingDataset
 from .errors import FormatError, ShapeError, ValidationError
 from .nn_core import (
-    EVAL,
     batchnorm_apply,
     batchnorm_backward,
     dropout_apply,
@@ -133,11 +136,12 @@ def init_params(
     return params
 
 
-def _block_forward(t, layer, x, mode, rng):
+def _block_forward(t, layer, x, rng):
     a, lin_cache = linear_apply(x, t[layer + ".weight"])
-    b, bn_cache = batchnorm_apply(a, *(t[f"{layer}.{field}"] for field in _BN_FIELDS), mode)
+    b, bn_cache = batchnorm_apply(a, *(t[f"{layer}.{field}"] for field in _BN_FIELDS),
+                                  train=rng is not None)
     c, relu_cache = relu_apply(b)
-    y, drop_cache = dropout_apply(c, DROPOUT_RATE, mode, rng)
+    y, drop_cache = dropout_apply(c, DROPOUT_RATE, rng)
     return y, (lin_cache, bn_cache, relu_cache, drop_cache)
 
 
@@ -152,16 +156,16 @@ def _block_backward(cache, dout, grads, layer, input_grad=True):
 def encoder_forward(
     params: SimSkipParams,
     x_batch: np.ndarray,
-    mode: str = EVAL,
     rng: np.random.Generator | None = None,
 ):
-    """Residual forward pass: x + r(x) when the skip path is enabled."""
+    """Residual forward pass: x + r(x) when the skip path is enabled; a
+    training pass when given `rng`, else the eval pass."""
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"expected input (B, {params.dim}), got {x.shape}")
     t = params.tensors
-    h1, c1 = _block_forward(t, "layer1", x, mode, rng)
-    h2, c2 = _block_forward(t, "layer2", h1, mode, rng)
+    h1, c1 = _block_forward(t, "layer1", x, rng)
+    h2, c2 = _block_forward(t, "layer2", h1, rng)
     r, c_out = linear_apply(h2, t["out.weight"], t["out.bias"])
     out = x + r if params.skip_enabled else r
     return out, (c1, c2, c_out, params.skip_enabled)
@@ -182,7 +186,7 @@ def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
 
 
 def projector_forward(params: SimSkipParams, h_batch: np.ndarray):
-    """z = proj2(relu(proj1(h))); no stochastic layers, so no mode or rng."""
+    """z = proj2(relu(proj1(h))); no stochastic layers, so no rng."""
     t = params.tensors
     a, c1 = linear_apply(h_batch, t["proj1.weight"], t["proj1.bias"])
     b, c_relu = relu_apply(a)
@@ -202,16 +206,15 @@ def contrastive_loss_and_grads(
     pairs: np.ndarray,
     tau: float,
     grads: dict[str, np.ndarray],
-    mode: str = EVAL,
     rng: np.random.Generator | None = None,
     input_grad: bool = True,
 ):
     """Full-graph loss of a 2N-row paired batch and its input gradient (None
     when `input_grad` is false); every parameter gradient is written into
-    `grads` (keyed like `PARAM_TABLE`)."""
+    `grads` (keyed like `PARAM_TABLE`). A training pass when given `rng`."""
     from .losses import nt_xent  # local import keeps module deps one-way
 
-    h, enc_cache = encoder_forward(params, pairs, mode, rng)
+    h, enc_cache = encoder_forward(params, pairs, rng)
     z, proj_cache = projector_forward(params, h)
     lv = nt_xent(z, tau)
     dh = projector_backward(proj_cache, lv.grad, grads)
@@ -221,7 +224,7 @@ def contrastive_loss_and_grads(
 
 
 def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset:
-    """Run the encoder in eval mode over a dataset in row blocks; labels pass through."""
+    """Run the encoder's eval pass over a dataset in row blocks; labels pass through."""
     if dataset.dim != params.dim:
         raise ShapeError(f"model expects dim {params.dim}, dataset has dim {dataset.dim}")
     x = dataset.vectors
@@ -230,7 +233,7 @@ def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset
     # a row) gave 21-row blocks at d = 768, each re-reading all three weights: 1.4-1.8x slower
     rows = block_rows(8 * params.dim, len(x))
     for start in range(0, len(x), rows):
-        out[start:start + rows] = encoder_forward(params, x[start:start + rows], EVAL)[0]
+        out[start:start + rows] = encoder_forward(params, x[start:start + rows])[0]
     return EmbeddingDataset(out, dataset.labels)
 
 

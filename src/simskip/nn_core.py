@@ -5,15 +5,16 @@ input and the layer's tensors and returns (output, cache), and the matching
 `*_backward` consumes the cache plus the upstream gradient and returns the
 input gradient; parameter gradients go into buffers the caller passes
 (views of one gradient vector, in `model`). Tensors may be views too, and
-no function here rebinds one: TRAIN-mode batch norm writes its running
+no function here rebinds one: training-pass batch norm writes its running
 statistics into the arrays it is given. Assign to a tensor through `[...]`.
 ReLU and dropout hold no tensors; dropout takes its rate as an argument.
 All math runs in float64 so analytic gradients can be checked against
 central finite differences to tight tolerances.
 
-Modes: TRAIN uses batch statistics / stochastic masks, EVAL is fully
-deterministic (batch norm reads its running stats, dropout is the
-identity).
+A training pass uses batch statistics and draws dropout masks from a
+generator; the eval pass is deterministic (batch norm reads its running
+statistics, dropout is the identity). Batch norm takes `train`, and
+dropout runs a training pass exactly when it is given a generator.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ import math
 import numpy as np
 
 from .errors import NumericsError, ShapeError, ValidationError
-
-TRAIN = "train"
-EVAL = "eval"
-
-
-def _check_mode(mode: str):
-    if mode not in (TRAIN, EVAL):
-        raise ValidationError(f"mode must be {TRAIN!r} or {EVAL!r}, got {mode!r}")
-
 
 def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Views of the vector `flat` with the given shapes, laid end to end and
@@ -101,16 +93,16 @@ BN_MOMENTUM = 0.1  # new_running = (1 - momentum) * old + momentum * batch
 
 
 def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                    running_mean: np.ndarray, running_var: np.ndarray, mode: str = EVAL):
-    """Normalize per column. TRAIN uses the (biased) batch statistics and
-    updates `running_mean` and `running_var` in place; EVAL reads them."""
-    _check_mode(mode)
+                    running_mean: np.ndarray, running_var: np.ndarray, train: bool = False):
+    """Normalize per column. A training pass (`train`) uses the (biased)
+    batch statistics and updates `running_mean` and `running_var` in place;
+    the eval pass reads them."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
         raise ShapeError(f"expected input (B, {gamma.shape[0]}), got {x.shape}")
-    if mode == TRAIN:
+    if train:
         if x.shape[0] < 2:
-            raise ValidationError("batch norm in train mode needs a batch of >= 2 rows")
+            raise ValidationError("a batch norm training pass needs a batch of >= 2 rows")
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased (divide by B)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -122,19 +114,19 @@ def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         xhat = (x - running_mean) * inv_std
     out = gamma * xhat + beta
-    return out, (xhat, inv_std, gamma, mode)
+    return out, (xhat, inv_std, gamma, train)
 
 
 def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
                        dbeta: np.ndarray) -> np.ndarray:
-    xhat, inv_std, gamma, mode = cache
+    xhat, inv_std, gamma, train = cache
     dout = np.asarray(dout, dtype=np.float64)
     if dout.shape != xhat.shape:
         raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
     np.sum(dout * xhat, axis=0, out=dgamma)
     np.sum(dout, axis=0, out=dbeta)
     dxhat = dout * gamma
-    if mode == TRAIN:
+    if train:
         b = xhat.shape[0]
         # gradient through the batch mean/variance
         dx = (inv_std / b) * (
@@ -159,17 +151,14 @@ def relu_backward(cache, dout: np.ndarray):
     return np.asarray(dout, dtype=np.float64) * cache
 
 
-def dropout_apply(x: np.ndarray, rate: float, mode: str = EVAL,
-                  rng: np.random.Generator | None = None):
-    """Inverted dropout: survivors are scaled by 1/(1-rate); EVAL is the identity."""
-    _check_mode(mode)
+def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = None):
+    """Inverted dropout: survivors are scaled by 1/(1-rate), with the mask
+    drawn from `rng`; the identity when no generator is given."""
     if not (0.0 <= rate < 1.0):
         raise ValidationError(f"dropout rate must lie in [0,1), got {rate}")
     x = np.asarray(x, dtype=np.float64)
-    if mode == EVAL or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
-    if rng is None:
-        raise ValidationError("dropout in train mode needs an rng")
     scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * scale, scale
 

@@ -1,13 +1,14 @@
 """Deterministic minibatch contrastive training.
 
 Each step draws a batch, builds two augmented views per example (2N rows,
-pairs interleaved), runs a train-mode forward through encoder + projector,
+pairs interleaved), runs a training pass through encoder + projector,
 evaluates the contrastive loss, backpropagates, and applies one Adam
 update. Adam runs at the fixed constants of Kingma & Ba (2015), beta1 = 0.9,
 beta2 = 0.999 and eps = 1e-8; its learning rate is the one setting. A
 single seeded generator drives shuffling, augmentation, and dropout, so a
 fixed (dataset, config, seed) reproduces the loss curve and final
-parameters bitwise. The last partial batch of each epoch is dropped to
+parameters bitwise; handing it to the forward pass is what makes that
+pass a training pass (see `model`). The last partial batch of each epoch is dropped to
 keep the negative count uniform.
 
 The model's trainable tensors are views of one vector, its arena (see
@@ -40,7 +41,6 @@ from .model import (
     contrastive_loss_and_grads,
     init_params,
 )
-from .nn_core import TRAIN
 from .utils import block_rows
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
@@ -175,8 +175,8 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
-            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, mode=TRAIN,
-                                                 rng=rng, input_grad=False)
+            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, rng=rng,
+                                                 input_grad=False)
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"

@@ -23,8 +23,6 @@ from simskip.model import (
     save_checkpoint,
 )
 from simskip.nn_core import (
-    EVAL,
-    TRAIN,
     batchnorm_apply,
     batchnorm_backward,
     dropout_apply,
@@ -75,7 +73,7 @@ def test_c01_gradient_correctness():
     bn_arrays = {"gamma": gamma, "beta": beta, "x": xb}
 
     def bn_loss():
-        out, cache = batchnorm_apply(xb, gamma, beta, np.zeros(3), np.ones(3), TRAIN)
+        out, cache = batchnorm_apply(xb, gamma, beta, np.zeros(3), np.ones(3), train=True)
         dgamma, dbeta = np.empty(3), np.empty(3)
         dx = batchnorm_backward(cache, rb, dgamma, dbeta)
         return float((out * rb).sum()), {"gamma": dgamma, "beta": dbeta, "x": dx}
@@ -100,7 +98,7 @@ def test_c01_gradient_correctness():
     rd = rng.standard_normal((4, 3))
 
     def dropout_loss():
-        y, cache = dropout_apply(xd, 0.4, TRAIN, np.random.default_rng(123))
+        y, cache = dropout_apply(xd, 0.4, np.random.default_rng(123))
         return float((y * rd).sum()), {"x": dropout_backward(cache, rd)}
 
     err_drop = grad_check(dropout_loss, {"x": xd}, h=H)
@@ -117,7 +115,7 @@ def test_c01_gradient_correctness():
     grads = arena_views(grad, 8)
 
     def full_loss():
-        loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=EVAL)
+        loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads)
         return loss, {"params": grad, "input": dx}
 
     err_full = grad_check(full_loss, {"params": params.flat, "input": pairs}, h=H)

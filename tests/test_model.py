@@ -23,7 +23,7 @@ from simskip.model import (
     refine,
     save_checkpoint,
 )
-from simskip.nn_core import EVAL, TRAIN, grad_check
+from simskip.nn_core import grad_check
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import TrainConfig, train
 
@@ -38,13 +38,13 @@ class TestInit:
     def test_identity_at_init_with_skip(self):
         params = init_params(8, seed=1, zero_init_residual_out=True)
         x = np.random.default_rng(2).standard_normal((5, 8))
-        out, _ = encoder_forward(params, x, EVAL)
+        out, _ = encoder_forward(params, x)
         assert np.array_equal(out, x)
 
     def test_zero_output_without_skip(self):
         params = init_params(8, seed=1, skip_enabled=False, zero_init_residual_out=True)
         x = np.random.default_rng(2).standard_normal((5, 8))
-        out, _ = encoder_forward(params, x, EVAL)
+        out, _ = encoder_forward(params, x)
         assert np.array_equal(out, np.zeros_like(x))
 
     def test_deterministic(self):
@@ -62,7 +62,7 @@ class TestInit:
         for d in (2, 4, 16, 32):
             params = init_params(d, seed=0, zero_init_residual_out=True)
             x = np.random.default_rng(d).standard_normal((3, d))
-            out, _ = encoder_forward(params, x, EVAL)
+            out, _ = encoder_forward(params, x)
             assert np.array_equal(out, x)
 
     def test_parameter_count_scheme(self):
@@ -78,13 +78,13 @@ class TestEncoder:
     def test_shape_mismatch(self):
         params = init_params(8, seed=0)
         with pytest.raises(ShapeError):
-            encoder_forward(params, np.ones((2, 6)), EVAL)
+            encoder_forward(params, np.ones((2, 6)))
 
     def test_eval_mode_is_deterministic(self):
         params = init_params(8, seed=4, zero_init_residual_out=False)
         x = np.random.default_rng(5).standard_normal((6, 8))
-        a, _ = encoder_forward(params, x, EVAL)
-        b, _ = encoder_forward(params, x, EVAL)
+        a, _ = encoder_forward(params, x)
+        b, _ = encoder_forward(params, x)
         assert np.array_equal(a, b)
 
     def test_gradients_match_finite_differences(self):
@@ -99,7 +99,7 @@ class TestEncoder:
         grads = arena_views(np.empty_like(params.flat), 8)
 
         def loss_fn():
-            out, cache = encoder_forward(params, x, EVAL)
+            out, cache = encoder_forward(params, x)
             dx = encoder_backward(cache, r, grads)
             return float((out * r).sum()), {**grads, "input": dx}
 
@@ -156,7 +156,7 @@ class TestFullGraph:
         grads = arena_views(grad, 8)
 
         def loss_fn():
-            loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=EVAL)
+            loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads)
             return loss, {"params": grad, "input": dx}
 
         assert grad_check(loss_fn, {"params": params.flat, "input": pairs}) < 1e-4
@@ -167,7 +167,7 @@ class TestFullGraph:
         params = init_params(8, seed=3, skip_enabled=skip, zero_init_residual_out=False)
         pairs = np.random.default_rng(4).standard_normal((8, 8))
         grads = [np.full_like(params.flat, np.nan) for _ in range(2)]
-        results = [contrastive_loss_and_grads(params, pairs, 0.5, arena_views(g, 8), mode=TRAIN,
+        results = [contrastive_loss_and_grads(params, pairs, 0.5, arena_views(g, 8),
                                               rng=np.random.default_rng(5), input_grad=wanted)
                    for g, wanted in zip(grads, (True, False))]
         assert results[0][1].shape == pairs.shape and results[1][1] is None
@@ -186,7 +186,7 @@ class TestFullGraph:
         arrays = {**arena_views(params.flat, 8), "input": pairs}
 
         def loss_fn():
-            loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads, mode=TRAIN,
+            loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, grads,
                                                   rng=np.random.default_rng(seed))
             return loss, {**grads, "input": dx}
 
@@ -221,7 +221,7 @@ class TestRefine:
         # d = 768 gives 170-row blocks, so 500 rows run as three blocks
         ds = random_dataset(500, 768, seed=20)
         params = init_params(768, seed=20, zero_init_residual_out=False)
-        whole, _ = encoder_forward(params, ds.vectors, EVAL)
+        whole, _ = encoder_forward(params, ds.vectors)
         assert np.allclose(refine(params, ds).vectors, whole, rtol=0, atol=1e-12)
 
     def test_memory_beyond_the_output_does_not_grow_with_rows(self):
@@ -247,7 +247,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(seed + 1)
         # make running stats non-default so their persistence is exercised
         x = rng.standard_normal((16, d))
-        encoder_forward(params, x, TRAIN, rng)
+        encoder_forward(params, x, rng)
         return params
 
     def test_round_trip_is_exact(self, tmp_path):
@@ -335,7 +335,7 @@ class TestParamTable:
     def test_backward_passes_overwrite_every_gradient_element(self):
         params = init_params(6, seed=3)
         x = np.random.default_rng(4).standard_normal((8, 6))
-        h, enc_cache = encoder_forward(params, x, TRAIN, np.random.default_rng(5))
+        h, enc_cache = encoder_forward(params, x, np.random.default_rng(5))
         z, proj_cache = projector_forward(params, h)
         grad = np.full_like(params.flat, np.nan)
         grads = arena_views(grad, 6)
@@ -367,7 +367,7 @@ class TestParamTable:
             arena_views(np.empty(trained.flat.size + 1), 6)
 
     def test_no_tensor_is_rebound(self, tmp_path, monkeypatch):
-        # a TRAIN forward pass and a training run write every tensor through
+        # a training forward pass and a training run write every tensor through
         # the buffer `init_params` made, and the checkpoint holds what they wrote
         made = []
 
@@ -387,7 +387,7 @@ class TestParamTable:
 
         params = recorded_init_params(6, seed=3)
         x = np.random.default_rng(4).standard_normal((8, 6))
-        encoder_forward(params, x, TRAIN, np.random.default_rng(5))
+        encoder_forward(params, x, np.random.default_rng(5))
         assert_in_place(params, made[0])
         # layer 1's batch statistics come before any dropout: from mean 0 and var 1
         a = x @ params.tensors["layer1.weight"].T

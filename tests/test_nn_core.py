@@ -3,8 +3,6 @@ import pytest
 
 from simskip.errors import ShapeError, ValidationError
 from simskip.nn_core import (
-    EVAL,
-    TRAIN,
     batchnorm_apply,
     batchnorm_backward,
     dropout_apply,
@@ -129,52 +127,52 @@ class TestLinear:
 class TestBatchNorm:
     def test_hand_computed_normalization(self):
         # column (1,3): mean 2, biased var 1 -> +-1/sqrt(1+eps)
-        out, _ = batchnorm_apply(np.array([[1.0], [3.0]]), *new_batchnorm(1), TRAIN)
+        out, _ = batchnorm_apply(np.array([[1.0], [3.0]]), *new_batchnorm(1), train=True)
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
         assert abs(out[0, 0] + expected) < 1e-12
         assert abs(out[1, 0] - expected) < 1e-12
 
     def test_eval_with_identity_stats(self):
         x = np.random.default_rng(4).standard_normal((5, 3))
-        out, _ = batchnorm_apply(x, *new_batchnorm(3), EVAL)
+        out, _ = batchnorm_apply(x, *new_batchnorm(3))
         assert np.allclose(out, x, atol=1e-4)  # 1/sqrt(1+eps) effect only
 
     def test_constant_column_normalizes_to_zero(self):
-        out, _ = batchnorm_apply(np.array([[5.0], [5.0]]), *new_batchnorm(1), TRAIN)
+        out, _ = batchnorm_apply(np.array([[5.0], [5.0]]), *new_batchnorm(1), train=True)
         assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_running_stats_update_rule(self):
         gamma, beta = np.ones(1), np.zeros(1)
         running_mean, running_var = np.array([1.0]), np.array([2.0])
         x = np.array([[1.0], [3.0]])  # batch mean 2, biased var 1
-        batchnorm_apply(x, gamma, beta, running_mean, running_var, TRAIN)
+        batchnorm_apply(x, gamma, beta, running_mean, running_var, train=True)
         assert np.allclose(running_mean, 0.9 * 1.0 + 0.1 * 2.0)
         assert np.allclose(running_var, 0.9 * 2.0 + 0.1 * 1.0)
 
     def test_train_writes_the_running_stats_into_the_given_buffers(self):
-        # the model's running statistics are never rebound: TRAIN writes
-        # through the arrays it was given, here views of one vector
+        # the model's running statistics are never rebound: a training pass
+        # writes through the arrays it was given, here views of one vector
         rng = np.random.default_rng(9)
         stats = np.concatenate([rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)])
         old = stats.copy()
         running_mean, running_var = stats[:3], stats[3:]
         x = rng.standard_normal((6, 3))
-        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var, TRAIN)
+        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var, train=True)
         assert np.shares_memory(running_mean, stats) and np.shares_memory(running_var, stats)
         assert np.array_equal(stats[:3], 0.9 * old[:3] + 0.1 * x.mean(axis=0))
         assert np.array_equal(stats[3:], 0.9 * old[3:] + 0.1 * x.var(axis=0))
         before = stats.copy()
-        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var, EVAL)
-        assert np.array_equal(stats, before)  # EVAL only reads them
+        batchnorm_apply(x, np.ones(3), np.zeros(3), running_mean, running_var)
+        assert np.array_equal(stats, before)  # the eval pass only reads them
 
     def test_train_needs_two_rows(self):
         with pytest.raises(ValidationError):
-            batchnorm_apply(np.ones((1, 2)), *new_batchnorm(2), TRAIN)
+            batchnorm_apply(np.ones((1, 2)), *new_batchnorm(2), train=True)
 
     def test_gamma_gradient_is_sum_of_normalized_product(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 3))
-        out, cache = batchnorm_apply(x, *new_batchnorm(3), TRAIN)
+        out, cache = batchnorm_apply(x, *new_batchnorm(3), train=True)
         xhat = cache[0]
         g = rng.standard_normal(out.shape)
         dgamma, dbeta, _ = batchnorm_grads(cache, g)
@@ -183,7 +181,7 @@ class TestBatchNorm:
 
     def test_zero_upstream_gives_zero_grads(self):
         x = np.random.default_rng(6).standard_normal((4, 2))
-        _, cache = batchnorm_apply(x, *new_batchnorm(2), TRAIN)
+        _, cache = batchnorm_apply(x, *new_batchnorm(2), train=True)
         dgamma, dbeta, dx = batchnorm_grads(cache, np.zeros((4, 2)))
         assert not dgamma.any() and not dbeta.any() and not dx.any()
 
@@ -198,7 +196,7 @@ class TestBatchNorm:
         def loss_fn():
             _, _, running_mean, running_var = new_batchnorm(3)
             out, cache = batchnorm_apply(params["x"], params["gamma"], params["beta"],
-                                         running_mean, running_var, TRAIN)
+                                         running_mean, running_var, train=True)
             loss = float((out * r).sum())
             dgamma, dbeta, dx = batchnorm_grads(cache, r)
             return loss, {"gamma": dgamma, "beta": dbeta, "x": dx}
@@ -209,7 +207,7 @@ class TestBatchNorm:
         # before affine: mean ~0, variance ~ var/(var+eps)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((200, 4)) * 3.0
-        out, _ = batchnorm_apply(x, *new_batchnorm(4), TRAIN)
+        out, _ = batchnorm_apply(x, *new_batchnorm(4), train=True)
         var = x.var(axis=0)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(out.var(axis=0) - var / (var + 1e-5)) < 1e-6)
@@ -245,35 +243,35 @@ class TestRelu:
 class TestDropout:
     def test_rate_zero_is_identity_in_both_modes(self):
         x = np.random.default_rng(10).standard_normal((3, 4))
-        for mode in (TRAIN, EVAL):
-            y, _ = dropout_apply(x, 0.0, mode, np.random.default_rng(0))
+        for rng in (np.random.default_rng(0), None):
+            y, _ = dropout_apply(x, 0.0, rng)
             assert np.array_equal(y, x)
 
     def test_eval_mode_is_identity(self):
         x = np.random.default_rng(11).standard_normal((3, 4))
-        y, _ = dropout_apply(x, 0.7, EVAL)
+        y, _ = dropout_apply(x, 0.7)
         assert np.array_equal(y, x)
 
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(12)
         x = np.ones((100_000, 4))
-        y, _ = dropout_apply(x, 0.5, TRAIN, rng)
+        y, _ = dropout_apply(x, 0.5, rng)
         assert np.all(np.abs(y.mean(axis=0) - 1.0) < 0.02)
 
     def test_backward_reuses_forward_mask(self):
         rng = np.random.default_rng(13)
         x = np.ones((50, 8))
-        y, cache = dropout_apply(x, 0.4, TRAIN, rng)
+        y, cache = dropout_apply(x, 0.4, rng)
         g = dropout_backward(cache, np.ones_like(x))
         assert np.array_equal(g == 0.0, y == 0.0)
         assert np.allclose(g[g != 0.0], 1.0 / 0.6)
 
     def test_invalid_rate(self):
-        # checked in either mode, though EVAL never reads the rate
-        for mode in (TRAIN, EVAL):
+        # checked with or without a generator, though the eval pass never reads the rate
+        for rng in (np.random.default_rng(0), None):
             for rate in (1.0, -0.1, np.nan):
                 with pytest.raises(ValidationError, match="dropout rate"):
-                    dropout_apply(np.ones((2, 3)), rate, mode, np.random.default_rng(0))
+                    dropout_apply(np.ones((2, 3)), rate, rng)
 
 
 class TestGradCheck:
