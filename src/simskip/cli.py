@@ -140,7 +140,10 @@ def _cmd_refine(args) -> int:
                  [("--out", args.out), ("--checkpoint", args.checkpoint),
                   ("--report", args.report)])
     dataset = load_embeddings(args.infile)
-    cfg = load_train_config(args.config) if args.config else TrainConfig()
+    cfg, lines = load_train_config(args.config) if args.config else (TrainConfig(), {})
+    if args.lr_sweep and "learning_rate" in lines:
+        raise ValidationError(f"{args.config}:{lines['learning_rate']}: config key "
+                              "'learning_rate' conflicts with --lr-sweep, which picks the rate")
     if args.command == "ablate":
         # the ablation removes the skip path; a zero-initialized residual
         # head would then make the encoder the zero map, so drop that too

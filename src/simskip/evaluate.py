@@ -53,22 +53,35 @@ MLP3 = "mlp3"
 _Layers = list[tuple[np.ndarray, np.ndarray]]  # each layer's (weight, bias), input layer first
 
 
+class _DefaultRate(float):
+    """A probe learning rate the caller left to the kind's default."""
+
+
+class _DefaultEpochs(int):
+    """A probe epoch count the caller left to the kind's default."""
+
+
+# each kind's learning rate and epochs, where the caller gives none
+_KIND_DEFAULTS = {LINEAR: (_DefaultRate(0.5), _DefaultEpochs(500)),
+                  MLP3: (_DefaultRate(0.01), _DefaultEpochs(300))}
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     kind: str = LINEAR
     hidden_dim: int = 64
-    # None is replaced by the kind's default: linear 0.5 and 500, mlp3 0.01 and 300
+    # None is replaced by the kind's default. The default keeps its marker
+    # type, so `dataclasses.replace` with a new kind resolves it again.
     learning_rate: float | None = None
     epochs: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (LINEAR, MLP3):
+        if self.kind not in _KIND_DEFAULTS:
             raise ValidationError(f"probe kind must be {LINEAR!r} or {MLP3!r}")
-        if self.learning_rate is None:
-            object.__setattr__(self, "learning_rate", 0.5 if self.kind == LINEAR else 0.01)
-        if self.epochs is None:
-            object.__setattr__(self, "epochs", 500 if self.kind == LINEAR else 300)
+        for name, default in zip(("learning_rate", "epochs"), _KIND_DEFAULTS[self.kind]):
+            if getattr(self, name) is None or isinstance(getattr(self, name), type(default)):
+                object.__setattr__(self, name, default)
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
         if not 0 < self.learning_rate < np.inf:

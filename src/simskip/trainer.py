@@ -201,8 +201,12 @@ _TOP_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
 _AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfig)}
 
 
-def load_train_config(path) -> TrainConfig:
-    """Parse a key/value config file, UTF-8 text, byte-order mark or not, into a TrainConfig."""
+def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
+    """Parse a key/value config file, UTF-8 text, byte-order mark or not, into
+    a TrainConfig, and map each key the file names to its line number.
+
+    A value that does not parse or fails its range check names the file,
+    the line and the key."""
     try:
         # dropping the mark after decoding keeps a bad byte's offset a file offset
         text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
@@ -220,7 +224,8 @@ def load_train_config(path) -> TrainConfig:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         name = key.removeprefix("augment.")
-        fields, values = (_TOP_FIELDS, top) if name == key else (_AUG_FIELDS, aug)
+        fields, values, owner = ((_TOP_FIELDS, top, TrainConfig) if name == key
+                                 else (_AUG_FIELDS, aug, AugmentConfig))
         if name not in fields:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in first_line:
@@ -229,6 +234,7 @@ def load_train_config(path) -> TrainConfig:
         first_line[key] = lineno
         try:
             values[name] = fields[name](value)
-        except ValueError as exc:
+            owner(**{name: values[name]})  # the range check, run here to know the line
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
-    return TrainConfig(augment=AugmentConfig(**aug), **top)
+    return TrainConfig(augment=AugmentConfig(**aug), **top), first_line

@@ -414,6 +414,20 @@ class TestErrorPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
 
     @pytest.mark.parametrize("command", ["refine", "ablate"])
+    def test_lr_sweep_rejects_a_config_learning_rate(self, tmp_path, synth_file, capsys,
+                                                    command):
+        # the sweep would replace the file's rate without a word
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 32\nlearning_rate = 0.5\n")
+        assert run([command, "--in", synth_file, "--config", cfg, "--lr-sweep",
+                    "--out", tmp_path / "r.embf", "--checkpoint", tmp_path / "m.sskp",
+                    "--report", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:3: config key 'learning_rate' conflicts with "
+                       "--lr-sweep, which picks the rate"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "lr.cfg"]
+
+    @pytest.mark.parametrize("command", ["refine", "ablate"])
     @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff", "bom-stray-0xff"])
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, synth_file, capsys, command,
                                                kind):
@@ -447,9 +461,12 @@ class TestErrorPaths:
             assert last == f"error: {cfg}:3: unknown config key {key!r}", command
             assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "old.cfg"]
 
+    # a value that does not parse, then one that fails its range check
     @pytest.mark.parametrize("line,key", [("epochs = 1.5", "epochs"),
-                                          ("learning_rate = 1e-3x", "learning_rate")],
-                             ids=["int", "float"])
+                                          ("learning_rate = 1e-3x", "learning_rate"),
+                                          ("tau = 0", "tau"),
+                                          ("augment.mask_prob = 2", "augment.mask_prob")],
+                             ids=["int", "float", "range", "augment-range"])
     def test_bad_config_value_names_file_and_line(self, tmp_path, synth_file, capsys, line,
                                                   key):
         cfg = tmp_path / "bad.cfg"

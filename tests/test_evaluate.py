@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -200,6 +201,16 @@ class TestProbes:
         assert ProbeConfig(kind=kind, epochs=0).epochs == 0
         with pytest.raises(ValidationError, match="learning_rate"):
             ProbeConfig(kind=kind, learning_rate=0)
+
+    @pytest.mark.parametrize("given,kind,lr,epochs", [
+        ({}, MLP3, 0.01, 300), ({"kind": MLP3}, LINEAR, 0.5, 500),
+        ({"epochs": 7}, MLP3, 0.01, 7), ({"kind": MLP3, "learning_rate": 0.2}, LINEAR, 0.2, 500),
+    ])
+    def test_replace_with_a_new_kind_keeps_only_the_given_settings(self, given, kind, lr,
+                                                                     epochs):
+        # an unset rate or epoch count takes the new kind's default
+        cfg = dataclasses.replace(ProbeConfig(**given), kind=kind)
+        assert (cfg.kind, cfg.learning_rate, cfg.epochs) == (kind, lr, epochs)
 
     def test_unknown_probe_kind_rejected(self):
         with pytest.raises(ValidationError, match="probe kind must be 'linear' or 'mlp3'"):

@@ -234,12 +234,14 @@ class TestConfigFile:
         path = tmp_path / "train.cfg"
         path.write_text("".join(f"{prefix}{name} = {getattr(obj, name)}\n"
                                 for prefix, obj, _, names in keys for name in names))
-        assert load_train_config(path) == cfg
+        file_keys = [prefix + name for prefix, _, _, names in keys for name in names]
+        assert load_train_config(path) == (cfg, {key: n for n, key in enumerate(file_keys, 1)})
 
     def test_partial_file_fills_defaults(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("epochs = 3\naugment.mask_prob = 0.2\n# comment\n\n")
-        cfg = load_train_config(path)
+        cfg, lines = load_train_config(path)
+        assert lines == {"epochs": 1, "augment.mask_prob": 2}
         assert cfg.epochs == 3
         assert cfg.augment.mask_prob == 0.2
         assert cfg.augment.noise_scale == AugmentConfig().noise_scale
