@@ -61,7 +61,6 @@ class _DefaultEpochs(int):
     """A probe epoch count the caller left to the kind's default."""
 
 
-# each kind's learning rate and epochs, where the caller gives none
 _KIND_DEFAULTS = {LINEAR: (_DefaultRate(0.5), _DefaultEpochs(500)),
                   MLP3: (_DefaultRate(0.01), _DefaultEpochs(300))}
 
@@ -70,8 +69,8 @@ _KIND_DEFAULTS = {LINEAR: (_DefaultRate(0.5), _DefaultEpochs(500)),
 class ProbeConfig:
     kind: str = LINEAR
     hidden_dim: int = 64
-    # None is replaced by the kind's default. The default keeps its marker
-    # type, so `dataclasses.replace` with a new kind resolves it again.
+    # None: the kind's default, stored as a marker type that `dataclasses.replace`
+    # passes on, so that a config of another kind resolves it again
     learning_rate: float | None = None
     epochs: int | None = None
     seed: int = 0

@@ -29,9 +29,8 @@ does. The trainable tensors are views of one float64 vector, the arena
 (`TRAINABLE` leaves them out) are separate arrays that training passes
 update in place. No tensor is ever rebound: assign through `[...]`.
 
-A forward pass given a generator `rng` is a training pass: batch norm
-uses batch statistics, and the dropout masks are drawn from `rng`.
-Without one it is the deterministic eval pass that `refine` runs.
+A forward pass given a generator `rng` is a training pass (batch
+statistics, dropout masks drawn from `rng`); one without is the eval pass.
 
 Checkpoint format "SSKP", version 2, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then the float64 tensors
@@ -159,10 +158,8 @@ def encoder_forward(
     rng: np.random.Generator | None = None,
 ):
     """Residual forward pass: x + r(x) when the skip path is enabled; a
-    training pass when given `rng`, else the eval pass."""
+    training pass when given `rng`. The first linear layer checks the shape."""
     x = np.asarray(x_batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ShapeError(f"expected input (B, {params.dim}), got {x.shape}")
     t = params.tensors
     h1, c1 = _block_forward(t, "layer1", x, rng)
     h2, c2 = _block_forward(t, "layer2", h1, rng)

@@ -11,10 +11,9 @@ ReLU and dropout hold no tensors; dropout takes its rate as an argument.
 All math runs in float64 so analytic gradients can be checked against
 central finite differences to tight tolerances.
 
-A training pass uses batch statistics and draws dropout masks from a
-generator; the eval pass is deterministic (batch norm reads its running
-statistics, dropout is the identity). Batch norm takes `train`, and
-dropout runs a training pass exactly when it is given a generator.
+A training pass (batch norm's `train`; dropout given a generator) uses
+batch statistics and random masks; the eval pass is deterministic (batch
+norm reads its running statistics, dropout is the identity).
 """
 
 from __future__ import annotations

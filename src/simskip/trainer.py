@@ -7,9 +7,9 @@ update. Adam runs at the fixed constants of Kingma & Ba (2015), beta1 = 0.9,
 beta2 = 0.999 and eps = 1e-8; its learning rate is the one setting. A
 single seeded generator drives shuffling, augmentation, and dropout, so a
 fixed (dataset, config, seed) reproduces the loss curve and final
-parameters bitwise; handing it to the forward pass is what makes that
-pass a training pass (see `model`). The last partial batch of each epoch is dropped to
-keep the negative count uniform.
+parameters bitwise; given to the forward pass, it makes that a training
+pass. The last partial batch of each epoch is dropped to keep the
+negative count uniform.
 
 The model's trainable tensors are views of one vector, its arena (see
 `model`). A run allocates one gradient vector with the same layout, which
@@ -148,8 +148,6 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         raise ValidationError(
             f"dataset has {dataset.count} rows, fewer than batch_size {cfg.batch_size}"
         )
-    if dataset.dim % 2 != 0:
-        raise ValidationError(f"embedding dim must be even, got {dataset.dim}")
     if cfg.zero_init_residual_out and not cfg.skip_enabled:
         raise ValidationError(
             "zero_init_residual_out with skip_enabled=false makes the encoder the zero "
@@ -202,11 +200,7 @@ _AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfi
 
 
 def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
-    """Parse a key/value config file, UTF-8 text, byte-order mark or not, into
-    a TrainConfig, and map each key the file names to its line number.
-
-    A value that does not parse or fails its range check names the file,
-    the line and the key."""
+    """Parse a UTF-8 config file, byte-order mark or not: a TrainConfig and each key's line."""
     try:
         # dropping the mark after decoding keeps a bad byte's offset a file offset
         text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
@@ -215,7 +209,7 @@ def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
                               f"at offset {exc.start})") from None
     top: dict = {}
     aug: dict = {}
-    first_line: dict[str, int] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -224,17 +218,16 @@ def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         name = key.removeprefix("augment.")
-        fields, values, owner = ((_TOP_FIELDS, top, TrainConfig) if name == key
-                                 else (_AUG_FIELDS, aug, AugmentConfig))
+        fields, values = (_TOP_FIELDS, top) if name == key else (_AUG_FIELDS, aug)
         if name not in fields:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in first_line:
+        if key in lines:
             raise ValidationError(f"{path}:{lineno}: config key {key!r} is given twice "
-                                  f"(lines {first_line[key]} and {lineno})")
-        first_line[key] = lineno
+                                  f"(lines {lines[key]} and {lineno})")
+        lines[key] = lineno
         try:
             values[name] = fields[name](value)
-            owner(**{name: values[name]})  # the range check, run here to know the line
+            TrainConfig(augment=AugmentConfig(**aug), **top)  # range checks, at this value's line
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
-    return TrainConfig(augment=AugmentConfig(**aug), **top), first_line
+    return TrainConfig(augment=AugmentConfig(**aug), **top), lines

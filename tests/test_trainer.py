@@ -206,6 +206,12 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(ds, TrainConfig(batch_size=64))
 
+    def test_odd_dim_rejected(self):
+        # init_params holds the one check of the width
+        ds = mixture(count_per_class=16, dim=7)
+        with pytest.raises(ValidationError, match="embedding dim must be even"):
+            train(ds, TrainConfig(batch_size=16, epochs=1))
+
     def test_zero_encoder_combination_rejected(self):
         ds = mixture(count_per_class=32)
         cfg = TrainConfig(batch_size=32, skip_enabled=False, zero_init_residual_out=True)
