@@ -270,14 +270,15 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
         for weight, bias in layers:
             linear_init(weight, bias, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
+    lr = float(cfg.learning_rate)  # a kind's default is a float subclass, slow in NumPy arithmetic
     for t in range(1, cfg.epochs + 1):
         logits = _probe_forward(layers, xs, ws.acts)
         grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))
         if cfg.kind == LINEAR:
-            grad *= cfg.learning_rate
+            grad *= lr
             flat -= grad
         else:
-            adam_step(flat, grad, state, t, cfg.learning_rate)
+            adam_step(flat, grad, state, t, lr)
 
     return ProbeModel(classes, mean, scale, layers)
 

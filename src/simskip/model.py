@@ -157,8 +157,7 @@ def encoder_forward(
     x_batch: np.ndarray,
     rng: np.random.Generator | None = None,
 ):
-    """Residual forward pass: x + r(x) when the skip path is enabled; a
-    training pass when given `rng`. The first linear layer checks the shape."""
+    """Residual forward pass, x + r(x) with the skip path; a training pass given `rng`."""
     x = np.asarray(x_batch, dtype=np.float64)
     t = params.tensors
     h1, c1 = _block_forward(t, "layer1", x, rng)

@@ -228,6 +228,6 @@ def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
         try:
             values[name] = fields[name](value)
             TrainConfig(augment=AugmentConfig(**aug), **top)  # range checks, at this value's line
-        except (ValueError, ValidationError) as exc:
+        except ValueError as exc:  # ValidationError included
             raise ValidationError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return TrainConfig(augment=AugmentConfig(**aug), **top), lines
