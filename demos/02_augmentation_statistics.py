@@ -2,8 +2,9 @@
 
 Positive pairs are built by masking random coordinates (probability 0.2 in
 the experiments) or adding Gaussian noise (variance 0.13), or both, mask
-first. This demo shows the identity limits and checks the sample statistics
-against the configured values by Monte Carlo.
+first. `make_positive_pairs` draws the pairs of a whole batch; a single input
+is the one-row batch. This demo shows the identity limits and checks the
+sample statistics against the configured values by Monte Carlo.
 
 Run:  python3 demos/02_augmentation_statistics.py
 """
@@ -28,7 +29,8 @@ print(ss.random_mask(x, 0.2, np.random.default_rng(1)))
 print()
 print("-- a positive pair under mask+gaussian -----------------------------")
 cfg = ss.AugmentConfig(mask_prob=0.2)  # masking, then the default noise
-view_a, view_b = ss.make_positive_pair(x, cfg, np.random.default_rng(3))
+# one input is the one-row batch: rows 0 and 1 of the (2, 8) result are its pair
+view_a, view_b = ss.make_positive_pairs(x[None], cfg, np.random.default_rng(3))
 print("view a:", view_a.round(3))
 print("view b:", view_b.round(3))
 

@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # every submodule -> the public names it defines
 _EXPORTS = {
     "augment": ("AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
-                "make_positive_pair", "make_positive_pairs", "random_mask"),
+                "make_positive_pairs", "random_mask"),
     "cli": ("LEARNING_RATE_GRID",),
     "embedding_store": ("EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
                         "save_embeddings", "split"),

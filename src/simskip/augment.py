@@ -9,11 +9,15 @@ Two primitives operate elementwise on arrays of any shape:
   sqrt(0.13)).
 
 A positive pair is two independently augmented views of the same input.
-`AugmentConfig` holds one strength per primitive, and a view applies every
-primitive whose strength is nonzero: masking first, so the noise
-statistics are uniform across coordinates, then noise. A zero strength
-skips its step and its random draws, so noise alone (the default), masking
-alone, and both draw exactly the numbers of their own steps.
+`make_positive_pairs` is the one function that draws views: it takes a
+batch of inputs and draws view a of the whole batch, then view b, into
+interleaved rows of one new array, so no view aliases its input or its
+partner. `AugmentConfig` holds one strength per primitive, and a view
+applies every primitive whose strength is nonzero: masking first, so the
+noise statistics are uniform across coordinates, then noise. A zero
+strength skips its step and its random draws, so noise alone (the
+default), masking alone, and both draw exactly the numbers of their own
+steps. A single input is the one-row batch `x[i:i + 1]`.
 """
 
 from __future__ import annotations
@@ -57,32 +61,19 @@ def gaussian_noise(x: np.ndarray, noise_scale: float, rng: np.random.Generator) 
     return x + noise_scale * rng.standard_normal(x.shape)
 
 
-def augment_view(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """One augmented view of x: masked if mask_prob > 0, then noised if
-    noise_scale > 0."""
-    view = x
-    if cfg.mask_prob > 0:
-        view = random_mask(view, cfg.mask_prob, rng)
-    if cfg.noise_scale > 0:
-        view = gaussian_noise(view, cfg.noise_scale, rng)
-    # with both steps off, still a new array: the views of a pair never alias
-    return np.array(x, dtype=np.float64) if view is x else view
-
-
-def make_positive_pair(
-    x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented views of the same input."""
-    return augment_view(x, cfg, rng), augment_view(x, cfg, rng)
-
-
 def make_positive_pairs(
     x_batch: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batch form: (N, d) in, (2N, d) out with rows 2i, 2i+1 forming pair i."""
+    """(N, d) in, (2N, d) out: rows 0::2 hold view a of every input row and
+    rows 1::2 view b, so rows 2i, 2i+1 form pair i. View a of the whole
+    batch is drawn before view b."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    view_a, view_b = make_positive_pair(x_batch, cfg, rng)
     out = np.empty((2 * x_batch.shape[0], x_batch.shape[1]))
-    out[0::2] = view_a
-    out[1::2] = view_b
+    for rows in (out[0::2], out[1::2]):
+        view = x_batch
+        if cfg.mask_prob > 0:
+            view = random_mask(view, cfg.mask_prob, rng)
+        if cfg.noise_scale > 0:
+            view = gaussian_noise(view, cfg.noise_scale, rng)
+        rows[...] = view
     return out

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import AugmentConfig, make_positive_pair
+from .augment import AugmentConfig, make_positive_pairs
 from .embedding_store import dataset_fingerprint, load_embeddings, save_embeddings
 from .errors import NumericsError, SimSkipError, ValidationError
 from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
@@ -251,7 +251,7 @@ def _cmd_augment(args) -> int:
     rng = np.random.default_rng(args.seed)
     previews = []
     for i in range(args.rows):
-        a, b = make_positive_pair(dataset.vectors[i], cfg, rng)
+        a, b = make_positive_pairs(dataset.vectors[i:i + 1], cfg, rng)
         previews.append({
             "row": i,
             "original": [float(v) for v in dataset.vectors[i]],

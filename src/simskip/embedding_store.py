@@ -99,10 +99,10 @@ def dataset_fingerprint(dataset: EmbeddingDataset) -> str:
     """SHA-256 over the dataset's storage-precision content."""
     h = hashlib.sha256()
     h.update(struct.pack("<II", dataset.count, dataset.dim))
-    h.update(dataset.vectors.astype("<f4").tobytes())
+    h.update(dataset.vectors.astype("<f4"))  # C-contiguous: hashed as a buffer
     if dataset.labels is not None:
         h.update(b"L")
-        h.update(dataset.labels.astype("<u4").tobytes())
+        h.update(dataset.labels.astype("<u4"))
     return h.hexdigest()
 
 

@@ -29,9 +29,10 @@ Two metrics:
   accuracies alike.
 
 `evaluate_embeddings` is the one path that scores a dataset: stratified
-split, probe fit, one prediction, kNN and fingerprint. `compare_embeddings`
-runs it on an original/refined pair, which must share row count and
-labels, so both get the same split, and reports the deltas.
+split, kNN, probe fit, one prediction and fingerprint. kNN runs before the
+fit, so a k the dataset cannot serve fails before any probe trains.
+`compare_embeddings` runs it on an original/refined pair, which must share
+row count and labels, so both get the same split, and reports the deltas.
 """
 
 from __future__ import annotations
@@ -341,9 +342,10 @@ def evaluate_embeddings(
     probe_cfg = probe_cfg or ProbeConfig()
     split_cfg = split_cfg or SplitConfig()
     train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed)
+    knn_score = knn_same_label_score(dataset, k=knn_k)  # a bad k fails before any fit
     accuracy, per_class = evaluate_probe(train_probe(train, probe_cfg), test)
     return EvalReport(
-        knn_score=knn_same_label_score(dataset, k=knn_k),
+        knn_score=knn_score,
         probe_accuracy=accuracy,
         per_class=per_class,
         probe_config=probe_cfg,

@@ -158,12 +158,6 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     return margins
 
 
-def _l_un(margins: np.ndarray) -> float:
-    """Mean over the rows of a (T, k) margin matrix of `logistic_loss`,
-    evaluated row-wise in one array pass."""
-    return float(logistic_loss(margins).mean())
-
-
 @dataclass(frozen=True)
 class SkipInequalityReport:
     nonneg_margin_fraction: float
@@ -190,23 +184,22 @@ def skip_inequality_check(
     """Compare logistic L_un under the identity map and the doubled map.
 
     Doubling the identity map multiplies every margin by 4, so on triplets
-    whose margins are all nonnegative the loss cannot increase. `holds`
-    states that ordering restricted to that subset (vacuously true when
-    the subset is empty; the subset size is reported alongside).
+    whose margins are all nonnegative the loss cannot increase. Each map's
+    per-triplet losses are computed once: L_un is their mean over every
+    row, and `holds` compares their means over the all-nonnegative rows
+    (vacuously true when there are none; their count is reported
+    alongside).
     """
     margins = triplet_margins(dataset.vectors, triplets)
     nonneg_rows = np.all(margins >= 0.0, axis=1)
-    l_identity = _l_un(margins)
-    l_doubled = _l_un(4.0 * margins)
-    if nonneg_rows.any():
-        sub = margins[nonneg_rows]
-        holds = _l_un(4.0 * sub) <= _l_un(sub)
-    else:
-        holds = True
+    loss_identity = logistic_loss(margins)
+    loss_doubled = logistic_loss(4.0 * margins)
+    holds = (not nonneg_rows.any()
+             or loss_doubled[nonneg_rows].mean() <= loss_identity[nonneg_rows].mean())
     return SkipInequalityReport(
         nonneg_margin_fraction=float((margins >= 0.0).mean()),
-        l_un_identity=l_identity,
-        l_un_doubled=l_doubled,
+        l_un_identity=float(loss_identity.mean()),
+        l_un_doubled=float(loss_doubled.mean()),
         holds=bool(holds),
         nonneg_triplet_count=int(nonneg_rows.sum()),
         triplet_count=len(triplets),

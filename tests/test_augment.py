@@ -4,9 +4,8 @@ import pytest
 from simskip.augment import (
     DEFAULT_NOISE_SCALE,
     AugmentConfig,
-    augment_view,
     gaussian_noise,
-    make_positive_pair,
+    make_positive_pairs,
     random_mask,
 )
 from simskip.errors import ValidationError
@@ -76,28 +75,28 @@ class TestPositivePairs:
     def test_identity_config_gives_equal_views(self):
         cfg = AugmentConfig(mask_prob=0.0, noise_scale=0.0)
         rng = np.random.default_rng(0)
-        x = np.array([1.0, 2.0, 3.0])
-        a, b = make_positive_pair(x, cfg, rng)
-        assert np.array_equal(a, x) and np.array_equal(b, x)
+        x = np.array([[1.0, 2.0, 3.0]])
+        a, b = make_positive_pairs(x, cfg, rng)
+        assert np.array_equal(a, x[0]) and np.array_equal(b, x[0])
         assert not np.shares_memory(a, b)
 
     def test_views_differ_with_noise(self):
         cfg = AugmentConfig(noise_scale=0.3)
         rng = np.random.default_rng(5)
-        x = np.ones(8)
+        x = np.ones((1, 8))
         for _ in range(100):
-            a, b = make_positive_pair(x, cfg, rng)
+            a, b = make_positive_pairs(x, cfg, rng)
             assert not np.array_equal(a, b)
 
     def test_mask_applies_before_noise(self):
         # with every coordinate masked, the view is pure noise: it must not
         # depend on the input at all
         cfg = AugmentConfig(mask_prob=1.0, noise_scale=0.5)
-        x = np.array([100.0, -50.0, 7.0])
-        view_x = augment_view(x, cfg, np.random.default_rng(6))
-        view_0 = augment_view(np.zeros(3), cfg, np.random.default_rng(6))
+        x = np.array([[100.0, -50.0, 7.0]])
+        view_x = make_positive_pairs(x, cfg, np.random.default_rng(6))
+        view_0 = make_positive_pairs(np.zeros((1, 3)), cfg, np.random.default_rng(6))
         assert np.array_equal(view_x, view_0)
-        assert not np.array_equal(view_x, np.zeros(3))
+        assert not np.array_equal(view_x, np.zeros((2, 3)))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -114,11 +113,12 @@ class TestPositivePairs:
         # each nonzero step draws its own numbers, in order, and nothing else
         x = np.random.default_rng(7).standard_normal((5, 4))
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = augment_view(x, AugmentConfig(mask_prob, noise_scale), got_rng)
-        want = x
-        if mask_prob:
-            want = random_mask(want, mask_prob, want_rng)
-        if noise_scale:
-            want = gaussian_noise(want, noise_scale, want_rng)
-        assert np.array_equal(got, want)
+        got = make_positive_pairs(x, AugmentConfig(mask_prob, noise_scale), got_rng)
+        for got_view in (got[0::2], got[1::2]):  # view a of every row, then view b
+            want = x
+            if mask_prob:
+                want = random_mask(want, mask_prob, want_rng)
+            if noise_scale:
+                want = gaussian_noise(want, noise_scale, want_rng)
+            assert np.array_equal(got_view, want)
         assert got_rng.random() == want_rng.random()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import simskip
-from simskip import cli, trainer
+from simskip import cli, evaluate, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
@@ -507,6 +507,23 @@ class TestErrorPaths:
         assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("knn_k", [0, 80], ids=["zero", "row-count"])
+    def test_bad_knn_k_exits_one_before_any_probe_trains(self, tmp_path, synth_file, capsys,
+                                                         monkeypatch, knn_k):
+        fits, real_train_probe = [], evaluate.train_probe
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return real_train_probe(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "train_probe", spy)
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--knn-k", knn_k, "--report", report]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert fits == []
+        assert not report.exists()
+
     # each removed flag, given a value its command once took
     @pytest.mark.parametrize("command,argv,flag", [
         ("eval", "--original {d} --refined {d} --report {o} --csv {c}", "--csv"),
@@ -676,7 +693,7 @@ class TestErrorPaths:
 # every public name of the package, by the submodule that defines it
 PUBLIC_NAMES = {
     "augment": ["AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
-                "make_positive_pair", "make_positive_pairs", "random_mask"],
+                "make_positive_pairs", "random_mask"],
     "cli": ["LEARNING_RATE_GRID"],
     "embedding_store": ["EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
                         "save_embeddings", "split"],
@@ -731,10 +748,11 @@ class TestImports:
             simskip.no_such_name  # noqa: B018
 
     @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss",
-                                      "save_train_config"])
+                                      "save_train_config", "augment_view",
+                                      "make_positive_pair"])
     def test_removed_names_raise_attribute_error(self, name):
         # EMBF is the one file format; skip_inequality_check is the one L_un path;
-        # only people write config files
+        # only people write config files; make_positive_pairs is the one view drawer
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(simskip, name)
 

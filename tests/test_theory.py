@@ -15,7 +15,6 @@ from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
     BoundInputs,
     Triplets,
-    _l_un,
     bound_report,
     bound_rhs,
     gen_m,
@@ -220,14 +219,14 @@ class TestMarginLoss:
         margins[10:20, 0] = -1000.0 + rng.standard_normal(10)
         margins[20:30] += 1000.0
         expected = float(np.mean([logistic_loss(row) for row in margins]))
-        assert _l_un(margins) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert logistic_loss(margins).mean() == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=lambda v: f"logistic-{v}")
     def test_non_finite_margin_rejected(self, bad):
         margins = np.ones((5, 4))
         margins[3, 2] = bad
         with pytest.raises(ValidationError):
-            _l_un(margins)
+            logistic_loss(margins).mean()
 
 
 class TestSkipInequality:
@@ -247,6 +246,17 @@ class TestSkipInequality:
         assert report.nonneg_margin_fraction == 1.0
         assert report.holds is True
         assert report.l_un_doubled <= report.l_un_identity
+
+    def test_no_all_nonnegative_row_holds_vacuously(self):
+        # each triplet has one negative margin, so the subset `holds` compares is empty
+        vectors = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
+        triplets = triplets_of((0, 1, (2, 3)), (0, 1, (3, 2)))
+        report = skip_inequality_check(ds, triplets)
+        assert report.nonneg_triplet_count == 0
+        assert report.holds is True
+        assert report.nonneg_margin_fraction == 0.5
+        assert report.l_un_doubled > report.l_un_identity
 
     def test_single_margin_half(self):
         # margin 0.5: losses logistic(0.5) and logistic(2.0)
