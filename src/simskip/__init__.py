@@ -30,7 +30,7 @@ _EXPORTS = {
                         "save_embeddings", "split"),
     "errors": ("FormatError", "NumericsError", "ShapeError", "SimSkipError",
                "ValidationError"),
-    "evaluate": ("ComparisonReport", "EvalReport", "ProbeConfig", "SplitConfig",
+    "evaluate": ("ComparisonReport", "EvalReport", "LinearProbe", "MLP3Probe", "SplitConfig",
                  "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
                  "knn_same_label_score", "train_probe"),
     "losses": ("LossValue", "hinge_loss", "logistic_loss", "nt_xent"),

@@ -55,8 +55,8 @@ def random_mask(x: np.ndarray, mask_prob: float, rng: np.random.Generator) -> np
 
 def gaussian_noise(x: np.ndarray, noise_scale: float, rng: np.random.Generator) -> np.ndarray:
     """Add iid zero-mean Gaussian noise with stddev noise_scale per coordinate."""
-    if noise_scale < 0:
-        raise ValidationError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not 0 <= noise_scale < np.inf:
+        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     x = np.asarray(x, dtype=np.float64)
     return x + noise_scale * rng.standard_normal(x.shape)
 

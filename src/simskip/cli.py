@@ -14,10 +14,11 @@ Subcommands
     inspect     print a JSON summary of an EMBF or SSKP file
 
 Exit codes: 0 success, 1 validation/format/usage errors, 2 internal
-numeric failure. Every run is deterministic for fixed seeds: rerunning a
-command overwrites its outputs with identical bytes, and input files are
-never modified. Before anything is read or written, every input must
-exist, every output must name a file in an existing directory, and no
+numeric failure, a floating-point overflow, invalid operation or division
+by zero in NumPy included. Every run is deterministic for fixed seeds:
+rerunning a command overwrites its outputs with identical bytes, and input
+files are never modified. Before anything is read or written, every input
+must exist, every output must name a file in an existing directory, and no
 output may name the same file as an input or another output; a failed
 check exits 1.
 
@@ -184,14 +185,15 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evaluate import LINEAR, MLP3, ProbeConfig, SplitConfig, compare_embeddings
+    from .evaluate import LinearProbe, MLP3Probe, SplitConfig, compare_embeddings
 
     _check_paths([("--original", args.original), *(("--refined", p) for p in args.refined)],
                  [("--report", args.report)])
     original = load_embeddings(args.original)
     # the linear probe heads the report; mlp3 rides along at its own rate and epochs
-    linear_cfg = ProbeConfig(kind=LINEAR, learning_rate=args.probe_lr, epochs=args.probe_epochs)
-    mlp3_cfg = ProbeConfig(kind=MLP3, hidden_dim=args.hidden_dim, seed=args.probe_seed)
+    linear_cfg = LinearProbe(**{name: value for name, value in (
+        ("learning_rate", args.probe_lr), ("epochs", args.probe_epochs)) if value is not None})
+    mlp3_cfg = MLP3Probe(hidden_dim=args.hidden_dim, seed=args.probe_seed)
     split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
     original_entry, refined_entries = None, []
     for path in args.refined:
@@ -202,13 +204,13 @@ def _cmd_eval(args) -> int:
             original_entry = {
                 "path": str(args.original),
                 **comp.original.to_json_dict(),
-                "secondary_probe": {"kind": MLP3, "accuracy": mlp3.original.probe_accuracy,
+                "secondary_probe": {"kind": mlp3_cfg.kind, "accuracy": mlp3.original.probe_accuracy,
                                     "probe_config": mlp3_cfg.to_json_dict()},
             }
         refined_entries.append({
             "path": str(path),
             **comp.refined.to_json_dict(),
-            "secondary_probe": {"kind": MLP3, "accuracy": mlp3.refined.probe_accuracy,
+            "secondary_probe": {"kind": mlp3_cfg.kind, "accuracy": mlp3.refined.probe_accuracy,
                                 "delta": mlp3.probe_delta, "probe_config": mlp3_cfg.to_json_dict()},
             "deltas": {"knn_score": comp.knn_delta, "probe_accuracy": comp.probe_delta},
         })
@@ -389,12 +391,18 @@ def parse_and_run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow, invalid operation or division by zero anywhere in NumPy
+        # stops the command where it happens, not at a later finiteness check
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {args.command}: floating-point fault: {exc}", file=sys.stderr)
         return 2
     except (SimSkipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

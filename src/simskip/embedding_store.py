@@ -63,13 +63,19 @@ class EmbeddingDataset:
         object.__setattr__(self, "vectors", v)
 
         if self.labels is not None:
-            lab = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-            if lab.ndim != 1 or lab.shape[0] != v.shape[0]:
+            raw = np.asarray(self.labels)
+            if raw.ndim != 1 or raw.shape[0] != v.shape[0]:
                 raise ValidationError(
-                    f"labels must be a vector of length {v.shape[0]}, got shape {lab.shape}"
+                    f"labels must be a vector of length {v.shape[0]}, got shape {raw.shape}"
                 )
-            if lab.size and (lab.min() < 0 or lab.max() > _MAX_LABEL):
+            # checked before the cast to int64, which would store 0.5 as 0
+            if raw.size and not np.isfinite(raw).all():
+                raise ValidationError("labels contain NaN or Inf")
+            if raw.size and (raw.min() < 0 or raw.max() > _MAX_LABEL):
                 raise ValidationError("labels must be nonnegative 32-bit integers")
+            lab = np.ascontiguousarray(raw, dtype=np.int64)
+            if not np.array_equal(lab, raw):
+                raise ValidationError("labels must be integers, got a fractional value")
             lab.flags.writeable = False
             object.__setattr__(self, "labels", lab)
 

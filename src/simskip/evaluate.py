@@ -11,22 +11,25 @@ Two metrics:
   smallest by partitioning a copy, and counts the entries below it plus
   the lowest-index entries equal to it. The blocks run in one loop on the
   calling thread through two block x N buffers allocated once per call.
-* probe accuracy: a classifier trained on frozen embeddings. Both kinds
-  are a list of (weight, bias) layers with ReLU between them, run by one
-  forward/backward pair. "linear" is a single layer, multinomial logistic
-  regression fit by full-batch gradient descent; "mlp3" is a 3-layer ReLU
-  network (input -> hidden -> hidden -> classes) fit with the trainer's
-  Adam. Features are standardized with train-split statistics inside the
-  probe. A fit packs every weight and bias into one vector, the layers
-  being views of it, and allocates one workspace (activations,
-  input-gradient buffers, one gradient vector of the same layout) before
-  its first step. Every step writes through it, softmax cross-entropy
-  gradient included, and updates the weight vector in one pass. The ReLU
-  backward reads its mask off the stored activation, positive exactly
-  where its input is, and the first layer's input gradient is never
-  formed. Prediction runs the same forward pass through activation
-  buffers only, once per test set, for the accuracy and the per-class
-  accuracies alike.
+* probe accuracy: a classifier trained on frozen embeddings. A probe's
+  kind is its config type, which holds exactly the settings its fit reads.
+  `LinearProbe` (kind "linear": learning_rate, epochs) is a single layer,
+  multinomial logistic regression started at zero and fit by full-batch
+  gradient descent; `MLP3Probe` (kind "mlp3": hidden_dim, learning_rate,
+  epochs, seed) is a 3-layer ReLU network (input -> hidden -> hidden ->
+  classes) drawn from its seed and fit with the trainer's Adam. Both are
+  a list of (weight, bias) layers with ReLU between them, run by one
+  forward/backward pair. Features are standardized with train-split
+  statistics inside the probe. A fit packs every weight and bias into one
+  vector, the layers being views of it, and allocates one workspace
+  (activations, input-gradient buffers, one gradient vector of the same
+  layout) before its first step. Every step writes through it, softmax
+  cross-entropy gradient included, and updates the weight vector in one
+  pass. The ReLU backward reads its mask off the stored activation,
+  positive exactly where its input is, and the first layer's input
+  gradient is never formed. Prediction runs the same forward pass through
+  activation buffers only, once per test set, for the accuracy and the
+  per-class accuracies alike.
 
 `evaluate_embeddings` is the one path that scores a dataset: stratified
 split, kNN, probe fit, one prediction and fingerprint. kNN runs before the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,48 +58,47 @@ MLP3 = "mlp3"
 _Layers = list[tuple[np.ndarray, np.ndarray]]  # each layer's (weight, bias), input layer first
 
 
-class _DefaultRate(float):
-    """A probe learning rate the caller left to the kind's default."""
-
-
-class _DefaultEpochs(int):
-    """A probe epoch count the caller left to the kind's default."""
-
-
-_KIND_DEFAULTS = {LINEAR: (_DefaultRate(0.5), _DefaultEpochs(500)),
-                  MLP3: (_DefaultRate(0.01), _DefaultEpochs(300))}
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    kind: str = LINEAR
-    hidden_dim: int = 64
-    # None: the kind's default, stored as a marker type that `dataclasses.replace`
-    # passes on, so that a config of another kind resolves it again
-    learning_rate: float | None = None
-    epochs: int | None = None
-    seed: int = 0
+class _Probe:
+    """A probe type's rate and epoch checks, and its report record: its
+    kind and every setting its fit reads."""
 
     def __post_init__(self):
-        if self.kind not in _KIND_DEFAULTS:
-            raise ValidationError(f"probe kind must be {LINEAR!r} or {MLP3!r}")
-        for name, default in zip(("learning_rate", "epochs"), _KIND_DEFAULTS[self.kind]):
-            if getattr(self, name) is None or isinstance(getattr(self, name), type(default)):
-                object.__setattr__(self, name, default)
-        if self.hidden_dim < 1:
-            raise ValidationError("hidden_dim must be >= 1")
         if not 0 < self.learning_rate < np.inf:
             raise ValidationError("probe learning_rate must be finite and > 0")
         if self.epochs < 0:
             raise ValidationError("probe epochs must be >= 0")
 
     def to_json_dict(self) -> dict:
-        """The settings the fit reads: a linear probe has no hidden layer and
-        starts at zero, so it reads neither hidden_dim nor seed."""
-        settings = dataclasses.asdict(self)
-        if self.kind == LINEAR:
-            del settings["hidden_dim"], settings["seed"]
-        return settings
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
+
+@dataclass(frozen=True)
+class LinearProbe(_Probe):
+    """One layer, started at zero and fit by full-batch gradient descent,
+    so it has no width and no seed."""
+
+    kind: ClassVar[str] = LINEAR
+    learning_rate: float = 0.5
+    epochs: int = 500
+
+
+@dataclass(frozen=True)
+class MLP3Probe(_Probe):
+    """Two ReLU hidden layers of `hidden_dim` units, drawn from `seed` and
+    fit with the trainer's Adam."""
+
+    kind: ClassVar[str] = MLP3
+    hidden_dim: int = 64
+    learning_rate: float = 0.01
+    epochs: int = 300
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hidden_dim < 1:
+            raise ValidationError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,9 @@ def _softmax_xent_grad(logits: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
     return logits
 
 
-def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> ProbeModel:
-    cfg = cfg or ProbeConfig()
+def train_probe(train: EmbeddingDataset,
+                cfg: LinearProbe | MLP3Probe | None = None) -> ProbeModel:
+    cfg = cfg or LinearProbe()
     if train.labels is None:
         raise ValidationError("train_probe requires labels")
     classes = np.unique(train.labels)
@@ -271,15 +275,14 @@ def train_probe(train: EmbeddingDataset, cfg: ProbeConfig | None = None) -> Prob
         for weight, bias in layers:
             linear_init(weight, bias, rng)
     state = adam_init(flat) if cfg.kind == MLP3 else None
-    lr = float(cfg.learning_rate)  # a kind's default is a float subclass, slow in NumPy arithmetic
     for t in range(1, cfg.epochs + 1):
         logits = _probe_forward(layers, xs, ws.acts)
         grad = _probe_backward(layers, xs, ws, _softmax_xent_grad(logits, ws))
         if cfg.kind == LINEAR:
-            grad *= lr
+            grad *= cfg.learning_rate
             flat -= grad
         else:
-            adam_step(flat, grad, state, t, lr)
+            adam_step(flat, grad, state, t, cfg.learning_rate)
 
     return ProbeModel(classes, mean, scale, layers)
 
@@ -306,7 +309,7 @@ class EvalReport:
     knn_score: float
     probe_accuracy: float
     per_class: dict[int, float]
-    probe_config: ProbeConfig
+    probe_config: LinearProbe | MLP3Probe
     split_config: SplitConfig
     knn_k: int
     fingerprint: str
@@ -333,13 +336,13 @@ class ComparisonReport:
 
 def evaluate_embeddings(
     dataset: EmbeddingDataset,
-    probe_cfg: ProbeConfig | None = None,
+    probe_cfg: LinearProbe | MLP3Probe | None = None,
     split_cfg: SplitConfig | None = None,
     knn_k: int = 10,
 ) -> EvalReport:
     """One dataset's report: the probe fit on the train rows of its split
     and scored on the test rows, and the kNN score over all rows."""
-    probe_cfg = probe_cfg or ProbeConfig()
+    probe_cfg = probe_cfg or LinearProbe()
     split_cfg = split_cfg or SplitConfig()
     train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed)
     knn_score = knn_same_label_score(dataset, k=knn_k)  # a bad k fails before any fit
@@ -358,7 +361,7 @@ def evaluate_embeddings(
 def compare_embeddings(
     original: EmbeddingDataset,
     refined: EmbeddingDataset,
-    probe_cfg: ProbeConfig | None = None,
+    probe_cfg: LinearProbe | MLP3Probe | None = None,
     split_cfg: SplitConfig | None = None,
     knn_k: int = 10,
 ) -> ComparisonReport:

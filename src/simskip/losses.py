@@ -52,8 +52,8 @@ def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     rows = z.shape[0]
     if rows % 2 != 0 or rows // 2 < 2:
         raise ValidationError(f"need 2N rows with N >= 2, got {rows}")
-    if tau <= 0:
-        raise ValidationError(f"temperature must be > 0, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValidationError(f"temperature tau must be finite and > 0, got {tau}")
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise NumericsError("nt_xent requires all rows nonzero and finite")

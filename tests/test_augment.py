@@ -67,8 +67,9 @@ class TestGaussianNoise:
 
     def test_negative_scale(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError):
-            gaussian_noise(np.ones(3), -0.1, rng)
+        for scale in (-0.1, np.inf, np.nan):  # inf gave inf views and nan NaN views
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                gaussian_noise(np.ones(3), scale, rng)
 
 
 class TestPositivePairs:

@@ -16,7 +16,7 @@ from simskip import cli, evaluate, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
-from simskip.evaluate import ProbeConfig
+from simskip.evaluate import LinearProbe
 from simskip.model import init_params, load_checkpoint, save_checkpoint
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import load_train_config
@@ -261,6 +261,25 @@ class TestExtremeInputs:
                     "--checkpoint", ckpt]) == 0
         assert np.isfinite(load_embeddings(out).vectors).all()
         load_checkpoint(ckpt)  # rejects non-finite tensors
+
+    # past the edge: Adam's g * g overflows at tau = 1e-160, the first matmul
+    # at learning_rate = 1e300; without the error state the first wrote a file
+    # whose final loss was 2.6e155, and both warned or died with a traceback
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", ["tau = 1e-160\n", "learning_rate = 1e300\n"],
+                             ids=["tau-1e-160", "lr-1e300"])
+    def test_floating_point_fault_exits_two_and_writes_nothing(self, tmp_path, capsys, extra):
+        data = tmp_path / "d.embf"
+        assert run(["gen-synth", "--classes", 2, "--dim", 8, "--per-class", 45,
+                    "--out", data]) == 0
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 16\n" + extra)
+        capsys.readouterr()
+        assert run(["refine", "--in", data, "--config", cfg, "--out", tmp_path / "r.embf",
+                    "--report", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: refine: floating-point fault:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "edge.cfg"]
 
 
 class TestTheoryCommand:
@@ -548,7 +567,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("lr", [-1, 0])
     def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
         with pytest.raises(ValidationError, match="learning_rate"):
-            ProbeConfig(learning_rate=lr)
+            LinearProbe(learning_rate=lr)
         report = tmp_path / "eval.json"
         assert run(["eval", "--original", synth_file, "--refined", synth_file,
                     "--probe-lr", lr, "--report", report]) == 1
@@ -557,8 +576,8 @@ class TestErrorPaths:
 
     def test_probe_epochs_must_be_nonnegative(self, tmp_path, synth_file, capsys):
         with pytest.raises(ValidationError, match="epochs"):
-            ProbeConfig(epochs=-3)
-        ProbeConfig(epochs=0)
+            LinearProbe(epochs=-3)
+        LinearProbe(epochs=0)
         report = tmp_path / "eval.json"
         assert run(["eval", "--original", synth_file, "--refined", synth_file,
                     "--probe-epochs", -3, "--report", report]) == 1
@@ -699,7 +718,7 @@ PUBLIC_NAMES = {
                         "save_embeddings", "split"],
     "errors": ["FormatError", "NumericsError", "ShapeError", "SimSkipError",
                "ValidationError"],
-    "evaluate": ["ComparisonReport", "EvalReport", "ProbeConfig", "SplitConfig",
+    "evaluate": ["ComparisonReport", "EvalReport", "LinearProbe", "MLP3Probe", "SplitConfig",
                  "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
                  "knn_same_label_score", "train_probe"],
     "losses": ["LossValue", "hinge_loss", "logistic_loss", "nt_xent"],
@@ -749,10 +768,11 @@ class TestImports:
 
     @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss",
                                       "save_train_config", "augment_view",
-                                      "make_positive_pair"])
+                                      "make_positive_pair", "ProbeConfig"])
     def test_removed_names_raise_attribute_error(self, name):
         # EMBF is the one file format; skip_inequality_check is the one L_un path;
-        # only people write config files; make_positive_pairs is the one view drawer
+        # only people write config files; make_positive_pairs is the one view drawer;
+        # a probe's kind is its type (LinearProbe, MLP3Probe)
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(simskip, name)
 

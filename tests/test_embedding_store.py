@@ -61,6 +61,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             EmbeddingDataset(np.ones((2, 2)), labels=[0, -1])
 
+    @pytest.mark.parametrize("bad,match", [(0.5, "fractional"), (np.nan, "NaN or Inf"),
+                                           (np.inf, "NaN or Inf")])
+    def test_rejects_labels_the_integer_cast_would_change(self, bad, match):
+        # the cast to int64 would store 0.5 as 0, and NaN or inf as some integer
+        with pytest.raises(ValidationError, match=match):
+            EmbeddingDataset(np.zeros((2, 2)), np.array([bad, 1.0]))
+
+    def test_integral_float_labels_load(self):
+        # np.loadtxt reads a label column as floats
+        ds = EmbeddingDataset(np.zeros((2, 2)), np.array([1.0, 0.0]))
+        assert ds.labels.dtype == np.int64 and list(ds.labels) == [1, 0]
+
     def test_rejects_zero_dim(self):
         with pytest.raises(ValidationError):
             EmbeddingDataset(np.ones((2, 0)))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import threading
 import tracemalloc
@@ -15,7 +14,8 @@ from simskip.errors import ShapeError, ValidationError
 from simskip.evaluate import (
     LINEAR,
     MLP3,
-    ProbeConfig,
+    LinearProbe,
+    MLP3Probe,
     SplitConfig,
     compare_embeddings,
     evaluate_embeddings,
@@ -175,7 +175,7 @@ class TestProbes:
 
     def test_deterministic_per_seed(self):
         ds = two_clusters(per=30, sep=4.0, sigma=1.0)
-        cfg = ProbeConfig(kind=MLP3, hidden_dim=16, epochs=50, seed=3)
+        cfg = MLP3Probe(hidden_dim=16, epochs=50, seed=3)
         m1 = train_probe(ds, cfg)
         m2 = train_probe(ds, cfg)
         for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
@@ -184,37 +184,42 @@ class TestProbes:
 
     def test_mlp_probe_fits_separable_data(self):
         ds = two_clusters(per=50, sep=10.0, sigma=1.0)
-        model = train_probe(ds, ProbeConfig(kind=MLP3, hidden_dim=16, epochs=200, seed=0))
+        model = train_probe(ds, MLP3Probe(hidden_dim=16, epochs=200, seed=0))
         assert evaluate_probe(model, ds)[0] >= 0.99
 
     def test_constant_model_on_balanced_data(self):
         ds = two_clusters(per=25)
-        model = train_probe(ds, ProbeConfig(epochs=0))  # zero-init: constant scores
+        model = train_probe(ds, LinearProbe(epochs=0))  # zero-init: constant scores
         assert evaluate_probe(model, ds)[0] == 0.5
 
     @pytest.mark.parametrize("kind,lr,epochs", [(LINEAR, 0.5, 500), (MLP3, 0.01, 300)])
     def test_unset_rate_and_epochs_take_the_kind_default(self, kind, lr, epochs):
-        cfg = ProbeConfig(kind=kind)
-        assert (cfg.learning_rate, cfg.epochs) == (lr, epochs)
-        cfg = ProbeConfig(kind=kind, learning_rate=0.2, epochs=7)
-        assert (cfg.learning_rate, cfg.epochs) == (0.2, 7)
-        assert ProbeConfig(kind=kind, epochs=0).epochs == 0
-        with pytest.raises(ValidationError, match="learning_rate"):
-            ProbeConfig(kind=kind, learning_rate=0)
-
-    @pytest.mark.parametrize("given,kind,lr,epochs", [
-        ({}, MLP3, 0.01, 300), ({"kind": MLP3}, LINEAR, 0.5, 500),
-        ({"epochs": 7}, MLP3, 0.01, 7), ({"kind": MLP3, "learning_rate": 0.2}, LINEAR, 0.2, 500),
-    ])
-    def test_replace_with_a_new_kind_keeps_only_the_given_settings(self, given, kind, lr,
-                                                                     epochs):
-        # an unset rate or epoch count takes the new kind's default
-        cfg = dataclasses.replace(ProbeConfig(**given), kind=kind)
+        probe = {LINEAR: LinearProbe, MLP3: MLP3Probe}[kind]
+        cfg = probe()
         assert (cfg.kind, cfg.learning_rate, cfg.epochs) == (kind, lr, epochs)
+        assert type(cfg.learning_rate) is float and type(cfg.epochs) is int
+        cfg = probe(learning_rate=0.2, epochs=7)
+        assert (cfg.kind, cfg.learning_rate, cfg.epochs) == (kind, 0.2, 7)
+        assert probe(epochs=0).epochs == 0
+        for rate in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="learning_rate"):
+                probe(learning_rate=rate)
+        with pytest.raises(ValidationError, match="epochs"):
+            probe(epochs=-1)
 
-    def test_unknown_probe_kind_rejected(self):
-        with pytest.raises(ValidationError, match="probe kind must be 'linear' or 'mlp3'"):
-            ProbeConfig(kind="knn")
+    def test_each_probe_type_holds_only_the_settings_its_fit_reads(self):
+        # the linear probe has no hidden layer and starts at zero
+        for setting in ({"hidden_dim": 8}, {"seed": 1}):
+            with pytest.raises(TypeError):
+                LinearProbe(**setting)
+        assert LinearProbe().to_json_dict() == {"kind": "linear", "learning_rate": 0.5,
+                                                "epochs": 500}
+        assert MLP3Probe().to_json_dict() == {"kind": "mlp3", "hidden_dim": 64,
+                                              "learning_rate": 0.01, "epochs": 300, "seed": 0}
+        with pytest.raises(ValidationError, match="hidden_dim"):
+            MLP3Probe(hidden_dim=0)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            MLP3Probe(seed=-1)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
@@ -264,7 +269,8 @@ class TestProbes:
     def test_bitwise_equal_to_reference_fit(self, kind, hidden, dim, classes):
         ds = apply_class_mixing(generate_gaussian_mixture(
             MixtureSpec(classes, dim, 30, class_separation=3.0, seed=dim)), 0.3, seed=1)
-        cfg = ProbeConfig(kind=kind, hidden_dim=hidden, epochs=40, seed=5)
+        cfg = (LinearProbe(epochs=40) if kind == LINEAR
+               else MLP3Probe(hidden_dim=hidden, epochs=40, seed=5))
         got = train_probe(ds, cfg).layers
         want = reference_train_probe(ds.vectors, ds.labels, kind, hidden,
                                      cfg.learning_rate, 40, seed=5)
@@ -319,8 +325,8 @@ class TestCompare:
         assert comp.original.per_class == comp.refined.per_class
         assert set(comp.original.per_class) == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("cfg", [ProbeConfig(epochs=30),
-                                     ProbeConfig(kind=MLP3, hidden_dim=8, epochs=30, seed=2)],
+    @pytest.mark.parametrize("cfg", [LinearProbe(epochs=30),
+                                     MLP3Probe(hidden_dim=8, epochs=30, seed=2)],
                              ids=[LINEAR, MLP3])
     def test_reports_are_single_dataset_evaluations(self, cfg):
         original = generate_gaussian_mixture(MixtureSpec(3, 8, 30, class_separation=3.0, seed=4))

@@ -79,8 +79,9 @@ class TestNtXent:
             nt_xent(z, 0.5)
 
     def test_bad_temperature(self):
-        with pytest.raises(ValidationError):
-            nt_xent(np.ones((8, 3)), 0.0)
+        for tau in (0.0, -0.5, math.nan, math.inf):  # nan gave a NaN loss, inf log(2N - 1)
+            with pytest.raises(ValidationError, match="finite and > 0"):
+                nt_xent(np.ones((8, 3)), tau)
 
 
 def blocked_nt_xent(z, tau, block):
