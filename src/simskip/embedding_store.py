@@ -68,13 +68,15 @@ class EmbeddingDataset:
                 raise ValidationError(
                     f"labels must be a vector of length {v.shape[0]}, got shape {raw.shape}"
                 )
-            # checked before the cast to int64, which would store 0.5 as 0
-            if raw.size and not np.isfinite(raw).all():
+            # the cast to int64 would store a float label 0.5 as 0, so a label array
+            # that is not of an integer type must hold finite whole numbers
+            whole = raw.dtype.kind in "iu"
+            if not whole and raw.size and not np.isfinite(raw).all():
                 raise ValidationError("labels contain NaN or Inf")
             if raw.size and (raw.min() < 0 or raw.max() > _MAX_LABEL):
                 raise ValidationError("labels must be nonnegative 32-bit integers")
             lab = np.ascontiguousarray(raw, dtype=np.int64)
-            if not np.array_equal(lab, raw):
+            if not whole and not np.array_equal(lab, raw):
                 raise ValidationError("labels must be integers, got a fractional value")
             lab.flags.writeable = False
             object.__setattr__(self, "labels", lab)

@@ -67,7 +67,7 @@ class TestGaussianNoise:
 
     def test_negative_scale(self):
         rng = np.random.default_rng(0)
-        for scale in (-0.1, np.inf, np.nan):  # inf gave inf views and nan NaN views
+        for scale in (-0.1, np.inf, np.nan):  # inf would give inf views, nan NaN views
             with pytest.raises(ValidationError, match="finite and >= 0"):
                 gaussian_noise(np.ones(3), scale, rng)
 

@@ -262,9 +262,9 @@ class TestExtremeInputs:
         assert np.isfinite(load_embeddings(out).vectors).all()
         load_checkpoint(ckpt)  # rejects non-finite tensors
 
-    # past the edge: Adam's g * g overflows at tau = 1e-160, the first matmul
-    # at learning_rate = 1e300; without the error state the first wrote a file
-    # whose final loss was 2.6e155, and both warned or died with a traceback
+    # past the edge: Adam's g * g overflows at tau = 1e-160 (the loss is about
+    # 1e155, finite, so no later check would stop it), and the first matmul
+    # after an update overflows at learning_rate = 1e300
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extra", ["tau = 1e-160\n", "learning_rate = 1e300\n"],
                              ids=["tau-1e-160", "lr-1e300"])

@@ -79,7 +79,7 @@ class TestNtXent:
             nt_xent(z, 0.5)
 
     def test_bad_temperature(self):
-        for tau in (0.0, -0.5, math.nan, math.inf):  # nan gave a NaN loss, inf log(2N - 1)
+        for tau in (0.0, -0.5, math.nan, math.inf):  # nan: a NaN loss; inf: log(2N - 1)
             with pytest.raises(ValidationError, match="finite and > 0"):
                 nt_xent(np.ones((8, 3)), tau)
 
