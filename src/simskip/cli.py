@@ -184,6 +184,11 @@ def _cmd_refine(args) -> int:
     return 0
 
 
+def _given(**settings) -> dict:
+    """The settings whose flag was given; the rest keep the probe type's defaults."""
+    return {name: value for name, value in settings.items() if value is not None}
+
+
 def _cmd_eval(args) -> int:
     from .evaluate import LinearProbe, MLP3Probe, SplitConfig, compare_embeddings
 
@@ -191,9 +196,8 @@ def _cmd_eval(args) -> int:
                  [("--report", args.report)])
     original = load_embeddings(args.original)
     # the linear probe heads the report; mlp3 rides along at its own rate and epochs
-    linear_cfg = LinearProbe(**{name: value for name, value in (
-        ("learning_rate", args.probe_lr), ("epochs", args.probe_epochs)) if value is not None})
-    mlp3_cfg = MLP3Probe(hidden_dim=args.hidden_dim, seed=args.probe_seed)
+    linear_cfg = LinearProbe(**_given(learning_rate=args.probe_lr, epochs=args.probe_epochs))
+    mlp3_cfg = MLP3Probe(**_given(hidden_dim=args.hidden_dim, seed=args.probe_seed))
     split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
     original_entry, refined_entries = None, []
     for path in args.refined:
@@ -347,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined", nargs="+", required=True)
     p.add_argument("--report", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--hidden-dim", type=int, default=64, help="mlp3 probe hidden width")
+    p.add_argument("--hidden-dim", type=int, default=None, help="mlp3 probe hidden width")
     p.add_argument("--probe-lr", type=float, default=None, help="linear probe learning rate")
     p.add_argument("--probe-epochs", type=int, default=None, help="linear probe epochs")
-    p.add_argument("--probe-seed", type=_seed, default=0, help="mlp3 probe initial weights")
+    p.add_argument("--probe-seed", type=_seed, default=None, help="mlp3 probe initial weights")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--split-seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_eval)

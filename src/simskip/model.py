@@ -22,12 +22,18 @@ the table lists them in the checkpoint's tensor order. A model holds
 exactly the tensors its checkpoint stores, in `tensors` keyed like the
 table, plus the skip flag and the width. Forward passes read
 `tensors[key]`; backward passes write each parameter gradient into
-`grads[key]`, buffers keyed the same way (`arena_views` of one gradient
-vector), and return the input's unless told not to form it, as training
-does. The trainable tensors are views of one float64 vector, the arena
-`flat`, laid end to end in table order; batch norm's running statistics
-(`TRAINABLE` leaves them out) are separate arrays that training passes
-update in place. No tensor is ever rebound: assign through `[...]`.
+`grads[key]`, buffers keyed the same way, and return the input's unless
+told not to form it, as training does. The trainable tensors are views of
+one float64 vector, the arena `flat`, laid end to end in table order, so
+each layer's tensors are one slice of it (`layer_slices`); batch norm's
+running statistics (`TRAINABLE` leaves them out) are separate arrays that
+training passes update in place. No tensor is ever rebound: assign
+through `[...]`.
+
+A backward pass given `after_layer` calls it with each layer's name
+("proj2", "proj1", "out", "layer2", "layer1", in that order) once it no
+longer reads that layer's tensors or gradient buffers, so the hook may
+update the one and reuse the other, as training does.
 
 A forward pass given a generator `rng` is a training pass (batch
 statistics, dropout masks drawn from `rng`); one without is the eval pass.
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +85,7 @@ PARAM_TABLE = (
 )
 # batch norm keeps its running statistics as state; every other tensor trains
 TRAINABLE = tuple(key for key in PARAM_TABLE if ".running_" not in key)
+LAYERS = ("layer1", "layer2", "out", "proj1", "proj2")  # table order; backward runs them reversed
 _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")  # batchnorm_apply's order
 
 
@@ -97,10 +105,22 @@ def _shape(key: str, d: int) -> tuple[int, ...]:
     return (out, inp) if field == "weight" else (out,)
 
 
-def arena_views(flat: np.ndarray, d: int) -> dict[str, np.ndarray]:
-    """Views of `flat` shaped as the trainable tensors of a width-d model,
-    end to end in table order and keyed like `PARAM_TABLE`."""
-    return dict(zip(TRAINABLE, flat_views(flat, [_shape(key, d) for key in TRAINABLE])))
+def arena_views(flat: np.ndarray, d: int, layer: str | None = None) -> dict[str, np.ndarray]:
+    """Views of `flat` shaped as the trainable tensors of a width-d model (of
+    `layer` alone, when given), end to end in table order and keyed like
+    `PARAM_TABLE`."""
+    keys = [key for key in TRAINABLE if layer in (None, key.split(".")[0])]
+    return dict(zip(keys, flat_views(flat, [_shape(key, d) for key in keys])))
+
+
+def layer_slices(d: int) -> dict[str, slice]:
+    """Each layer's slice of a width-d arena, keyed and ordered like `LAYERS`."""
+    slices, start = {}, 0
+    for layer in LAYERS:
+        keys = [key for key in TRAINABLE if key.split(".")[0] == layer]
+        stop = start + sum(math.prod(_shape(key, d)) for key in keys)
+        slices[layer], start = slice(start, stop), stop
+    return slices
 
 
 def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
@@ -129,7 +149,7 @@ def init_params(
     params = _arena_model(d, skip_enabled)
     # drawn straight into the arena; this order fixes the random stream
     t = params.tensors
-    for layer in ("layer1", "layer2", "out", "proj1", "proj2"):
+    for layer in LAYERS:
         linear_init(t[layer + ".weight"], t.get(layer + ".bias"), rng,
                     zero=zero_init_residual_out and layer == "out")
     return params
@@ -168,14 +188,20 @@ def encoder_forward(
 
 
 def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
-                     input_grad: bool = True) -> np.ndarray | None:
-    """Write every encoder gradient into `grads`; return the input gradient,
-    or None when `input_grad` is false (training never reads it)."""
+                     input_grad: bool = True,
+                     after_layer: Callable[[str], None] | None = None) -> np.ndarray | None:
+    """Write every encoder gradient into `grads`, calling `after_layer` (if
+    given) as each layer ends; return the input gradient, or None when
+    `input_grad` is false (training never reads it)."""
+    done = after_layer or (lambda layer: None)
     c1, c2, c_out, skip_enabled = cache
     dout = np.asarray(dout, dtype=np.float64)
     dh2 = linear_backward(c_out, dout, grads["out.weight"], grads["out.bias"])
+    done("out")
     dh1 = _block_backward(c2, dh2, grads, "layer2")
+    done("layer2")
     dx = _block_backward(c1, dh1, grads, "layer1", input_grad)
+    done("layer1")
     if input_grad and skip_enabled:
         dx += dout
     return dx
@@ -190,11 +216,16 @@ def projector_forward(params: SimSkipParams, h_batch: np.ndarray):
     return z, (c1, c_relu, c2)
 
 
-def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray],
+                       after_layer: Callable[[str], None] | None = None) -> np.ndarray:
+    done = after_layer or (lambda layer: None)
     c1, c_relu, c2 = cache
     dhidden = linear_backward(c2, dz, grads["proj2.weight"], grads["proj2.bias"])
+    done("proj2")
     da = relu_backward(c_relu, dhidden)
-    return linear_backward(c1, da, grads["proj1.weight"], grads["proj1.bias"])
+    dh = linear_backward(c1, da, grads["proj1.weight"], grads["proj1.bias"])
+    done("proj1")
+    return dh
 
 
 def contrastive_loss_and_grads(
@@ -204,19 +235,26 @@ def contrastive_loss_and_grads(
     grads: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     input_grad: bool = True,
+    after_layer: Callable[[str], None] | None = None,
 ):
     """Full-graph loss of a 2N-row paired batch and its input gradient (None
     when `input_grad` is false); every parameter gradient is written into
-    `grads` (keyed like `PARAM_TABLE`). A training pass when given `rng`."""
+    `grads` (keyed like `PARAM_TABLE`), with `after_layer` (if given) called
+    as each layer's backward pass ends. A training pass when given `rng`.
+
+    With `after_layer`, a non-finite loss returns (loss, None) before the
+    backward pass, so no hook runs."""
     from .losses import nt_xent  # local import keeps module deps one-way
 
     h, enc_cache = encoder_forward(params, pairs, rng)
     z, proj_cache = projector_forward(params, h)
     lv = nt_xent(z, tau)
-    dh = projector_backward(proj_cache, lv.grad, grads)
     loss = lv.value
+    if after_layer is not None and not np.isfinite(loss):
+        return loss, None
+    dh = projector_backward(proj_cache, lv.grad, grads, after_layer)
     del h, z, proj_cache, lv  # the encoder's backward pass reads none of them
-    return loss, encoder_backward(enc_cache, dh, grads, input_grad)
+    return loss, encoder_backward(enc_cache, dh, grads, input_grad, after_layer)
 
 
 def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset:

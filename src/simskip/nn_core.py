@@ -4,9 +4,10 @@ Every layer is a pair of functions over plain arrays: `*_apply` takes the
 input and the layer's tensors and returns (output, cache), and the matching
 `*_backward` consumes the cache plus the upstream gradient and returns the
 input gradient; parameter gradients go into buffers the caller passes
-(views of one gradient vector, in `model`). Tensors may be views too, and
-no function here rebinds one: training-pass batch norm writes its running
-statistics into the arrays it is given. Assign to a tensor through `[...]`.
+(views laid out like the parameters, in `model`). Tensors may be views
+too, and no function here rebinds one: training-pass batch norm writes its
+running statistics into the arrays it is given. Assign to a tensor through
+`[...]`.
 ReLU and dropout hold no tensors; dropout takes its rate as an argument.
 All math runs in float64 so analytic gradients can be checked against
 central finite differences to tight tolerances.

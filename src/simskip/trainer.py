@@ -12,9 +12,13 @@ pass. The last partial batch of each epoch is dropped to keep the
 negative count uniform.
 
 The model's trainable tensors are views of one vector, its arena (see
-`model`). A run allocates one gradient vector with the same layout, which
-every backward pass overwrites, and Adam updates the arena from it in
-place, in cache-sized blocks; the result is bitwise the textbook update.
+`model`), in which each layer's tensors are one slice. Adam updates each
+layer's slice in place as soon as the backward pass is done with that
+layer, from a gradient written into one scratch vector the size of the
+largest layer, so no whole-model gradient vector exists. Adam is
+elementwise, so this is bitwise the update of the whole arena after the
+whole backward pass, and that is bitwise the textbook update. The loss is
+checked before any layer is updated.
 
 Config files are plain text, one `key = value` per line with `#` comments,
 each key at most once. The keys are TrainConfig's and AugmentConfig's
@@ -40,6 +44,7 @@ from .model import (
     arena_views,
     contrastive_loss_and_grads,
     init_params,
+    layer_slices,
 )
 from .utils import block_rows
 
@@ -98,8 +103,8 @@ def adam_init(params: np.ndarray) -> AdamState:
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
               lr: float) -> None:
     """One bias-corrected Adam update at ADAM_BETA1, ADAM_BETA2 and ADAM_EPS
-    of the 1-D vector `params` (a model's arena, say), in place; t counts
-    from 1. `grads` is only read.
+    of the 1-D vector `params` (one layer's slice of a model's arena, say),
+    in place; t counts from 1. `grads` is only read.
 
     A gradient of the wrong shape or with a non-finite entry is rejected
     before anything changes. The update then runs over blocks of as many
@@ -159,9 +164,20 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         skip_enabled=cfg.skip_enabled,
         zero_init_residual_out=cfg.zero_init_residual_out,
     )
-    grad = np.empty_like(params.flat)
-    grads = arena_views(grad, params.dim)
     state = adam_init(params.flat)
+    # each layer's gradient lands at the start of one scratch vector the size of the largest
+    # layer, and Adam consumes it before the next layer's backward pass writes there
+    slices = layer_slices(params.dim)
+    scratch = np.empty(max(s.stop - s.start for s in slices.values()))
+    grads, layer_args = {}, {}
+    for layer, s in slices.items():
+        grad = scratch[:s.stop - s.start]
+        grads |= arena_views(grad, params.dim, layer)
+        layer_args[layer] = (params.flat[s], grad, AdamState(m=state.m[s], v=state.v[s]))
+
+    def update(layer: str) -> None:
+        adam_step(*layer_args[layer], t, cfg.learning_rate)
+
     rng = np.random.default_rng(cfg.seed)
 
     epoch_losses: list[float] = []
@@ -173,14 +189,14 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
+            t += 1
+            # a non-finite loss comes back before any layer is updated
             loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, rng=rng,
-                                                 input_grad=False)
+                                                 input_grad=False, after_layer=update)
             if not np.isfinite(loss):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
                 )
-            t += 1
-            adam_step(params.flat, grad, state, t, cfg.learning_rate)
             batch_losses[b] = loss
         epoch_losses.append(float(batch_losses.mean()))
         if not np.all(np.isfinite(params.flat)):

@@ -16,7 +16,7 @@ from simskip import cli, evaluate, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
-from simskip.evaluate import LinearProbe
+from simskip.evaluate import LinearProbe, MLP3Probe
 from simskip.model import init_params, load_checkpoint, save_checkpoint
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import load_train_config
@@ -237,6 +237,17 @@ class TestRefineAndEval:
         for entry in (payload["original"], *payload["refined"]):
             assert entry["probe_config"] == linear
             assert entry["secondary_probe"]["probe_config"] == mlp3
+
+
+    def test_unset_probe_flags_keep_the_probe_type_defaults(self, tmp_path, synth_file):
+        # the parser restates no default of a probe type
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--original", synth_file, "--refined", synth_file, "--knn-k", 5,
+                    "--report", report]) == 0
+        payload = json.loads(report.read_text(), parse_constant=reject_constant)
+        for entry in (payload["original"], *payload["refined"]):
+            assert entry["probe_config"] == LinearProbe().to_json_dict()
+            assert entry["secondary_probe"]["probe_config"] == MLP3Probe().to_json_dict()
 
 
 class TestExtremeInputs:

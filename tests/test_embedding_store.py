@@ -82,6 +82,17 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.vectors[0, 0] = 5.0
 
+    def test_equality_needs_equal_vectors_and_labels(self):
+        ds = EmbeddingDataset(np.eye(2), np.array([0, 1]))
+        assert ds == EmbeddingDataset(np.eye(2), np.array([0, 1]))
+        assert ds != EmbeddingDataset(2 * np.eye(2), np.array([0, 1]))
+        assert ds != EmbeddingDataset(np.eye(2))
+        assert EmbeddingDataset(np.eye(2)) != ds
+        assert EmbeddingDataset(np.eye(2)) == EmbeddingDataset(np.eye(2))
+        assert ds != EmbeddingDataset(np.eye(2), np.array([1, 0]))
+        assert ds.__eq__(np.eye(2)) is NotImplemented
+        assert ds != np.eye(2).tolist()
+
     def test_empty_dataset_allowed(self):
         ds = EmbeddingDataset(np.zeros((0, 4)))
         assert ds.count == 0 and ds.dim == 4

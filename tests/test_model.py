@@ -9,6 +9,7 @@ from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import FormatError, ShapeError, ValidationError
 from simskip.model import (
+    LAYERS,
     PARAM_TABLE,
     TRAINABLE,
     arena_views,
@@ -16,6 +17,7 @@ from simskip.model import (
     encoder_backward,
     encoder_forward,
     init_params,
+    layer_slices,
     load_checkpoint,
     parameter_counts,
     projector_backward,
@@ -173,6 +175,41 @@ class TestFullGraph:
         assert results[0][1].shape == pairs.shape and results[1][1] is None
         assert results[0][0] == results[1][0]
         assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip", "no-skip"])
+    def test_after_layer_runs_once_each_layer_is_done(self, skip):
+        # the hook sees each layer's final gradients, in backward order; the hook then
+        # wipes the layer's tensors and gradient buffers, which the rest of the pass
+        # must not read (training updates the one and reuses the other)
+        params = init_params(8, seed=3, skip_enabled=skip, zero_init_residual_out=False)
+        pairs = np.random.default_rng(4).standard_normal((8, 8))
+        want = np.empty_like(params.flat)
+        want_loss, want_dx = contrastive_loss_and_grads(
+            params, pairs, 0.5, arena_views(want, 8), rng=np.random.default_rng(5))
+        grad, slices, seen = np.empty_like(params.flat), layer_slices(8), {}
+
+        def after_layer(layer):
+            seen[layer] = grad[slices[layer]].copy()
+            params.flat[slices[layer]] = np.nan
+            grad[slices[layer]] = np.nan
+
+        loss, dx = contrastive_loss_and_grads(params, pairs, 0.5, arena_views(grad, 8),
+                                              rng=np.random.default_rng(5),
+                                              after_layer=after_layer)
+        assert list(seen) == ["proj2", "proj1", "out", "layer2", "layer1"]
+        assert loss == want_loss and np.array_equal(dx, want_dx)
+        for layer, got in seen.items():
+            assert np.array_equal(got, want[slices[layer]]), layer
+
+    def test_non_finite_loss_reaches_no_hook(self):
+        params = init_params(8, seed=3, zero_init_residual_out=False)
+        pairs = np.random.default_rng(4).standard_normal((8, 8))
+        grad = np.full_like(params.flat, 7.0)
+        with np.errstate(all="ignore"):
+            loss, dx = contrastive_loss_and_grads(params, pairs, 1e-320, arena_views(grad, 8),
+                                                  after_layer=pytest.fail)
+        assert not np.isfinite(loss) and dx is None
+        assert (grad == 7.0).all()
 
     @pytest.mark.parametrize("skip", [True, False], ids=["skip", "no-skip"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -348,6 +385,20 @@ class TestParamTable:
             assert (np.isfinite(view) if key.startswith("proj") else np.isnan(view)).all(), key
         encoder_backward(enc_cache, np.ones_like(h), grads)
         assert np.isfinite(grad).all()
+
+    def test_layer_slices_tile_the_arena_in_table_order(self):
+        params = init_params(6, seed=3)
+        slices = layer_slices(6)
+        assert list(slices) == list(LAYERS)
+        bounds = [0] + [s.stop for s in slices.values()]
+        assert [s.start for s in slices.values()] == bounds[:-1]
+        assert bounds[-1] == params.flat.size
+        for layer, s in slices.items():
+            views = arena_views(params.flat[s], 6, layer)
+            assert list(views) == [key for key in TRAINABLE if key.startswith(layer + ".")]
+            for key, view in views.items():
+                assert view.ctypes.data == params.tensors[key].ctypes.data, key
+                assert view.shape == params.tensors[key].shape, key
 
     def test_trainable_fields_are_views_of_the_arena(self, tmp_path):
         ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import patch_block_budget
-from simskip.augment import AugmentConfig
+from simskip.augment import AugmentConfig, make_positive_pairs
 from simskip.errors import NumericsError, ValidationError
+from simskip.model import arena_views, contrastive_loss_and_grads, init_params, layer_slices
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
 from simskip.cli import LEARNING_RATE_GRID
@@ -168,7 +169,6 @@ class TestTrain:
         cfg = TrainConfig(batch_size=32, epochs=0, seed=5)
         params, report = train(ds, cfg)
         assert report.epoch_losses == []
-        from simskip.model import init_params
         assert np.array_equal(params.flat, init_params(ds.dim, cfg.seed).flat)
 
     def test_identity_init_refines_to_input_before_training(self):
@@ -186,12 +186,11 @@ class TestTrain:
         assert np.array_equal(p1.flat, p2.flat)
 
     def test_one_gradient_set_alive_at_a_time(self):
-        # parameters, both Adam moments and one gradient set make 4x the
-        # trainable bytes; keeping the previous step's gradients alive while
-        # the next backward pass runs made the peak 5.2x
-        ds = mixture(count_per_class=16, dim=256)
-        cfg = TrainConfig(batch_size=8, epochs=1, seed=0)
-        from simskip.model import init_params
+        # the parameters and both Adam moments make 3 arenas (the trainable bytes) and
+        # one layer's gradient 0.25 more at d = 768; a step's activations bring the
+        # measured peak to 3.82 arenas. A whole-arena gradient vector made it 4.55
+        ds = mixture(count_per_class=32, dim=768)
+        cfg = TrainConfig(batch_size=64, epochs=1, seed=0)
         nbytes = init_params(ds.dim, 0).flat.nbytes
         tracemalloc.start()
         try:
@@ -199,7 +198,19 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.75 * nbytes
+        assert peak < 4.0 * nbytes
+
+    def test_non_finite_loss_is_rejected_before_any_update(self, tmp_path, monkeypatch):
+        # 1/tau overflows; no layer may be updated from the gradients of an infinite loss
+        monkeypatch.chdir(tmp_path)
+        steps = []
+        monkeypatch.setattr(trainer, "adam_step", lambda *args: steps.append(args))
+        ds = mixture(count_per_class=45, dim=8)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericsError, match=r"^non-finite loss at epoch 0, batch 0 \(lr=0\.001\)$"):
+            train(ds, TrainConfig(tau=1e-320, batch_size=16))
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_dataset_smaller_than_batch_rejected(self):
         ds = mixture(count_per_class=16)
@@ -223,6 +234,57 @@ class TestTrain:
             TrainConfig(batch_size=1)
         with pytest.raises(ValidationError):
             TrainConfig(tau=0.0)
+
+
+def reference_train(ds, cfg):
+    """`train`'s loop with one whole-arena gradient vector and one whole-vector
+    Adam step after each backward pass; returns the parameters and Adam state."""
+    params = init_params(ds.dim, cfg.seed, skip_enabled=cfg.skip_enabled,
+                         zero_init_residual_out=cfg.zero_init_residual_out)
+    grad = np.empty_like(params.flat)
+    state = adam_init(params.flat)
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(ds.count)
+        for b in range(ds.count // cfg.batch_size):
+            pairs = make_positive_pairs(
+                ds.vectors[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]], cfg.augment, rng)
+            contrastive_loss_and_grads(params, pairs, cfg.tau, arena_views(grad, ds.dim),
+                                       rng=rng, input_grad=False)
+            t += 1
+            adam_step(params.flat, grad, state, t, cfg.learning_rate)
+    return params, state
+
+
+class TestFusedAdam:
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip", "no-skip"])
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_bitwise_equal_to_a_whole_arena_step(self, monkeypatch, dim, skip):
+        # 3 steps; Adam runs once per layer, on that layer's slice, in backward order
+        ds = mixture(count_per_class=24, dim=dim, seed=dim)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=1, seed=3,
+                          skip_enabled=skip, zero_init_residual_out=skip)
+        states, sizes = [], []
+
+        def recording_init(flat):
+            states.append(adam_init(flat))
+            return states[-1]
+
+        def recording_step(params, *args):
+            sizes.append(params.size)
+            adam_step(params, *args)
+
+        monkeypatch.setattr(trainer, "adam_init", recording_init)
+        monkeypatch.setattr(trainer, "adam_step", recording_step)
+        got, _ = train(ds, cfg)
+        want, want_state = reference_train(ds, cfg)
+        slices = layer_slices(dim)
+        assert sizes == 3 * [slices[layer].stop - slices[layer].start
+                             for layer in ("proj2", "proj1", "out", "layer2", "layer1")]
+        assert np.array_equal(got.flat, want.flat)
+        assert np.array_equal(states[0].m, want_state.m)
+        assert np.array_equal(states[0].v, want_state.v)
 
 
 class TestConfigFile:
