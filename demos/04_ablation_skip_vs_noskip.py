@@ -1,9 +1,10 @@
 """Ablation: what the skip connection buys during refinement.
 
 Train two refiners on the same degraded embedding with the same config,
-one with the skip path and one without, and probe the outputs. Without the
-skip the encoder starts from a random map and must rediscover the input's
-structure; with it, training starts from (a perturbation of) the input.
+one with the skip path and one without (`simskip refine` and `simskip
+ablate`), and probe the outputs. With the skip path the residual head starts
+at zero, so training starts from the input itself; without it the encoder
+starts from a random map and must rediscover the input's structure.
 
 Run:  python3 demos/04_ablation_skip_vs_noskip.py   (about a minute)
 """
@@ -24,8 +25,7 @@ for seed in range(3):
     acc = {}
     for skip in (True, False):
         cfg = ss.TrainConfig(learning_rate=0.001, batch_size=256, epochs=60,
-                             tau=0.5, seed=seed, skip_enabled=skip,
-                             zero_init_residual_out=False)
+                             tau=0.5, seed=seed, skip_enabled=skip)
         params, _ = ss.train(mixed, cfg)
         comp = ss.compare_embeddings(mixed, ss.refine(params, mixed))
         acc[skip] = comp.refined.probe_accuracy

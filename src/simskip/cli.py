@@ -146,9 +146,8 @@ def _cmd_refine(args) -> int:
         raise ValidationError(f"{args.config}:{lines['learning_rate']}: config key "
                               "'learning_rate' conflicts with --lr-sweep, which picks the rate")
     if args.command == "ablate":
-        # the ablation removes the skip path; a zero-initialized residual
-        # head would then make the encoder the zero map, so drop that too
-        cfg = dataclasses.replace(cfg, skip_enabled=False, zero_init_residual_out=False)
+        # the ablation removes the skip path, and with it the zero residual head
+        cfg = dataclasses.replace(cfg, skip_enabled=False)
 
     if args.lr_sweep and cfg.epochs == 0:
         raise ValidationError("--lr-sweep ranks runs by final loss, so it needs epochs >= 1")

@@ -13,9 +13,11 @@ Projector: z = W2 @ relu(W1 @ h + b1) + b2 with both layers d x d. The
 projector exists only to feed the contrastive loss; `refine` returns the
 encoder output.
 
-With `zero_init_residual_out` the final d x d linear starts at zero, so the
-freshly initialized encoder is exactly the identity map and refinement
-starts from the original embedding.
+The residual head, the final d x d linear, follows the skip flag: with the
+skip path it starts at zero, so the freshly initialized encoder is exactly
+the identity map and refinement starts from the original embedding;
+without it the head is drawn like every other linear layer, so the
+ablation does not start as the zero map.
 
 Every tensor has one name, its `PARAM_TABLE` key ("layer1.gamma"), and
 the table lists them in the checkpoint's tensor order. A model holds
@@ -136,13 +138,9 @@ def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
     return SimSkipParams(dim=d, skip_enabled=skip_enabled, flat=flat, tensors=tensors)
 
 
-def init_params(
-    d: int,
-    seed: int,
-    skip_enabled: bool = True,
-    zero_init_residual_out: bool = True,
-) -> SimSkipParams:
-    """Fresh parameters; requires even d for the d/2 bottleneck."""
+def init_params(d: int, seed: int, skip_enabled: bool = True) -> SimSkipParams:
+    """Fresh parameters; requires even d for the d/2 bottleneck. The residual
+    head starts at zero exactly when the skip path is on (the identity map)."""
     if d < 2 or d % 2 != 0:
         raise ValidationError(f"embedding dim must be even and >= 2, got {d}")
     rng = np.random.default_rng(seed)
@@ -151,7 +149,7 @@ def init_params(
     t = params.tensors
     for layer in LAYERS:
         linear_init(t[layer + ".weight"], t.get(layer + ".bias"), rng,
-                    zero=zero_init_residual_out and layer == "out")
+                    zero=skip_enabled and layer == "out")
     return params
 
 
@@ -240,18 +238,13 @@ def contrastive_loss_and_grads(
     """Full-graph loss of a 2N-row paired batch and its input gradient (None
     when `input_grad` is false); every parameter gradient is written into
     `grads` (keyed like `PARAM_TABLE`), with `after_layer` (if given) called
-    as each layer's backward pass ends. A training pass when given `rng`.
-
-    With `after_layer`, a non-finite loss returns (loss, None) before the
-    backward pass, so no hook runs."""
+    as each layer's backward pass ends. A training pass when given `rng`."""
     from .losses import nt_xent  # local import keeps module deps one-way
 
     h, enc_cache = encoder_forward(params, pairs, rng)
     z, proj_cache = projector_forward(params, h)
     lv = nt_xent(z, tau)
     loss = lv.value
-    if after_layer is not None and not np.isfinite(loss):
-        return loss, None
     dh = projector_backward(proj_cache, lv.grad, grads, after_layer)
     del h, z, proj_cache, lv  # the encoder's backward pass reads none of them
     return loss, encoder_backward(enc_cache, dh, grads, input_grad, after_layer)

@@ -17,8 +17,9 @@ layer's slice in place as soon as the backward pass is done with that
 layer, from a gradient written into one scratch vector the size of the
 largest layer, so no whole-model gradient vector exists. Adam is
 elementwise, so this is bitwise the update of the whole arena after the
-whole backward pass, and that is bitwise the textbook update. The loss is
-checked before any layer is updated.
+whole backward pass, and that is bitwise the textbook update. Training
+runs under NumPy's floating-point error state set to raise, so a fault
+raises where it happens, whatever the caller's error state.
 
 Config files are plain text, one `key = value` per line with `#` comments,
 each key at most once. The keys are TrainConfig's and AugmentConfig's
@@ -60,7 +61,6 @@ class TrainConfig:
     tau: float = 0.5
     seed: int = 0
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    zero_init_residual_out: bool = True
     skip_enabled: bool = True
 
     def __post_init__(self):
@@ -153,17 +153,8 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         raise ValidationError(
             f"dataset has {dataset.count} rows, fewer than batch_size {cfg.batch_size}"
         )
-    if cfg.zero_init_residual_out and not cfg.skip_enabled:
-        raise ValidationError(
-            "zero_init_residual_out with skip_enabled=false makes the encoder the zero "
-            "map, which the contrastive loss cannot train; disable zero_init_residual_out"
-        )
 
-    params = init_params(
-        dataset.dim, cfg.seed,
-        skip_enabled=cfg.skip_enabled,
-        zero_init_residual_out=cfg.zero_init_residual_out,
-    )
+    params = init_params(dataset.dim, cfg.seed, skip_enabled=cfg.skip_enabled)
     state = adam_init(params.flat)
     # each layer's gradient lands at the start of one scratch vector the size of the largest
     # layer, and Adam consumes it before the next layer's backward pass writes there
@@ -182,25 +173,21 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
 
     epoch_losses: list[float] = []
     t = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(dataset.count)
-        n_batches = dataset.count // cfg.batch_size
-        batch_losses = np.empty(n_batches)
-        for b in range(n_batches):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
-            t += 1
-            # a non-finite loss comes back before any layer is updated
-            loss, _ = contrastive_loss_and_grads(params, pairs, cfg.tau, grads, rng=rng,
-                                                 input_grad=False, after_layer=update)
-            if not np.isfinite(loss):
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}, batch {b} (lr={cfg.learning_rate})"
-                )
-            batch_losses[b] = loss
-        epoch_losses.append(float(batch_losses.mean()))
-        if not np.all(np.isfinite(params.flat)):
-            raise NumericsError(f"parameters became non-finite at epoch {epoch}")
+    # an overflow, invalid operation or division by zero stops training where it
+    # happens, before a non-finite value can reach the loss or the parameters
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(dataset.count)
+            n_batches = dataset.count // cfg.batch_size
+            batch_losses = np.empty(n_batches)
+            for b in range(n_batches):
+                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
+                t += 1
+                batch_losses[b], _ = contrastive_loss_and_grads(
+                    params, pairs, cfg.tau, grads, rng=rng, input_grad=False,
+                    after_layer=update)
+            epoch_losses.append(float(batch_losses.mean()))
 
     return params, TrainReport(epoch_losses=epoch_losses, config=cfg)
 

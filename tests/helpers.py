@@ -2,15 +2,19 @@
 
 Everything here is deliberately written as plain loops over scalars, or as
 a plain-NumPy copy of an earlier implementation, so it shares no code path
-with the implementations it checks. `patch_block_budget` is the exception:
-it shrinks the blocked kernels' cache budget and counts the blocks they run.
+with the implementations it checks. `patch_block_budget` and
+`drawn_head_params` are the exceptions: the one shrinks the blocked kernels'
+cache budget and counts the blocks they run, the other builds a model whose
+gradients reach every layer.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from simskip import utils
+from simskip.model import init_params
 
 
 def patch_block_budget(mp, module, budget):
@@ -28,6 +32,14 @@ def patch_block_budget(mp, module, budget):
 
     mp.setattr(module, "block_rows", spy)
     return counts
+
+
+def drawn_head_params(d, seed, skip_enabled=True):
+    """`init_params(d, seed)` with the residual head drawn like every other
+    linear layer, whatever the skip flag: a zero head would zero the
+    gradients of the layers before it."""
+    return dataclasses.replace(init_params(d, seed, skip_enabled=False),
+                               skip_enabled=skip_enabled)
 
 
 def brute_force_nt_xent(z, tau):

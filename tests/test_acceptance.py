@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_nt_xent, orthogonal_class_means
+from helpers import brute_force_nt_xent, drawn_head_params, orthogonal_class_means
 from simskip.augment import gaussian_noise, random_mask
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.evaluate import compare_embeddings
@@ -105,7 +105,7 @@ def test_c01_gradient_correctness():
     assert err_drop < 1e-6
 
     # full encoder + projector + contrastive loss graph, d=8, B=4, eval mode
-    params = init_params(8, seed=1, zero_init_residual_out=False)
+    params = drawn_head_params(8, 1)
     params.tensors["layer1.running_mean"] += 0.1 * rng.standard_normal(4)
     params.tensors["layer1.running_var"] += 0.5 * rng.random(4)
     params.tensors["layer2.running_mean"] += 0.1 * rng.standard_normal(8)
@@ -197,9 +197,9 @@ def test_c06_refinement_no_worse():
 
 
 def test_c07_ablation_direction():
-    # same config for both arms (random init, no zero residual head: a
-    # zeroed head without the skip path would start the encoder collapsed);
-    # only the skip flag differs
+    # the two variants the CLI runs, `refine` and `ablate`: one config, and only
+    # the skip flag differs (with the skip path the residual head starts at zero,
+    # so that arm starts as the identity; without it the head is drawn)
     spec = MixtureSpec(2, 16, 500, class_separation=10.0, cluster_sigma=1.0, seed=7)
     mixed = apply_class_mixing(generate_gaussian_mixture(spec), 0.4, seed=11)
     wins = 0
@@ -208,8 +208,7 @@ def test_c07_ablation_direction():
         acc = {}
         for skip in (True, False):
             cfg = TrainConfig(learning_rate=0.001, batch_size=256, epochs=60,
-                              tau=0.5, seed=seed, skip_enabled=skip,
-                              zero_init_residual_out=False)
+                              tau=0.5, seed=seed, skip_enabled=skip)
             params, _ = train(mixed, cfg)
             comp = compare_embeddings(mixed, refine(params, mixed))
             acc[skip] = comp.refined.probe_accuracy

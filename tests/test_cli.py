@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simskip
 from simskip import cli, evaluate, trainer
@@ -170,10 +176,8 @@ class TestRefineAndEval:
             assert run([command, "--in", synth_file, "--config", train_cfg,
                         "--out", tmp_path / f"{command}.embf", "--report", report]) == 0
             payload = json.loads(report.read_text())
-            tags[command] = (payload["variant"], payload["config"]["skip_enabled"],
-                             payload["config"]["zero_init_residual_out"])
-        assert tags == {"refine": ("simskip", True, True),
-                        "ablate": ("simskip-minus", False, False)}
+            tags[command] = (payload["variant"], payload["config"]["skip_enabled"])
+        assert tags == {"refine": ("simskip", True), "ablate": ("simskip-minus", False)}
 
     def test_ablate_tags_report(self, tmp_path, synth_file, train_cfg):
         refined = tmp_path / "ab.embf"
@@ -291,6 +295,56 @@ class TestExtremeInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: refine: floating-point fault:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "edge.cfg"]
+
+
+# the config values the contract test draws from: the edges of float64 and of each
+# key's range, plus values every key accepts; None leaves the key out of the file
+EDGE_VALUES = (0.0, -1.0, float("nan"), float("inf"), 1e-300, 1e-160, 1e300, 1e-3, 0.5)
+CONTRACT_KEYS = ("tau", "learning_rate", "augment.noise_scale", "augment.mask_prob")
+
+
+@pytest.fixture(scope="module")
+def contract_data(tmp_path_factory):
+    # 48 rows at d = 8, batch 16 for 1 epoch: three training steps a run
+    out = tmp_path_factory.mktemp("contract") / "d.embf"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["gen-synth", "--classes", 2, "--dim", 8, "--per-class", 24,
+                    "--seed", 1, "--out", out]) == 0
+    return out
+
+
+class TestConfigContract:
+    """`refine` and `ablate` keep the exit contract for any config value:
+    exit 0 with every output loadable, or exit 1 or 2 with one `error:` line
+    and no output, never a warning or a traceback."""
+
+    @given(st.sampled_from(["refine", "ablate"]),
+           st.fixed_dictionaries({key: st.none() | st.sampled_from(EDGE_VALUES)
+                                  for key in CONTRACT_KEYS}))
+    @settings(max_examples=100, deadline=None)
+    def test_exit_contract_over_config_values(self, contract_data, command, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            cfg = work / "edge.cfg"
+            cfg.write_text("epochs = 1\nbatch_size = 16\n"
+                           + "".join(f"{key} = {value!r}\n" for key, value in values.items()
+                                     if value is not None))
+            out, ckpt, report = work / "r.embf", work / "m.sskp", work / "r.json"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run([command, "--in", contract_data, "--config", cfg, "--out", out,
+                            "--checkpoint", ckpt, "--report", report])
+            if code == 0:
+                assert np.isfinite(load_embeddings(out).vectors).all()
+                load_checkpoint(ckpt)
+                json.loads(report.read_text(), parse_constant=reject_constant)
+            else:
+                assert code in (1, 2)
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+                assert [p.name for p in work.iterdir()] == ["edge.cfg"]
 
 
 class TestTheoryCommand:

@@ -35,11 +35,11 @@ GOLDEN = {
         "refined.sskp":
             "432152b6b5d7cdcb415bf9edd25309be410728fc92dc53f0b03bd5ba9128bfb7",
         "train.json":
-            "dcaac54e7b74c7f8e818584b1496a7e8f7d3311f0ef1717da0fa527c05fbdb47",
+            "0bb8a344f9c60d9776d0052167b85277f7e9edffd59039a5d617fbd9b23c03a5",
         "ablated.embf":
             "1d913e2125583474fd23ebc768ae202f2c62f9f8e98eed5f7a7c94f411d91f59",
         "ablate.json":
-            "1b34abed41069a0a9899ecb373374b4d4b4e3a5aafa9caddd9dccecfa9f4c50b",
+            "29467834f84baf137d957d279e9c7a80c179fc50a06a0b7f57b946cbbd379644",
         "eval.json":
             "ad8f5aa624ba7d315938db72920e2d16c11cb93472162f7599899f336982fff5",
         "theory.json":
@@ -59,11 +59,11 @@ GOLDEN = {
         "refined.sskp":
             "0c02b15855c361c6b68f01c3ecedc265d21d47b902674b00b0c4813eba8a317c",
         "train.json":
-            "c3059e85707d198796baae0248f863d6b4f7135146de591be1bd5d1b01487846",
+            "54c290b534da04ee1703e28add7bc3471cdde7a3bb8fbef5bfcec091c7cc6e7c",
         "ablated.embf":
             "b43972cec75f179fea33254044601561fe886d68d679625e2133498c2510a790",
         "ablate.json":
-            "01842d5748e5c3c952e93c4b823f89a40f679af65d05e6b7165150ddcfdb0503",
+            "4b47031ac65e8f1adec54f17adc0d249ecd5c770023b5a76dc519691a5dc9200",
         "eval.json":
             "2fcbad42f164a0fed2920ee721d1e394560617fc0f62166210008637dae4c675",
         "theory.json":

@@ -10,7 +10,8 @@ from simskip.errors import NumericsError, ValidationError
 from simskip.model import arena_views, contrastive_loss_and_grads, init_params, layer_slices
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
-from simskip.cli import LEARNING_RATE_GRID
+from simskip.cli import LEARNING_RATE_GRID, parse_and_run
+from simskip.embedding_store import load_embeddings
 from simskip.trainer import (
     TrainConfig,
     adam_init,
@@ -201,16 +202,33 @@ class TestTrain:
         assert peak < 4.0 * nbytes
 
     def test_non_finite_loss_is_rejected_before_any_update(self, tmp_path, monkeypatch):
-        # 1/tau overflows; no layer may be updated from the gradients of an infinite loss
+        # 1/tau overflows in the loss, which raises there, whatever the caller's error
+        # state; no layer may be updated from the gradients of an infinite loss
         monkeypatch.chdir(tmp_path)
         steps = []
         monkeypatch.setattr(trainer, "adam_step", lambda *args: steps.append(args))
         ds = mixture(count_per_class=45, dim=8)
-        with np.errstate(all="ignore"), pytest.raises(
-                NumericsError, match=r"^non-finite loss at epoch 0, batch 0 \(lr=0\.001\)$"):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             train(ds, TrainConfig(tau=1e-320, batch_size=16))
         assert steps == []
         assert list(tmp_path.iterdir()) == []
+
+    # past the edge of the numerics: at tau = 1e-160 Adam's g * g overflows while the loss
+    # (about 1e158) stays finite, and at learning_rate = 1e300 the first matmul after an
+    # update overflows. Training raises there, under the caller's error state or not
+    @pytest.mark.parametrize("key,value,op", [("tau", 1e-160, "multiply"),
+                                              ("learning_rate", 1e300, "matmul")],
+                             ids=["tau-1e-160", "lr-1e300"])
+    def test_floating_point_fault_raises_where_it_happens(self, tmp_path, key, value, op):
+        data = str(tmp_path / "d.embf")
+        assert parse_and_run(["gen-synth", "--classes", "2", "--dim", "8", "--per-class", "45",
+                              "--out", data]) == 0
+        ds = load_embeddings(data)
+        result = None
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=f"^overflow encountered in {op}$"):
+            result = train(ds, TrainConfig(epochs=1, batch_size=16, **{key: value}))
+        assert result is None
 
     def test_dataset_smaller_than_batch_rejected(self):
         ds = mixture(count_per_class=16)
@@ -223,12 +241,6 @@ class TestTrain:
         with pytest.raises(ValidationError, match="embedding dim must be even"):
             train(ds, TrainConfig(batch_size=16, epochs=1))
 
-    def test_zero_encoder_combination_rejected(self):
-        ds = mixture(count_per_class=32)
-        cfg = TrainConfig(batch_size=32, skip_enabled=False, zero_init_residual_out=True)
-        with pytest.raises(ValidationError):
-            train(ds, cfg)
-
     def test_config_invariants(self):
         with pytest.raises(ValidationError):
             TrainConfig(batch_size=1)
@@ -239,8 +251,7 @@ class TestTrain:
 def reference_train(ds, cfg):
     """`train`'s loop with one whole-arena gradient vector and one whole-vector
     Adam step after each backward pass; returns the parameters and Adam state."""
-    params = init_params(ds.dim, cfg.seed, skip_enabled=cfg.skip_enabled,
-                         zero_init_residual_out=cfg.zero_init_residual_out)
+    params = init_params(ds.dim, cfg.seed, skip_enabled=cfg.skip_enabled)
     grad = np.empty_like(params.flat)
     state = adam_init(params.flat)
     rng = np.random.default_rng(cfg.seed)
@@ -264,7 +275,7 @@ class TestFusedAdam:
         # 3 steps; Adam runs once per layer, on that layer's slice, in backward order
         ds = mixture(count_per_class=24, dim=dim, seed=dim)
         cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=1, seed=3,
-                          skip_enabled=skip, zero_init_residual_out=skip)
+                          skip_enabled=skip)
         states, sizes = [], []
 
         def recording_init(flat):
