@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "augment": ("AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
                 "make_positive_pairs", "random_mask"),
-    "cli": ("LEARNING_RATE_GRID",),
+    "cli": (),
     "embedding_store": ("EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
                         "save_embeddings", "split"),
     "errors": ("FormatError", "NumericsError", "ShapeError", "SimSkipError",
@@ -33,10 +33,10 @@ _EXPORTS = {
     "evaluate": ("ComparisonReport", "EvalReport", "LinearProbe", "MLP3Probe", "SplitConfig",
                  "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
                  "knn_same_label_score", "train_probe"),
-    "losses": ("LossValue", "hinge_loss", "logistic_loss", "nt_xent"),
+    "losses": ("LossValue", "logistic_loss", "nt_xent"),
     "model": ("SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"),
-    "nn_core": ("grad_check",),
+    "nn_core": (),
     "synth_data": ("MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"),
     "theory": ("BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
                "sample_triplets", "skip_inequality_check"),

@@ -44,9 +44,6 @@ from .errors import NumericsError, SimSkipError, ValidationError
 from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
 from .utils import atomic_write
 
-# rates `--lr-sweep` trains at, in order
-LEARNING_RATE_GRID = (0.001, 0.0003, 0.00003, 0.00001)
-
 
 class _Parser(argparse.ArgumentParser):
     # no prefix matching: an abbreviated flag is an error, never a longer flag
@@ -141,29 +138,11 @@ def _cmd_refine(args) -> int:
                  [("--out", args.out), ("--checkpoint", args.checkpoint),
                   ("--report", args.report)])
     dataset = load_embeddings(args.infile)
-    cfg, lines = load_train_config(args.config) if args.config else (TrainConfig(), {})
-    if args.lr_sweep and "learning_rate" in lines:
-        raise ValidationError(f"{args.config}:{lines['learning_rate']}: config key "
-                              "'learning_rate' conflicts with --lr-sweep, which picks the rate")
+    cfg = load_train_config(args.config) if args.config else TrainConfig()
     if args.command == "ablate":
         # the ablation removes the skip path, and with it the zero residual head
         cfg = dataclasses.replace(cfg, skip_enabled=False)
-
-    if args.lr_sweep and cfg.epochs == 0:
-        raise ValidationError("--lr-sweep ranks runs by final loss, so it needs epochs >= 1")
-    sweep_results = None
-    if args.lr_sweep:
-        # train once per grid rate, holding only the lowest (final loss, lr) run so far
-        sweep_results, best = {}, None
-        for lr in LEARNING_RATE_GRID:
-            cand_params, cand_report = train(dataset, dataclasses.replace(cfg, learning_rate=lr))
-            sweep_results[f"{lr:g}"] = loss = cand_report.epoch_losses[-1]
-            if best is None or (loss, lr) < best[:2]:
-                best = (loss, lr, cand_params, cand_report)
-            del cand_params, cand_report  # a losing run is freed before the next trains
-        _, _, params, report = best
-    else:
-        params, report = train(dataset, cfg)
+    params, report = train(dataset, cfg)
 
     refined = refine(params, dataset)
     save_embeddings(refined, args.out)
@@ -175,8 +154,6 @@ def _cmd_refine(args) -> int:
         payload["variant"] = "simskip" if cfg.skip_enabled else "simskip-minus"
         payload["input"] = str(args.infile)
         payload["output"] = str(args.out)
-        if sweep_results is not None:
-            payload["lr_sweep_final_losses"] = sweep_results
         _write_json(payload, args.report)
     print(f"wrote {args.out} (final loss {report.epoch_losses[-1]:.4f})"
           if report.epoch_losses else f"wrote {args.out} (no training epochs)")
@@ -341,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="refined EMBF output path")
         p.add_argument("--checkpoint", default=None, help="SSKP checkpoint output path")
         p.add_argument("--report", default=None, help="JSON training report path")
-        p.add_argument("--lr-sweep", action="store_true",
-                       help=f"train at each rate in {LEARNING_RATE_GRID} and keep the best")
         p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("eval", help="compare original vs refined embeddings")

@@ -18,10 +18,9 @@ the block stays in cache and memory is O(block x 2N) rather than several
 2N x 2N temporaries. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
 
-`hinge_loss` and `logistic_loss` are the margin losses of the
-bound-checking machinery, max(0, 1 - min_i v_i) and
+`logistic_loss` is the margin loss of the bound-checking machinery,
 log2(1 + sum_i exp(-v_i)), reduced over the last axis: a margin vector
-gives one value and a (T, k) margin matrix gives T, one per row. Both are
+gives one value and a (T, k) margin matrix gives T, one per row. It is
 monotonically decreasing in every coordinate of v.
 """
 
@@ -99,25 +98,15 @@ def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     return LossValue(value, grad)
 
 
-def _margins(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValidationError(f"{name} needs at least one margin")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} requires finite margins")
-    return v
-
-
-def hinge_loss(v) -> float | np.ndarray:
-    """max(0, 1 - min_i v_i) over the last axis of `v`."""
-    v = _margins(v, "hinge_loss")
-    return np.maximum(0.0, 1.0 - v.min(axis=-1))
-
-
 def logistic_loss(v) -> float | np.ndarray:
     """log2(1 + sum_i exp(-v_i)) over the last axis of `v`, each row shifted
     by max(0, max_i -v_i) so that a large -v_i cannot overflow."""
-    a = -_margins(v, "logistic_loss")
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ValidationError("logistic_loss needs at least one margin")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("logistic_loss requires finite margins")
+    a = -v
     m = np.maximum(a.max(axis=-1), 0.0)
     s = np.exp(-m) + np.exp(a - m[..., None]).sum(axis=-1)
     return (m + np.log(s)) / LN2

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Views of the vector `flat` with the given shapes, laid end to end and
@@ -76,8 +76,6 @@ def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray | No
     bias); return the input gradient, or None when `input_grad` is false."""
     x, weight = cache
     dout = np.asarray(dout, dtype=np.float64)
-    if dout.shape != (x.shape[0], weight.shape[0]):
-        raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
     np.matmul(dout.T, x, out=dw)
     if db is not None:
         np.sum(dout, axis=0, out=db)
@@ -98,8 +96,6 @@ def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     batch statistics and updates `running_mean` and `running_var` in place;
     the eval pass reads them."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
-        raise ShapeError(f"expected input (B, {gamma.shape[0]}), got {x.shape}")
     if train:
         if x.shape[0] < 2:
             raise ValidationError("a batch norm training pass needs a batch of >= 2 rows")
@@ -121,8 +117,6 @@ def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
                        dbeta: np.ndarray) -> np.ndarray:
     xhat, inv_std, gamma, train = cache
     dout = np.asarray(dout, dtype=np.float64)
-    if dout.shape != xhat.shape:
-        raise ShapeError(f"upstream grad shape {dout.shape} does not match forward pass")
     np.sum(dout * xhat, axis=0, out=dgamma)
     np.sum(dout, axis=0, out=dbeta)
     dxhat = dout * gamma
@@ -166,44 +160,3 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = 
 def dropout_backward(cache, dout: np.ndarray):
     dout = np.asarray(dout, dtype=np.float64)
     return dout if cache is None else dout * cache
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-def grad_check(loss_fn, arrays: dict[str, np.ndarray], h: float = 1e-5) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn()` must be deterministic, read the (mutable) arrays in
-    `arrays`, and return (loss, grads) where grads maps each key in
-    `arrays` to the analytic gradient of the loss w.r.t. that array.
-    Returns the max relative error over every coordinate of every array.
-    The analytic gradients are copied first, so `loss_fn` may reuse buffers.
-    """
-    loss, grads = loss_fn()
-    if not np.isfinite(loss):
-        raise NumericsError("loss is non-finite")
-    grads = {name: np.array(grads[name], dtype=np.float64) for name in arrays}
-    max_rel = 0.0
-    for name in sorted(arrays):
-        arr = arrays[name]
-        analytic = grads[name]
-        if analytic.shape != arr.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {analytic.shape}, "
-                             f"expected {arr.shape}")
-        if not np.all(np.isfinite(analytic)):
-            raise NumericsError(f"analytic gradient for {name!r} is non-finite")
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + h
-            f_plus = loss_fn()[0]
-            arr[idx] = orig - h
-            f_minus = loss_fn()[0]
-            arr[idx] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericsError(f"non-finite loss while perturbing {name!r}")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(analytic[idx]) + abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(analytic[idx] - numeric) / denom)
-    return max_rel

@@ -202,8 +202,8 @@ _TOP_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)
 _AUG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(AugmentConfig)}
 
 
-def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
-    """Parse a UTF-8 config file, byte-order mark or not: a TrainConfig and each key's line."""
+def load_train_config(path) -> TrainConfig:
+    """Parse a UTF-8 config file, byte-order mark or not, into a TrainConfig."""
     try:
         # dropping the mark after decoding keeps a bad byte's offset a file offset
         text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
@@ -212,7 +212,7 @@ def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
                               f"at offset {exc.start})") from None
     top: dict = {}
     aug: dict = {}
-    lines: dict[str, int] = {}
+    lines: dict[str, int] = {}  # each key's line, for the given-twice error
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -233,4 +233,4 @@ def load_train_config(path) -> tuple[TrainConfig, dict[str, int]]:
             TrainConfig(augment=AugmentConfig(**aug), **top)  # range checks, at this value's line
         except ValueError as exc:  # ValidationError included
             raise ValidationError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
-    return TrainConfig(augment=AugmentConfig(**aug), **top), lines
+    return TrainConfig(augment=AugmentConfig(**aug), **top)

@@ -1,11 +1,12 @@
-"""Independent oracles shared across test modules.
+"""Independent oracles and test tools shared across test modules.
 
-Everything here is deliberately written as plain loops over scalars, or as
-a plain-NumPy copy of an earlier implementation, so it shares no code path
-with the implementations it checks. `patch_block_budget` and
-`drawn_head_params` are the exceptions: the one shrinks the blocked kernels'
-cache budget and counts the blocks they run, the other builds a model whose
-gradients reach every layer.
+The oracles are deliberately written as plain loops over scalars, or as a
+plain-NumPy copy of an earlier implementation, so they share no code path
+with the implementations they check. The rest are not oracles:
+`patch_block_budget` shrinks the blocked kernels' cache budget and counts
+the blocks they run, `drawn_head_params` builds a model whose gradients
+reach every layer, and `grad_check` and `hinge_loss` are package code that
+only tests called, moved here unchanged.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from simskip import utils
+from simskip.errors import NumericsError, ShapeError, ValidationError
 from simskip.model import init_params
 
 
@@ -40,6 +42,53 @@ def drawn_head_params(d, seed, skip_enabled=True):
     gradients of the layers before it."""
     return dataclasses.replace(init_params(d, seed, skip_enabled=False),
                                skip_enabled=skip_enabled)
+
+
+def grad_check(loss_fn, arrays: dict[str, np.ndarray], h: float = 1e-5) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    `loss_fn()` must be deterministic, read the (mutable) arrays in
+    `arrays`, and return (loss, grads) where grads maps each key in
+    `arrays` to the analytic gradient of the loss w.r.t. that array.
+    Returns the max relative error over every coordinate of every array.
+    The analytic gradients are copied first, so `loss_fn` may reuse buffers.
+    """
+    loss, grads = loss_fn()
+    if not np.isfinite(loss):
+        raise NumericsError("loss is non-finite")
+    grads = {name: np.array(grads[name], dtype=np.float64) for name in arrays}
+    max_rel = 0.0
+    for name in sorted(arrays):
+        arr = arrays[name]
+        analytic = grads[name]
+        if analytic.shape != arr.shape:
+            raise ShapeError(f"gradient for {name!r} has shape {analytic.shape}, "
+                             f"expected {arr.shape}")
+        if not np.all(np.isfinite(analytic)):
+            raise NumericsError(f"analytic gradient for {name!r} is non-finite")
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + h
+            f_plus = loss_fn()[0]
+            arr[idx] = orig - h
+            f_minus = loss_fn()[0]
+            arr[idx] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise NumericsError(f"non-finite loss while perturbing {name!r}")
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            denom = max(abs(analytic[idx]) + abs(numeric), 1e-8)
+            max_rel = max(max_rel, abs(analytic[idx] - numeric) / denom)
+    return max_rel
+
+
+def hinge_loss(v):
+    """max(0, 1 - min_i v_i) over the last axis of `v`."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ValidationError("hinge_loss needs at least one margin")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("hinge_loss requires finite margins")
+    return np.maximum(0.0, 1.0 - v.min(axis=-1))
 
 
 def brute_force_nt_xent(z, tau):

@@ -9,11 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_nt_xent, drawn_head_params, orthogonal_class_means
+from helpers import (
+    brute_force_nt_xent,
+    drawn_head_params,
+    grad_check,
+    hinge_loss,
+    orthogonal_class_means,
+)
 from simskip.augment import gaussian_noise, random_mask
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.evaluate import compare_embeddings
-from simskip.losses import hinge_loss, logistic_loss, nt_xent
+from simskip.losses import logistic_loss, nt_xent
 from simskip.model import (
     arena_views,
     contrastive_loss_and_grads,
@@ -27,7 +33,6 @@ from simskip.nn_core import (
     batchnorm_backward,
     dropout_apply,
     dropout_backward,
-    grad_check,
     linear_apply,
     linear_backward,
     linear_init,

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -187,35 +186,6 @@ class TestRefineAndEval:
         payload = json.loads(report.read_text())
         assert payload["variant"] == "simskip-minus"
         assert payload["config"]["skip_enabled"] is False
-
-    def test_lr_sweep_reports_grid(self, tmp_path, synth_file):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("epochs = 2\nbatch_size = 32\nseed = 1\n")
-        report = tmp_path / "sweep.json"
-        assert run(["refine", "--in", synth_file, "--config", cfg, "--lr-sweep",
-                    "--out", tmp_path / "s.embf", "--report", report]) == 0
-        payload = json.loads(report.read_text())
-        assert len(payload["lr_sweep_final_losses"]) == 4
-        best = min(payload["lr_sweep_final_losses"].values())
-        assert payload["final_loss"] == best
-
-    def test_lr_sweep_holds_one_finished_run(self, tmp_path, synth_file, monkeypatch):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("epochs = 1\nbatch_size = 32\nseed = 1\n")
-        trained, alive = [], []
-        real_train = trainer.train
-
-        def spy(dataset, config):
-            alive.append(sum(ref() is not None for ref in trained))
-            params, report = real_train(dataset, config)
-            trained.append(weakref.ref(params))
-            return params, report
-
-        # the command imports `train` from its module each time it runs
-        monkeypatch.setattr(trainer, "train", spy)
-        assert run(["refine", "--in", synth_file, "--config", cfg, "--lr-sweep",
-                    "--out", tmp_path / "s.embf"]) == 0
-        assert alive == [0, 1, 1, 1]  # only the best run so far outlives its loop step
 
     def test_eval_multiple_refined(self, tmp_path, synth_file, train_cfg):
         r1, r2 = tmp_path / "r1.embf", tmp_path / "r2.embf"
@@ -484,32 +454,17 @@ class TestErrorPaths:
         assert "finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "d.embf"]
 
-    @pytest.mark.parametrize("command", ["refine", "ablate"])
-    def test_lr_sweep_needs_epochs(self, tmp_path, synth_file, capsys, command):
-        # the sweep ranks runs by final loss, which a zero-epoch run lacks
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text("epochs = 0\nbatch_size = 32\n")
-        assert run([command, "--in", synth_file, "--config", cfg, "--lr-sweep",
-                    "--out", tmp_path / "r.embf", "--checkpoint", tmp_path / "m.sskp",
-                    "--report", tmp_path / "r.json"]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("error:") and "epochs" in err
-        assert "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "zero.cfg"]
-
-    @pytest.mark.parametrize("command", ["refine", "ablate"])
-    def test_lr_sweep_rejects_a_config_learning_rate(self, tmp_path, synth_file, capsys,
-                                                    command):
-        # the sweep would replace the file's rate without a word
-        cfg = tmp_path / "lr.cfg"
-        cfg.write_text("epochs = 1\nbatch_size = 32\nlearning_rate = 0.5\n")
-        assert run([command, "--in", synth_file, "--config", cfg, "--lr-sweep",
-                    "--out", tmp_path / "r.embf", "--checkpoint", tmp_path / "m.sskp",
-                    "--report", tmp_path / "r.json"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {cfg}:3: config key 'learning_rate' conflicts with "
-                       "--lr-sweep, which picks the rate"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "lr.cfg"]
+    @pytest.mark.parametrize("command,argv,message", [
+        ("gen-synth", "--classes 0 --out {o}", "num_classes, dim, points_per_class must be positive"),
+        ("theory", "--in {d} --k 0 --report {o}", "k and count must be >= 1"),
+        ("theory", "--in {d} --triplets 0 --report {o}", "k and count must be >= 1"),
+    ], ids=["gen-synth-classes-0", "theory-k-0", "theory-triplets-0"])
+    def test_out_of_range_count_exits_one(self, tmp_path, synth_file, capsys, command, argv,
+                                          message):
+        argv = argv.format(d=synth_file, o=tmp_path / "out").split()
+        assert run([command, *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
 
     @pytest.mark.parametrize("command", ["refine", "ablate"])
     @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff", "bom-stray-0xff"])
@@ -549,8 +504,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("line,key", [("epochs = 1.5", "epochs"),
                                           ("learning_rate = 1e-3x", "learning_rate"),
                                           ("tau = 0", "tau"),
+                                          ("epochs = -1", "epochs"),
                                           ("augment.mask_prob = 2", "augment.mask_prob")],
-                             ids=["int", "float", "range", "augment-range"])
+                             ids=["int", "float", "range", "epochs-range", "augment-range"])
     def test_bad_config_value_names_file_and_line(self, tmp_path, synth_file, capsys, line,
                                                   key):
         cfg = tmp_path / "bad.cfg"
@@ -614,7 +570,10 @@ class TestErrorPaths:
         ("eval", "--original {d} --refined {d} --report {o} --probe mlp3", "--probe"),
         ("theory", "--in {d} --report {o} --sample-size 10", "--sample-size"),
         ("gen-synth", "--mix-strength 0.5 --out {o} --mix-seed 3", "--mix-seed"),
-    ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed"])
+        ("refine", "--in {d} --out {o} --lr-sweep", "--lr-sweep"),
+        ("ablate", "--in {d} --out {o} --lr-sweep", "--lr-sweep"),
+    ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed",
+            "refine-lr-sweep", "ablate-lr-sweep"])
     def test_removed_flag_exits_one(self, tmp_path, synth_file, capsys, command, argv, flag):
         argv = argv.format(d=synth_file, o=tmp_path / "out", c=tmp_path / "e.csv").split()
         assert run([command, *argv]) == 1
@@ -778,7 +737,7 @@ class TestErrorPaths:
 PUBLIC_NAMES = {
     "augment": ["AugmentConfig", "DEFAULT_NOISE_SCALE", "gaussian_noise",
                 "make_positive_pairs", "random_mask"],
-    "cli": ["LEARNING_RATE_GRID"],
+    "cli": [],
     "embedding_store": ["EmbeddingDataset", "dataset_fingerprint", "load_embeddings",
                         "save_embeddings", "split"],
     "errors": ["FormatError", "NumericsError", "ShapeError", "SimSkipError",
@@ -786,10 +745,10 @@ PUBLIC_NAMES = {
     "evaluate": ["ComparisonReport", "EvalReport", "LinearProbe", "MLP3Probe", "SplitConfig",
                  "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
                  "knn_same_label_score", "train_probe"],
-    "losses": ["LossValue", "hinge_loss", "logistic_loss", "nt_xent"],
+    "losses": ["LossValue", "logistic_loss", "nt_xent"],
     "model": ["SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"],
-    "nn_core": ["grad_check"],
+    "nn_core": [],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
     "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
                "sample_triplets", "skip_inequality_check"],

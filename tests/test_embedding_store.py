@@ -11,7 +11,7 @@ from simskip.embedding_store import (
     save_embeddings,
     split,
 )
-from simskip.errors import FormatError, ValidationError
+from simskip.errors import FormatError, ShapeError, ValidationError
 
 
 def random_dataset(count, dim, seed=0, labeled=False):
@@ -72,6 +72,10 @@ class TestDatasetInvariants:
         # np.loadtxt reads a label column as floats
         ds = EmbeddingDataset(np.zeros((2, 2)), np.array([1.0, 0.0]))
         assert ds.labels.dtype == np.int64 and list(ds.labels) == [1, 0]
+
+    def test_rejects_one_dimensional_vectors(self):
+        with pytest.raises(ShapeError, match="vectors must be 2-D"):
+            EmbeddingDataset(np.ones(4))
 
     def test_rejects_zero_dim(self):
         with pytest.raises(ValidationError):

@@ -221,6 +221,14 @@ class TestProbes:
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             MLP3Probe(seed=-1)
 
+    def test_unlabeled_dataset_rejected(self):
+        ds = two_clusters()
+        unlabeled = EmbeddingDataset(ds.vectors)
+        with pytest.raises(ValidationError, match="train_probe requires labels"):
+            train_probe(unlabeled)
+        with pytest.raises(ValidationError, match="evaluate_probe requires labels"):
+            evaluate_probe(train_probe(ds), unlabeled)
+
     def test_single_class_rejected(self):
         rng = np.random.default_rng(10)
         ds = EmbeddingDataset(rng.standard_normal((20, 3)), np.zeros(20, dtype=int))
@@ -279,6 +287,21 @@ class TestProbes:
             assert np.array_equal(got_w, w)
             assert np.array_equal(got_b, b)
 
+    def test_near_constant_column_matches_reference_fit(self):
+        # a column whose spread lies between the feature-scale floor (1e-12) and 1e-6
+        ds = generate_gaussian_mixture(MixtureSpec(3, 8, 30, class_separation=3.0, seed=8))
+        vectors = ds.vectors.copy()
+        vectors[:, -1] = 5.0 + 1e-9 * np.random.default_rng(8).standard_normal(ds.count)
+        ds = EmbeddingDataset(vectors, ds.labels)
+        cfg = LinearProbe(epochs=40)
+        got = train_probe(ds, cfg).layers
+        want = reference_train_probe(ds.vectors, ds.labels, LINEAR, 16,
+                                     cfg.learning_rate, 40, seed=5)
+        assert len(got) == len(want)
+        for (got_w, got_b), (w, b) in zip(got, want):
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(got_b, b)
+
 
 class TestCompare:
     def test_identical_inputs_give_zero_deltas(self):
@@ -291,6 +314,13 @@ class TestCompare:
         mixed = apply_class_mixing(clean, 0.6, seed=1)
         comp = compare_embeddings(mixed, clean)  # "refined" is the clean one
         assert comp.probe_delta > 0.0
+
+    def test_unlabeled_dataset_rejected(self):
+        ds = two_clusters(per=10)
+        unlabeled = EmbeddingDataset(ds.vectors)
+        for original, refined in ((unlabeled, ds), (ds, unlabeled)):
+            with pytest.raises(ValidationError, match="requires labels on both datasets"):
+                compare_embeddings(original, refined)
 
     def test_label_mismatch_rejected(self):
         ds = two_clusters(per=10)

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nt_xent, log_space_nt_xent, patch_block_budget
+from helpers import (
+    brute_force_nt_xent,
+    grad_check,
+    hinge_loss,
+    log_space_nt_xent,
+    patch_block_budget,
+)
 from simskip import losses
-from simskip.errors import NumericsError, ValidationError
-from simskip.losses import hinge_loss, logistic_loss, nt_xent
-from simskip.nn_core import grad_check
+from simskip.errors import NumericsError, ShapeError, ValidationError
+from simskip.losses import logistic_loss, nt_xent
 
 
 class TestNtXent:
@@ -67,6 +72,10 @@ class TestNtXent:
     def test_too_few_pairs(self):
         with pytest.raises(ValidationError):
             nt_xent(np.ones((2, 3)), 0.5)
+
+    def test_one_dimensional_z_rejected(self):
+        with pytest.raises(ShapeError, match="z must be 2-D"):
+            nt_xent(np.ones(8), 0.5)
 
     def test_odd_row_count(self):
         with pytest.raises(ValidationError):

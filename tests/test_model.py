@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import drawn_head_params
+from helpers import drawn_head_params, grad_check
 from simskip import trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset
@@ -26,7 +26,6 @@ from simskip.model import (
     refine,
     save_checkpoint,
 )
-from simskip.nn_core import grad_check
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import TrainConfig, train
 

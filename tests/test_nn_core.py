@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from simskip.errors import ShapeError, ValidationError
 from simskip.nn_core import (
     batchnorm_apply,
     batchnorm_backward,
     dropout_apply,
     dropout_backward,
-    grad_check,
     linear_apply,
     linear_backward,
     linear_init,

@@ -46,6 +46,12 @@ class TestGaussianMixture:
         ds = generate_gaussian_mixture(spec, means)
         assert np.allclose(ds.vectors[ds.labels == 0], [5.0, 5.0], atol=1e-6)
 
+    def test_means_of_the_wrong_shape_rejected(self):
+        spec = MixtureSpec(2, 3, 4, seed=0)
+        for means in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)):
+            with pytest.raises(ValidationError, match=r"means must have shape \(2, 3\)"):
+                generate_gaussian_mixture(spec, means)
+
     def test_invalid_spec(self):
         for name, value in [("cluster_sigma", 0.0), ("class_separation", -1.0),
                             ("class_separation", np.nan), ("cluster_sigma", np.nan),

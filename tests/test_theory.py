@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_class_means, patch_block_budget, reference_triplet_margins
+from helpers import (
+    hinge_loss,
+    orthogonal_class_means,
+    patch_block_budget,
+    reference_triplet_margins,
+)
 from simskip import theory, utils
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import ValidationError
-from simskip.losses import hinge_loss, logistic_loss
+from simskip.losses import logistic_loss
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
     BoundInputs,
@@ -65,6 +70,10 @@ class TestSampling:
         ds = EmbeddingDataset(np.eye(3), [0, 0, 1])
         with pytest.raises(ValidationError):
             sample_triplets(ds, 1, 10, seed=0)
+
+    def test_unlabeled_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="sample_triplets requires labels"):
+            sample_triplets(EmbeddingDataset(np.eye(3)), 1, 10, seed=0)
 
     def test_empty_dataset_rejected(self):
         ds = EmbeddingDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))

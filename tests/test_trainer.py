@@ -10,7 +10,7 @@ from simskip.errors import NumericsError, ValidationError
 from simskip.model import arena_views, contrastive_loss_and_grads, init_params, layer_slices
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
-from simskip.cli import LEARNING_RATE_GRID, parse_and_run
+from simskip.cli import parse_and_run
 from simskip.embedding_store import load_embeddings
 from simskip.trainer import (
     TrainConfig,
@@ -88,6 +88,12 @@ class TestAdam:
         with pytest.raises(NumericsError):
             adam_step(params, np.array([np.nan]), state, t=1, lr=cfg.learning_rate)
 
+    def test_step_index_counts_from_one(self):
+        params = np.array([0.5])
+        with pytest.raises(ValidationError, match="step index must be >= 1, got 0"):
+            adam_step(params, np.array([1.0]), adam_init(params), t=0, lr=0.1)
+        assert params[0] == 0.5
+
     def test_shape_mismatch_rejected(self):
         for params, grad in ((np.zeros(4), np.zeros(5)), (np.zeros((2, 2)), np.zeros((2, 2)))):
             with pytest.raises(ValidationError):
@@ -156,7 +162,7 @@ class TestTrain:
         _, report = train(ds, cfg)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
-    @pytest.mark.parametrize("lr", LEARNING_RATE_GRID)
+    @pytest.mark.parametrize("lr", [0.001, 0.0003, 0.00003, 0.00001])
     def test_loss_decreases_for_every_grid_rate(self, lr):
         ds = mixture()
         cfg = TrainConfig(learning_rate=lr, batch_size=128, epochs=60, seed=1)
@@ -313,14 +319,12 @@ class TestConfigFile:
         path = tmp_path / "train.cfg"
         path.write_text("".join(f"{prefix}{name} = {getattr(obj, name)}\n"
                                 for prefix, obj, _, names in keys for name in names))
-        file_keys = [prefix + name for prefix, _, _, names in keys for name in names]
-        assert load_train_config(path) == (cfg, {key: n for n, key in enumerate(file_keys, 1)})
+        assert load_train_config(path) == cfg
 
     def test_partial_file_fills_defaults(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("epochs = 3\naugment.mask_prob = 0.2\n# comment\n\n")
-        cfg, lines = load_train_config(path)
-        assert lines == {"epochs": 1, "augment.mask_prob": 2}
+        cfg = load_train_config(path)
         assert cfg.epochs == 3
         assert cfg.augment.mask_prob == 0.2
         assert cfg.augment.noise_scale == AugmentConfig().noise_scale
