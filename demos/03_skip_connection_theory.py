@@ -15,6 +15,7 @@ Run:  python3 demos/03_skip_connection_theory.py
 import numpy as np
 
 import simskip as ss
+from simskip.theory import bound_report
 
 # classes in orthogonal directions away from the origin: dot-product
 # margins need directional separation, not just distance
@@ -51,9 +52,12 @@ for m in (10, 100, 1000, 10_000):
 
 print()
 print("-- assembled bound right-hand side ----------------------------------")
-inputs = ss.BoundInputs(R=1.0, rademacher=1.0, M=len(triplets), delta_conf=0.05, k=1)
-g = ss.gen_m(inputs)
-rhs = ss.bound_rhs(report.l_un_identity, g, inputs)
+# the bound as `simskip theory` reports it: R is the embedding's largest row
+# norm, M and k come from the triplets, the other constants are fixed
+bound = bound_report(dataset, triplets)
+c = bound["config"]
+print(f"R = largest row norm = {c['R']:.4f}, M = {c['M']}, k = {c['k']}: "
+      f"Gen_M = {bound['gen_m']:.4f}")
 print(f"alpha * L_un + eta * Gen_M + eps = "
-      f"{inputs.alpha} * {report.l_un_identity:.4f} + {inputs.eta} * {g:.4f} + "
-      f"{inputs.eps_slack} = {rhs:.4f}")
+      f"{c['alpha']} * {bound['L_un_identity']:.4f} + {c['eta']} * {bound['gen_m']:.4f} + "
+      f"{c['eps_slack']} = {bound['bound_rhs']:.4f}")

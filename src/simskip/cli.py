@@ -9,7 +9,7 @@ Subcommands
     eval        compare an original embedding against refined ones: kNN
                 score and linear probe, with the mlp3 probe alongside
     theory      triplet margins, loss-bound terms, JSON bound report; the
-                bound's sample size M is the triplet count
+                bound's R is the input's largest row norm, M the triplet count
     augment     preview augmented positive pairs for the first rows
     inspect     print a JSON summary of an EMBF or SSKP file
 
@@ -199,22 +199,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    from .theory import BoundInputs, bound_report, sample_triplets
+    from .theory import bound_report, sample_triplets
 
     _check_paths([("--in", args.infile)], [("--report", args.report)])
     dataset = load_embeddings(args.infile)
     triplets = sample_triplets(dataset, k=args.k, count=args.triplets, seed=args.seed)
-    inputs = BoundInputs(
-        R=args.radius,
-        rademacher=args.rademacher,
-        M=args.triplets,  # Arora et al.'s M: the tuples L_un averages over
-        delta_conf=args.delta_conf,
-        k=args.k,
-        alpha=args.alpha,
-        eta=args.eta,
-        eps_slack=args.eps_slack,
-    )
-    payload = bound_report(dataset, triplets, inputs)
+    payload = bound_report(dataset, triplets)
     payload["config"]["triplets"] = args.triplets
     payload["config"]["seed"] = args.seed
     payload["config"]["input"] = str(args.infile)
@@ -339,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="triplet count, also the sample size M in the bound")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--radius", type=float, default=1.0, help="norm bound R")
-    p.add_argument("--rademacher", type=float, default=1.0)
-    p.add_argument("--delta-conf", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--eps-slack", type=float, default=0.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_theory)
 

@@ -72,7 +72,6 @@ def nt_xent(z: np.ndarray, tau: float) -> LossValue:
         # this block's logits, then the positives before they are masked
         s = buf[:r1 - r0]
         np.matmul(zh[r0:r1], zh.T, out=s)
-        np.clip(s, -1.0, 1.0, out=s)
         s /= tau
         pos_logits = s[local, pos]
         s[local, local + r0] = -np.inf

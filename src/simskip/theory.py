@@ -21,8 +21,9 @@ its `l_un_identity` is the L_un of the dataset's own embedding.
     R * sqrt(k) * rademacher / M + (R^2 + ln k) * sqrt(ln(1/delta_conf) / M)
 
 with the asymptotic constants fixed at 1 and natural logs, and `bound_rhs`
-assembles alpha * L_un + eta * gen + eps_slack. The Rademacher average is
-always a user-supplied input, never estimated. Every input must be finite.
+assembles alpha * L_un + eta * gen + eps_slack. Every input must be finite.
+`bound_report` measures R and takes M and k from its triplets; the other
+constants keep their `BoundInputs` defaults, and none is estimated.
 """
 
 from __future__ import annotations
@@ -223,20 +224,17 @@ def bound_rhs(l_un_value: float, gen: float, inputs: BoundInputs) -> float:
     return inputs.alpha * l_un_value + inputs.eta * gen + inputs.eps_slack
 
 
-def bound_report(
-    dataset: EmbeddingDataset,
-    triplets: Triplets,
-    inputs: BoundInputs,
-) -> dict:
+def bound_report(dataset: EmbeddingDataset, triplets: Triplets) -> dict:
     """JSON-ready summary: margin stats, both L_un values, Gen_M, bound RHS.
 
-    The bound RHS uses the identity-map L_un, i.e. the bound as it applies
-    to the dataset's own embedding. `inputs` must hold the triplets' M and k.
+    R is the embedding's largest row norm and M and k the triplets' count and
+    negatives per triplet. The bound RHS uses the identity-map L_un, i.e. the
+    bound as it applies to the dataset's own embedding.
     """
-    if (inputs.M, inputs.k) != (len(triplets), triplets.k):
-        raise ValidationError(f"bound inputs M = {inputs.M}, k = {inputs.k} do not match the "
-                              f"{len(triplets)} triplets with k = {triplets.k}")
+    # first: it rejects a triplet index past the last row, so the rows the max reads exist
     skip_rep = skip_inequality_check(dataset, triplets)
+    radius = math.sqrt(np.einsum("ij,ij->i", dataset.vectors, dataset.vectors).max())
+    inputs = BoundInputs(R=radius, M=len(triplets), k=triplets.k)
     g = gen_m(inputs)
     report = skip_rep.to_json_dict()
     report["gen_m"] = g

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simskip
-from simskip import cli, evaluate, trainer
+from simskip import cli, evaluate, theory, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
@@ -334,23 +335,30 @@ class TestTheoryCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.embf"]
 
-    # a NaN or infinite input exits 1; a finite input whose bound overflows exits 2
-    @pytest.mark.parametrize("flags,code", [
-        (["--radius", "nan"], 1),
-        (["--radius", "inf"], 1),
-        (["--rademacher", "nan"], 1),
-        (["--eta", "nan"], 1),
-        (["--alpha", "inf"], 1),
-        (["--rademacher", "1e308", "--radius", "10"], 2),
-        (["--radius", "1e200"], 2),
-    ], ids=["radius-nan", "radius-inf", "rademacher-nan", "eta-nan", "alpha-inf",
-            "gen-m-inf", "radius-squared-overflows"])
-    def test_non_finite_bound_writes_nothing(self, tmp_path, synth_file, capsys, flags, code):
-        report = tmp_path / "bound.json"
-        assert run(["theory", "--in", synth_file, "--triplets", 50, "--k", 1,
-                    *flags, "--report", report]) == code
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and ("finite" in err or "overflow" in err)
+    def test_radius_is_the_largest_row_norm(self, tmp_path):
+        data, report = tmp_path / "d.embf", tmp_path / "bound.json"
+        save_embeddings(EmbeddingDataset(np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0],
+                                                   [0.5, -0.5]]), np.array([0, 0, 1, 1])), data)
+        assert run(["theory", "--in", data, "--triplets", 50, "--k", 2, "--report", report]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["config"]["R"] == 5.0
+        assert payload["gen_m"] == theory.gen_m(theory.BoundInputs(R=5.0, M=50, k=2))
+
+    def test_all_zero_embedding_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "zero.embf"
+        save_embeddings(EmbeddingDataset(np.zeros((6, 3)), np.array([0, 0, 0, 1, 1, 1])), data)
+        assert run(["theory", "--in", data, "--report", tmp_path / "bound.json"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: R must be"), lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.embf"]
+
+    def test_non_finite_bound_exits_two_and_writes_nothing(self, tmp_path, synth_file, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(theory, "gen_m", lambda inputs: math.inf)
+        assert run(["theory", "--in", synth_file, "--triplets", 50,
+                    "--report", tmp_path / "bound.json"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "non-finite" in lines[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
 
 
@@ -572,8 +580,15 @@ class TestErrorPaths:
         ("gen-synth", "--mix-strength 0.5 --out {o} --mix-seed 3", "--mix-seed"),
         ("refine", "--in {d} --out {o} --lr-sweep", "--lr-sweep"),
         ("ablate", "--in {d} --out {o} --lr-sweep", "--lr-sweep"),
+        ("theory", "--in {d} --report {o} --radius 5", "--radius"),
+        ("theory", "--in {d} --report {o} --rademacher 1", "--rademacher"),
+        ("theory", "--in {d} --report {o} --delta-conf 0.05", "--delta-conf"),
+        ("theory", "--in {d} --report {o} --alpha 1", "--alpha"),
+        ("theory", "--in {d} --report {o} --eta 1", "--eta"),
+        ("theory", "--in {d} --report {o} --eps-slack 0", "--eps-slack"),
     ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed",
-            "refine-lr-sweep", "ablate-lr-sweep"])
+            "refine-lr-sweep", "ablate-lr-sweep", "theory-radius", "theory-rademacher",
+            "theory-delta-conf", "theory-alpha", "theory-eta", "theory-eps-slack"])
     def test_removed_flag_exits_one(self, tmp_path, synth_file, capsys, command, argv, flag):
         argv = argv.format(d=synth_file, o=tmp_path / "out", c=tmp_path / "e.csv").split()
         assert run([command, *argv]) == 1

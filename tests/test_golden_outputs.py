@@ -43,7 +43,7 @@ GOLDEN = {
         "eval.json":
             "ad8f5aa624ba7d315938db72920e2d16c11cb93472162f7599899f336982fff5",
         "theory.json":
-            "d3cc23e86e8f07c3f9ebabe3d65f3a333b0fc23d7e4dbcdeff23747546ecaeb3",
+            "0c22a6d598eb8379102dbb931248c949db6beb01ca716d2b60bceaf674a5f339",
         "augment.json":
             "61dca75a367b3f051a9f1961760f61f2c7f5441688f7fac4ededd3ee392b3cc3",
         "inspect_embf.json":
@@ -67,7 +67,7 @@ GOLDEN = {
         "eval.json":
             "2fcbad42f164a0fed2920ee721d1e394560617fc0f62166210008637dae4c675",
         "theory.json":
-            "05901a430ca2160f31833dbf3b0624c139acbf28af9a940cd004fa2f0304524a",
+            "bab7e706f4e02dad9dbfced1eca264f30f33b13c4820976b58149e1d35a9bd50",
         "augment.json":
             "5682cedf9be1843df7bbc8cc2854d98f639abb7670a87ed7c084fdc6dccd6c80",
         "inspect_embf.json":

@@ -155,6 +155,20 @@ class TestNtXentNumerics:
             assert np.isfinite(got.value) and np.all(np.isfinite(got.grad))
             assert abs(got.value - log_space_nt_xent(z, tau)) < 1e-9
 
+    def test_coinciding_views(self):
+        # rows 2i and 2i+1 equal: their cosines round up to 1 + a few ulps,
+        # and the row-max shift alone keeps every exp finite
+        z = np.repeat(np.random.default_rng(48).standard_normal((5, 6)), 2, axis=0)
+        zh = z / np.linalg.norm(z, axis=1)[:, None]
+        assert (zh @ zh.T).max() > 1.0
+        for tau in (0.5, 0.1):
+            assert abs(nt_xent(z, tau).value - brute_force_nt_xent(z, tau)) < 1e-10
+        # the CLI's error state; each negative's shifted exp underflows to 0 by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = nt_xent(z, 1e-300)
+        assert np.isfinite(got.value) and got.value >= 0.0
+        assert np.all(np.isfinite(got.grad))
+
     def test_memory_is_bounded_by_the_block(self):
         # a single 4096 x 4096 float64 array would be 134 MB; 256-row blocks
         # took 17 MB, and the 32 x 4096 blocks of the cache budget 1 MB

@@ -14,7 +14,7 @@ from helpers import (
 )
 from simskip import theory, utils
 from simskip.embedding_store import EmbeddingDataset
-from simskip.errors import ValidationError
+from simskip.errors import NumericsError, ValidationError
 from simskip.losses import logistic_loss
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
@@ -327,13 +327,20 @@ class TestBound:
         with pytest.raises(ValidationError):
             BoundInputs(k=0)
 
+    @pytest.mark.parametrize("name", ["R", "rademacher", "alpha", "eta", "eps_slack"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            BoundInputs(**{name: bad})
+
+    def test_radius_whose_square_overflows_raises(self):
+        with pytest.raises(NumericsError, match="overflows"):
+            gen_m(BoundInputs(R=1e200))
+
 
 class TestBoundReport:
-    @pytest.mark.parametrize("M,k", [(10, 4), (500, 1), (10, 1)],
-                             ids=["M", "k", "both"])
-    def test_inputs_must_match_the_triplets(self, M, k):
+    def test_m_and_k_come_from_the_triplets(self):
         ds = directional_mixture(num_classes=4, per=20)
         triplets = sample_triplets(ds, k=4, count=500, seed=0)
-        with pytest.raises(ValidationError, match="do not match the 500 triplets with k = 4"):
-            bound_report(ds, triplets, BoundInputs(M=M, k=k))
-        assert bound_report(ds, triplets, BoundInputs(M=500, k=4))["config"]["M"] == 500
+        config = bound_report(ds, triplets)["config"]
+        assert (config["M"], config["k"]) == (500, 4)
