@@ -339,8 +339,10 @@ class TestBound:
 
 
 class TestBoundReport:
-    def test_m_and_k_come_from_the_triplets(self):
+    @pytest.mark.parametrize("M,k", [(10, 4), (500, 1), (10, 1)],
+                             ids=["M", "k", "both"])
+    def test_inputs_must_match_the_triplets(self, M, k):
         ds = directional_mixture(num_classes=4, per=20)
-        triplets = sample_triplets(ds, k=4, count=500, seed=0)
+        triplets = sample_triplets(ds, k=k, count=M, seed=0)
         config = bound_report(ds, triplets)["config"]
-        assert (config["M"], config["k"]) == (500, 4)
+        assert (config["M"], config["k"]) == (M, k)
