@@ -56,7 +56,7 @@ print(f"linear probe accuracy: {comp.original.probe_accuracy:.3f} -> "
 
 print()
 print("=" * 70)
-print("5. Persistence: EMBF datasets and SSKP checkpoints round-trip exactly")
+print("5. Persistence: EMBF datasets and SSKP checkpoints of the encoder round-trip")
 print("=" * 70)
 import tempfile
 from pathlib import Path
@@ -71,6 +71,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"EMBF file: {emb_path.stat().st_size} bytes, "
           f"reload matches at storage precision: "
           f"{np.array_equal(back.vectors, refined.vectors.astype(np.float32).astype(np.float64))}")
+    print(f"SSKP file: {ckpt_path.stat().st_size} bytes, the encoder alone "
+          f"(the projector only fed the loss)")
     again = ss.refine(reloaded, mixed)
     print("checkpoint reproduces the refined embedding:",
           np.array_equal(again.vectors, refined.vectors))

@@ -149,12 +149,9 @@ def _cmd_refine(args) -> int:
     if args.checkpoint:
         save_checkpoint(params, args.checkpoint)
     if args.report:
-        payload = report.to_json_dict()
-        payload["checkpoint_path"] = args.checkpoint
-        payload["variant"] = "simskip" if cfg.skip_enabled else "simskip-minus"
-        payload["input"] = str(args.infile)
-        payload["output"] = str(args.out)
-        _write_json(payload, args.report)
+        _write_json({**report.to_json_dict(), "checkpoint_path": args.checkpoint,
+                     "variant": "simskip" if cfg.skip_enabled else "simskip-minus",
+                     "input": str(args.infile), "output": str(args.out)}, args.report)
     print(f"wrote {args.out} (final loss {report.epoch_losses[-1]:.4f})"
           if report.epoch_losses else f"wrote {args.out} (no training epochs)")
     return 0
@@ -205,9 +202,7 @@ def _cmd_theory(args) -> int:
     dataset = load_embeddings(args.infile)
     triplets = sample_triplets(dataset, k=args.k, count=args.triplets, seed=args.seed)
     payload = bound_report(dataset, triplets)
-    payload["config"]["triplets"] = args.triplets
-    payload["config"]["seed"] = args.seed
-    payload["config"]["input"] = str(args.infile)
+    payload["config"] |= {"triplets": args.triplets, "seed": args.seed, "input": str(args.infile)}
     _write_json(payload, args.report)
     return 0
 
@@ -264,12 +259,8 @@ def _cmd_inspect(args) -> int:
             "fingerprint": dataset_fingerprint(dataset),
         }
         if dataset.count:
-            payload["vector_stats"] = {
-                "mean": float(dataset.vectors.mean()),
-                "std": float(dataset.vectors.std()),
-                "min": float(dataset.vectors.min()),
-                "max": float(dataset.vectors.max()),
-            }
+            payload["vector_stats"] = {stat: float(getattr(dataset.vectors, stat)())
+                                       for stat in ("mean", "std", "min", "max")}
         if dataset.has_labels:
             classes, sizes = np.unique(dataset.labels, return_counts=True)
             payload["classes"] = {str(int(c)): int(n) for c, n in zip(classes, sizes)}
@@ -357,16 +348,15 @@ def parse_and_run(argv: list[str]) -> int:
         # stops the command where it happens, not at a later finiteness check
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
-        print(f"error: {args.command}: floating-point fault: {exc}", file=sys.stderr)
+    except FloatingPointError as exc:  # a training fault's notes name its stage, innermost first
+        stage = ", ".join(reversed(getattr(exc, "__notes__", [])))
+        print(f"error: {args.command}: floating-point fault: {stage}{': ' if stage else ''}{exc}",
+              file=sys.stderr)
         return 2
-    except (SimSkipError, OSError) as exc:
+    except (_UsageError, SimSkipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

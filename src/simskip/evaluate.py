@@ -231,6 +231,7 @@ def _probe_backward(layers: _Layers, x: np.ndarray, ws: _ProbeWorkspace,
     return ws.grad
 
 
+@np.errstate(under="ignore")  # a logit far below its row max is 0 after exp, rightly
 def _softmax_xent_grad(logits: np.ndarray, ws: _ProbeWorkspace) -> np.ndarray:
     """Overwrite `logits`, the last layer output in `ws`, with the gradient
     of the mean softmax cross-entropy with respect to them, and return it.

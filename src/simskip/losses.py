@@ -17,6 +17,7 @@ the similarity matrix in it and works on it in place, so every pass over
 the block stays in cache and memory is O(block x 2N) rather than several
 2N x 2N temporaries. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
+Both functions here ignore underflow, which rounds to the right value.
 
 `logistic_loss` is the margin loss of the bound-checking machinery,
 log2(1 + sum_i exp(-v_i)), reduced over the last axis: a margin vector
@@ -43,6 +44,7 @@ class LossValue:
     grad: np.ndarray  # d(loss)/d(input rows)
 
 
+@np.errstate(under="ignore")
 def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     """Contrastive loss and its gradient for paired rows (2i, 2i+1)."""
     z = np.asarray(z, dtype=np.float64)
@@ -97,6 +99,7 @@ def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     return LossValue(value, grad)
 
 
+@np.errstate(under="ignore")
 def logistic_loss(v) -> float | np.ndarray:
     """log2(1 + sum_i exp(-v_i)) over the last axis of `v`, each row shifted
     by max(0, max_i -v_i) so that a large -v_i cannot overflow."""

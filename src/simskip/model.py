@@ -10,8 +10,8 @@ Encoder (input width d, d even):
            = r(x)            otherwise (the ablation variant)
 
 Projector: z = W2 @ relu(W1 @ h + b1) + b2 with both layers d x d. The
-projector exists only to feed the contrastive loss; `refine` returns the
-encoder output.
+projector exists only to feed the contrastive loss: `refine` returns the
+encoder output, and `train` returns the encoder alone.
 
 The residual head, the final d x d linear, follows the skip flag: with the
 skip path it starts at zero, so the freshly initialized encoder is exactly
@@ -19,18 +19,19 @@ the identity map and refinement starts from the original embedding;
 without it the head is drawn like every other linear layer, so the
 ablation does not start as the zero map.
 
-Every tensor has one name, its `PARAM_TABLE` key ("layer1.gamma"), and
-the table lists them in the checkpoint's tensor order. A model holds
-exactly the tensors its checkpoint stores, in `tensors` keyed like the
-table, plus the skip flag and the width. Forward passes read
+Every tensor has one name, its `PARAM_TABLE` key ("layer1.gamma"). A
+model holds its tensors in `tensors`, keyed like the table, plus the skip
+flag and the width: the training model (`init_params`) all 16, and the
+encoder (`encoder_of`, `train`, `load_checkpoint`) the 12 of
+`ENCODER_TABLE`, exactly those its checkpoint stores. Forward passes read
 `tensors[key]`; backward passes write each parameter gradient into
 `grads[key]`, buffers keyed the same way, and return the input's unless
 told not to form it, as training does. The trainable tensors are views of
 one float64 vector, the arena `flat`, laid end to end in table order, so
-each layer's tensors are one slice of it (`layer_slices`); batch norm's
-running statistics (`TRAINABLE` leaves them out) are separate arrays that
-training passes update in place. No tensor is ever rebound: assign
-through `[...]`.
+each layer's tensors are one slice of it (`layer_slices`) and the
+encoder's its prefix; batch norm's running statistics (`TRAINABLE` leaves
+them out) are separate arrays that training passes update in place. No
+tensor is ever rebound: assign through `[...]`.
 
 A backward pass given `after_layer` calls it with each layer's name
 ("proj2", "proj1", "out", "layer2", "layer1", in that order) once it no
@@ -40,9 +41,9 @@ update the one and reuse the other, as training does.
 A forward pass given a generator `rng` is a training pass (batch
 statistics, dropout masks drawn from `rng`); one without is the eval pass.
 
-Checkpoint format "SSKP", version 2, little-endian: magic "SSKP", u8
+Checkpoint format "SSKP", version 3, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then the float64 tensors
-in `PARAM_TABLE` order. Version 1 is rejected.
+in `ENCODER_TABLE` order. Versions 1 and 2, with the projector, are rejected.
 """
 
 from __future__ import annotations
@@ -72,19 +73,20 @@ from .nn_core import (
 from .utils import atomic_write, block_rows
 
 CHECKPOINT_MAGIC = b"SSKP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _CKPT_HEADER = struct.Struct("<4sBBI")  # magic, version, flags, d
 
 DROPOUT_RATE = 0.1
 
 
-# every tensor of a model, in SSKP order
+# every tensor of the training model, in arena order
 PARAM_TABLE = (
     "layer1.weight", "layer1.gamma", "layer1.beta", "layer1.running_mean", "layer1.running_var",
     "layer2.weight", "layer2.gamma", "layer2.beta", "layer2.running_mean", "layer2.running_var",
     "out.weight", "out.bias", "proj1.weight", "proj1.bias", "proj2.weight", "proj2.bias",
 )
+ENCODER_TABLE = PARAM_TABLE[:12]  # what `refine` reads and SSKP stores, in file order
 # batch norm keeps its running statistics as state; every other tensor trains
 TRAINABLE = tuple(key for key in PARAM_TABLE if ".running_" not in key)
 LAYERS = ("layer1", "layer2", "out", "proj1", "proj2")  # table order; backward runs them reversed
@@ -97,7 +99,7 @@ class SimSkipParams:
     skip_enabled: bool
     # the arena: every trainable tensor is a view of this vector
     flat: np.ndarray
-    tensors: dict[str, np.ndarray]  # keyed and ordered like PARAM_TABLE
+    tensors: dict[str, np.ndarray]  # keyed and ordered like PARAM_TABLE or ENCODER_TABLE
 
 
 def _shape(key: str, d: int) -> tuple[int, ...]:
@@ -108,9 +110,9 @@ def _shape(key: str, d: int) -> tuple[int, ...]:
 
 
 def arena_views(flat: np.ndarray, d: int, layer: str | None = None) -> dict[str, np.ndarray]:
-    """Views of `flat` shaped as the trainable tensors of a width-d model (of
-    `layer` alone, when given), end to end in table order and keyed like
-    `PARAM_TABLE`."""
+    """Views of `flat` shaped as the trainable tensors of a width-d training
+    model (of `layer` alone, when given), end to end in table order and keyed
+    like `PARAM_TABLE`."""
     keys = [key for key in TRAINABLE if layer in (None, key.split(".")[0])]
     return dict(zip(keys, flat_views(flat, [_shape(key, d) for key in keys])))
 
@@ -125,13 +127,13 @@ def layer_slices(d: int) -> dict[str, slice]:
     return slices
 
 
-def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
-    """A width-d model on a new arena: batch norm starts at gamma 1, beta 0
-    and running statistics 0 and 1; the linear tensors are left unfilled."""
-    flat = np.empty(sum(math.prod(_shape(key, d)) for key in TRAINABLE))
-    views = arena_views(flat, d)
-    tensors = {key: views[key] if key in views else np.empty(_shape(key, d))
-               for key in PARAM_TABLE}
+def _arena_model(d: int, skip_enabled: bool, keys=PARAM_TABLE) -> SimSkipParams:
+    """A width-d model of the table tensors `keys` on a new arena, linear tensors
+    unfilled: batch norm starts at gamma 1, beta 0 and running statistics 0 and 1."""
+    trainable = [key for key in keys if key in TRAINABLE]
+    flat = np.empty(sum(math.prod(_shape(key, d)) for key in trainable))
+    views = dict(zip(trainable, flat_views(flat, [_shape(key, d) for key in trainable])))
+    tensors = {key: views[key] if key in views else np.empty(_shape(key, d)) for key in keys}
     for layer in ("layer1", "layer2"):
         for field, start in zip(_BN_FIELDS, (1.0, 0.0, 0.0, 1.0)):
             tensors[f"{layer}.{field}"][...] = start
@@ -139,7 +141,7 @@ def _arena_model(d: int, skip_enabled: bool) -> SimSkipParams:
 
 
 def init_params(d: int, seed: int, skip_enabled: bool = True) -> SimSkipParams:
-    """Fresh parameters; requires even d for the d/2 bottleneck. The residual
+    """A fresh training model, of even d for the d/2 bottleneck. The residual
     head starts at zero exactly when the skip path is on (the identity map)."""
     if d < 2 or d % 2 != 0:
         raise ValidationError(f"embedding dim must be even and >= 2, got {d}")
@@ -151,6 +153,13 @@ def init_params(d: int, seed: int, skip_enabled: bool = True) -> SimSkipParams:
         linear_init(t[layer + ".weight"], t.get(layer + ".bias"), rng,
                     zero=skip_enabled and layer == "out")
     return params
+
+
+def encoder_of(params: SimSkipParams) -> SimSkipParams:
+    """The encoder of a training model: the same arrays, on the arena's prefix."""
+    return SimSkipParams(params.dim, params.skip_enabled,
+                         params.flat[:layer_slices(params.dim)["out"].stop],
+                         {key: params.tensors[key] for key in ENCODER_TABLE})
 
 
 def _block_forward(t, layer, x, rng):
@@ -170,11 +179,8 @@ def _block_backward(cache, dout, grads, layer, input_grad=True):
     return linear_backward(lin_cache, d3, grads[layer + ".weight"], None, input_grad)
 
 
-def encoder_forward(
-    params: SimSkipParams,
-    x_batch: np.ndarray,
-    rng: np.random.Generator | None = None,
-):
+def encoder_forward(params: SimSkipParams, x_batch: np.ndarray,
+                    rng: np.random.Generator | None = None):
     """Residual forward pass, x + r(x) with the skip path; a training pass given `rng`."""
     x = np.asarray(x_batch, dtype=np.float64)
     t = params.tensors
@@ -226,15 +232,10 @@ def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray],
     return dh
 
 
-def contrastive_loss_and_grads(
-    params: SimSkipParams,
-    pairs: np.ndarray,
-    tau: float,
-    grads: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
-    input_grad: bool = True,
-    after_layer: Callable[[str], None] | None = None,
-):
+def contrastive_loss_and_grads(params: SimSkipParams, pairs: np.ndarray, tau: float,
+                               grads: dict[str, np.ndarray],
+                               rng: np.random.Generator | None = None, input_grad: bool = True,
+                               after_layer: Callable[[str], None] | None = None):
     """Full-graph loss of a 2N-row paired batch and its input gradient (None
     when `input_grad` is false); every parameter gradient is written into
     `grads` (keyed like `PARAM_TABLE`), with `after_layer` (if given) called
@@ -265,17 +266,17 @@ def refine(params: SimSkipParams, dataset: EmbeddingDataset) -> EmbeddingDataset
 
 
 def parameter_counts(d: int) -> dict[str, int]:
-    """Entry counts of the five weight matrices, keyed like `PARAM_TABLE`
-    (biases and batch norm excluded, matching the reporting convention)."""
-    return {key: math.prod(_shape(key, d)) for key in PARAM_TABLE if key.endswith(".weight")}
+    """Entry counts of the encoder's three weight matrices, keyed like the
+    table (biases and batch norm excluded, matching the reporting convention)."""
+    return {key: math.prod(_shape(key, d)) for key in ENCODER_TABLE if key.endswith(".weight")}
 
 
 def save_checkpoint(params: SimSkipParams, path) -> None:
-    """Write `params` as SSKP, streaming each tensor's buffer to the file."""
+    """Write the encoder of `params` as SSKP, streaming each tensor to the file."""
     flags = 1 if params.skip_enabled else 0
     header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flags, params.dim)
     atomic_write(path, [header] + [np.ascontiguousarray(params.tensors[key], dtype="<f8")
-                                   for key in PARAM_TABLE])
+                                   for key in ENCODER_TABLE])
 
 
 def load_checkpoint(path) -> SimSkipParams:
@@ -293,14 +294,12 @@ def load_checkpoint(path) -> SimSkipParams:
         raise FormatError(f"{path}: header dim {d} is not a valid even width")
 
     # checked before anything is allocated, so a corrupt d cannot ask for d^2 floats
-    expected = _CKPT_HEADER.size + 8 * sum(math.prod(_shape(key, d)) for key in PARAM_TABLE)
-    if len(raw) < expected:
-        raise FormatError(f"{path}: truncated tensor data ({len(raw)} bytes, "
-                          f"expected {expected} for d={d})")
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after tensor data")
+    expected = _CKPT_HEADER.size + 8 * sum(math.prod(_shape(key, d)) for key in ENCODER_TABLE)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: file length {len(raw)} does not match header "
+                          f"(expected {expected} for d={d})")
 
-    params = _arena_model(d, skip_enabled=bool(flags & 1))
+    params = _arena_model(d, bool(flags & 1), ENCODER_TABLE)
     off = _CKPT_HEADER.size
     for key, tensor in params.tensors.items():
         tensor[...] = np.frombuffer(raw, dtype="<f8", count=tensor.size,

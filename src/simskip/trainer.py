@@ -18,8 +18,9 @@ layer, from a gradient written into one scratch vector the size of the
 largest layer, so no whole-model gradient vector exists. Adam is
 elementwise, so this is bitwise the update of the whole arena after the
 whole backward pass, and that is bitwise the textbook update. Training
-runs under NumPy's floating-point error state set to raise, so a fault
-raises where it happens, whatever the caller's error state.
+raises NumPy's overflow, invalid and divide faults where they happen and
+ignores underflow, whatever the caller's error state; a fault's notes name
+its layer if in an Adam update, then its epoch and batch.
 
 Config files are plain text, one `key = value` per line with `#` comments,
 each key at most once. The keys are TrainConfig's and AugmentConfig's
@@ -44,6 +45,7 @@ from .model import (
     SimSkipParams,
     arena_views,
     contrastive_loss_and_grads,
+    encoder_of,
     init_params,
     layer_slices,
 )
@@ -148,11 +150,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
 
 
 def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, TrainReport]:
-    """Train a refiner on the dataset's vectors (labels are never read)."""
+    """Train a refiner on the dataset's vectors (labels are never read); return its encoder."""
     if dataset.count < cfg.batch_size:
-        raise ValidationError(
-            f"dataset has {dataset.count} rows, fewer than batch_size {cfg.batch_size}"
-        )
+        raise ValidationError(f"dataset has {dataset.count} rows, fewer than batch_size "
+                              f"{cfg.batch_size}")
 
     params = init_params(dataset.dim, cfg.seed, skip_enabled=cfg.skip_enabled)
     state = adam_init(params.flat)
@@ -167,7 +168,11 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
         layer_args[layer] = (params.flat[s], grad, AdamState(m=state.m[s], v=state.v[s]))
 
     def update(layer: str) -> None:
-        adam_step(*layer_args[layer], t, cfg.learning_rate)
+        try:
+            adam_step(*layer_args[layer], t, cfg.learning_rate)
+        except FloatingPointError as exc:
+            exc.add_note(f"{layer} update")
+            raise
 
     rng = np.random.default_rng(cfg.seed)
 
@@ -175,21 +180,25 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
     t = 0
     # an overflow, invalid operation or division by zero stops training where it
     # happens, before a non-finite value can reach the loss or the parameters
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for _ in range(cfg.epochs):
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        for epoch in range(cfg.epochs):
             order = rng.permutation(dataset.count)
             n_batches = dataset.count // cfg.batch_size
             batch_losses = np.empty(n_batches)
             for b in range(n_batches):
-                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
                 t += 1
-                batch_losses[b], _ = contrastive_loss_and_grads(
-                    params, pairs, cfg.tau, grads, rng=rng, input_grad=False,
-                    after_layer=update)
+                try:
+                    idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                    pairs = make_positive_pairs(dataset.vectors[idx], cfg.augment, rng)
+                    batch_losses[b], _ = contrastive_loss_and_grads(
+                        params, pairs, cfg.tau, grads, rng=rng, input_grad=False,
+                        after_layer=update)
+                except FloatingPointError as exc:
+                    exc.add_note(f"epoch {epoch + 1}, batch {b + 1}")
+                    raise
             epoch_losses.append(float(batch_losses.mean()))
 
-    return params, TrainReport(epoch_losses=epoch_losses, config=cfg)
+    return encoder_of(params), TrainReport(epoch_losses=epoch_losses, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ class TestRandomMask:
         with pytest.raises(ValidationError):
             random_mask(np.ones(3), 1.5, rng)
 
+    def test_draw_equal_to_mask_prob_keeps_the_coordinate(self):
+        # a coordinate is zeroed exactly when its uniform draw is below mask_prob
+        class Draws:
+            def random(self, shape):
+                return np.full(shape, 0.25)
+
+        x = np.array([0.5, -1.25, 3.0])
+        assert np.array_equal(random_mask(x, 0.25, Draws()), x)
+        assert np.array_equal(random_mask(x, np.nextafter(0.25, 1.0), Draws()), np.zeros(3))
+
 
 class TestGaussianNoise:
     def test_zero_scale_is_identity(self):

@@ -267,6 +267,19 @@ class TestExtremeInputs:
         assert len(err) == 1 and err[0].startswith("error: refine: floating-point fault:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf", "edge.cfg"]
 
+    def test_fault_line_names_the_stage(self, tmp_path, capsys):
+        # at tau = 1e-160 the first Adam update, proj2's at the first step, overflows
+        data = tmp_path / "d.embf"
+        assert run(["gen-synth", "--classes", 2, "--dim", 8, "--per-class", 45,
+                    "--out", data]) == 0
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("epochs = 1\nbatch_size = 16\ntau = 1e-160\n")
+        capsys.readouterr()
+        assert run(["refine", "--in", data, "--config", cfg, "--out", tmp_path / "r.embf"]) == 2
+        assert capsys.readouterr().err == ("error: refine: floating-point fault: epoch 1, "
+                                           "batch 1, proj2 update: overflow encountered in "
+                                           "multiply\n")
+
 
 # the config values the contract test draws from: the edges of float64 and of each
 # key's range, plus values every key accepts; None leaves the key out of the file
@@ -420,7 +433,11 @@ class TestInspectCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "checkpoint"
         assert payload["dim"] == 8
-        assert payload["weight_parameter_counts"]["layer1.weight"] == 8 * 4
+        # the encoder's weights alone: the checkpoint holds no projector
+        assert payload["weight_parameter_counts"] == {"layer1.weight": 8 * 4,
+                                                      "layer2.weight": 4 * 8,
+                                                      "out.weight": 8 * 8}
+        assert payload["weight_parameters_total"] == 128
 
 
 class TestErrorPaths:

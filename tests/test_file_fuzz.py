@@ -46,7 +46,7 @@ def sskp_tensor_sizes(d: int) -> list[tuple[str, int]]:
     h = d // 2
     block = lambda n_in, n_out: [("w", n_in * n_out), ("gamma", n_out), ("beta", n_out),
                                  ("mean", n_out), ("var", n_out)]
-    return block(d, h) + block(h, d) + [("w", d * d), ("b", d)] * 3
+    return block(d, h) + block(h, d) + [("w", d * d), ("b", d)]
 
 
 def sskp_verdict(raw: bytes) -> type[Exception] | None:
@@ -54,7 +54,7 @@ def sskp_verdict(raw: bytes) -> type[Exception] | None:
     if len(raw) < 10:
         return FormatError
     magic, version, flags, d = struct.unpack_from("<4sBBI", raw)
-    if magic != b"SSKP" or version != 2 or flags > 1 or d < 2 or d % 2:
+    if magic != b"SSKP" or version != 3 or flags > 1 or d < 2 or d % 2:
         return FormatError
     sizes = sskp_tensor_sizes(d)
     if len(raw) != 10 + 8 * sum(n for _, n in sizes):
@@ -114,6 +114,9 @@ def _valid_sskp(skip_enabled: bool) -> bytes:
 
 EMBF_FILES = [_valid_embf(True), _valid_embf(False)]
 SSKP_FILES = [_valid_sskp(True), _valid_sskp(False)]
+# the projector that versions 1 and 2 stored after the encoder: at d = 4, two
+# 4 x 4 weights and two biases
+PROJECTOR_BYTES = bytes(8 * 2 * (4 * 4 + 4))
 
 
 def _check(raw: bytes, verdict, load, suffix: str):
@@ -174,11 +177,22 @@ class TestSskpFuzz:
         raw = SSKP_FILES[0]
         w1_end, w2_end = 10 + 8 * 8, 10 + 8 * (8 + 4 * 2 + 8)
         v1 = (struct.pack("<4sBBI", b"SSKP", 1, 1, 4) + raw[10:w1_end] + bytes(8 * 2)
-              + raw[w1_end:w2_end] + bytes(8 * 4) + raw[w2_end:])
-        assert len(v1) == len(raw) + 8 * (2 + 4)
+              + raw[w1_end:w2_end] + bytes(8 * 4) + raw[w2_end:] + PROJECTOR_BYTES)
+        assert len(v1) == len(raw) + 8 * (2 + 4) + len(PROJECTOR_BYTES)
         path = tmp_path / "m.sskp"
         path.write_bytes(v1)
         with pytest.raises(FormatError, match="unsupported version 1"):
             load_checkpoint(path)
         assert parse_and_run(["inspect", "--in", str(path)]) == 1
         assert "unsupported version 1" in capsys.readouterr().err
+
+    def test_version_2_file_is_rejected(self, tmp_path, capsys):
+        # version 2 is version 3 with the projector stored after the encoder
+        raw = SSKP_FILES[0]
+        v2 = struct.pack("<4sBBI", b"SSKP", 2, 1, 4) + raw[10:] + PROJECTOR_BYTES
+        path = tmp_path / "m.sskp"
+        path.write_bytes(v2)
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            load_checkpoint(path)
+        assert parse_and_run(["inspect", "--in", str(path)]) == 1
+        assert "unsupported version 2" in capsys.readouterr().err

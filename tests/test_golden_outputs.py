@@ -33,7 +33,7 @@ GOLDEN = {
         "refined.embf":
             "cff4731714a09c21ae013e8f9bb602c909d32336c171337ab0dae5aada0a9624",
         "refined.sskp":
-            "432152b6b5d7cdcb415bf9edd25309be410728fc92dc53f0b03bd5ba9128bfb7",
+            "811682a9e753b825ee840dbcc5bcf8270c1e8d6a083c3695f640bae226f3561b",
         "train.json":
             "0bb8a344f9c60d9776d0052167b85277f7e9edffd59039a5d617fbd9b23c03a5",
         "ablated.embf":
@@ -49,7 +49,7 @@ GOLDEN = {
         "inspect_embf.json":
             "2573967c453b2f95d693c8944389b828a678c351d4e52f79dfafb6fb59bcfb3a",
         "inspect_sskp.json":
-            "0eda3da7ced395fa2ce936b61602a30b9c7b9e3420b953ffb3c3ee6bfadd6517",
+            "e580ee9050b1301e87e680ef0ebdfcbab63a5cf4432c8c98cbdfb300fffe47fb",
     },
     "blocked": {
         "data.embf":
@@ -57,7 +57,7 @@ GOLDEN = {
         "refined.embf":
             "b151ca11c14e60beaf2682bf358ae5f959e945ff9ba7accd6af196e638f9adf4",
         "refined.sskp":
-            "0c02b15855c361c6b68f01c3ecedc265d21d47b902674b00b0c4813eba8a317c",
+            "4cdf9edefaed839dc9c8ed452695b031701005006f0e62e63ec06bde15160531",
         "train.json":
             "54c290b534da04ee1703e28add7bc3471cdde7a3bb8fbef5bfcec091c7cc6e7c",
         "ablated.embf":
@@ -73,7 +73,7 @@ GOLDEN = {
         "inspect_embf.json":
             "9ccf726424300d77c49452e0a3b2251227d9d20d9ce45b94d9eb5c965b771a40",
         "inspect_sskp.json":
-            "7bc5e1807154f466fb74d03a7e4218e88c8106aeab0b4451fef662cd684382fb",
+            "405a524f678513da907129d7d422f48458361f2f0d667fdc33dde77b2aa82181",
     },
 }
 

@@ -169,6 +169,15 @@ class TestNtXentNumerics:
         assert np.isfinite(got.value) and got.value >= 0.0
         assert np.all(np.isfinite(got.grad))
 
+    def test_underflow_is_not_a_fault(self):
+        # at tau = 1e-3 most negatives' shifted exp underflows to 0, its right value:
+        # under a caller's all-raise error state the loss and gradient are bitwise the same
+        z = np.random.default_rng(49).standard_normal((64, 4))
+        want = nt_xent(z, 1e-3)
+        with np.errstate(all="raise"):
+            got = nt_xent(z, 1e-3)
+        assert got.value == want.value and np.array_equal(got.grad, want.grad)
+
     def test_memory_is_bounded_by_the_block(self):
         # a single 4096 x 4096 float64 array would be 134 MB; 256-row blocks
         # took 17 MB, and the 32 x 4096 blocks of the cache budget 1 MB
@@ -196,6 +205,13 @@ class TestMarginLosses:
         # naive exp would overflow; loss ~ -v / ln 2
         v = np.array([-1000.0])
         assert logistic_loss(v) == pytest.approx(1000.0 / math.log(2.0), rel=1e-6)
+
+    def test_logistic_underflow_is_not_a_fault(self):
+        # exp(-800) underflows to 0, the right term, under a caller's all-raise state too
+        want = logistic_loss([800.0, 1.0])
+        with np.errstate(all="raise"):
+            assert logistic_loss([800.0, 1.0]) == want
+        assert want == pytest.approx(math.log2(1 + math.exp(-1.0)), rel=1e-15)
 
     def test_empty_rejected(self):
         for empty in ([], np.empty((0, 3)), np.empty((3, 0))):

@@ -10,6 +10,7 @@ from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset
 from simskip.errors import FormatError, ShapeError, ValidationError
 from simskip.model import (
+    ENCODER_TABLE,
     LAYERS,
     PARAM_TABLE,
     TRAINABLE,
@@ -17,6 +18,7 @@ from simskip.model import (
     contrastive_loss_and_grads,
     encoder_backward,
     encoder_forward,
+    encoder_of,
     init_params,
     layer_slices,
     load_checkpoint,
@@ -70,12 +72,9 @@ class TestInit:
             assert np.array_equal(out, x)
 
     def test_parameter_count_scheme(self):
-        counts = parameter_counts(16)
-        assert counts["layer1.weight"] == 16 * 8
-        assert counts["layer2.weight"] == 8 * 16
-        assert counts["out.weight"] == 16 * 16
-        assert counts["proj1.weight"] == 16 * 16
-        assert counts["proj2.weight"] == 16 * 16
+        # the encoder's three weight matrices; the projector is not in the file
+        assert parameter_counts(16) == {"layer1.weight": 16 * 8, "layer2.weight": 8 * 16,
+                                        "out.weight": 16 * 16}
 
 
 class TestEncoder:
@@ -285,11 +284,22 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         assert back.dim == params.dim and back.skip_enabled == params.skip_enabled
-        for key, arr in arena_views(params.flat, params.dim).items():
-            assert np.array_equal(arr, arena_views(back.flat, back.dim)[key]), key
-        for key in ("layer1.running_mean", "layer1.running_var",
-                    "layer2.running_mean", "layer2.running_var"):
+        # the encoder comes back, running statistics included; the projector does not
+        assert list(back.tensors) == list(ENCODER_TABLE)
+        assert np.array_equal(back.flat, encoder_of(params).flat)
+        for key in ENCODER_TABLE:
             assert np.array_equal(params.tensors[key], back.tensors[key]), key
+
+    @pytest.mark.parametrize("d,size", [(16, 5002), (768, 9_480_202)])
+    def test_file_is_the_header_and_the_encoder(self, tmp_path, d, size):
+        params = init_params(d, seed=0)
+        path = tmp_path / "m.sskp"
+        save_checkpoint(params, path)
+        values = sum(params.tensors[key].size for key in ENCODER_TABLE)
+        assert path.stat().st_size == 10 + 8 * values == size
+        raw = path.read_bytes()
+        assert raw[:10] == b"SSKP\x03\x01" + d.to_bytes(4, "little")
+        assert raw[10:] == b"".join(params.tensors[key].tobytes() for key in ENCODER_TABLE)
 
     def test_skip_flag_round_trips(self, tmp_path):
         params = init_params(8, seed=18, skip_enabled=False)
@@ -396,9 +406,17 @@ class TestParamTable:
         ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))
         trained, _ = train(ds, TrainConfig(batch_size=16, epochs=1, seed=2))
         save_checkpoint(trained, tmp_path / "m.sskp")
-        for params in (init_params(6, seed=3), load_checkpoint(tmp_path / "m.sskp"), trained):
-            views = arena_views(params.flat, 6)
-            for key in PARAM_TABLE:
+        slices = layer_slices(6)
+        # the training model's arena holds every layer; an encoder's, the first three
+        for params, table in ((init_params(6, seed=3), PARAM_TABLE),
+                              (load_checkpoint(tmp_path / "m.sskp"), ENCODER_TABLE),
+                              (trained, ENCODER_TABLE)):
+            assert list(params.tensors) == list(table)
+            views = {}
+            for layer in dict.fromkeys(key.split(".")[0] for key in table):
+                views |= arena_views(params.flat[slices[layer]], 6, layer)
+            assert params.flat.size == slices[layer].stop  # its last layer ends its arena
+            for key in table:
                 arr = params.tensors[key]
                 if key not in TRAINABLE:  # the running statistics live apart
                     assert not np.shares_memory(arr, params.flat), key
@@ -407,7 +425,7 @@ class TestParamTable:
                 assert arr.ctypes.data == views[key].ctypes.data, key
                 assert arr.shape == views[key].shape, key
         with pytest.raises(ShapeError):
-            arena_views(np.empty(trained.flat.size + 1), 6)
+            arena_views(np.empty(slices["proj2"].stop + 1), 6)
 
     def test_no_tensor_is_rebound(self, tmp_path, monkeypatch):
         # a training forward pass and a training run write every tensor through
@@ -420,12 +438,12 @@ class TestParamTable:
             return params
 
         def assert_in_place(params, buffers):
-            for key in PARAM_TABLE:
+            for key in params.tensors:
                 assert params.tensors[key] is buffers[key], key
                 assert np.shares_memory(params.tensors[key], params.flat) == (key in TRAINABLE)
             save_checkpoint(params, tmp_path / "m.sskp")
             back = load_checkpoint(tmp_path / "m.sskp")
-            for key in PARAM_TABLE:
+            for key in ENCODER_TABLE:
                 assert np.array_equal(back.tensors[key], params.tensors[key]), key
 
         params = recorded_init_params(6, seed=3)
@@ -442,12 +460,14 @@ class TestParamTable:
         ds = generate_gaussian_mixture(MixtureSpec(2, 6, 32, seed=7))
         trained, _ = train(ds, TrainConfig(batch_size=16, epochs=1, seed=2))
         assert len(made) == 2
+        assert list(trained.tensors) == list(ENCODER_TABLE)  # training's encoder
         assert_in_place(trained, made[1])
         assert trained.tensors["layer2.running_mean"].any()  # moved off its start
 
     def test_table_covers_every_tensor_once(self):
         params = init_params(6, seed=3)
         assert len(set(PARAM_TABLE)) == len(PARAM_TABLE) == 16
+        assert ENCODER_TABLE == tuple(key for key in PARAM_TABLE if not key.startswith("proj"))
         assert all(isinstance(key, str) for key in PARAM_TABLE)
         assert list(params.tensors) == list(PARAM_TABLE)
         for key in PARAM_TABLE:
@@ -459,16 +479,16 @@ class TestParamTable:
 
 
 class TestCheckpointBytes:
-    """sha256 of SSKP version 2 files: the header, the tensor order of
-    `PARAM_TABLE` and the init random stream (weights, then biases, of each
+    """sha256 of SSKP version 3 files: the header, the tensor order of
+    `ENCODER_TABLE` and the init random stream (weights, then biases, of each
     linear layer in turn; the two layers before batch norm have no bias).
 
     The trained digest also pins the float64 results of one training epoch
     with this platform's NumPy/BLAS build (x86-64, NumPy 2.x).
     """
 
-    INIT_SHA256 = "63548382251f87cb56c427f43429179fbc72e63a4a16c7ad063abac5deaf54d7"
-    TRAINED_SHA256 = "2db923a95e3eefc17846b0dd7ddb08d021a18687fa86e8ac27a898b472c33c92"
+    INIT_SHA256 = "62659001e713cc03f949c92ee527be87769074dddcf200f396532c897043e1d2"
+    TRAINED_SHA256 = "240ebed7fea3cd1482acd81d5a21a0b91e1323ca87cf191b42ce183e0480f767"
 
     def _digest(self, params, path):
         save_checkpoint(params, path)

@@ -346,3 +346,12 @@ class TestBoundReport:
         triplets = sample_triplets(ds, k=k, count=M, seed=0)
         config = bound_report(ds, triplets)["config"]
         assert (config["M"], config["k"]) == (M, k)
+
+    def test_underflow_is_not_a_fault(self):
+        # at separation 20 some terms exp(-v) of the doubled map's margins underflow to
+        # 0, their right value: under a caller's all-raise error state the report is the same
+        ds = directional_mixture(num_classes=4, per=20, sep=20.0)
+        triplets = sample_triplets(ds, k=4, count=50, seed=0)
+        want = bound_report(ds, triplets)
+        with np.errstate(all="raise"):
+            assert bound_report(ds, triplets) == want

@@ -7,11 +7,17 @@ import pytest
 from helpers import patch_block_budget
 from simskip.augment import AugmentConfig, make_positive_pairs
 from simskip.errors import NumericsError, ValidationError
-from simskip.model import arena_views, contrastive_loss_and_grads, init_params, layer_slices
+from simskip.model import (
+    arena_views,
+    contrastive_loss_and_grads,
+    encoder_of,
+    init_params,
+    layer_slices,
+)
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip import trainer
 from simskip.cli import parse_and_run
-from simskip.embedding_store import load_embeddings
+from simskip.embedding_store import EmbeddingDataset, load_embeddings
 from simskip.trainer import (
     TrainConfig,
     adam_init,
@@ -176,7 +182,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=32, epochs=0, seed=5)
         params, report = train(ds, cfg)
         assert report.epoch_losses == []
-        assert np.array_equal(params.flat, init_params(ds.dim, cfg.seed).flat)
+        assert np.array_equal(params.flat, encoder_of(init_params(ds.dim, cfg.seed)).flat)
 
     def test_identity_init_refines_to_input_before_training(self):
         from simskip.model import init_params, refine
@@ -221,20 +227,40 @@ class TestTrain:
 
     # past the edge of the numerics: at tau = 1e-160 Adam's g * g overflows while the loss
     # (about 1e158) stays finite, and at learning_rate = 1e300 the first matmul after an
-    # update overflows. Training raises there, under the caller's error state or not
-    @pytest.mark.parametrize("key,value,op", [("tau", 1e-160, "multiply"),
-                                              ("learning_rate", 1e300, "matmul")],
-                             ids=["tau-1e-160", "lr-1e300"])
-    def test_floating_point_fault_raises_where_it_happens(self, tmp_path, key, value, op):
+    # update overflows. Training raises there, under the caller's error state or not, and
+    # the fault's notes name the stage, innermost first
+    @pytest.mark.parametrize("key,value,op,stage", [
+        ("tau", 1e-160, "multiply", ["proj2 update", "epoch 1, batch 1"]),
+        ("learning_rate", 1e300, "matmul", ["epoch 1, batch 2"]),
+    ], ids=["tau-1e-160", "lr-1e300"])
+    def test_floating_point_fault_raises_where_it_happens(self, tmp_path, key, value, op, stage):
         data = str(tmp_path / "d.embf")
         assert parse_and_run(["gen-synth", "--classes", "2", "--dim", "8", "--per-class", "45",
                               "--out", data]) == 0
         ds = load_embeddings(data)
         result = None
-        with np.errstate(all="ignore"), pytest.raises(
-                FloatingPointError, match=f"^overflow encountered in {op}$"):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
             result = train(ds, TrainConfig(epochs=1, batch_size=16, **{key: value}))
         assert result is None
+        assert str(info.value) == f"overflow encountered in {op}"
+        assert info.value.__notes__ == stage
+
+    # an underflow rounds to the right value: at tau = 1e-3 most negatives' shifted exp
+    # is 0, and at noise scale 1e-310 the noise is subnormal. Training under a caller's
+    # all-raise error state is bitwise the same
+    @pytest.mark.parametrize("setting", [{"tau": 1e-3},
+                                         {"augment": AugmentConfig(noise_scale=1e-310)}],
+                             ids=["tau-1e-3", "noise-1e-310"])
+    def test_underflow_is_not_a_fault(self, setting):
+        ds = EmbeddingDataset(np.random.default_rng(1).standard_normal((64, 8)))
+        cfg = TrainConfig(batch_size=32, epochs=2, **setting)
+        want, want_report = train(ds, cfg)
+        with np.errstate(all="raise"):
+            got, report = train(ds, cfg)
+        assert report.epoch_losses == want_report.epoch_losses
+        assert np.array_equal(got.flat, want.flat)
+        for key, tensor in want.tensors.items():  # the running statistics too
+            assert np.array_equal(got.tensors[key], tensor), key
 
     def test_dataset_smaller_than_batch_rejected(self):
         ds = mixture(count_per_class=16)
@@ -256,7 +282,8 @@ class TestTrain:
 
 def reference_train(ds, cfg):
     """`train`'s loop with one whole-arena gradient vector and one whole-vector
-    Adam step after each backward pass; returns the parameters and Adam state."""
+    Adam step after each backward pass; returns the encoder, as `train` does,
+    and the whole arena's Adam state."""
     params = init_params(ds.dim, cfg.seed, skip_enabled=cfg.skip_enabled)
     grad = np.empty_like(params.flat)
     state = adam_init(params.flat)
@@ -271,7 +298,7 @@ def reference_train(ds, cfg):
                                        rng=rng, input_grad=False)
             t += 1
             adam_step(params.flat, grad, state, t, cfg.learning_rate)
-    return params, state
+    return encoder_of(params), state
 
 
 class TestFusedAdam:
