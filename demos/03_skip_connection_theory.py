@@ -47,7 +47,7 @@ print()
 print("-- generalization term Gen_M ----------------------------------------")
 print("   M      Gen_M   (R=1, k=1, Rademacher=1, delta=0.05)")
 for m in (10, 100, 1000, 10_000):
-    g = ss.gen_m(ss.BoundInputs(R=1.0, rademacher=1.0, M=m, delta_conf=0.05, k=1))
+    g = ss.gen_m(1.0, m, 1)
     print(f"  {m:5d}   {g:.5f}")
 
 print()

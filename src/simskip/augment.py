@@ -53,6 +53,7 @@ def random_mask(x: np.ndarray, mask_prob: float, rng: np.random.Generator) -> np
     return x * keep
 
 
+@np.errstate(under="ignore")  # noise that small rounds to a subnormal or 0, rightly
 def gaussian_noise(x: np.ndarray, noise_scale: float, rng: np.random.Generator) -> np.ndarray:
     """Add iid zero-mean Gaussian noise with stddev noise_scale per coordinate."""
     if not 0 <= noise_scale < np.inf:

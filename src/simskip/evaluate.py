@@ -111,6 +111,7 @@ class SplitConfig:
 # kNN same-label score
 
 
+@np.errstate(under="ignore")  # tiny squared distances round to a subnormal or 0, rightly
 def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10) -> float:
     if dataset.labels is None:
         raise ValidationError("knn_same_label_score requires labels")

@@ -199,7 +199,6 @@ def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
     `input_grad` is false (training never reads it)."""
     done = after_layer or (lambda layer: None)
     c1, c2, c_out, skip_enabled = cache
-    dout = np.asarray(dout, dtype=np.float64)
     dh2 = linear_backward(c_out, dout, grads["out.weight"], grads["out.bias"])
     done("out")
     dh1 = _block_backward(c2, dh2, grads, "layer2")
@@ -213,6 +212,7 @@ def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
 
 def projector_forward(params: SimSkipParams, h_batch: np.ndarray):
     """z = proj2(relu(proj1(h))); no stochastic layers, so no rng."""
+    h_batch = np.asarray(h_batch, dtype=np.float64)
     t = params.tensors
     a, c1 = linear_apply(h_batch, t["proj1.weight"], t["proj1.bias"])
     b, c_relu = relu_apply(a)

@@ -9,8 +9,9 @@ too, and no function here rebinds one: training-pass batch norm writes its
 running statistics into the arrays it is given. Assign to a tensor through
 `[...]`.
 ReLU and dropout hold no tensors; dropout takes its rate as an argument.
-All math runs in float64 so analytic gradients can be checked against
-central finite differences to tight tolerances.
+Inputs are float64 arrays, converted by `model`'s forward passes, never here;
+float64 lets analytic gradients be checked against central finite
+differences to tight tolerances.
 
 A training pass (batch norm's `train`; dropout given a generator) uses
 batch statistics and random masks; the eval pass is deterministic (batch
@@ -63,7 +64,6 @@ def linear_init(weight: np.ndarray, bias: np.ndarray | None, rng: np.random.Gene
 def linear_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None):
     """out = x @ weight.T + bias rowwise over the batch, or x @ weight.T when
     `bias` is None (a layer before batch norm, which cancels any bias)."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"expected input (B, {weight.shape[1]}), got {x.shape}")
     out = x @ weight.T if bias is None else x @ weight.T + bias
@@ -75,7 +75,6 @@ def linear_backward(cache, dout: np.ndarray, dw: np.ndarray, db: np.ndarray | No
     """Write the gradients into `dw` and `db` (None when the layer has no
     bias); return the input gradient, or None when `input_grad` is false."""
     x, weight = cache
-    dout = np.asarray(dout, dtype=np.float64)
     np.matmul(dout.T, x, out=dw)
     if db is not None:
         np.sum(dout, axis=0, out=db)
@@ -95,7 +94,6 @@ def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     """Normalize per column. A training pass (`train`) uses the (biased)
     batch statistics and updates `running_mean` and `running_var` in place;
     the eval pass reads them."""
-    x = np.asarray(x, dtype=np.float64)
     if train:
         if x.shape[0] < 2:
             raise ValidationError("a batch norm training pass needs a batch of >= 2 rows")
@@ -116,7 +114,6 @@ def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
                        dbeta: np.ndarray) -> np.ndarray:
     xhat, inv_std, gamma, train = cache
-    dout = np.asarray(dout, dtype=np.float64)
     np.sum(dout * xhat, axis=0, out=dgamma)
     np.sum(dout, axis=0, out=dbeta)
     dxhat = dout * gamma
@@ -136,13 +133,12 @@ def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
 
 
 def relu_apply(x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0), (x > 0)
 
 
 def relu_backward(cache, dout: np.ndarray):
     # subgradient at 0 is taken as 0
-    return np.asarray(dout, dtype=np.float64) * cache
+    return dout * cache
 
 
 def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = None):
@@ -150,7 +146,6 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = 
     drawn from `rng`; the identity when no generator is given."""
     if not (0.0 <= rate < 1.0):
         raise ValidationError(f"dropout rate must lie in [0,1), got {rate}")
-    x = np.asarray(x, dtype=np.float64)
     if rng is None or rate == 0.0:
         return x, None
     scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
@@ -158,5 +153,4 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = 
 
 
 def dropout_backward(cache, dout: np.ndarray):
-    dout = np.asarray(dout, dtype=np.float64)
     return dout if cache is None else dout * cache

@@ -18,17 +18,16 @@ its `l_un_identity` is the L_un of the dataset's own embedding.
 
 `gen_m` evaluates the generalization-error expression
 
-    R * sqrt(k) * rademacher / M + (R^2 + ln k) * sqrt(ln(1/delta_conf) / M)
+    R * sqrt(k) * RADEMACHER / M + (R^2 + ln k) * sqrt(ln(1/DELTA_CONF) / M)
 
 with the asymptotic constants fixed at 1 and natural logs, and `bound_rhs`
-assembles alpha * L_un + eta * gen + eps_slack. Every input must be finite.
-`bound_report` measures R and takes M and k from its triplets; the other
-constants keep their `BoundInputs` defaults, and none is estimated.
+assembles ALPHA * L_un + ETA * gen + EPS_SLACK. `bound_report` measures R
+and takes M and k from its triplets, which `gen_m` checks are finite; the
+five other values are fixed module constants, and none is estimated.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,9 @@ from .embedding_store import EmbeddingDataset
 from .errors import NumericsError, ValidationError
 from .losses import logistic_loss
 from .utils import block_rows
+
+# R_s, delta, alpha, eta, eps: nothing measures them, so no caller sets them
+RADEMACHER, DELTA_CONF, ALPHA, ETA, EPS_SLACK = 1.0, 0.05, 1.0, 1.0, 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,31 +73,6 @@ class Triplets:
     @property
     def k(self) -> int:
         return self.negatives.shape[1]
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    R: float = 1.0            # norm bound on the embedding map
-    rademacher: float = 1.0   # user-supplied R_s of the function class
-    M: int = 100              # sample size
-    delta_conf: float = 0.05  # confidence parameter inside log(1/.)
-    k: int = 1                # negatives per triplet
-    alpha: float = 1.0
-    eta: float = 1.0
-    eps_slack: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.R < math.inf:
-            raise ValidationError(f"R must be finite and > 0, got {self.R}")
-        for name in ("rademacher", "alpha", "eta", "eps_slack"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 1 <= self.M < math.inf:
-            raise ValidationError(f"M must be finite and >= 1, got {self.M}")
-        if not (0.0 < self.delta_conf < 1.0):
-            raise ValidationError("delta_conf must lie in (0,1)")
-        if not 1 <= self.k < math.inf:
-            raise ValidationError(f"k must be finite and >= 1, got {self.k}")
 
 
 def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) -> Triplets:
@@ -192,13 +169,14 @@ def skip_inequality_check(
     alongside).
     """
     margins = triplet_margins(dataset.vectors, triplets)
-    nonneg_rows = np.all(margins >= 0.0, axis=1)
+    nonneg = margins >= 0.0
+    nonneg_rows = nonneg.all(axis=1)
     loss_identity = logistic_loss(margins)
     loss_doubled = logistic_loss(4.0 * margins)
     holds = (not nonneg_rows.any()
              or loss_doubled[nonneg_rows].mean() <= loss_identity[nonneg_rows].mean())
     return SkipInequalityReport(
-        nonneg_margin_fraction=float((margins >= 0.0).mean()),
+        nonneg_margin_fraction=float(nonneg.mean()),
         l_un_identity=float(loss_identity.mean()),
         l_un_doubled=float(loss_doubled.mean()),
         holds=bool(holds),
@@ -207,21 +185,25 @@ def skip_inequality_check(
     )
 
 
-def gen_m(inputs: BoundInputs) -> float:
+def gen_m(R: float, M: int, k: int) -> float:
     """Generalization-error expression with implied constants set to 1."""
-    first = inputs.R * math.sqrt(inputs.k) * inputs.rademacher / inputs.M
+    if not 0 < R < math.inf:
+        raise ValidationError(f"R must be finite and > 0, got {R}")
+    if not 1 <= M < math.inf:
+        raise ValidationError(f"M must be finite and >= 1, got {M}")
+    if not 1 <= k < math.inf:
+        raise ValidationError(f"k must be finite and >= 1, got {k}")
+    first = R * math.sqrt(k) * RADEMACHER / M
     try:
-        second = (inputs.R**2 + math.log(inputs.k)) * math.sqrt(
-            math.log(1.0 / inputs.delta_conf) / inputs.M
-        )
+        second = (R**2 + math.log(k)) * math.sqrt(math.log(1.0 / DELTA_CONF) / M)
     except OverflowError as exc:  # R**2 past the largest float
-        raise NumericsError(f"Gen_M overflows: R = {inputs.R} squared is out of range") from exc
+        raise NumericsError(f"Gen_M overflows: R = {R} squared is out of range") from exc
     return first + second
 
 
-def bound_rhs(l_un_value: float, gen: float, inputs: BoundInputs) -> float:
-    """alpha * L_un + eta * Gen_M + eps_slack."""
-    return inputs.alpha * l_un_value + inputs.eta * gen + inputs.eps_slack
+def bound_rhs(l_un_value: float, gen: float) -> float:
+    """ALPHA * L_un + ETA * Gen_M + EPS_SLACK."""
+    return ALPHA * l_un_value + ETA * gen + EPS_SLACK
 
 
 def bound_report(dataset: EmbeddingDataset, triplets: Triplets) -> dict:
@@ -234,10 +216,11 @@ def bound_report(dataset: EmbeddingDataset, triplets: Triplets) -> dict:
     # first: it rejects a triplet index past the last row, so the rows the max reads exist
     skip_rep = skip_inequality_check(dataset, triplets)
     radius = math.sqrt(np.einsum("ij,ij->i", dataset.vectors, dataset.vectors).max())
-    inputs = BoundInputs(R=radius, M=len(triplets), k=triplets.k)
-    g = gen_m(inputs)
+    g = gen_m(radius, len(triplets), triplets.k)
     report = skip_rep.to_json_dict()
     report["gen_m"] = g
-    report["bound_rhs"] = bound_rhs(skip_rep.l_un_identity, g, inputs)
-    report["config"] = {**dataclasses.asdict(inputs), "loss": "logistic"}
+    report["bound_rhs"] = bound_rhs(skip_rep.l_un_identity, g)
+    report["config"] = {"R": radius, "rademacher": RADEMACHER, "M": len(triplets),
+                        "delta_conf": DELTA_CONF, "k": triplets.k, "alpha": ALPHA, "eta": ETA,
+                        "eps_slack": EPS_SLACK, "loss": "logistic"}
     return report

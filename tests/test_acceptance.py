@@ -40,7 +40,7 @@ from simskip.nn_core import (
     relu_backward,
 )
 from simskip.synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
-from simskip.theory import BoundInputs, gen_m, sample_triplets, skip_inequality_check
+from simskip.theory import gen_m, sample_triplets, skip_inequality_check
 from simskip.trainer import TrainConfig, train
 
 H = 1e-5
@@ -242,10 +242,9 @@ def test_c08_theory_inequality():
 
 
 def test_c09_bound_calculator():
-    value = gen_m(BoundInputs(R=1.0, rademacher=1.0, M=100, delta_conf=0.05, k=1))
+    value = gen_m(1.0, 100, 1)
     assert abs(value - 0.18309) < 1e-5
-    series = [gen_m(BoundInputs(R=1.0, rademacher=1.0, M=m, delta_conf=0.05, k=1))
-              for m in (10, 100, 1000)]
+    series = [gen_m(1.0, m, 1) for m in (10, 100, 1000)]
     assert series[0] > series[1] > series[2]
     _passed(9, f"gen_m = {value:.6f} (oracle 0.18309 +- 1e-5), decreasing in M")
 

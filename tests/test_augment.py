@@ -75,6 +75,14 @@ class TestGaussianNoise:
         se = 0.5 / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - x) < 3 * se)
 
+    def test_underflow_is_not_a_fault(self):
+        # noise at scale 1e-310 is subnormal or 0, its right value: under a caller's
+        # all-raise error state the views are bitwise the same
+        want = gaussian_noise(np.ones((2, 3)), 1e-310, np.random.default_rng(5))
+        with np.errstate(all="raise"):
+            got = gaussian_noise(np.ones((2, 3)), 1e-310, np.random.default_rng(5))
+        assert got.tobytes() == want.tobytes()
+
     def test_negative_scale(self):
         rng = np.random.default_rng(0)
         for scale in (-0.1, np.inf, np.nan):  # inf would give inf views, nan NaN views

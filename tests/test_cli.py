@@ -331,6 +331,59 @@ class TestConfigContract:
                 assert [p.name for p in work.iterdir()] == ["edge.cfg"]
 
 
+# the argv values the flag contract test draws for each flag: the edges of float64 and
+# of each flag's range, then one value the flag accepts. An integer flag parses only
+# 0, -1 and its small accepted value, so no draw allocates at scale
+EDGE_ARGS = ("0", "-1", "nan", "inf", "1e-300", "1e300")
+FLAG_VALUES = {
+    "theory": {"--triplets": "20", "--k": "2", "--seed": "3"},
+    "eval": {"--knn-k": "3", "--hidden-dim": "4", "--probe-lr": "0.1", "--probe-epochs": "2",
+             "--probe-seed": "1", "--train-fraction": "0.5", "--split-seed": "2"},
+}
+
+
+@pytest.fixture(scope="module")
+def flag_contract_inputs(contract_data, tmp_path_factory):
+    """Each command's input flags: `eval` compares the contract data with its double."""
+    data = load_embeddings(contract_data)
+    refined = tmp_path_factory.mktemp("flags") / "r.embf"
+    save_embeddings(EmbeddingDataset(2.0 * data.vectors, data.labels), refined)
+    return {"theory": ["--in", contract_data],
+            "eval": ["--original", contract_data, "--refined", refined]}
+
+
+class TestFlagContract:
+    """`theory` and `eval` keep the exit contract for any flag value: exit 0
+    with a strict JSON report, or exit 1 or 2 with no report and one `error:`
+    line, the last on stderr (argparse's usage line may come before it),
+    never a warning or a traceback."""
+
+    @pytest.mark.parametrize("command", ["theory", "eval"])
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_contract_over_flag_values(self, flag_contract_inputs, command, data):
+        values = data.draw(st.fixed_dictionaries(
+            {flag: st.just(valid) | st.sampled_from(EDGE_ARGS)
+             for flag, valid in FLAG_VALUES[command].items()}))
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp) / "report.json"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run([command, *flag_contract_inputs[command],
+                            *(part for item in values.items() for part in item),
+                            "--report", report])
+            if code == 0:
+                json.loads(report.read_text(), parse_constant=reject_constant)
+            else:
+                assert code in (1, 2)
+                lines = err.getvalue().splitlines()
+                assert [line for line in lines if line.startswith("error:")] == lines[-1:], lines
+                assert "Traceback" not in err.getvalue()
+                assert not report.exists()
+
+
 class TestTheoryCommand:
     def test_report_fields(self, tmp_path, synth_file):
         report = tmp_path / "bound.json"
@@ -355,7 +408,7 @@ class TestTheoryCommand:
         assert run(["theory", "--in", data, "--triplets", 50, "--k", 2, "--report", report]) == 0
         payload = json.loads(report.read_text())
         assert payload["config"]["R"] == 5.0
-        assert payload["gen_m"] == theory.gen_m(theory.BoundInputs(R=5.0, M=50, k=2))
+        assert payload["gen_m"] == theory.gen_m(5.0, 50, 2)
 
     def test_all_zero_embedding_exits_one(self, tmp_path, capsys):
         data = tmp_path / "zero.embf"
@@ -367,7 +420,7 @@ class TestTheoryCommand:
 
     def test_non_finite_bound_exits_two_and_writes_nothing(self, tmp_path, synth_file, capsys,
                                                            monkeypatch):
-        monkeypatch.setattr(theory, "gen_m", lambda inputs: math.inf)
+        monkeypatch.setattr(theory, "gen_m", lambda R, M, k: math.inf)
         assert run(["theory", "--in", synth_file, "--triplets", 50,
                     "--report", tmp_path / "bound.json"]) == 2
         lines = capsys.readouterr().err.splitlines()
@@ -782,8 +835,8 @@ PUBLIC_NAMES = {
               "projector_forward", "refine", "save_checkpoint"],
     "nn_core": [],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
-    "theory": ["BoundInputs", "SkipInequalityReport", "Triplets", "bound_rhs", "gen_m",
-               "sample_triplets", "skip_inequality_check"],
+    "theory": ["SkipInequalityReport", "Triplets", "bound_rhs", "gen_m", "sample_triplets",
+               "skip_inequality_check"],
     "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
                 "load_train_config", "train"],
 }

@@ -73,6 +73,15 @@ class TestKnnScore:
         assert knn_same_label_score(rotated, 5) == base
         assert knn_same_label_score(scaled, 5) == base
 
+    def test_underflow_is_not_a_fault(self):
+        # at scale 1e-160 the squared norms and distances are subnormal or 0, their
+        # right values: under a caller's all-raise error state the score is the same
+        base = two_clusters()
+        ds = EmbeddingDataset(1e-160 * base.vectors, base.labels)
+        want = knn_same_label_score(ds, 10)
+        with np.errstate(all="raise"):
+            assert knn_same_label_score(ds, 10) == want
+
     def test_requires_labels_and_enough_points(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValidationError):

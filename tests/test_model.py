@@ -120,6 +120,13 @@ class TestProjector:
         z, _ = projector_forward(params, h)
         assert np.array_equal(z, h)
 
+    def test_takes_a_list_of_rows(self):
+        # the layer kit converts nothing; the public forward pass converts where it enters
+        params = init_params(4, seed=9)
+        h = np.random.default_rng(11).standard_normal((3, 4))
+        assert np.array_equal(projector_forward(params, h.tolist())[0],
+                              projector_forward(params, h)[0])
+
     def test_null_second_layer(self):
         params = init_params(4, seed=9)
         params.tensors["proj2.weight"][...] = 0.0

@@ -18,7 +18,6 @@ from simskip.errors import NumericsError, ValidationError
 from simskip.losses import logistic_loss
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.theory import (
-    BoundInputs,
     Triplets,
     bound_report,
     bound_rhs,
@@ -287,55 +286,38 @@ class TestSkipInequality:
 
 class TestBound:
     def test_hand_derived_value(self):
-        # R*sqrt(k)*Rs/M + (R^2 + ln k) * sqrt(ln(1/delta)/M)
-        inputs = BoundInputs(R=1.0, rademacher=1.0, M=100, delta_conf=0.05, k=1)
+        # R*sqrt(k)*Rs/M + (R^2 + ln k) * sqrt(ln(1/delta)/M) at Rs = 1, delta = 0.05
         expected = 1.0 / 100 + math.sqrt(math.log(20.0) / 100)
-        assert gen_m(inputs) == pytest.approx(expected, abs=1e-12)
-        assert gen_m(inputs) == pytest.approx(0.18309, abs=1e-5)
-
-    def test_vanishing_terms(self):
-        inputs = BoundInputs(R=1.0, rademacher=0.0, M=100, delta_conf=1 - 1e-12, k=1)
-        assert gen_m(inputs) < 1e-5
+        assert gen_m(1.0, 100, 1) == pytest.approx(expected, abs=1e-12)
+        assert gen_m(1.0, 100, 1) == pytest.approx(0.18309, abs=1e-5)
 
     def test_monotone_in_sample_size(self):
-        values = [
-            gen_m(BoundInputs(R=1.0, rademacher=1.0, M=m, delta_conf=0.05, k=1))
-            for m in (10, 100, 1000)
-        ]
+        values = [gen_m(1.0, m, 1) for m in (10, 100, 1000)]
         assert values[0] > values[1] > values[2]
 
     def test_monotone_in_scale_inputs(self):
-        base = BoundInputs(R=1.0, rademacher=1.0, M=50, delta_conf=0.1, k=2)
-        import dataclasses
-        for field_name, bigger in (("R", 2.0), ("k", 4), ("rademacher", 3.0)):
-            grown = dataclasses.replace(base, **{field_name: bigger})
-            assert gen_m(grown) >= gen_m(base)
+        base = {"R": 1.0, "M": 50, "k": 2}
+        for name, bigger in (("R", 2.0), ("k", 4)):
+            assert gen_m(**{**base, name: bigger}) >= gen_m(**base)
 
     def test_bound_rhs_composition(self):
-        inputs = BoundInputs(alpha=1.0, eta=0.0, eps_slack=0.0)
-        assert bound_rhs(0.45, 0.999, inputs) == 0.45
-        inputs = BoundInputs(alpha=1.0, eta=1.0, eps_slack=0.1)
-        assert bound_rhs(0.45, 0.18309, inputs) == pytest.approx(0.73309, abs=1e-12)
-        inputs = BoundInputs(alpha=0.0, eta=0.0, eps_slack=0.0)
-        assert bound_rhs(0.0, 0.0, inputs) == 0.0
+        assert bound_rhs(0.45, 0.18309) == pytest.approx(0.63309, abs=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(ValidationError):
-            BoundInputs(delta_conf=1.0)
-        with pytest.raises(ValidationError):
-            BoundInputs(M=0)
-        with pytest.raises(ValidationError):
-            BoundInputs(k=0)
+        with pytest.raises(ValidationError, match="M must be finite and >= 1, got 0"):
+            gen_m(1.0, 0, 1)
+        with pytest.raises(ValidationError, match="k must be finite and >= 1, got 0"):
+            gen_m(1.0, 100, 0)
 
-    @pytest.mark.parametrize("name", ["R", "rademacher", "alpha", "eta", "eps_slack"])
+    @pytest.mark.parametrize("name", ["R", "M", "k"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, name, bad):
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
-            BoundInputs(**{name: bad})
+            gen_m(**{"R": 1.0, "M": 100, "k": 1, name: bad})
 
     def test_radius_whose_square_overflows_raises(self):
         with pytest.raises(NumericsError, match="overflows"):
-            gen_m(BoundInputs(R=1e200))
+            gen_m(1e200, 100, 1)
 
 
 class TestBoundReport:
