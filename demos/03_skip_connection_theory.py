@@ -31,11 +31,11 @@ triplets = ss.sample_triplets(dataset, k=1, count=2000, seed=3)
 report = ss.skip_inequality_check(dataset, triplets)
 print()
 print("-- skip inequality -------------------------------------------------")
-print(f"fraction of nonnegative margins:      {report.nonneg_margin_fraction:.3f}")
-print(f"L_un(identity map):                   {report.l_un_identity:.4f}")
-print(f"L_un(doubled map, margins x4):        {report.l_un_doubled:.4f}")
-print(f"ordering holds on nonneg subset:      {report.holds} "
-      f"({report.nonneg_triplet_count}/{report.triplet_count} triplets)")
+print(f"fraction of nonnegative margins:      {report['nonneg_margin_fraction']:.3f}")
+print(f"L_un(identity map):                   {report['L_un_identity']:.4f}")
+print(f"L_un(doubled map, margins x4):        {report['L_un_doubled']:.4f}")
+print(f"ordering holds on nonneg subset:      {report['holds']} "
+      f"({report['nonneg_triplet_count']}/{report['triplet_count']} triplets)")
 
 print()
 print("-- single-margin intuition ------------------------------------------")

@@ -38,8 +38,7 @@ _EXPORTS = {
               "projector_forward", "refine", "save_checkpoint"),
     "nn_core": (),
     "synth_data": ("MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"),
-    "theory": ("SkipInequalityReport", "Triplets", "bound_rhs", "gen_m", "sample_triplets",
-               "skip_inequality_check"),
+    "theory": ("Triplets", "bound_rhs", "gen_m", "sample_triplets", "skip_inequality_check"),
     "trainer": ("TrainConfig", "TrainReport", "adam_init", "adam_step",
                 "load_train_config", "train"),
     "utils": (),

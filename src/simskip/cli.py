@@ -119,8 +119,6 @@ def _cmd_gen_synth(args) -> int:
         num_classes=args.classes,
         dim=args.dim,
         points_per_class=args.per_class,
-        class_separation=args.separation,
-        cluster_sigma=args.sigma,
         seed=args.seed,
     )
     dataset = apply_class_mixing(generate_gaussian_mixture(spec), args.mix_strength, args.seed)
@@ -169,14 +167,14 @@ def _cmd_eval(args) -> int:
                  [("--report", args.report)])
     original = load_embeddings(args.original)
     # the linear probe heads the report; mlp3 rides along at its own rate and epochs
-    linear_cfg = LinearProbe(**_given(learning_rate=args.probe_lr, epochs=args.probe_epochs))
-    mlp3_cfg = MLP3Probe(**_given(hidden_dim=args.hidden_dim, seed=args.probe_seed))
-    split_cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
+    linear_cfg = LinearProbe(**_given(epochs=args.probe_epochs))
+    mlp3_cfg = MLP3Probe(**_given(hidden_dim=args.hidden_dim))
+    split_cfg = SplitConfig(train_fraction=args.train_fraction)
     original_entry, refined_entries = None, []
     for path in args.refined:
         refined_ds = load_embeddings(path)
-        comp = compare_embeddings(original, refined_ds, linear_cfg, split_cfg, knn_k=args.knn_k)
-        mlp3 = compare_embeddings(original, refined_ds, mlp3_cfg, split_cfg, knn_k=args.knn_k)
+        comp = compare_embeddings(original, refined_ds, linear_cfg, split_cfg)
+        mlp3 = compare_embeddings(original, refined_ds, mlp3_cfg, split_cfg)
         if original_entry is None:  # every comparison scores the same original
             original_entry = {
                 "path": str(args.original),
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--separation", type=float, default=10.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=_seed, default=0, help="seeds the mixture and the mixing")
     p.add_argument("--mix-strength", type=float, default=0.0,
                    help="blend rows with random rows to degrade class structure")
@@ -305,13 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original", required=True)
     p.add_argument("--refined", nargs="+", required=True)
     p.add_argument("--report", default=None, help="JSON report path (default: stdout)")
-    p.add_argument("--knn-k", type=int, default=10)
     p.add_argument("--hidden-dim", type=int, default=None, help="mlp3 probe hidden width")
-    p.add_argument("--probe-lr", type=float, default=None, help="linear probe learning rate")
     p.add_argument("--probe-epochs", type=int, default=None, help="linear probe epochs")
-    p.add_argument("--probe-seed", type=_seed, default=None, help="mlp3 probe initial weights")
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--split-seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("theory", help="triplet margins and loss-bound report")

@@ -116,7 +116,7 @@ def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10) -> float:
     if dataset.labels is None:
         raise ValidationError("knn_same_label_score requires labels")
     if k < 1:
-        raise ValidationError("k must be >= 1")
+        raise ValidationError(f"k must be >= 1, got {k}")
     if dataset.count <= k:
         raise ValidationError(f"need more than k={k} points, got {dataset.count}")
 

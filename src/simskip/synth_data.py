@@ -30,8 +30,9 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.dim < 1 or self.points_per_class < 1:
-            raise ValidationError("num_classes, dim, points_per_class must be positive")
+        for name in ("num_classes", "dim", "points_per_class"):
+            if (value := getattr(self, name)) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
         for name in ("class_separation", "cluster_sigma"):
             value = getattr(self, name)
             if not 0 < value < np.inf:

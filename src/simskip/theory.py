@@ -14,7 +14,7 @@ identity branch to an identity network) scales every margin by 4, and
 because the loss is monotonically decreasing, l(4u) <= l(u) whenever
 u >= 0. `skip_inequality_check` measures how often that margin condition
 holds on real triplets and whether the implied loss ordering comes out;
-its `l_un_identity` is the L_un of the dataset's own embedding.
+its `L_un_identity` is the L_un of the dataset's own embedding.
 
 `gen_m` evaluates the generalization-error expression
 
@@ -84,8 +84,10 @@ def sample_triplets(dataset: EmbeddingDataset, k: int, count: int, seed: int) ->
     """
     if dataset.labels is None:
         raise ValidationError("sample_triplets requires labels")
-    if k < 1 or count < 1:
-        raise ValidationError("k and count must be >= 1")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     if dataset.count == 0:
         raise ValidationError("sample_triplets needs a non-empty dataset")
     classes, cls, sizes = np.unique(dataset.labels, return_inverse=True, return_counts=True)
@@ -136,29 +138,7 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     return margins
 
 
-@dataclass(frozen=True)
-class SkipInequalityReport:
-    nonneg_margin_fraction: float
-    l_un_identity: float
-    l_un_doubled: float
-    holds: bool
-    nonneg_triplet_count: int
-    triplet_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nonneg_margin_fraction": self.nonneg_margin_fraction,
-            "L_un_identity": self.l_un_identity,
-            "L_un_doubled": self.l_un_doubled,
-            "holds": self.holds,
-            "nonneg_triplet_count": self.nonneg_triplet_count,
-            "triplet_count": self.triplet_count,
-        }
-
-
-def skip_inequality_check(
-    dataset: EmbeddingDataset, triplets: Triplets
-) -> SkipInequalityReport:
+def skip_inequality_check(dataset: EmbeddingDataset, triplets: Triplets) -> dict:
     """Compare logistic L_un under the identity map and the doubled map.
 
     Doubling the identity map multiplies every margin by 4, so on triplets
@@ -166,7 +146,7 @@ def skip_inequality_check(
     per-triplet losses are computed once: L_un is their mean over every
     row, and `holds` compares their means over the all-nonnegative rows
     (vacuously true when there are none; their count is reported
-    alongside).
+    alongside). Returns a JSON-ready dict keyed as `theory.json` is.
     """
     margins = triplet_margins(dataset.vectors, triplets)
     nonneg = margins >= 0.0
@@ -175,14 +155,14 @@ def skip_inequality_check(
     loss_doubled = logistic_loss(4.0 * margins)
     holds = (not nonneg_rows.any()
              or loss_doubled[nonneg_rows].mean() <= loss_identity[nonneg_rows].mean())
-    return SkipInequalityReport(
-        nonneg_margin_fraction=float(nonneg.mean()),
-        l_un_identity=float(loss_identity.mean()),
-        l_un_doubled=float(loss_doubled.mean()),
-        holds=bool(holds),
-        nonneg_triplet_count=int(nonneg_rows.sum()),
-        triplet_count=len(triplets),
-    )
+    return {
+        "nonneg_margin_fraction": float(nonneg.mean()),
+        "L_un_identity": float(loss_identity.mean()),
+        "L_un_doubled": float(loss_doubled.mean()),
+        "holds": bool(holds),
+        "nonneg_triplet_count": int(nonneg_rows.sum()),
+        "triplet_count": len(triplets),
+    }
 
 
 def gen_m(R: float, M: int, k: int) -> float:
@@ -214,12 +194,11 @@ def bound_report(dataset: EmbeddingDataset, triplets: Triplets) -> dict:
     bound as it applies to the dataset's own embedding.
     """
     # first: it rejects a triplet index past the last row, so the rows the max reads exist
-    skip_rep = skip_inequality_check(dataset, triplets)
+    report = skip_inequality_check(dataset, triplets)
     radius = math.sqrt(np.einsum("ij,ij->i", dataset.vectors, dataset.vectors).max())
     g = gen_m(radius, len(triplets), triplets.k)
-    report = skip_rep.to_json_dict()
     report["gen_m"] = g
-    report["bound_rhs"] = bound_rhs(skip_rep.l_un_identity, g)
+    report["bound_rhs"] = bound_rhs(report["L_un_identity"], g)
     report["config"] = {"R": radius, "rademacher": RADEMACHER, "M": len(triplets),
                         "delta_conf": DELTA_CONF, "k": triplets.k, "alpha": ALPHA, "eta": ETA,
                         "eps_slack": EPS_SLACK, "loss": "logistic"}

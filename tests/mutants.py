@@ -48,6 +48,23 @@ MUTANTS = [
      "EPS_SLACK = 1.0, 0.05, 1.0, 1.0, 0.1", "the bound's slack epsilon"),
     ("evaluate.py", '@np.errstate(under="ignore")  # tiny squared distances',
      "# tiny squared distances", "kNN faults on underflow under a caller's all-raise state"),
+    ("cli.py", "if out.is_dir():", "if False:",
+     "an output path naming a directory is not rejected before the run"),
+    ("utils.py", "tmp.unlink(missing_ok=True)", "pass",
+     "a failed atomic write leaves its temporary file behind"),
+    ("embedding_store.py", "if reserved != 0:", "if reserved > 1:",
+     "EMBF reserved header bytes equal to 1 are accepted"),
+    ("model.py", "if flags & ~1:", "if flags & ~3:", "SSKP flag bit 1 is accepted as known"),
+    ("losses.py", "return (m + np.log(s)) / LN2", "return m + np.log(s)",
+     "the logistic loss in nats, not bits"),
+    ("losses.py", "s[local, local + r0]", "s[local, local]",
+     "NT-Xent masks the wrong column of a row block, not each row's self-similarity"),
+    ("theory.py", "top >= embedded.shape[0]", "top > embedded.shape[0]",
+     "a triplet index one past the last row is not rejected"),
+    ("trainer.py", "1 - ADAM_BETA1**t", "1 - ADAM_BETA1**(t + 1)",
+     "Adam's first-moment bias correction is one step off"),
+    ("nn_core.py", "- dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)",
+     "- dxhat.sum(axis=0)", "batch norm's backward drops the gradient through the variance"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result

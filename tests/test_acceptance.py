@@ -236,9 +236,9 @@ def test_c08_theory_inequality():
     dataset = generate_gaussian_mixture(spec, orthogonal_class_means(8, 16, 10.0))
     triplets = sample_triplets(dataset, k=1, count=1000, seed=3)
     report = skip_inequality_check(dataset, triplets)
-    assert report.holds is True
+    assert report["holds"] is True
     _passed(8, f"0 violations in 10^4 margin vectors; mixture check holds "
-               f"(nonneg fraction {report.nonneg_margin_fraction:.3f})")
+               f"(nonneg fraction {report['nonneg_margin_fraction']:.3f})")
 
 
 def test_c09_bound_calculator():

@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simskip
-from simskip import cli, evaluate, theory, trainer
+from simskip import theory, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
 from simskip.evaluate import LinearProbe, MLP3Probe
 from simskip.model import init_params, load_checkpoint, save_checkpoint
-from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
 from simskip.trainer import load_train_config
 
 
@@ -100,33 +99,6 @@ class TestGenSynth:
                     "--seed", 3, "--mix-strength", strength, "--out", out]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--separation", "nan"], ["--sigma", "inf"]],
-                             ids=["separation-nan", "sigma-inf"])
-    def test_non_finite_spec_is_rejected(self, tmp_path, capsys, flags):
-        out = tmp_path / "m.embf"
-        assert run(["gen-synth", *flags, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "must be finite" in err
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("flags", [["--separation", "1e308"], ["--sigma", "1e300"]],
-                             ids=["separation-1e308", "sigma-1e300"])
-    def test_float32_overflow_writes_nothing(self, tmp_path, capsys, flags):
-        # finite in float64, Inf in the float32 payload that every reader rejects
-        spec = {"--separation": "class_separation", "--sigma": "cluster_sigma"}
-        largest = np.abs(generate_gaussian_mixture(
-            MixtureSpec(2, 16, 200, **{spec[flags[0]]: float(flags[1])})).vectors).max()
-        old, new = tmp_path / "old.embf", tmp_path / "new.embf"
-        old.write_bytes(b"previous contents")
-        for out in (old, new):
-            assert run(["gen-synth", *flags, "--out", out]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "overflow float32" in err
-            assert f"largest magnitude {largest:.6g}" in err
-        assert old.read_bytes() == b"previous contents"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.embf"]
-
 
 class TestRefineAndEval:
     def test_full_pipeline(self, tmp_path, synth_file, train_cfg, capsys):
@@ -142,7 +114,7 @@ class TestRefineAndEval:
 
         eval_report = tmp_path / "eval.json"
         assert run(["eval", "--original", synth_file, "--refined", refined,
-                    "--report", eval_report, "--knn-k", 5]) == 0
+                    "--report", eval_report]) == 0
         payload = json.loads(eval_report.read_text())
         assert "deltas" in payload["refined"][0]
         assert "knn_score" in payload["refined"][0]["deltas"]
@@ -195,20 +167,19 @@ class TestRefineAndEval:
                         "--out", out]) == 0
         report = tmp_path / "multi.json"
         assert run(["eval", "--original", synth_file, "--refined", r1, r2,
-                    "--report", report, "--knn-k", 5]) == 0
+                    "--report", report]) == 0
         payload = json.loads(report.read_text())
         assert len(payload["refined"]) == 2
 
     def test_each_probe_record_holds_the_settings_its_fit_reads(self, tmp_path, synth_file):
         # the linear probe has no hidden layer and starts at zero, so it reads
-        # neither --hidden-dim nor --probe-seed; the mlp3 probe reads all five
+        # neither --hidden-dim nor a seed; the mlp3 probe reads all five
         report = tmp_path / "eval.json"
-        assert run(["eval", "--original", synth_file, "--refined", synth_file, "--knn-k", 5,
-                    "--probe-epochs", 20, "--hidden-dim", 8, "--probe-seed", 3,
-                    "--report", report]) == 0
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
+                    "--probe-epochs", 20, "--hidden-dim", 8, "--report", report]) == 0
         payload = json.loads(report.read_text(), parse_constant=reject_constant)
         linear = {"kind": "linear", "learning_rate": 0.5, "epochs": 20}
-        mlp3 = {"kind": "mlp3", "hidden_dim": 8, "learning_rate": 0.01, "epochs": 300, "seed": 3}
+        mlp3 = {"kind": "mlp3", "hidden_dim": 8, "learning_rate": 0.01, "epochs": 300, "seed": 0}
         for entry in (payload["original"], *payload["refined"]):
             assert entry["probe_config"] == linear
             assert entry["secondary_probe"]["probe_config"] == mlp3
@@ -217,7 +188,7 @@ class TestRefineAndEval:
     def test_unset_probe_flags_keep_the_probe_type_defaults(self, tmp_path, synth_file):
         # the parser restates no default of a probe type
         report = tmp_path / "eval.json"
-        assert run(["eval", "--original", synth_file, "--refined", synth_file, "--knn-k", 5,
+        assert run(["eval", "--original", synth_file, "--refined", synth_file,
                     "--report", report]) == 0
         payload = json.loads(report.read_text(), parse_constant=reject_constant)
         for entry in (payload["original"], *payload["refined"]):
@@ -337,8 +308,10 @@ class TestConfigContract:
 EDGE_ARGS = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 FLAG_VALUES = {
     "theory": {"--triplets": "20", "--k": "2", "--seed": "3"},
-    "eval": {"--knn-k": "3", "--hidden-dim": "4", "--probe-lr": "0.1", "--probe-epochs": "2",
-             "--probe-seed": "1", "--train-fraction": "0.5", "--split-seed": "2"},
+    "eval": {"--hidden-dim": "4", "--probe-epochs": "2", "--train-fraction": "0.5"},
+    "gen-synth": {"--classes": "2", "--dim": "3", "--per-class": "4", "--seed": "5",
+                  "--mix-strength": "0.3"},
+    "augment": {"--mask-prob": "0.2", "--noise-scale": "0.1", "--seed": "3", "--rows": "2"},
 }
 
 
@@ -349,16 +322,19 @@ def flag_contract_inputs(contract_data, tmp_path_factory):
     refined = tmp_path_factory.mktemp("flags") / "r.embf"
     save_embeddings(EmbeddingDataset(2.0 * data.vectors, data.labels), refined)
     return {"theory": ["--in", contract_data],
-            "eval": ["--original", contract_data, "--refined", refined]}
+            "eval": ["--original", contract_data, "--refined", refined],
+            "gen-synth": [],
+            "augment": ["--in", contract_data]}
 
 
 class TestFlagContract:
-    """`theory` and `eval` keep the exit contract for any flag value: exit 0
-    with a strict JSON report, or exit 1 or 2 with no report and one `error:`
-    line, the last on stderr (argparse's usage line may come before it),
-    never a warning or a traceback."""
+    """Each command with a value flag keeps the exit contract for any flag
+    value: exit 0 with a loadable EMBF output (`gen-synth`) or a strict JSON
+    report, or exit 1 or 2 with no output and one `error:` line, the last on
+    stderr (argparse's usage line may come before it), never a warning or a
+    traceback. `refine`, `ablate` and `inspect` take only path flags."""
 
-    @pytest.mark.parametrize("command", ["theory", "eval"])
+    @pytest.mark.parametrize("command", ["theory", "eval", "gen-synth", "augment"])
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_exit_contract_over_flag_values(self, flag_contract_inputs, command, data):
@@ -366,22 +342,25 @@ class TestFlagContract:
             {flag: st.just(valid) | st.sampled_from(EDGE_ARGS)
              for flag, valid in FLAG_VALUES[command].items()}))
         with tempfile.TemporaryDirectory() as tmp:
-            report = Path(tmp) / "report.json"
+            out_flag, out = ("--out", Path(tmp) / "out.embf") if command == "gen-synth" \
+                else ("--report", Path(tmp) / "report.json")
             err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
                 code = run([command, *flag_contract_inputs[command],
                             *(part for item in values.items() for part in item),
-                            "--report", report])
-            if code == 0:
-                json.loads(report.read_text(), parse_constant=reject_constant)
+                            out_flag, out])
+            if code == 0 and command == "gen-synth":
+                load_embeddings(out)
+            elif code == 0:
+                json.loads(out.read_text(), parse_constant=reject_constant)
             else:
                 assert code in (1, 2)
                 lines = err.getvalue().splitlines()
                 assert [line for line in lines if line.startswith("error:")] == lines[-1:], lines
                 assert "Traceback" not in err.getvalue()
-                assert not report.exists()
+                assert list(Path(tmp).iterdir()) == []
 
 
 class TestTheoryCommand:
@@ -440,8 +419,7 @@ class TestStrictJson:
                        "--checkpoint", ckpt],
             "ablate": ["ablate", "--in", synth_file, "--config", train_cfg,
                        "--out", tmp_path / "a.embf"],
-            "eval": ["eval", "--original", synth_file, "--refined", refined, "--knn-k", 5,
-                     "--probe-epochs", 20],
+            "eval": ["eval", "--original", synth_file, "--refined", refined, "--probe-epochs", 20],
             "theory": ["theory", "--in", synth_file, "--triplets", 50],
             "augment": ["augment", "--in", synth_file, "--rows", 2],
             "inspect-embf": ["inspect", "--in", refined],
@@ -533,10 +511,13 @@ class TestErrorPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "d.embf"]
 
     @pytest.mark.parametrize("command,argv,message", [
-        ("gen-synth", "--classes 0 --out {o}", "num_classes, dim, points_per_class must be positive"),
-        ("theory", "--in {d} --k 0 --report {o}", "k and count must be >= 1"),
-        ("theory", "--in {d} --triplets 0 --report {o}", "k and count must be >= 1"),
-    ], ids=["gen-synth-classes-0", "theory-k-0", "theory-triplets-0"])
+        ("gen-synth", "--classes 0 --out {o}", "num_classes must be >= 1, got 0"),
+        ("gen-synth", "--dim 0 --out {o}", "dim must be >= 1, got 0"),
+        ("gen-synth", "--per-class 0 --out {o}", "points_per_class must be >= 1, got 0"),
+        ("theory", "--in {d} --k 0 --report {o}", "k must be >= 1, got 0"),
+        ("theory", "--in {d} --triplets 0 --report {o}", "count must be >= 1, got 0"),
+    ], ids=["gen-synth-classes-0", "gen-synth-dim-0", "gen-synth-per-class-0", "theory-k-0",
+            "theory-triplets-0"])
     def test_out_of_range_count_exits_one(self, tmp_path, synth_file, capsys, command, argv,
                                           message):
         argv = argv.format(d=synth_file, o=tmp_path / "out").split()
@@ -625,23 +606,6 @@ class TestErrorPaths:
         assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
         assert not report.exists()
 
-    @pytest.mark.parametrize("knn_k", [0, 80], ids=["zero", "row-count"])
-    def test_bad_knn_k_exits_one_before_any_probe_trains(self, tmp_path, synth_file, capsys,
-                                                         monkeypatch, knn_k):
-        fits, real_train_probe = [], evaluate.train_probe
-
-        def spy(*args, **kwargs):
-            fits.append(args)
-            return real_train_probe(*args, **kwargs)
-
-        monkeypatch.setattr(evaluate, "train_probe", spy)
-        report = tmp_path / "eval.json"
-        assert run(["eval", "--original", synth_file, "--refined", synth_file,
-                    "--knn-k", knn_k, "--report", report]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert fits == []
-        assert not report.exists()
-
     # each removed flag, given a value its command once took
     @pytest.mark.parametrize("command,argv,flag", [
         ("eval", "--original {d} --refined {d} --report {o} --csv {c}", "--csv"),
@@ -656,9 +620,17 @@ class TestErrorPaths:
         ("theory", "--in {d} --report {o} --alpha 1", "--alpha"),
         ("theory", "--in {d} --report {o} --eta 1", "--eta"),
         ("theory", "--in {d} --report {o} --eps-slack 0", "--eps-slack"),
+        ("eval", "--original {d} --refined {d} --report {o} --knn-k 5", "--knn-k"),
+        ("eval", "--original {d} --refined {d} --report {o} --probe-lr 0.1", "--probe-lr"),
+        ("eval", "--original {d} --refined {d} --report {o} --probe-seed 3", "--probe-seed"),
+        ("eval", "--original {d} --refined {d} --report {o} --split-seed 2", "--split-seed"),
+        ("gen-synth", "--out {o} --separation 10", "--separation"),
+        ("gen-synth", "--out {o} --sigma 1", "--sigma"),
     ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed",
             "refine-lr-sweep", "ablate-lr-sweep", "theory-radius", "theory-rademacher",
-            "theory-delta-conf", "theory-alpha", "theory-eta", "theory-eps-slack"])
+            "theory-delta-conf", "theory-alpha", "theory-eta", "theory-eps-slack",
+            "eval-knn-k", "eval-probe-lr", "eval-probe-seed", "eval-split-seed",
+            "gen-synth-separation", "gen-synth-sigma"])
     def test_removed_flag_exits_one(self, tmp_path, synth_file, capsys, command, argv, flag):
         argv = argv.format(d=synth_file, o=tmp_path / "out", c=tmp_path / "e.csv").split()
         assert run([command, *argv]) == 1
@@ -674,14 +646,9 @@ class TestErrorPaths:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("lr", [-1, 0])
-    def test_probe_learning_rate_must_be_positive(self, tmp_path, synth_file, capsys, lr):
+    def test_probe_learning_rate_must_be_positive(self, lr):
         with pytest.raises(ValidationError, match="learning_rate"):
             LinearProbe(learning_rate=lr)
-        report = tmp_path / "eval.json"
-        assert run(["eval", "--original", synth_file, "--refined", synth_file,
-                    "--probe-lr", lr, "--report", report]) == 1
-        assert "learning_rate" in capsys.readouterr().err
-        assert not report.exists()
 
     def test_probe_epochs_must_be_nonnegative(self, tmp_path, synth_file, capsys):
         with pytest.raises(ValidationError, match="epochs"):
@@ -694,14 +661,12 @@ class TestErrorPaths:
         assert not report.exists()
 
     @pytest.mark.parametrize("command,flag", [
-        ("gen-synth", "--seed"), ("eval", "--split-seed"),
-        ("eval", "--probe-seed"), ("theory", "--seed"), ("augment", "--seed"),
+        ("gen-synth", "--seed"), ("theory", "--seed"), ("augment", "--seed"),
         ("refine", "config"), ("ablate", "config")])
     def test_negative_seed_exits_one(self, tmp_path, synth_file, capsys, command, flag):
         out = tmp_path / "out"
         argv = {
             "gen-synth": ["--mix-strength", 0.5, "--out", out],
-            "eval": ["--original", synth_file, "--refined", synth_file, "--report", out],
             "theory": ["--in", synth_file, "--report", out],
             "augment": ["--in", synth_file, "--report", out],
         }.get(command)
@@ -835,8 +800,7 @@ PUBLIC_NAMES = {
               "projector_forward", "refine", "save_checkpoint"],
     "nn_core": [],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
-    "theory": ["SkipInequalityReport", "Triplets", "bound_rhs", "gen_m", "sample_triplets",
-               "skip_inequality_check"],
+    "theory": ["Triplets", "bound_rhs", "gen_m", "sample_triplets", "skip_inequality_check"],
     "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
                 "load_train_config", "train"],
 }

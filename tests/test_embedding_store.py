@@ -201,6 +201,16 @@ class TestBinaryFormat:
         save_embeddings(EmbeddingDataset(v), path)
         assert load_embeddings(path).vectors.tolist() == [[top, -top], [top, 0.0]]
 
+    @pytest.mark.parametrize("reserved", [1, 0x100])
+    def test_nonzero_reserved_bytes_rejected(self, tmp_path, reserved):
+        path = tmp_path / "r.embf"
+        save_embeddings(random_dataset(2, 2), path)
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = reserved.to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="reserved header bytes must be zero"):
+            load_embeddings(path)
+
     def test_bad_version(self, tmp_path):
         ds = random_dataset(2, 2)
         path = tmp_path / "h.embf"

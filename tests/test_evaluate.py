@@ -379,6 +379,22 @@ class TestCompare:
         assert comp.knn_delta == want_ref.knn_score - want_orig.knn_score
         assert comp.probe_delta == want_ref.probe_accuracy - want_orig.probe_accuracy
 
+    @pytest.mark.parametrize("knn_k,message", [(0, "k must be >= 1, got 0"),
+                                               (40, "need more than k=40 points, got 40")],
+                             ids=["zero", "row-count"])
+    def test_bad_knn_k_raises_before_any_probe_trains(self, monkeypatch, knn_k, message):
+        ds = two_clusters(per=20)
+        fits, real_train_probe = [], evaluate.train_probe
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return real_train_probe(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "train_probe", spy)
+        with pytest.raises(ValidationError, match=message):
+            compare_embeddings(ds, ds, knn_k=knn_k)
+        assert fits == []
+
     def test_one_workspace_per_fit(self, monkeypatch):
         ds = generate_gaussian_mixture(MixtureSpec(4, 8, 50, seed=3))
         built = []

@@ -352,6 +352,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flags", [2, 3, 0x80])
+    def test_unknown_flag_bits_rejected(self, tmp_path, flags):
+        path = tmp_path / "m.sskp"
+        save_checkpoint(self._trained_like_params(), path)
+        raw = bytearray(path.read_bytes())
+        raw[5] = flags
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"unknown flag bits 0x{flags:02x}"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key,value,message", [
         ("out.weight", np.nan, "'out.weight' holds NaN or Inf"),
         ("layer1.running_mean", np.inf, "'layer1.running_mean' holds NaN or Inf"),

@@ -130,13 +130,13 @@ class TestTriplets:
 
 
 class TestEmpiricalLoss:
-    """L_un of an embedding is `skip_inequality_check(...).l_un_identity` on it."""
+    """L_un of an embedding is `skip_inequality_check(...)["L_un_identity"]` on it."""
 
     def test_logistic_single_triplet(self):
         # anchor (1,0), positive (1,0), negative (0,1): margin exactly 1
         ds = EmbeddingDataset(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 1])
         report = skip_inequality_check(ds, triplets_of((0, 1, (2,))))
-        assert report.l_un_identity == pytest.approx(math.log2(1 + math.exp(-1.0)), abs=1e-12)
+        assert report["L_un_identity"] == pytest.approx(math.log2(1 + math.exp(-1.0)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_constant_map_gives_log2_of_k_plus_one(self, k):
@@ -144,7 +144,7 @@ class TestEmpiricalLoss:
         labels = directional_mixture(num_classes=2, dim=4, per=10).labels
         ds = EmbeddingDataset(np.zeros((labels.size, 4)), labels)
         triplets = sample_triplets(ds, k=k, count=100, seed=6)
-        got = skip_inequality_check(ds, triplets).l_un_identity
+        got = skip_inequality_check(ds, triplets)["L_un_identity"]
         assert got == pytest.approx(math.log2(1 + k), abs=1e-12)
 
 
@@ -242,8 +242,8 @@ class TestSkipInequality:
         ds = directional_mixture()
         triplets = sample_triplets(ds, k=1, count=1000, seed=3)
         report = skip_inequality_check(ds, triplets)
-        assert report.nonneg_margin_fraction >= 0.9
-        assert report.holds is True
+        assert report["nonneg_margin_fraction"] >= 0.9
+        assert report["holds"] is True
 
     def test_all_nonnegative_margins_always_hold(self):
         # margins u and 4u with u >= 0: elementwise monotone decrease
@@ -251,9 +251,9 @@ class TestSkipInequality:
         ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
         triplets = triplets_of((0, 1, (2,)), (0, 1, (3,)))
         report = skip_inequality_check(ds, triplets)
-        assert report.nonneg_margin_fraction == 1.0
-        assert report.holds is True
-        assert report.l_un_doubled <= report.l_un_identity
+        assert report["nonneg_margin_fraction"] == 1.0
+        assert report["holds"] is True
+        assert report["L_un_doubled"] <= report["L_un_identity"]
 
     def test_no_all_nonnegative_row_holds_vacuously(self):
         # each triplet has one negative margin, so the subset `holds` compares is empty
@@ -261,10 +261,10 @@ class TestSkipInequality:
         ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
         triplets = triplets_of((0, 1, (2, 3)), (0, 1, (3, 2)))
         report = skip_inequality_check(ds, triplets)
-        assert report.nonneg_triplet_count == 0
-        assert report.holds is True
-        assert report.nonneg_margin_fraction == 0.5
-        assert report.l_un_doubled > report.l_un_identity
+        assert report["nonneg_triplet_count"] == 0
+        assert report["holds"] is True
+        assert report["nonneg_margin_fraction"] == 0.5
+        assert report["L_un_doubled"] > report["L_un_identity"]
 
     def test_single_margin_half(self):
         # margin 0.5: losses logistic(0.5) and logistic(2.0)
@@ -272,9 +272,9 @@ class TestSkipInequality:
         ds = EmbeddingDataset(vectors, [0, 0, 1, 1])
         triplets = triplets_of((0, 1, (3,)))
         report = skip_inequality_check(ds, triplets)
-        assert report.l_un_identity == pytest.approx(0.6840, abs=1e-3)
-        assert report.l_un_doubled == pytest.approx(0.1832, abs=1e-3)
-        assert report.holds is True
+        assert report["L_un_identity"] == pytest.approx(0.6840, abs=1e-3)
+        assert report["L_un_doubled"] == pytest.approx(0.1832, abs=1e-3)
+        assert report["holds"] is True
 
     @given(st.lists(st.floats(0, 20), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
