@@ -15,7 +15,7 @@ Vectors are stored as float32 on disk and promoted to float64 in memory;
 all in-memory math runs at 64-bit precision. EMBF is the one file format:
 a matrix held as text becomes an EMBF file through
 `save_embeddings(EmbeddingDataset(np.loadtxt(...)), path)`. `split`
-partitions a labeled dataset into train and test rows, stratified by class.
+draws train and test row indices from a label vector, stratified by class.
 """
 
 from __future__ import annotations
@@ -169,34 +169,34 @@ def load_embeddings(path) -> EmbeddingDataset:
 
 
 def split(
-    dataset: EmbeddingDataset,
+    labels: np.ndarray | None,
     train_fraction: float,
     seed: int,
-) -> tuple[EmbeddingDataset, EmbeddingDataset]:
-    """Deterministic stratified train/test split of a labeled dataset.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic stratified train/test split: the row indices of each part.
 
-    Train size is floor(train_fraction * count) and must be at least one
-    row; the remainder is test. Each class is shuffled and allocated in
-    proportion, with largest-remainder rounding keeping the total train
-    size exact.
+    Train size is the larger of floor(train_fraction * count) and the sum of
+    the per-class floors (float rounding can lift a share to a whole number),
+    at least one row. Each class is shuffled and allocated in proportion by
+    largest-remainder rounding; both parts list rows class by class.
     """
-    labels = dataset.labels
     if labels is None:
         raise ValidationError("split requires labels (it stratifies by class)")
-    if dataset.count < 2:
+    count = len(labels)
+    if count < 2:
         raise ValidationError("split needs at least 2 rows")
     if not (0.0 < train_fraction < 1.0):
         raise ValidationError(f"train_fraction must lie in (0,1), got {train_fraction}")
-    n_train = int(np.floor(train_fraction * dataset.count))
+    n_train = int(np.floor(train_fraction * count))
     if n_train == 0:
-        raise ValidationError(f"train_fraction {train_fraction} of {dataset.count} rows "
+        raise ValidationError(f"train_fraction {train_fraction} of {count} rows "
                               f"leaves no training rows")
 
     rng = np.random.default_rng(seed)
     classes = np.unique(labels)
     per_class = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
     base = {c: int(np.floor(train_fraction * len(per_class[c]))) for c in classes}
-    short = n_train - sum(base.values())
+    short = max(n_train - sum(base.values()), 0)
     # hand the leftover slots to the largest fractional remainders (ties: lower class id)
     remainders = sorted(
         classes,
@@ -204,7 +204,5 @@ def split(
     )
     for c in remainders[:short]:
         base[c] += 1
-    train_idx = np.concatenate([per_class[c][:base[c]] for c in classes])
-    test_idx = np.concatenate([per_class[c][base[c]:] for c in classes])
-    return tuple(EmbeddingDataset(dataset.vectors[idx], labels[idx])
-                 for idx in (train_idx, test_idx))
+    return (np.concatenate([per_class[c][:base[c]] for c in classes]),
+            np.concatenate([per_class[c][base[c]:] for c in classes]))

@@ -31,9 +31,9 @@ Two metrics:
   activation buffers only, once per test set, for the accuracy and the
   per-class accuracies alike.
 
-`evaluate_embeddings` is the one path that scores a dataset: stratified
-split, kNN, probe fit, one prediction and fingerprint. kNN runs before the
-fit, so a k the dataset cannot serve fails before any probe trains.
+`evaluate_embeddings` is the one path that scores a dataset: split the
+labels into row indices, kNN, fit on the gathered rows, predict, fingerprint.
+kNN runs first, so a k the dataset cannot serve fails before any probe trains.
 `compare_embeddings` runs it on an original/refined pair, which must share
 row count and labels, so both get the same split, and reports the deltas.
 """
@@ -346,8 +346,9 @@ def evaluate_embeddings(
     and scored on the test rows, and the kNN score over all rows."""
     probe_cfg = probe_cfg or LinearProbe()
     split_cfg = split_cfg or SplitConfig()
-    train, test = split(dataset, split_cfg.train_fraction, split_cfg.seed)
+    rows = split(dataset.labels, split_cfg.train_fraction, split_cfg.seed)
     knn_score = knn_same_label_score(dataset, k=knn_k)  # a bad k fails before any fit
+    train, test = (EmbeddingDataset(dataset.vectors[idx], dataset.labels[idx]) for idx in rows)
     accuracy, per_class = evaluate_probe(train_probe(train, probe_cfg), test)
     return EvalReport(
         knn_score=knn_score,

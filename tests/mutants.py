@@ -65,6 +65,13 @@ MUTANTS = [
      "Adam's first-moment bias correction is one step off"),
     ("nn_core.py", "- dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)",
      "- dxhat.sum(axis=0)", "batch norm's backward drops the gradient through the variance"),
+    ("embedding_store.py", "- base[c]), c)", "- base[c]), -c)",
+     "split hands a tied remainder's extra row to the higher class id"),
+    ("embedding_store.py", "-(train_fraction", "(train_fraction",
+     "split hands the extra rows to the smallest remainders"),
+    ("embedding_store.py", "short = max(n_train - sum(base.values()), 0)",
+     "short = n_train - sum(base.values())",
+     "split's train part overshoots when float rounding lifts a class's share"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result

@@ -1,8 +1,11 @@
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simskip.embedding_store import (
     EmbeddingDataset,
@@ -224,57 +227,82 @@ class TestBinaryFormat:
 
 class TestSplit:
     def test_sizes(self):
-        ds = random_dataset(10, 2, labeled=True)
-        train, test = split(ds, 0.8, seed=7)
-        assert train.count == 8 and test.count == 2
+        labels = random_dataset(10, 2, labeled=True).labels
+        train_idx, test_idx = split(labels, 0.8, seed=7)
+        assert len(train_idx) == 8 and len(test_idx) == 2
 
     def test_determinism(self):
-        ds = random_dataset(10, 2, labeled=True)
-        a = split(ds, 0.8, seed=7)
-        b = split(ds, 0.8, seed=7)
-        assert a[0] == b[0] and a[1] == b[1]
+        labels = random_dataset(10, 2, labeled=True).labels
+        a = split(labels, 0.8, seed=7)
+        b = split(labels, 0.8, seed=7)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("seed", [7, 8])
-    def test_partition_property(self, seed):
-        # row-index multisets partition {0..9} for any seed
-        labels = np.random.default_rng(seed).integers(0, 3, 10)
-        ds = EmbeddingDataset(np.arange(10.0).reshape(10, 1), labels)
-        train, test = split(ds, 0.8, seed)
-        merged = sorted(np.concatenate([train.vectors[:, 0], test.vectors[:, 0]]))
-        assert merged == list(range(10))
-        for part in (train, test):
-            assert np.array_equal(part.labels, labels[part.vectors[:, 0].astype(int)])
+    @given(st.lists(st.integers(0, 5), min_size=2, max_size=60),
+           st.sampled_from([k / 10 for k in range(1, 10)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_partition_property(self, labels, fraction, seed):
+        labels = np.array(labels)
+        classes, sizes = np.unique(labels, return_counts=True)
+        floors = [math.floor(fraction * n) for n in sizes]
+        n_train = max(math.floor(fraction * len(labels)), sum(floors))
+        if n_train == 0:
+            with pytest.raises(ValidationError, match="leaves no training rows"):
+                split(labels, fraction, seed)
+            return
+        train_idx, test_idx = split(labels, fraction, seed)
+        assert np.array_equal(np.sort(np.concatenate([train_idx, test_idx])),
+                              np.arange(len(labels)))
+        assert len(train_idx) == n_train
+        for c, low in zip(classes, floors):
+            assert low <= np.count_nonzero(labels[train_idx] == c) <= low + 1
+        # both parts list their rows class by class
+        for idx in (train_idx, test_idx):
+            assert np.all(np.diff(labels[idx]) >= 0)
 
     def test_stratified_keeps_total_exact(self):
-        rng = np.random.default_rng(0)
         labels = np.array([0] * 3 + [1] * 3 + [2] * 4)
-        ds = EmbeddingDataset(rng.standard_normal((10, 2)), labels)
-        train, test = split(ds, 0.5, seed=1)
-        assert train.count == 5 and test.count == 5
+        train_idx, test_idx = split(labels, 0.5, seed=1)
+        assert len(train_idx) == 5 and len(test_idx) == 5
         # every class appears in the train part
-        assert set(np.unique(train.labels)) == {0, 1, 2}
+        assert set(np.unique(labels[train_idx])) == {0, 1, 2}
+
+    @pytest.mark.parametrize("sizes,fraction,want", [
+        # shares 1.5, 2.5 and 1.0 floor to 4 of 5 rows; of the tied
+        # remainders 0.5, the lower class id takes the fifth row
+        ([3, 5, 2], 0.5, [2, 2, 1]),
+        # 0.7 * 10 rounds to 7.0 but 0.7 * 90 to 62.99999999999999, so the
+        # per-class floors (63) pass floor(0.7 * 90) = 62 and no row is left over
+        ([10] * 9, 0.7, [7] * 9),
+        ([40, 50], 0.7, [28, 35]),
+    ], ids=["tied-remainders", "nine-by-ten", "forty-fifty"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_class_train_counts(self, sizes, fraction, want, seed):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        train_idx, test_idx = split(labels, fraction, seed)
+        assert np.bincount(labels[train_idx]).tolist() == want
+        assert len(test_idx) == sum(sizes) - sum(want)
 
     def test_too_small(self):
-        ds = random_dataset(1, 2, labeled=True)
+        labels = random_dataset(1, 2, labeled=True).labels
         with pytest.raises(ValidationError, match="at least 2 rows"):
-            split(ds, 0.5, seed=0)
+            split(labels, 0.5, seed=0)
 
     def test_bad_fraction(self):
-        ds = random_dataset(4, 2, labeled=True)
+        labels = random_dataset(4, 2, labeled=True).labels
         with pytest.raises(ValidationError, match="train_fraction must lie in"):
-            split(ds, 1.0, seed=0)
+            split(labels, 1.0, seed=0)
 
     def test_labels_required(self):
         # the split stratifies by class, so an unlabeled dataset has none
         with pytest.raises(ValidationError, match="requires labels"):
-            split(random_dataset(10, 2), 0.8, seed=0)
+            split(None, 0.8, seed=0)
 
     def test_empty_train_part_rejected(self):
         # floor(0.02 * 40) = 0 rows would reach the probe as "fewer than 2 classes"
-        ds = random_dataset(40, 2, labeled=True)
+        labels = random_dataset(40, 2, labeled=True).labels
         with pytest.raises(ValidationError, match="train_fraction 0.02 of 40 rows leaves no"):
-            split(ds, 0.02, seed=0)
-        assert split(ds, 0.025, seed=0)[0].count == 1
+            split(labels, 0.02, seed=0)
+        assert len(split(labels, 0.025, seed=0)[0]) == 1
 
 
 class TestFingerprint:

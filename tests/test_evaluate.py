@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_knn_score, patch_block_budget, reference_train_probe
 from simskip import evaluate
-from simskip.embedding_store import EmbeddingDataset
+from simskip.embedding_store import EmbeddingDataset, split
 from simskip.errors import ShapeError, ValidationError
 from simskip.evaluate import (
     LINEAR,
@@ -394,6 +394,29 @@ class TestCompare:
         with pytest.raises(ValidationError, match=message):
             compare_embeddings(ds, ds, knn_k=knn_k)
         assert fits == []
+
+    def test_probe_gets_the_split_rows_in_order(self, monkeypatch):
+        # the full-batch gradient sums rows in order, so the order is part of the result
+        ds = generate_gaussian_mixture(MixtureSpec(3, 4, 20, seed=1))
+        order = np.random.default_rng(0).permutation(ds.count)  # the classes' rows interleave
+        ds = EmbeddingDataset(ds.vectors[order], ds.labels[order])
+        seen = {}
+        real_train_probe, real_evaluate_probe = evaluate.train_probe, evaluate.evaluate_probe
+
+        def train_spy(train, cfg):
+            seen["train"] = train
+            return real_train_probe(train, cfg)
+
+        def evaluate_spy(model, test):
+            seen["test"] = test
+            return real_evaluate_probe(model, test)
+
+        monkeypatch.setattr(evaluate, "train_probe", train_spy)
+        monkeypatch.setattr(evaluate, "evaluate_probe", evaluate_spy)
+        evaluate_embeddings(ds, LinearProbe(epochs=5), SplitConfig(train_fraction=0.7, seed=3))
+        for part, idx in zip(("train", "test"), split(ds.labels, 0.7, 3)):
+            assert np.array_equal(seen[part].vectors, ds.vectors[idx])
+            assert np.array_equal(seen[part].labels, ds.labels[idx])
 
     def test_one_workspace_per_fit(self, monkeypatch):
         ds = generate_gaussian_mixture(MixtureSpec(4, 8, 50, seed=3))
