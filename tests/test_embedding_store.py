@@ -237,10 +237,18 @@ class TestSplit:
         b = split(labels, 0.8, seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_partition_property(self, seed):
+        # row indices partition {0..9} for any seed
+        labels = np.random.default_rng(seed).integers(0, 3, 10)
+        train_idx, test_idx = split(labels, 0.8, seed)
+        assert sorted(np.concatenate([train_idx, test_idx])) == list(range(10))
+        assert len(train_idx) == 8
+
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=60),
            st.sampled_from([k / 10 for k in range(1, 10)]), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_partition_property(self, labels, fraction, seed):
+    def test_partition_any_labels(self, labels, fraction, seed):
         labels = np.array(labels)
         classes, sizes = np.unique(labels, return_counts=True)
         floors = [math.floor(fraction * n) for n in sizes]
