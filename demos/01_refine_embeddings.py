@@ -19,8 +19,8 @@ spec = ss.MixtureSpec(num_classes=2, dim=16, points_per_class=200,
                       class_separation=10.0, cluster_sigma=1.0, seed=7)
 clean = ss.generate_gaussian_mixture(spec)
 mixed = ss.apply_class_mixing(clean, mix_strength=0.4, seed=11)
-print(f"clean probe accuracy:  {ss.evaluate_embeddings(clean).probe_accuracy:.3f}")
-print(f"mixed probe accuracy:  {ss.evaluate_embeddings(mixed).probe_accuracy:.3f}")
+print(f"clean probe accuracy:  {ss.evaluate_embeddings(clean)['probe_accuracy']:.3f}")
+print(f"mixed probe accuracy:  {ss.evaluate_embeddings(mixed)['probe_accuracy']:.3f}")
 
 print()
 print("=" * 70)
@@ -36,8 +36,7 @@ print("=" * 70)
 print("3. Train with the contrastive objective (Gaussian-noise pairs)")
 print("=" * 70)
 cfg = ss.TrainConfig(learning_rate=0.001, epochs=100, tau=0.5, seed=0)
-params, report = ss.train(mixed, cfg)
-losses = report.epoch_losses
+params, losses = ss.train(mixed, cfg)
 print(f"epochs: {len(losses)}, loss {losses[0]:.4f} -> {losses[-1]:.4f}")
 for i in range(0, len(losses), 20):
     bar = "#" * int(40 * (losses[i] - 4.0) / (losses[0] - 4.0 + 1e-9))
@@ -48,11 +47,11 @@ print("=" * 70)
 print("4. Compare original vs refined under one shared split")
 print("=" * 70)
 refined = ss.refine(params, mixed)
-comp = ss.compare_embeddings(mixed, refined)
-print(f"kNN same-label score: {comp.original.knn_score:.3f} -> "
-      f"{comp.refined.knn_score:.3f}  (delta {comp.knn_delta:+.3f})")
-print(f"linear probe accuracy: {comp.original.probe_accuracy:.3f} -> "
-      f"{comp.refined.probe_accuracy:.3f}  (delta {comp.probe_delta:+.3f})")
+before, after = ss.compare_embeddings(mixed, refined)
+print(f"kNN same-label score: {before['knn_score']:.3f} -> "
+      f"{after['knn_score']:.3f}  (delta {after['deltas']['knn_score']:+.3f})")
+print(f"linear probe accuracy: {before['probe_accuracy']:.3f} -> "
+      f"{after['probe_accuracy']:.3f}  (delta {after['deltas']['probe_accuracy']:+.3f})")
 
 print()
 print("=" * 70)

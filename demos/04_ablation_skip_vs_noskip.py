@@ -15,7 +15,7 @@ spec = ss.MixtureSpec(num_classes=2, dim=16, points_per_class=500,
                       class_separation=10.0, cluster_sigma=1.0, seed=7)
 mixed = ss.apply_class_mixing(ss.generate_gaussian_mixture(spec), 0.4, seed=11)
 print(f"input: mixed two-class embedding, probe accuracy "
-      f"{ss.evaluate_embeddings(mixed).probe_accuracy:.3f}")
+      f"{ss.evaluate_embeddings(mixed)['probe_accuracy']:.3f}")
 print()
 
 header = f"{'seed':>4}  {'with skip':>10}  {'no skip':>10}  {'delta':>7}"
@@ -27,8 +27,8 @@ for seed in range(3):
         cfg = ss.TrainConfig(learning_rate=0.001, batch_size=256, epochs=60,
                              tau=0.5, seed=seed, skip_enabled=skip)
         params, _ = ss.train(mixed, cfg)
-        comp = ss.compare_embeddings(mixed, ss.refine(params, mixed))
-        acc[skip] = comp.refined.probe_accuracy
+        _, refined = ss.compare_embeddings(mixed, ss.refine(params, mixed))
+        acc[skip] = refined["probe_accuracy"]
     print(f"{seed:>4}  {acc[True]:>10.3f}  {acc[False]:>10.3f}  "
           f"{acc[True] - acc[False]:>+7.3f}")
 

@@ -7,7 +7,9 @@ Subcommands
     ablate      `refine` without the skip path; the command, never the config
                 file, sets that path (reports tagged "simskip-minus")
     eval        compare an original embedding against refined ones: kNN
-                score and linear probe, with the mlp3 probe alongside
+                score and linear probe, with the mlp3 probe alongside;
+                each entry is `evaluate`'s record plus its path and the
+                mlp3 result
     theory      triplet margins, loss-bound terms, JSON bound report; the
                 bound's R is the input's largest row norm, M the triplet count
     augment     preview augmented positive pairs for the first rows
@@ -140,18 +142,20 @@ def _cmd_refine(args) -> int:
     if args.command == "ablate":
         # the ablation removes the skip path, and with it the zero residual head
         cfg = dataclasses.replace(cfg, skip_enabled=False)
-    params, report = train(dataset, cfg)
+    params, losses = train(dataset, cfg)
 
     refined = refine(params, dataset)
     save_embeddings(refined, args.out)
     if args.checkpoint:
         save_checkpoint(params, args.checkpoint)
+    final = losses[-1] if losses else None
     if args.report:
-        _write_json({**report.to_json_dict(), "checkpoint_path": args.checkpoint,
+        _write_json({"epoch_losses": losses, "epochs_run": len(losses), "final_loss": final,
+                     "config": dataclasses.asdict(cfg), "checkpoint_path": args.checkpoint,
                      "variant": "simskip" if cfg.skip_enabled else "simskip-minus",
                      "input": str(args.infile), "output": str(args.out)}, args.report)
-    print(f"wrote {args.out} (final loss {report.epoch_losses[-1]:.4f})"
-          if report.epoch_losses else f"wrote {args.out} (no training epochs)")
+    print(f"wrote {args.out} (final loss {final:.4f})" if losses
+          else f"wrote {args.out} (no training epochs)")
     return 0
 
 
@@ -161,7 +165,7 @@ def _given(**settings) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    from .evaluate import LinearProbe, MLP3Probe, SplitConfig, compare_embeddings
+    from .evaluate import LinearProbe, MLP3Probe, compare_embeddings
 
     _check_paths([("--original", args.original), *(("--refined", p) for p in args.refined)],
                  [("--report", args.report)])
@@ -169,26 +173,19 @@ def _cmd_eval(args) -> int:
     # the linear probe heads the report; mlp3 rides along at its own rate and epochs
     linear_cfg = LinearProbe(**_given(epochs=args.probe_epochs))
     mlp3_cfg = MLP3Probe(**_given(hidden_dim=args.hidden_dim))
-    split_cfg = SplitConfig(train_fraction=args.train_fraction)
     original_entry, refined_entries = None, []
     for path in args.refined:
         refined_ds = load_embeddings(path)
-        comp = compare_embeddings(original, refined_ds, linear_cfg, split_cfg)
-        mlp3 = compare_embeddings(original, refined_ds, mlp3_cfg, split_cfg)
+        orig, ref = compare_embeddings(original, refined_ds, linear_cfg, args.train_fraction)
+        mlp3_orig, mlp3_ref = compare_embeddings(original, refined_ds, mlp3_cfg,
+                                                 args.train_fraction)
+        secondary = {"kind": mlp3_cfg.kind, "probe_config": mlp3_cfg.to_json_dict()}
         if original_entry is None:  # every comparison scores the same original
-            original_entry = {
-                "path": str(args.original),
-                **comp.original.to_json_dict(),
-                "secondary_probe": {"kind": mlp3_cfg.kind, "accuracy": mlp3.original.probe_accuracy,
-                                    "probe_config": mlp3_cfg.to_json_dict()},
-            }
-        refined_entries.append({
-            "path": str(path),
-            **comp.refined.to_json_dict(),
-            "secondary_probe": {"kind": mlp3_cfg.kind, "accuracy": mlp3.refined.probe_accuracy,
-                                "delta": mlp3.probe_delta, "probe_config": mlp3_cfg.to_json_dict()},
-            "deltas": {"knn_score": comp.knn_delta, "probe_accuracy": comp.probe_delta},
-        })
+            original_entry = {"path": str(args.original), **orig, "secondary_probe":
+                              {**secondary, "accuracy": mlp3_orig["probe_accuracy"]}}
+        refined_entries.append({"path": str(path), **ref, "secondary_probe": {
+            **secondary, "accuracy": mlp3_ref["probe_accuracy"],
+            "delta": mlp3_ref["deltas"]["probe_accuracy"]}})
     _write_json({"original": original_entry, "refined": refined_entries}, args.report)
     return 0
 

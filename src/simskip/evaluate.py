@@ -33,9 +33,12 @@ Two metrics:
 
 `evaluate_embeddings` is the one path that scores a dataset: split the
 labels into row indices, kNN, fit on the gathered rows, predict, fingerprint.
-kNN runs first, so a k the dataset cannot serve fails before any probe trains.
-`compare_embeddings` runs it on an original/refined pair, which must share
-row count and labels, so both get the same split, and reports the deltas.
+It returns the dataset's `eval.json` record as a plain dict. kNN runs first,
+so a dataset of no more than `KNN_K` rows fails before any probe trains. k
+and the split seed are the module constants `KNN_K` and `SPLIT_SEED`, which
+every record states. `compare_embeddings` runs it on an original/refined
+pair, which must share row count and labels, so both get the same split, and
+returns both records, the refined one with its `deltas`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from .utils import block_rows
 
 LINEAR = "linear"
 MLP3 = "mlp3"
+KNN_K = 10  # neighbours the kNN score counts
+SPLIT_SEED = 0  # seed of the train/test split
 
 _Layers = list[tuple[np.ndarray, np.ndarray]]  # each layer's (weight, bias), input layer first
 
@@ -101,18 +106,12 @@ class MLP3Probe(_Probe):
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # kNN same-label score
 
 
 @np.errstate(under="ignore")  # tiny squared distances round to a subnormal or 0, rightly
-def knn_same_label_score(dataset: EmbeddingDataset, k: int = 10) -> float:
+def knn_same_label_score(dataset: EmbeddingDataset, k: int = KNN_K) -> float:
     if dataset.labels is None:
         raise ValidationError("knn_same_label_score requires labels")
     if k < 1:
@@ -303,84 +302,42 @@ def evaluate_probe(model: ProbeModel, test: EmbeddingDataset) -> tuple[float, di
 
 
 # ---------------------------------------------------------------------------
-# reports
+# records
 
 
-@dataclass
-class EvalReport:
-    knn_score: float
-    probe_accuracy: float
-    per_class: dict[int, float]
-    probe_config: LinearProbe | MLP3Probe
-    split_config: SplitConfig
-    knn_k: int
-    fingerprint: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "knn_score": self.knn_score,
-            "probe_accuracy": self.probe_accuracy,
-            "per_class_accuracy": {str(k): v for k, v in self.per_class.items()},
-            "probe_config": self.probe_config.to_json_dict(),
-            "split_config": dataclasses.asdict(self.split_config),
-            "knn_k": self.knn_k,
-            "dataset_fingerprint": self.fingerprint,
-        }
-
-
-@dataclass
-class ComparisonReport:
-    original: EvalReport
-    refined: EvalReport
-    knn_delta: float
-    probe_delta: float
-
-
-def evaluate_embeddings(
-    dataset: EmbeddingDataset,
-    probe_cfg: LinearProbe | MLP3Probe | None = None,
-    split_cfg: SplitConfig | None = None,
-    knn_k: int = 10,
-) -> EvalReport:
-    """One dataset's report: the probe fit on the train rows of its split
+def evaluate_embeddings(dataset: EmbeddingDataset,
+                        probe_cfg: LinearProbe | MLP3Probe | None = None,
+                        train_fraction: float = 0.8) -> dict:
+    """One dataset's record: the probe fit on the train rows of its split
     and scored on the test rows, and the kNN score over all rows."""
     probe_cfg = probe_cfg or LinearProbe()
-    split_cfg = split_cfg or SplitConfig()
-    rows = split(dataset.labels, split_cfg.train_fraction, split_cfg.seed)
-    knn_score = knn_same_label_score(dataset, k=knn_k)  # a bad k fails before any fit
+    rows = split(dataset.labels, train_fraction, SPLIT_SEED)
+    knn_score = knn_same_label_score(dataset, k=KNN_K)  # too few rows fail before any fit
     train, test = (EmbeddingDataset(dataset.vectors[idx], dataset.labels[idx]) for idx in rows)
     accuracy, per_class = evaluate_probe(train_probe(train, probe_cfg), test)
-    return EvalReport(
-        knn_score=knn_score,
-        probe_accuracy=accuracy,
-        per_class=per_class,
-        probe_config=probe_cfg,
-        split_config=split_cfg,
-        knn_k=knn_k,
-        fingerprint=dataset_fingerprint(dataset),
-    )
+    return {
+        "knn_score": knn_score,
+        "probe_accuracy": accuracy,
+        "per_class_accuracy": {str(c): v for c, v in per_class.items()},
+        "probe_config": probe_cfg.to_json_dict(),
+        "split_config": {"train_fraction": train_fraction, "seed": SPLIT_SEED},
+        "knn_k": KNN_K,
+        "dataset_fingerprint": dataset_fingerprint(dataset),
+    }
 
 
-def compare_embeddings(
-    original: EmbeddingDataset,
-    refined: EmbeddingDataset,
-    probe_cfg: LinearProbe | MLP3Probe | None = None,
-    split_cfg: SplitConfig | None = None,
-    knn_k: int = 10,
-) -> ComparisonReport:
-    """Evaluate both datasets, which share rows and labels and so one
-    train/test split, and report the deltas."""
+def compare_embeddings(original: EmbeddingDataset, refined: EmbeddingDataset,
+                       probe_cfg: LinearProbe | MLP3Probe | None = None,
+                       train_fraction: float = 0.8) -> tuple[dict, dict]:
+    """Both datasets' records; they share rows and labels and so one
+    train/test split, and the refined record gains the `deltas`."""
     if original.labels is None or refined.labels is None:
         raise ValidationError("compare_embeddings requires labels on both datasets")
     if original.count != refined.count:
         raise ValidationError("datasets must have the same number of rows")
     if not np.array_equal(original.labels, refined.labels):
         raise ValidationError("datasets must carry identical labels")
-    rep_orig = evaluate_embeddings(original, probe_cfg, split_cfg, knn_k)
-    rep_ref = evaluate_embeddings(refined, probe_cfg, split_cfg, knn_k)
-    return ComparisonReport(
-        original=rep_orig,
-        refined=rep_ref,
-        knn_delta=rep_ref.knn_score - rep_orig.knn_score,
-        probe_delta=rep_ref.probe_accuracy - rep_orig.probe_accuracy,
-    )
+    orig = evaluate_embeddings(original, probe_cfg, train_fraction)
+    ref = evaluate_embeddings(refined, probe_cfg, train_fraction)
+    ref["deltas"] = {key: ref[key] - orig[key] for key in ("knn_score", "probe_accuracy")}
+    return orig, ref

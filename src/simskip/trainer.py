@@ -9,7 +9,8 @@ single seeded generator drives shuffling, augmentation, and dropout, so a
 fixed (dataset, config, seed) reproduces the loss curve and final
 parameters bitwise; given to the forward pass, it makes that a training
 pass. The last partial batch of each epoch is dropped to keep the
-negative count uniform.
+negative count uniform. `train` returns the encoder and each epoch's mean
+loss; the `refine` command builds its JSON report from them.
 
 The model's trainable tensors are views of one vector, its arena (see
 `model`), in which each layer's tensors are one slice. Adam updates each
@@ -79,20 +80,6 @@ class TrainConfig:
 
 
 @dataclass
-class TrainReport:
-    epoch_losses: list[float]
-    config: TrainConfig
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch_losses": list(self.epoch_losses),
-            "epochs_run": len(self.epoch_losses),
-            "final_loss": self.epoch_losses[-1] if self.epoch_losses else None,
-            "config": dataclasses.asdict(self.config),
-        }
-
-
-@dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
@@ -149,8 +136,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
         params[b0:b1] -= step
 
 
-def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, TrainReport]:
-    """Train a refiner on the dataset's vectors (labels are never read); return its encoder."""
+def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, list[float]]:
+    """Train a refiner on the dataset's vectors (labels are never read); return its
+    encoder and the mean loss of each epoch."""
     if dataset.count < cfg.batch_size:
         raise ValidationError(f"dataset has {dataset.count} rows, fewer than batch_size "
                               f"{cfg.batch_size}")
@@ -198,7 +186,7 @@ def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, T
                     raise
             epoch_losses.append(float(batch_losses.mean()))
 
-    return encoder_of(params), TrainReport(epoch_losses=epoch_losses, config=cfg)
+    return encoder_of(params), epoch_losses
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,8 @@ MUTANTS = [
     ("embedding_store.py", "short = max(n_train - sum(base.values()), 0)",
      "short = n_train - sum(base.values())",
      "split's train part overshoots when float rounding lifts a class's share"),
+    ("evaluate.py", "ref[key] - orig[key]", "orig[key] - ref[key]",
+     "a comparison's deltas are the original's scores minus the refined ones"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result

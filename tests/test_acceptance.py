@@ -190,14 +190,14 @@ def test_c06_refinement_no_worse():
     dataset = generate_gaussian_mixture(STANDARD_MIXTURE)  # 400 points, d=16
     for seed in range(5):
         cfg = TrainConfig(learning_rate=0.001, epochs=100, tau=0.5, seed=seed)
-        params, report = train(dataset, cfg)
+        params, losses = train(dataset, cfg)
         refined = refine(params, dataset)
-        comp = compare_embeddings(dataset, refined)
-        assert comp.refined.probe_accuracy >= comp.original.probe_accuracy - 0.02, (
-            f"seed {seed}: refined {comp.refined.probe_accuracy} vs "
-            f"original {comp.original.probe_accuracy}"
+        orig, ref = compare_embeddings(dataset, refined)
+        assert ref["probe_accuracy"] >= orig["probe_accuracy"] - 0.02, (
+            f"seed {seed}: refined {ref['probe_accuracy']} vs "
+            f"original {orig['probe_accuracy']}"
         )
-        assert report.epoch_losses[-1] < report.epoch_losses[0]
+        assert losses[-1] < losses[0]
     _passed(6, "refined linear-probe accuracy within 0.02 of original on 5 seeds")
 
 
@@ -215,8 +215,8 @@ def test_c07_ablation_direction():
             cfg = TrainConfig(learning_rate=0.001, batch_size=256, epochs=60,
                               tau=0.5, seed=seed, skip_enabled=skip)
             params, _ = train(mixed, cfg)
-            comp = compare_embeddings(mixed, refine(params, mixed))
-            acc[skip] = comp.refined.probe_accuracy
+            _, refined = compare_embeddings(mixed, refine(params, mixed))
+            acc[skip] = refined["probe_accuracy"]
         wins += acc[False] <= acc[True]
         margins.append(round(acc[True] - acc[False], 4))
     assert wins >= 4, f"skip beat no-skip in only {wins}/5 seeds (margins {margins})"
@@ -264,11 +264,11 @@ def test_c10_persistence_and_determinism(tmp_path):
     ckpts = []
     losses = []
     for tag in ("x", "y"):
-        params, report = train(dataset, cfg)
+        params, epoch_losses = train(dataset, cfg)
         path = tmp_path / f"{tag}.sskp"
         save_checkpoint(params, path)
         ckpts.append(path.read_bytes())
-        losses.append(report.epoch_losses)
+        losses.append(epoch_losses)
     assert losses[0] == losses[1]
     assert ckpts[0] == ckpts[1]
 

@@ -22,7 +22,7 @@ from simskip import theory, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings, save_embeddings
 from simskip.errors import ValidationError
-from simskip.evaluate import LinearProbe, MLP3Probe
+from simskip.evaluate import LinearProbe, MLP3Probe, compare_embeddings
 from simskip.model import init_params, load_checkpoint, save_checkpoint
 from simskip.trainer import load_train_config
 
@@ -170,6 +170,28 @@ class TestRefineAndEval:
                     "--report", report]) == 0
         payload = json.loads(report.read_text())
         assert len(payload["refined"]) == 2
+
+    def test_report_entries_are_the_library_records(self, tmp_path, synth_file, train_cfg):
+        # each entry is compare_embeddings' record with the linear probe, plus its
+        # path and the mlp3 call's accuracy (and delta) under secondary_probe
+        a, b, report = tmp_path / "a.embf", tmp_path / "b.embf", tmp_path / "eval.json"
+        for command, out in (("refine", a), ("ablate", b)):
+            assert run([command, "--in", synth_file, "--config", train_cfg, "--out", out]) == 0
+        assert run(["eval", "--original", synth_file, "--refined", a, b,
+                    "--report", report]) == 0
+        payload = json.loads(report.read_text(), parse_constant=reject_constant)
+        original = load_embeddings(synth_file)
+        for path, entry in zip((a, b), payload["refined"]):
+            refined = load_embeddings(path)
+            records = compare_embeddings(original, refined, LinearProbe(), 0.8)
+            mlp3 = compare_embeddings(original, refined, MLP3Probe(), 0.8)
+            entries = {str(synth_file): payload["original"], str(path): entry}
+            for (want_path, got), want, secondary in zip(entries.items(), records, mlp3):
+                got = dict(got)
+                assert got.pop("path") == want_path
+                assert got.pop("secondary_probe")["accuracy"] == secondary["probe_accuracy"]
+                assert got == want
+            assert entry["secondary_probe"]["delta"] == mlp3[1]["deltas"]["probe_accuracy"]
 
     def test_each_probe_record_holds_the_settings_its_fit_reads(self, tmp_path, synth_file):
         # the linear probe has no hidden layer and starts at zero, so it reads
@@ -792,17 +814,15 @@ PUBLIC_NAMES = {
                         "save_embeddings", "split"],
     "errors": ["FormatError", "NumericsError", "ShapeError", "SimSkipError",
                "ValidationError"],
-    "evaluate": ["ComparisonReport", "EvalReport", "LinearProbe", "MLP3Probe", "SplitConfig",
-                 "compare_embeddings", "evaluate_embeddings", "evaluate_probe",
-                 "knn_same_label_score", "train_probe"],
+    "evaluate": ["LinearProbe", "MLP3Probe", "compare_embeddings", "evaluate_embeddings",
+                 "evaluate_probe", "knn_same_label_score", "train_probe"],
     "losses": ["LossValue", "logistic_loss", "nt_xent"],
     "model": ["SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"],
     "nn_core": [],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
     "theory": ["Triplets", "bound_rhs", "gen_m", "sample_triplets", "skip_inequality_check"],
-    "trainer": ["TrainConfig", "TrainReport", "adam_init", "adam_step",
-                "load_train_config", "train"],
+    "trainer": ["TrainConfig", "adam_init", "adam_step", "load_train_config", "train"],
 }
 
 

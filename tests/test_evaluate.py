@@ -14,9 +14,9 @@ from simskip.errors import ShapeError, ValidationError
 from simskip.evaluate import (
     LINEAR,
     MLP3,
+    SPLIT_SEED,
     LinearProbe,
     MLP3Probe,
-    SplitConfig,
     compare_embeddings,
     evaluate_embeddings,
     evaluate_probe,
@@ -89,6 +89,10 @@ class TestKnnScore:
         small = EmbeddingDataset(rng.standard_normal((5, 2)), np.zeros(5, dtype=int))
         with pytest.raises(ValidationError):
             knn_same_label_score(small, 10)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValidationError, match=r"^k must be >= 1, got 0$"):
+            knn_same_label_score(two_clusters(), k=0)
 
 
 def blocked_knn(ds, k, block):
@@ -315,14 +319,14 @@ class TestProbes:
 class TestCompare:
     def test_identical_inputs_give_zero_deltas(self):
         ds = two_clusters(per=40)
-        comp = compare_embeddings(ds, ds)
-        assert comp.knn_delta == 0.0 and comp.probe_delta == 0.0
+        _, refined = compare_embeddings(ds, ds)
+        assert refined["deltas"] == {"knn_score": 0.0, "probe_accuracy": 0.0}
 
     def test_clean_beats_mixed(self):
         clean = generate_gaussian_mixture(MixtureSpec(2, 16, 200, seed=7))
         mixed = apply_class_mixing(clean, 0.6, seed=1)
-        comp = compare_embeddings(mixed, clean)  # "refined" is the clean one
-        assert comp.probe_delta > 0.0
+        _, refined = compare_embeddings(mixed, clean)  # "refined" is the clean one
+        assert refined["deltas"]["probe_accuracy"] > 0.0
 
     def test_unlabeled_dataset_rejected(self):
         ds = two_clusters(per=10)
@@ -346,8 +350,8 @@ class TestCompare:
     def test_dims_may_differ(self):
         ds = two_clusters(per=20, dim=4)
         wider = EmbeddingDataset(np.hstack([ds.vectors, ds.vectors]), ds.labels)
-        comp = compare_embeddings(ds, wider, split_cfg=SplitConfig(seed=2))
-        assert comp.original.probe_accuracy >= 0.9
+        original, _ = compare_embeddings(ds, wider)
+        assert original["probe_accuracy"] >= 0.9
 
     def test_each_fit_predicts_its_test_rows_once(self, monkeypatch):
         ds = generate_gaussian_mixture(MixtureSpec(4, 8, 50, seed=3))
@@ -359,10 +363,10 @@ class TestCompare:
             return predict(model, vectors)
 
         monkeypatch.setattr(evaluate.ProbeModel, "predict", spy)
-        comp = compare_embeddings(ds, ds)
+        original, refined = compare_embeddings(ds, ds)
         assert predicted == [40, 40]  # one fit per dataset, 40 test rows each
-        assert comp.original.per_class == comp.refined.per_class
-        assert set(comp.original.per_class) == {0, 1, 2, 3}
+        assert original["per_class_accuracy"] == refined["per_class_accuracy"]
+        assert set(original["per_class_accuracy"]) == {"0", "1", "2", "3"}
 
     @pytest.mark.parametrize("cfg", [LinearProbe(epochs=30),
                                      MLP3Probe(hidden_dim=8, epochs=30, seed=2)],
@@ -370,20 +374,19 @@ class TestCompare:
     def test_reports_are_single_dataset_evaluations(self, cfg):
         original = generate_gaussian_mixture(MixtureSpec(3, 8, 30, class_separation=3.0, seed=4))
         refined = apply_class_mixing(original, 0.4, seed=6)
-        split_cfg = SplitConfig(train_fraction=0.7, seed=5)
-        comp = compare_embeddings(original, refined, cfg, split_cfg, knn_k=4)
-        want_orig = evaluate_embeddings(original, cfg, split_cfg, knn_k=4)
-        want_ref = evaluate_embeddings(refined, cfg, split_cfg, knn_k=4)
-        assert comp.original.to_json_dict() == want_orig.to_json_dict()
-        assert comp.refined.to_json_dict() == want_ref.to_json_dict()
-        assert comp.knn_delta == want_ref.knn_score - want_orig.knn_score
-        assert comp.probe_delta == want_ref.probe_accuracy - want_orig.probe_accuracy
+        got_orig, got_ref = compare_embeddings(original, refined, cfg, 0.7)
+        want_orig = evaluate_embeddings(original, cfg, 0.7)
+        want_ref = evaluate_embeddings(refined, cfg, 0.7)
+        deltas = got_ref.pop("deltas")
+        assert got_orig == want_orig
+        assert got_ref == want_ref
+        assert deltas["knn_score"] == want_ref["knn_score"] - want_orig["knn_score"]
+        assert deltas["probe_accuracy"] == (want_ref["probe_accuracy"]
+                                            - want_orig["probe_accuracy"])
 
-    @pytest.mark.parametrize("knn_k,message", [(0, "k must be >= 1, got 0"),
-                                               (40, "need more than k=40 points, got 40")],
-                             ids=["zero", "row-count"])
-    def test_bad_knn_k_raises_before_any_probe_trains(self, monkeypatch, knn_k, message):
-        ds = two_clusters(per=20)
+    @pytest.mark.parametrize("per", [5], ids=["row-count"])
+    def test_bad_knn_k_raises_before_any_probe_trains(self, monkeypatch, per):
+        ds = two_clusters(per=per)  # 10 rows, no more than k = 10
         fits, real_train_probe = [], evaluate.train_probe
 
         def spy(*args, **kwargs):
@@ -391,8 +394,8 @@ class TestCompare:
             return real_train_probe(*args, **kwargs)
 
         monkeypatch.setattr(evaluate, "train_probe", spy)
-        with pytest.raises(ValidationError, match=message):
-            compare_embeddings(ds, ds, knn_k=knn_k)
+        with pytest.raises(ValidationError, match=r"^need more than k=10 points, got 10$"):
+            compare_embeddings(ds, ds)
         assert fits == []
 
     def test_probe_gets_the_split_rows_in_order(self, monkeypatch):
@@ -413,8 +416,8 @@ class TestCompare:
 
         monkeypatch.setattr(evaluate, "train_probe", train_spy)
         monkeypatch.setattr(evaluate, "evaluate_probe", evaluate_spy)
-        evaluate_embeddings(ds, LinearProbe(epochs=5), SplitConfig(train_fraction=0.7, seed=3))
-        for part, idx in zip(("train", "test"), split(ds.labels, 0.7, 3)):
+        evaluate_embeddings(ds, LinearProbe(epochs=5), 0.7)
+        for part, idx in zip(("train", "test"), split(ds.labels, 0.7, SPLIT_SEED)):
             assert np.array_equal(seen[part].vectors, ds.vectors[idx])
             assert np.array_equal(seen[part].labels, ds.labels[idx])
 

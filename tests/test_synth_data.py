@@ -87,8 +87,8 @@ class TestClassMixing:
     def test_full_mixing_destroys_separability(self):
         ds = separable()
         mixed = apply_class_mixing(ds, 1.0, seed=0)
-        comp = compare_embeddings(ds, mixed)
-        assert comp.refined.probe_accuracy <= 0.65
+        _, refined = compare_embeddings(ds, mixed)
+        assert refined["probe_accuracy"] <= 0.65
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monotone_probe_degradation(self, seed):
@@ -96,6 +96,6 @@ class TestClassMixing:
         accs = []
         for s in (0.0, 0.5, 1.0):
             mixed = apply_class_mixing(ds, s, seed=seed)
-            accs.append(compare_embeddings(ds, mixed).refined.probe_accuracy)
+            accs.append(compare_embeddings(ds, mixed)[1]["probe_accuracy"])
         assert accs[0] >= accs[1] - 0.02
         assert accs[1] >= accs[2] - 0.02

@@ -165,23 +165,23 @@ class TestTrain:
     def test_loss_decreases_on_mixture(self):
         ds = mixture()
         cfg = TrainConfig(learning_rate=0.001, batch_size=128, epochs=50, seed=1)
-        _, report = train(ds, cfg)
-        assert report.epoch_losses[-1] < report.epoch_losses[0]
+        _, losses = train(ds, cfg)
+        assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("lr", [0.001, 0.0003, 0.00003, 0.00001])
     def test_loss_decreases_for_every_grid_rate(self, lr):
         ds = mixture()
         cfg = TrainConfig(learning_rate=lr, batch_size=128, epochs=60, seed=1)
-        _, report = train(ds, cfg)
-        losses = np.array(report.epoch_losses)
+        _, losses = train(ds, cfg)
+        losses = np.array(losses)
         assert np.all(np.isfinite(losses))
         assert losses[-5:].mean() < losses[:5].mean()
 
     def test_zero_epochs_returns_initial_params(self):
         ds = mixture(count_per_class=32)
         cfg = TrainConfig(batch_size=32, epochs=0, seed=5)
-        params, report = train(ds, cfg)
-        assert report.epoch_losses == []
+        params, losses = train(ds, cfg)
+        assert losses == []
         assert np.array_equal(params.flat, encoder_of(init_params(ds.dim, cfg.seed)).flat)
 
     def test_identity_init_refines_to_input_before_training(self):
@@ -193,9 +193,9 @@ class TestTrain:
     def test_determinism_bitwise(self):
         ds = mixture(count_per_class=64)
         cfg = TrainConfig(learning_rate=0.001, batch_size=64, epochs=5, seed=9)
-        p1, r1 = train(ds, cfg)
-        p2, r2 = train(ds, cfg)
-        assert r1.epoch_losses == r2.epoch_losses
+        p1, losses1 = train(ds, cfg)
+        p2, losses2 = train(ds, cfg)
+        assert losses1 == losses2
         assert np.array_equal(p1.flat, p2.flat)
 
     def test_one_gradient_set_alive_at_a_time(self):
@@ -254,10 +254,10 @@ class TestTrain:
     def test_underflow_is_not_a_fault(self, setting):
         ds = EmbeddingDataset(np.random.default_rng(1).standard_normal((64, 8)))
         cfg = TrainConfig(batch_size=32, epochs=2, **setting)
-        want, want_report = train(ds, cfg)
+        want, want_losses = train(ds, cfg)
         with np.errstate(all="raise"):
-            got, report = train(ds, cfg)
-        assert report.epoch_losses == want_report.epoch_losses
+            got, losses = train(ds, cfg)
+        assert losses == want_losses
         assert np.array_equal(got.flat, want.flat)
         for key, tensor in want.tensors.items():  # the running statistics too
             assert np.array_equal(got.tensors[key], tensor), key
