@@ -32,13 +32,13 @@ _EXPORTS = {
                "ValidationError"),
     "evaluate": ("LinearProbe", "MLP3Probe", "compare_embeddings", "evaluate_embeddings",
                  "evaluate_probe", "knn_same_label_score", "train_probe"),
-    "losses": ("LossValue", "logistic_loss", "nt_xent"),
+    "losses": ("logistic_loss", "nt_xent"),
     "model": ("SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"),
-    "nn_core": (),
+    "nn_core": ("adam_init", "adam_step"),
     "synth_data": ("MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"),
     "theory": ("Triplets", "bound_rhs", "gen_m", "sample_triplets", "skip_inequality_check"),
-    "trainer": ("TrainConfig", "adam_init", "adam_step", "load_train_config", "train"),
+    "trainer": ("TrainConfig", "load_train_config", "train"),
     "utils": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -15,14 +15,14 @@ Subcommands
     augment     preview augmented positive pairs for the first rows
     inspect     print a JSON summary of an EMBF or SSKP file
 
-Exit codes: 0 success, 1 validation/format/usage errors, 2 internal
-numeric failure, a floating-point overflow, invalid operation or division
-by zero in NumPy included. Every run is deterministic for fixed seeds:
-rerunning a command overwrites its outputs with identical bytes, and input
-files are never modified. Before anything is read or written, every input
-must exist, every output must name a file in an existing directory, and no
-output may name the same file as an input or another output; a failed
-check exits 1.
+Exit codes: 0 success, 1 validation/format/usage errors and sizes NumPy
+cannot allocate, 2 internal numeric failure, a floating-point overflow,
+invalid operation or division by zero in NumPy included. Every run is
+deterministic for fixed seeds: rerunning a command overwrites its outputs
+with identical bytes, and input files are never modified. Before anything
+is read or written, every input must exist, every output must name a file
+in an existing directory, and no output may name the same file as an
+input or another output; a failed check exits 1.
 
 Each command loads only the modules it runs. This module imports at top
 level only what `gen-synth` and the parser need; `refine`, `ablate`,
@@ -337,16 +337,16 @@ def parse_and_run(argv: list[str]) -> int:
         # stops the command where it happens, not at a later finiteness check
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except NumericsError as exc:
+    except (_UsageError, SimSkipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, NumericsError) else 1
     except FloatingPointError as exc:  # a training fault's notes name its stage, innermost first
         stage = ", ".join(reversed(getattr(exc, "__notes__", [])))
         print(f"error: {args.command}: floating-point fault: {stage}{': ' if stage else ''}{exc}",
               file=sys.stderr)
         return 2
-    except (_UsageError, SimSkipError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryError, OverflowError, ValueError) as exc:  # a size NumPy cannot allocate
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,7 @@ Two metrics:
   multinomial logistic regression started at zero and fit by full-batch
   gradient descent; `MLP3Probe` (kind "mlp3": hidden_dim, learning_rate,
   epochs, seed) is a 3-layer ReLU network (input -> hidden -> hidden ->
-  classes) drawn from its seed and fit with the trainer's Adam. Both are
+  classes) drawn from its seed and fit with `nn_core`'s Adam. Both are
   a list of (weight, bias) layers with ReLU between them, run by one
   forward/backward pair. Features are standardized with train-split
   statistics inside the probe. A fit packs every weight and bias into one
@@ -51,8 +51,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingDataset, dataset_fingerprint, split
 from .errors import ShapeError, ValidationError
-from .nn_core import flat_views, linear_init
-from .trainer import adam_init, adam_step
+from .nn_core import adam_init, adam_step, flat_views, linear_init
 from .utils import block_rows
 
 LINEAR = "linear"
@@ -90,7 +89,7 @@ class LinearProbe(_Probe):
 @dataclass(frozen=True)
 class MLP3Probe(_Probe):
     """Two ReLU hidden layers of `hidden_dim` units, drawn from `seed` and
-    fit with the trainer's Adam."""
+    fit with `nn_core`'s Adam, the one training uses."""
 
     kind: ClassVar[str] = MLP3
     hidden_dim: int = 64

@@ -1,9 +1,9 @@
 """Similarity and loss functions.
 
-`nt_xent` is the normalized temperature-scaled cross-entropy over a batch
-of 2N projector outputs where rows 2i and 2i+1 form positive pair i. For
-each anchor the positive's cosine similarity is contrasted against all
-other rows:
+`nt_xent` returns (value, grad): the normalized temperature-scaled
+cross-entropy over a batch z of 2N projector outputs, where rows 2i and
+2i+1 form positive pair i, and its gradient d(loss)/dz. For each anchor
+the positive's cosine similarity is contrasted against all other rows:
 
     loss_i = -log( exp(sim(z_i, z_p)/tau) / sum_{k != i} exp(sim(z_i, z_k)/tau) )
 
@@ -28,7 +28,6 @@ monotonically decreasing in every coordinate of v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +37,9 @@ from .utils import block_rows
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class LossValue:
-    value: float
-    grad: np.ndarray  # d(loss)/d(input rows)
-
-
 @np.errstate(under="ignore")
-def nt_xent(z: np.ndarray, tau: float) -> LossValue:
-    """Contrastive loss and its gradient for paired rows (2i, 2i+1)."""
+def nt_xent(z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """Contrastive loss for paired rows (2i, 2i+1) and d(loss)/dz."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ShapeError(f"z must be 2-D, got shape {z.shape}")
@@ -96,7 +89,7 @@ def nt_xent(z: np.ndarray, tau: float) -> LossValue:
     # then through row normalization
     radial = (d_zh * zh).sum(axis=1, keepdims=True)
     grad = (d_zh - radial * zh) / norms[:, None]
-    return LossValue(value, grad)
+    return value, grad
 
 
 @np.errstate(under="ignore")

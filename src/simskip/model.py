@@ -240,14 +240,13 @@ def contrastive_loss_and_grads(params: SimSkipParams, pairs: np.ndarray, tau: fl
     when `input_grad` is false); every parameter gradient is written into
     `grads` (keyed like `PARAM_TABLE`), with `after_layer` (if given) called
     as each layer's backward pass ends. A training pass when given `rng`."""
-    from .losses import nt_xent  # local import keeps module deps one-way
+    from .losses import nt_xent  # here, so reading a checkpoint never loads the loss code
 
     h, enc_cache = encoder_forward(params, pairs, rng)
     z, proj_cache = projector_forward(params, h)
-    lv = nt_xent(z, tau)
-    loss = lv.value
-    dh = projector_backward(proj_cache, lv.grad, grads, after_layer)
-    del h, z, proj_cache, lv  # the encoder's backward pass reads none of them
+    loss, dz = nt_xent(z, tau)
+    dh = projector_backward(proj_cache, dz, grads, after_layer)
+    del h, z, proj_cache, dz  # the encoder's backward pass reads none of them
     return loss, encoder_backward(enc_cache, dh, grads, input_grad, after_layer)
 
 

@@ -1,4 +1,4 @@
-"""Differentiable building blocks with explicit forward/backward passes.
+"""Differentiable building blocks with explicit forward/backward passes, and Adam.
 
 Every layer is a pair of functions over plain arrays: `*_apply` takes the
 input and the layer's tensors and returns (output, cache), and the matching
@@ -7,8 +7,8 @@ input gradient; parameter gradients go into buffers the caller passes
 (views laid out like the parameters, in `model`). Tensors may be views
 too, and no function here rebinds one: training-pass batch norm writes its
 running statistics into the arrays it is given. Assign to a tensor through
-`[...]`.
-ReLU and dropout hold no tensors; dropout takes its rate as an argument.
+`[...]`. ReLU and dropout hold no tensors; dropout takes its rate as an
+argument. `adam_step` is the one optimizer: training and the mlp3 probe call it.
 Inputs are float64 arrays, converted by `model`'s forward passes, never here;
 float64 lets analytic gradients be checked against central finite
 differences to tight tolerances.
@@ -21,10 +21,13 @@ norm reads its running statistics, dropout is the identity).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import NumericsError, ShapeError, ValidationError
+from .utils import block_rows
+
 
 def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Views of the vector `flat` with the given shapes, laid end to end and
@@ -154,3 +157,68 @@ def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = 
 
 def dropout_backward(cache, dout: np.ndarray):
     return dout if cache is None else dout * cache
+
+
+# ---------------------------------------------------------------------------
+# adam
+
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+@dataclass
+class AdamState:
+    m: np.ndarray
+    v: np.ndarray
+
+
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
+              lr: float) -> None:
+    """One bias-corrected Adam update at ADAM_BETA1, ADAM_BETA2 and ADAM_EPS
+    of the 1-D vector `params` (one layer's slice of a model's arena, say),
+    in place; t counts from 1. `grads` is only read.
+
+    A gradient of the wrong shape or with a non-finite entry is rejected
+    before anything changes. The update then runs over blocks of as many
+    elements as `utils.block_rows` fits in the cache budget at 48 bytes an
+    element (the parameters, m, v, g and two scratch arrays), each block
+    kept in cache through every pass, in the order of the textbook form
+    lr * m_hat / (sqrt(v_hat) + eps), so the result is bitwise the same as
+    evaluating that expression.
+    """
+    if t < 1:
+        raise ValidationError(f"step index must be >= 1, got {t}")
+    if params.ndim != 1 or grads.shape != params.shape:
+        raise ValidationError(f"gradient shape {grads.shape} does not match the "
+                              f"parameter vector's {params.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise NumericsError("non-finite gradient")
+    width = block_rows(48, params.size)
+    buf, step_buf = np.empty(width), np.empty(width)
+    c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
+    for b0 in range(0, params.size, width):
+        b1 = b0 + width
+        g, m, v = grads[b0:b1], state.m[b0:b1], state.v[b0:b1]
+        scratch, step = buf[:g.size], step_buf[:g.size]
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, 1 - ADAM_BETA1, out=scratch)
+        m *= ADAM_BETA1
+        m += scratch
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(g, 1 - ADAM_BETA2, out=scratch)
+        scratch *= g
+        v *= ADAM_BETA2
+        v += scratch
+        # params -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= scratch
+        params[b0:b1] -= step

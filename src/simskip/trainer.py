@@ -2,15 +2,14 @@
 
 Each step draws a batch, builds two augmented views per example (2N rows,
 pairs interleaved), runs a training pass through encoder + projector,
-evaluates the contrastive loss, backpropagates, and applies one Adam
-update. Adam runs at the fixed constants of Kingma & Ba (2015), beta1 = 0.9,
-beta2 = 0.999 and eps = 1e-8; its learning rate is the one setting. A
-single seeded generator drives shuffling, augmentation, and dropout, so a
-fixed (dataset, config, seed) reproduces the loss curve and final
-parameters bitwise; given to the forward pass, it makes that a training
-pass. The last partial batch of each epoch is dropped to keep the
-negative count uniform. `train` returns the encoder and each epoch's mean
-loss; the `refine` command builds its JSON report from them.
+evaluates the contrastive loss, backpropagates, and applies one update of
+`nn_core`'s Adam, whose learning rate is the one setting. A single seeded
+generator drives shuffling, augmentation, and dropout, so a fixed (dataset,
+config, seed) reproduces the loss curve and final parameters bitwise; given
+to the forward pass, it makes that a training pass. The last partial batch
+of each epoch is dropped to keep the negative count uniform. `train`
+returns the encoder and each epoch's mean loss; the `refine` command builds
+its JSON report from them.
 
 The model's trainable tensors are views of one vector, its arena (see
 `model`), in which each layer's tensors are one slice. Adam updates each
@@ -41,7 +40,7 @@ import numpy as np
 
 from .augment import AugmentConfig, make_positive_pairs
 from .embedding_store import EmbeddingDataset
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .model import (
     SimSkipParams,
     arena_views,
@@ -50,10 +49,7 @@ from .model import (
     init_params,
     layer_slices,
 )
-from .utils import block_rows
-
-# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+from .nn_core import AdamState, adam_init, adam_step
 
 
 @dataclass(frozen=True)
@@ -77,63 +73,6 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-
-
-def adam_init(params: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, t: int,
-              lr: float) -> None:
-    """One bias-corrected Adam update at ADAM_BETA1, ADAM_BETA2 and ADAM_EPS
-    of the 1-D vector `params` (one layer's slice of a model's arena, say),
-    in place; t counts from 1. `grads` is only read.
-
-    A gradient of the wrong shape or with a non-finite entry is rejected
-    before anything changes. The update then runs over blocks of as many
-    elements as `utils.block_rows` fits in the cache budget at 48 bytes an
-    element (the parameters, m, v, g and two scratch arrays), each block
-    kept in cache through every pass, in the order of the textbook form
-    lr * m_hat / (sqrt(v_hat) + eps), so the result is bitwise the same as
-    evaluating that expression.
-    """
-    if t < 1:
-        raise ValidationError(f"step index must be >= 1, got {t}")
-    if params.ndim != 1 or grads.shape != params.shape:
-        raise ValidationError(f"gradient shape {grads.shape} does not match the "
-                              f"parameter vector's {params.shape}")
-    if not np.all(np.isfinite(grads)):
-        raise NumericsError("non-finite gradient")
-    width = block_rows(48, params.size)
-    buf, step_buf = np.empty(width), np.empty(width)
-    c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
-    for b0 in range(0, params.size, width):
-        b1 = b0 + width
-        g, m, v = grads[b0:b1], state.m[b0:b1], state.v[b0:b1]
-        scratch, step = buf[:g.size], step_buf[:g.size]
-        # m = beta1 * m + (1 - beta1) * g
-        np.multiply(g, 1 - ADAM_BETA1, out=scratch)
-        m *= ADAM_BETA1
-        m += scratch
-        # v = beta2 * v + (1 - beta2) * g * g
-        np.multiply(g, 1 - ADAM_BETA2, out=scratch)
-        scratch *= g
-        v *= ADAM_BETA2
-        v += scratch
-        # params -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        np.divide(m, c1, out=step)
-        step *= lr
-        step /= scratch
-        params[b0:b1] -= step
 
 
 def train(dataset: EmbeddingDataset, cfg: TrainConfig) -> tuple[SimSkipParams, list[float]]:

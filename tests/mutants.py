@@ -28,7 +28,7 @@ PACKAGE = ROOT / "src" / "simskip"
 
 # (file in src/simskip, old text, new text, what the edit breaks)
 MUTANTS = [
-    ("trainer.py", "ADAM_EPS = 0.9, 0.999, 1e-8", "ADAM_EPS = 0.9, 0.999, 1e-7",
+    ("nn_core.py", "ADAM_EPS = 0.9, 0.999, 1e-8", "ADAM_EPS = 0.9, 0.999, 1e-7",
      "Adam's epsilon, which every update divides by"),
     ("evaluate.py", "np.cumsum(ties, axis=1) > kept", "np.cumsum(ties, axis=1) >= kept",
      "kNN's tie-break at the k-th distance drops one tie too many"),
@@ -61,7 +61,7 @@ MUTANTS = [
      "NT-Xent masks the wrong column of a row block, not each row's self-similarity"),
     ("theory.py", "top >= embedded.shape[0]", "top > embedded.shape[0]",
      "a triplet index one past the last row is not rejected"),
-    ("trainer.py", "1 - ADAM_BETA1**t", "1 - ADAM_BETA1**(t + 1)",
+    ("nn_core.py", "1 - ADAM_BETA1**t", "1 - ADAM_BETA1**(t + 1)",
      "Adam's first-moment bias correction is one step off"),
     ("nn_core.py", "- dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)",
      "- dxhat.sum(axis=0)", "batch norm's backward drops the gradient through the variance"),
@@ -74,6 +74,8 @@ MUTANTS = [
      "split's train part overshoots when float rounding lifts a class's share"),
     ("evaluate.py", "ref[key] - orig[key]", "orig[key] - ref[key]",
      "a comparison's deltas are the original's scores minus the refined ones"),
+    ("cli.py", "except (MemoryError, OverflowError, ValueError)",
+     "except (OverflowError, ValueError)", "an array too large to allocate ends in a traceback"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result

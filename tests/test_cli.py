@@ -547,6 +547,28 @@ class TestErrorPaths:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
 
+    # sizes past int64 or of at least 8 PiB, which no 47-bit address space can map,
+    # so NumPy refuses them before touching memory
+    @pytest.mark.parametrize("command,argv,message", [
+        ("theory", "--in {d} --k 2000000000000 --report {o}", "Unable to allocate 14.2 PiB"),
+        ("theory", f"--in {{d}} --triplets {10**30} --report {{o}}",
+         "Maximum allowed dimension exceeded"),
+        ("gen-synth", f"--per-class {10**30} --out {{o}}", "Python int too large"),
+        ("gen-synth", f"--dim {10**15} --out {{o}}", "Unable to allocate 14.2 PiB"),
+        ("eval", f"--original {{d}} --refined {{d}} --hidden-dim {10**30} --report {{o}}",
+         "Maximum allowed dimension exceeded"),
+    ], ids=["theory-k", "theory-triplets", "gen-synth-per-class", "gen-synth-dim",
+            "eval-hidden-dim"])
+    def test_impossible_size_exits_one(self, tmp_path, synth_file, capsys, command, argv,
+                                       message):
+        argv = argv.format(d=synth_file, o=tmp_path / "out").split()
+        capsys.readouterr()
+        assert run([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {command}: {message}"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.embf"]
+
     @pytest.mark.parametrize("command", ["refine", "ablate"])
     @pytest.mark.parametrize("kind", ["checkpoint", "stray-0xff", "bom-stray-0xff"])
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, synth_file, capsys, command,
@@ -816,13 +838,13 @@ PUBLIC_NAMES = {
                "ValidationError"],
     "evaluate": ["LinearProbe", "MLP3Probe", "compare_embeddings", "evaluate_embeddings",
                  "evaluate_probe", "knn_same_label_score", "train_probe"],
-    "losses": ["LossValue", "logistic_loss", "nt_xent"],
+    "losses": ["logistic_loss", "nt_xent"],
     "model": ["SimSkipParams", "encoder_forward", "init_params", "load_checkpoint",
               "projector_forward", "refine", "save_checkpoint"],
-    "nn_core": [],
+    "nn_core": ["adam_init", "adam_step"],
     "synth_data": ["MixtureSpec", "apply_class_mixing", "generate_gaussian_mixture"],
     "theory": ["Triplets", "bound_rhs", "gen_m", "sample_triplets", "skip_inequality_check"],
-    "trainer": ["TrainConfig", "adam_init", "adam_step", "load_train_config", "train"],
+    "trainer": ["TrainConfig", "load_train_config", "train"],
 }
 
 
@@ -841,6 +863,20 @@ class TestImports:
         assert "simskip.theory" in loaded
         assert loaded.isdisjoint({f"simskip.{m}" for m in (
             "trainer", "model", "nn_core", "evaluate")}), loaded
+
+    def test_eval_loads_no_training_or_model(self, tmp_path, synth_file):
+        # scoring stands on the layer kit; embeddings from any encoder need no trainer
+        loaded = loaded_package_modules(["eval", "--original", str(synth_file), "--refined",
+                                         str(synth_file), "--report", str(tmp_path / "e.json")])
+        assert "simskip.evaluate" in loaded
+        assert loaded.isdisjoint({"simskip.trainer", "simskip.model"}), loaded
+
+    def test_inspect_of_a_checkpoint_loads_no_losses(self, tmp_path):
+        ckpt = tmp_path / "m.sskp"
+        save_checkpoint(init_params(8, seed=0), ckpt)
+        loaded = loaded_package_modules(["inspect", "--in", str(ckpt)])
+        assert "simskip.model" in loaded
+        assert "simskip.losses" not in loaded, loaded
 
     def test_bare_import_loads_no_submodule(self):
         assert loaded_package_modules([], main=("-c", "import simskip")) == {"simskip"}
@@ -861,11 +897,12 @@ class TestImports:
 
     @pytest.mark.parametrize("name", ["load_csv", "save_csv", "empirical_unsup_loss",
                                       "save_train_config", "augment_view",
-                                      "make_positive_pair", "ProbeConfig"])
+                                      "make_positive_pair", "ProbeConfig", "LossValue"])
     def test_removed_names_raise_attribute_error(self, name):
         # EMBF is the one file format; skip_inequality_check is the one L_un path;
         # only people write config files; make_positive_pairs is the one view drawer;
-        # a probe's kind is its type (LinearProbe, MLP3Probe)
+        # a probe's kind is its type (LinearProbe, MLP3Probe); nt_xent returns a plain
+        # (value, grad) pair
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(simskip, name)
 

@@ -22,12 +22,12 @@ class TestNtXent:
     def test_all_identical_rows_gives_ln3(self):
         z = np.tile([0.3, 0.4], (4, 1))
         for tau in (0.07, 0.5, 1.0):
-            assert nt_xent(z, tau).value == pytest.approx(math.log(3.0), abs=1e-12)
+            assert nt_xent(z, tau)[0] == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_orthogonal_pairs_closed_form(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         expected = math.log(1.0 + 2.0 / math.e)
-        assert nt_xent(z, 1.0).value == pytest.approx(expected, abs=1e-12)
+        assert nt_xent(z, 1.0)[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("tau", [0.07, 0.5, 1.0])
@@ -35,7 +35,7 @@ class TestNtXent:
         rng = np.random.default_rng(100 * n + int(tau * 100))
         for _ in range(3):
             z = rng.standard_normal((2 * n, 5))
-            assert abs(nt_xent(z, tau).value - brute_force_nt_xent(z, tau)) < 1e-10
+            assert abs(nt_xent(z, tau)[0] - brute_force_nt_xent(z, tau)) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -43,31 +43,31 @@ class TestNtXent:
         arrays = {"z": z}
 
         def loss_fn():
-            lv = nt_xent(z, 0.5)
-            return lv.value, {"z": lv.grad}
+            value, grad = nt_xent(z, 0.5)
+            return value, {"z": grad}
 
         assert grad_check(loss_fn, arrays) < 1e-5
 
     def test_pair_permutation_leaves_loss_unchanged(self):
         rng = np.random.default_rng(23)
         z = rng.standard_normal((8, 3))
-        base = nt_xent(z, 0.5).value
+        base = nt_xent(z, 0.5)[0]
         # swap pair blocks (rows 0,1) <-> (rows 4,5)
         perm = [4, 5, 2, 3, 0, 1, 6, 7]
-        assert nt_xent(z[perm], 0.5).value == pytest.approx(base, abs=1e-12)
+        assert nt_xent(z[perm], 0.5)[0] == pytest.approx(base, abs=1e-12)
 
     def test_positive(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             z = rng.standard_normal((6, 4))
-            assert nt_xent(z, 0.5).value > 0.0
+            assert nt_xent(z, 0.5)[0] > 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(25)
         z = rng.standard_normal((8, 4))
-        base = nt_xent(z, 0.5).value
+        base = nt_xent(z, 0.5)[0]
         for c in (0.1, 3.0, 1000.0):
-            assert nt_xent(c * z, 0.5).value == pytest.approx(base, abs=1e-9)
+            assert nt_xent(c * z, 0.5)[0] == pytest.approx(base, abs=1e-9)
 
     def test_too_few_pairs(self):
         with pytest.raises(ValidationError):
@@ -99,9 +99,9 @@ def blocked_nt_xent(z, tau, block):
     rows = len(z)
     with pytest.MonkeyPatch.context() as mp:
         counts = patch_block_budget(mp, losses, block * 8 * rows)
-        lv = nt_xent(z, tau)
+        value, grad = nt_xent(z, tau)
     assert counts == [math.ceil(rows / block)]
-    return lv
+    return value, grad
 
 
 class TestNtXentBlocked:
@@ -111,7 +111,7 @@ class TestNtXentBlocked:
     def test_matches_brute_force(self, rows, tau):
         rng = np.random.default_rng(rows + int(100 * tau))
         z = rng.standard_normal((rows, 5))
-        got = blocked_nt_xent(z, tau, 6).value
+        got = blocked_nt_xent(z, tau, 6)[0]
         assert abs(got - brute_force_nt_xent(z, tau)) < 1e-10
 
     @pytest.mark.parametrize("rows", [14, 22])
@@ -120,8 +120,8 @@ class TestNtXentBlocked:
         z = rng.standard_normal((rows, 6))
 
         def loss_fn():
-            lv = blocked_nt_xent(z, 0.5, 6)
-            return lv.value, {"z": lv.grad}
+            value, grad = blocked_nt_xent(z, 0.5, 6)
+            return value, {"z": grad}
 
         assert grad_check(loss_fn, {"z": z}) < 1e-5
 
@@ -134,11 +134,11 @@ class TestNtXentBlocked:
         rows = 2 * pairs
         block = data.draw(st.integers(1, rows - 1))
         z = np.random.default_rng(seed).standard_normal((rows, dim))
-        single = nt_xent(z, tau)
-        blocked = blocked_nt_xent(z, tau, block)
-        assert abs(blocked.value - single.value) < 1e-12
-        scale = max(1.0, float(np.abs(single.grad).max()))
-        assert np.abs(blocked.grad - single.grad).max() < 1e-12 * scale
+        single_value, single_grad = nt_xent(z, tau)
+        blocked_value, blocked_grad = blocked_nt_xent(z, tau, block)
+        assert abs(blocked_value - single_value) < 1e-12
+        scale = max(1.0, float(np.abs(single_grad).max()))
+        assert np.abs(blocked_grad - single_grad).max() < 1e-12 * scale
 
 
 class TestNtXentNumerics:
@@ -151,9 +151,9 @@ class TestNtXentNumerics:
         # every other near 0, so each negative's shifted exp underflows to 0
         axis_pairs = np.repeat(np.eye(7), 2, axis=0) + 0.05 * rng.standard_normal((14, 7))
         for z in (random_rows, axis_pairs):
-            got = blocked_nt_xent(z, tau, block)
-            assert np.isfinite(got.value) and np.all(np.isfinite(got.grad))
-            assert abs(got.value - log_space_nt_xent(z, tau)) < 1e-9
+            value, grad = blocked_nt_xent(z, tau, block)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+            assert abs(value - log_space_nt_xent(z, tau)) < 1e-9
 
     def test_coinciding_views(self):
         # rows 2i and 2i+1 equal: their cosines round up to 1 + a few ulps,
@@ -162,21 +162,21 @@ class TestNtXentNumerics:
         zh = z / np.linalg.norm(z, axis=1)[:, None]
         assert (zh @ zh.T).max() > 1.0
         for tau in (0.5, 0.1):
-            assert abs(nt_xent(z, tau).value - brute_force_nt_xent(z, tau)) < 1e-10
+            assert abs(nt_xent(z, tau)[0] - brute_force_nt_xent(z, tau)) < 1e-10
         # the CLI's error state; each negative's shifted exp underflows to 0 by design
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = nt_xent(z, 1e-300)
-        assert np.isfinite(got.value) and got.value >= 0.0
-        assert np.all(np.isfinite(got.grad))
+            value, grad = nt_xent(z, 1e-300)
+        assert np.isfinite(value) and value >= 0.0
+        assert np.all(np.isfinite(grad))
 
     def test_underflow_is_not_a_fault(self):
         # at tau = 1e-3 most negatives' shifted exp underflows to 0, its right value:
         # under a caller's all-raise error state the loss and gradient are bitwise the same
         z = np.random.default_rng(49).standard_normal((64, 4))
-        want = nt_xent(z, 1e-3)
+        want_value, want_grad = nt_xent(z, 1e-3)
         with np.errstate(all="raise"):
-            got = nt_xent(z, 1e-3)
-        assert got.value == want.value and np.array_equal(got.grad, want.grad)
+            got_value, got_grad = nt_xent(z, 1e-3)
+        assert got_value == want_value and np.array_equal(got_grad, want_grad)
 
     def test_memory_is_bounded_by_the_block(self):
         # a single 4096 x 4096 float64 array would be 134 MB; 256-row blocks

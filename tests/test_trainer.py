@@ -15,7 +15,7 @@ from simskip.model import (
     layer_slices,
 )
 from simskip.synth_data import MixtureSpec, generate_gaussian_mixture
-from simskip import trainer
+from simskip import nn_core, trainer
 from simskip.cli import parse_and_run
 from simskip.embedding_store import EmbeddingDataset, load_embeddings
 from simskip.trainer import (
@@ -119,7 +119,7 @@ class TestAdam:
 
     def test_bitwise_equal_to_the_textbook_update(self):
         # the constants are the paper's, the ones the textbook step writes out
-        assert (trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
+        assert (nn_core.ADAM_BETA1, nn_core.ADAM_BETA2, nn_core.ADAM_EPS) == (0.9, 0.999, 1e-8)
         shapes = {"w1": (6, 3), "b1": (1,), "w2": (3, 6), "s": (5,)}
         assert_flat_adam_is_textbook(shapes, 0.003, seed=4)
 
@@ -133,7 +133,7 @@ class TestBlockedAdam:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        self.counts = patch_block_budget(monkeypatch, trainer, 5 * 48)
+        self.counts = patch_block_budget(monkeypatch, nn_core, 5 * 48)
 
     def step(self, params, grads, state, t):
         adam_step(params, grads, state, t, self.LR)
