@@ -15,7 +15,9 @@ many as `utils.block_rows` fits in the cache budget at 8 * 2N bytes a row.
 One block x 2N buffer is allocated per call; each block forms its slice of
 the similarity matrix in it and works on it in place, so every pass over
 the block stays in cache and memory is O(block x 2N) rather than several
-2N x 2N temporaries. Every row's logits are shifted by that row's own max
+2N x 2N temporaries. The gradient is then formed in place in the call's
+own normalized rows and their gradient, two 2N x d arrays, with one more
+made in passing. Every row's logits are shifted by that row's own max
 before `exp`, so the denominator cannot underflow however small tau is.
 Both functions here ignore underflow, which rounds to the right value.
 
@@ -86,10 +88,12 @@ def nt_xent(z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
         d_zh += s.T @ zh[r0:r1]
     value = float(per_anchor.mean())
 
-    # then through row normalization
+    # then through row normalization: (d_zh - radial * zh) / norms, in place
     radial = (d_zh * zh).sum(axis=1, keepdims=True)
-    grad = (d_zh - radial * zh) / norms[:, None]
-    return value, grad
+    zh *= radial
+    d_zh -= zh
+    d_zh /= norms[:, None]
+    return value, d_zh
 
 
 @np.errstate(under="ignore")

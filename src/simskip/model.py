@@ -40,6 +40,10 @@ update the one and reuse the other, as training does.
 
 A forward pass given a generator `rng` is a training pass (batch
 statistics, dropout masks drawn from `rng`); one without is the eval pass.
+The passes add the skip path and apply the ReLU masks in place on the
+new arrays that `nn_core` returns, and a loss-and-gradient step lets go
+of the projector output as soon as the loss is taken, so a step holds
+only what its backward pass reads.
 
 Checkpoint format "SSKP", version 3, little-endian: magic "SSKP", u8
 version, u8 flags (bit0 = skip_enabled), u32 d, then the float64 tensors
@@ -68,7 +72,6 @@ from .nn_core import (
     linear_backward,
     linear_init,
     relu_apply,
-    relu_backward,
 )
 from .utils import atomic_write, block_rows
 
@@ -172,11 +175,13 @@ def _block_forward(t, layer, x, rng):
 
 
 def _block_backward(cache, dout, grads, layer, input_grad=True):
+    """The block's backward pass over `dout`, which it may overwrite: in an
+    eval pass dropout hands it back and the ReLU mask is applied to it."""
     lin_cache, bn_cache, relu_cache, drop_cache = cache
-    d1 = dropout_backward(drop_cache, dout)
-    d2 = relu_backward(relu_cache, d1)
-    d3 = batchnorm_backward(bn_cache, d2, grads[layer + ".gamma"], grads[layer + ".beta"])
-    return linear_backward(lin_cache, d3, grads[layer + ".weight"], None, input_grad)
+    d = dropout_backward(drop_cache, dout)
+    d *= relu_cache
+    d = batchnorm_backward(bn_cache, d, grads[layer + ".gamma"], grads[layer + ".beta"])
+    return linear_backward(lin_cache, d, grads[layer + ".weight"], None, input_grad)
 
 
 def encoder_forward(params: SimSkipParams, x_batch: np.ndarray,
@@ -187,8 +192,9 @@ def encoder_forward(params: SimSkipParams, x_batch: np.ndarray,
     h1, c1 = _block_forward(t, "layer1", x, rng)
     h2, c2 = _block_forward(t, "layer2", h1, rng)
     r, c_out = linear_apply(h2, t["out.weight"], t["out.bias"])
-    out = x + r if params.skip_enabled else r
-    return out, (c1, c2, c_out, params.skip_enabled)
+    if params.skip_enabled:
+        r += x
+    return r, (c1, c2, c_out, params.skip_enabled)
 
 
 def encoder_backward(cache, dout: np.ndarray, grads: dict[str, np.ndarray],
@@ -226,8 +232,8 @@ def projector_backward(cache, dz: np.ndarray, grads: dict[str, np.ndarray],
     c1, c_relu, c2 = cache
     dhidden = linear_backward(c2, dz, grads["proj2.weight"], grads["proj2.bias"])
     done("proj2")
-    da = relu_backward(c_relu, dhidden)
-    dh = linear_backward(c1, da, grads["proj1.weight"], grads["proj1.bias"])
+    dhidden *= c_relu
+    dh = linear_backward(c1, dhidden, grads["proj1.weight"], grads["proj1.bias"])
     done("proj1")
     return dh
 
@@ -245,8 +251,9 @@ def contrastive_loss_and_grads(params: SimSkipParams, pairs: np.ndarray, tau: fl
     h, enc_cache = encoder_forward(params, pairs, rng)
     z, proj_cache = projector_forward(params, h)
     loss, dz = nt_xent(z, tau)
+    del z  # no backward pass reads it
     dh = projector_backward(proj_cache, dz, grads, after_layer)
-    del h, z, proj_cache, dz  # the encoder's backward pass reads none of them
+    del h, proj_cache, dz  # the encoder's backward pass reads none of them
     return loss, encoder_backward(enc_cache, dh, grads, input_grad, after_layer)
 
 

@@ -13,6 +13,17 @@ Inputs are float64 arrays, converted by `model`'s forward passes, never here;
 float64 lets analytic gradients be checked against central finite
 differences to tight tolerances.
 
+A cache holds what its backward pass reads and nothing more: linear's the
+input and the weight; batch norm's the normalized input xhat, 1/std,
+gamma and the pass's kind; ReLU's the boolean mask of positive inputs;
+dropout's the boolean keep mask and the rate, the 1/(1-rate) scale being
+formed only while it is used. Beyond the buffers it is given to write
+(parameter gradients, running statistics, and Adam's parameters and
+moments), no function writes to an array its caller passed in. Each forms
+its result in place in arrays it allocated itself, so a result is a new
+array, which the caller may overwrite, except where the layer is the
+identity: dropout without a generator or at rate 0 returns its input.
+
 A training pass (batch norm's `train`; dropout given a generator) uses
 batch statistics and random masks; the eval pass is deterministic (batch
 norm reads its running statistics, dropout is the identity).
@@ -69,7 +80,9 @@ def linear_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = No
     `bias` is None (a layer before batch norm, which cancels any bias)."""
     if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"expected input (B, {weight.shape[1]}), got {x.shape}")
-    out = x @ weight.T if bias is None else x @ weight.T + bias
+    out = x @ weight.T
+    if bias is not None:
+        out += bias
     return out, (x, weight)
 
 
@@ -103,31 +116,39 @@ def batchnorm_apply(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased (divide by B)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv_std
+        xhat = x - mean
         for running, batch in ((running_mean, mean), (running_var, var)):
             running *= 1 - BN_MOMENTUM
             running += BN_MOMENTUM * batch
     else:
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = (x - running_mean) * inv_std
-    out = gamma * xhat + beta
+        xhat = x - running_mean
+    xhat *= inv_std
+    out = gamma * xhat
+    out += beta
     return out, (xhat, inv_std, gamma, train)
 
 
 def batchnorm_backward(cache, dout: np.ndarray, dgamma: np.ndarray,
                        dbeta: np.ndarray) -> np.ndarray:
     xhat, inv_std, gamma, train = cache
-    np.sum(dout * xhat, axis=0, out=dgamma)
+    scratch = dout * xhat
+    np.sum(scratch, axis=0, out=dgamma)
     np.sum(dout, axis=0, out=dbeta)
-    dxhat = dout * gamma
+    dx = dout * gamma  # dxhat, turned into dx in place
     if train:
+        # through the batch mean and variance:
+        # dx = (inv_std / b) * ((b * dxhat - sum(dxhat)) - xhat * sum(dxhat * xhat))
         b = xhat.shape[0]
-        # gradient through the batch mean/variance
-        dx = (inv_std / b) * (
-            b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        mean_term = dx.sum(axis=0)
+        np.multiply(dx, xhat, out=scratch)
+        var_term = np.multiply(xhat, scratch.sum(axis=0), out=scratch)
+        dx *= b
+        dx -= mean_term
+        dx -= var_term
+        dx *= inv_std / b
     else:
-        dx = dxhat * inv_std
+        dx *= inv_std
     return dx
 
 
@@ -146,17 +167,26 @@ def relu_backward(cache, dout: np.ndarray):
 
 def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator | None = None):
     """Inverted dropout: survivors are scaled by 1/(1-rate), with the mask
-    drawn from `rng`; the identity when no generator is given."""
+    drawn from `rng`; the identity when no generator is given. The cache is
+    the boolean keep mask and the rate."""
     if not (0.0 <= rate < 1.0):
         raise ValidationError(f"dropout rate must lie in [0,1), got {rate}")
     if rng is None or rate == 0.0:
         return x, None
-    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * scale, scale
+    out = rng.random(x.shape)
+    keep = out >= rate
+    np.divide(keep, 1.0 - rate, out=out)  # the scale, then the output in place
+    out *= x
+    return out, (keep, rate)
 
 
 def dropout_backward(cache, dout: np.ndarray):
-    return dout if cache is None else dout * cache
+    if cache is None:
+        return dout
+    keep, rate = cache
+    dx = keep / (1.0 - rate)
+    dx *= dout
+    return dx
 
 
 # ---------------------------------------------------------------------------

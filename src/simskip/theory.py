@@ -113,11 +113,12 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
     """(T, k) matrix of f(x)^T (f(x+) - f(x-_i)) values.
 
     Filled in blocks of triplets, as many as `utils.block_rows` fits in
-    the cache budget at 24 * d bytes a row: each block gathers its own
-    anchors and positives and fills its k columns one at a time through
-    one block x d difference buffer, so memory stays O(block * d) plus
-    the (T, k) result whatever T and k are. Each margin is the same
-    per-row dot product at any block size.
+    the cache budget at 32 * d bytes a row: each block gathers its own
+    anchors and positives and fills its k columns one at a time, gathering
+    each column's negatives into one block x d buffer and differencing
+    through another, so memory stays O(block * d) plus the (T, k) result
+    whatever T and k are. Each margin is the same per-row dot product at
+    any block size.
     """
     top = max(triplets.anchors.max(), triplets.positives.max(), triplets.negatives.max())
     if top >= embedded.shape[0]:
@@ -125,15 +126,17 @@ def triplet_margins(embedded: np.ndarray, triplets: Triplets) -> np.ndarray:
                               f"{embedded.shape[0]} rows")
     t = len(triplets)
     margins = np.empty(triplets.negatives.shape)
-    rows = block_rows(24 * embedded.shape[1], t)
-    diff = np.empty((rows, embedded.shape[1]), dtype=embedded.dtype)
+    rows = block_rows(32 * embedded.shape[1], t)
+    neg, diff = (np.empty((rows, embedded.shape[1]), dtype=embedded.dtype) for _ in range(2))
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
         fa = embedded[triplets.anchors[r0:r1]]
         fp = embedded[triplets.positives[r0:r1]]
-        block = diff[:r1 - r0]
+        gathered, block = neg[:r1 - r0], diff[:r1 - r0]
         for j in range(triplets.k):
-            np.subtract(fp, embedded[triplets.negatives[r0:r1, j]], out=block)
+            # the indices are checked above; mode "raise" would gather through a copy
+            np.take(embedded, triplets.negatives[r0:r1, j], axis=0, out=gathered, mode="clip")
+            np.subtract(fp, gathered, out=block)
             margins[r0:r1, j] = np.einsum("td,td->t", fa, block)
     return margins
 

@@ -17,7 +17,10 @@ layer's slice in place as soon as the backward pass is done with that
 layer, from a gradient written into one scratch vector the size of the
 largest layer, so no whole-model gradient vector exists. Adam is
 elementwise, so this is bitwise the update of the whole arena after the
-whole backward pass, and that is bitwise the textbook update. Training
+whole backward pass, and that is bitwise the textbook update. A step
+holds, beyond that, only the activations its backward pass reads and the
+loss's working set: one d = 768, batch-64 step peaks at 3.70 arenas under
+tracemalloc (the parameters and both moments are 3). Training
 raises NumPy's overflow, invalid and divide faults where they happen and
 ignores underflow, whatever the caller's error state; a fault's notes name
 its layer if in an Adam update, then its epoch and batch.

@@ -5,9 +5,9 @@ Run from anywhere:  python tests/mutants.py
 A mutant is a one-line text edit of `src/simskip` that a good test suite
 should catch ("kill"). Each one runs in its own temporary copy of `src/`,
 `tests/` and `pyproject.toml`, outside the checkout, under
-`pytest -x` over the mutated module's tests (`tests/test_<module>.py`),
-then `test_golden_outputs.py` and `test_acceptance.py`; a failed test kills
-it. The script prints each verdict and `mutants_killed k/n`. Before any
+`pytest -x` over the mutated module's tests (`tests/test_<module>.py`, or
+the test file its row names), then `test_golden_outputs.py` and
+`test_acceptance.py`; a failed test kills it. The script prints each verdict and `mutants_killed k/n`. Before any
 mutant runs it checks that every old text occurs exactly once in its file
 and that an unmutated copy passes all those tests. It exits 1 when either
 check fails, on a mutant whose run ends in a pytest error other than a
@@ -26,10 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "simskip"
 
-# (file in src/simskip, old text, new text, what the edit breaks)
+# (file in src/simskip, old text, new text, what the edit breaks[, its test file in tests/])
 MUTANTS = [
     ("nn_core.py", "ADAM_EPS = 0.9, 0.999, 1e-8", "ADAM_EPS = 0.9, 0.999, 1e-7",
-     "Adam's epsilon, which every update divides by"),
+     "Adam's epsilon, which every update divides by", "test_trainer.py"),
     ("evaluate.py", "np.cumsum(ties, axis=1) > kept", "np.cumsum(ties, axis=1) >= kept",
      "kNN's tie-break at the k-th distance drops one tie too many"),
     ("theory.py", "rng.integers(1, sizes[c])", "rng.integers(0, sizes[c])",
@@ -62,9 +62,9 @@ MUTANTS = [
     ("theory.py", "top >= embedded.shape[0]", "top > embedded.shape[0]",
      "a triplet index one past the last row is not rejected"),
     ("nn_core.py", "1 - ADAM_BETA1**t", "1 - ADAM_BETA1**(t + 1)",
-     "Adam's first-moment bias correction is one step off"),
-    ("nn_core.py", "- dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)",
-     "- dxhat.sum(axis=0)", "batch norm's backward drops the gradient through the variance"),
+     "Adam's first-moment bias correction is one step off", "test_trainer.py"),
+    ("nn_core.py", "dx -= var_term", "pass",
+     "batch norm's backward drops the gradient through the variance"),
     ("embedding_store.py", "- base[c]), c)", "- base[c]), -c)",
      "split hands a tied remainder's extra row to the higher class id"),
     ("embedding_store.py", "-(train_fraction", "(train_fraction",
@@ -76,6 +76,8 @@ MUTANTS = [
      "a comparison's deltas are the original's scores minus the refined ones"),
     ("cli.py", "except (MemoryError, OverflowError, ValueError)",
      "except (OverflowError, ValueError)", "an array too large to allocate ends in a traceback"),
+    ("nn_core.py", "dx = keep / (1.0 - rate)", "dx = keep / 1.0",
+     "dropout's backward drops the survivors' 1/(1-rate) scale"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result
@@ -100,14 +102,16 @@ def pytest_code(work: Path, tests: list[str], edit: tuple[str, str, str] | None 
                            *tests], cwd=copy, env=env, capture_output=True).returncode
 
 
-def tests_of(name: str) -> list[str]:
-    return [f"tests/test_{Path(name).stem}.py", "tests/test_golden_outputs.py",
+def tests_of(name: str, test: str | None = None) -> list[str]:
+    """The tests a mutant of `name` runs: its own (`test`, when its row names
+    one), then the golden outputs and the acceptance criteria."""
+    return [f"tests/{test or f'test_{Path(name).stem}.py'}", "tests/test_golden_outputs.py",
             "tests/test_acceptance.py"]
 
 
 def main() -> int:
     failed = False
-    for name, old, new, _ in MUTANTS:
+    for name, old, *_ in MUTANTS:
         count = (PACKAGE / name).read_text().count(old)
         if count != 1:
             print(f"{name}: old text occurs {count} times, not once: {old!r}")
@@ -117,13 +121,13 @@ def main() -> int:
     killed, survivors = 0, set()
     with tempfile.TemporaryDirectory() as tmp:
         # a kill means something only if the unmutated copy passes the same tests
-        every = sorted({test for name, *_ in MUTANTS for test in tests_of(name)})
+        every = sorted({test for row in MUTANTS for test in tests_of(row[0], *row[4:])})
         if code := pytest_code(Path(tmp), every):
             print(f"the unmutated copy fails its tests (pytest exit {code})")
             return 1
-        for name, old, new, why in MUTANTS:
+        for name, old, new, why, *test in MUTANTS:
             start = time.perf_counter()
-            code = pytest_code(Path(tmp), tests_of(name), (name, old, new))
+            code = pytest_code(Path(tmp), tests_of(name, *test), (name, old, new))
             killed += code == 1
             reason = EQUIVALENT.get((name, old, new))
             if code == 0:

@@ -190,6 +190,14 @@ class TestNtXentNumerics:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_leaves_its_input_unchanged(self):
+        # the gradient is formed in nt_xent's own buffers, never in z's
+        z = np.random.default_rng(50).standard_normal((16, 6))
+        before = z.copy()
+        _, grad = nt_xent(z, 0.5)
+        assert np.array_equal(z, before)
+        assert not np.shares_memory(grad, z)
+
 class TestMarginLosses:
     def test_hinge_values(self):
         assert hinge_loss([1.0, 2.0]) == 0.0

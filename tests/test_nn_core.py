@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import grad_check
+from simskip import nn_core
 from simskip.errors import ShapeError, ValidationError
 from simskip.nn_core import (
     batchnorm_apply,
@@ -272,6 +273,76 @@ class TestDropout:
             for rate in (1.0, -0.1, np.nan):
                 with pytest.raises(ValidationError, match="dropout rate"):
                     dropout_apply(np.ones((2, 3)), rate, rng)
+
+
+def arrays_in(value):
+    """Every array in `value`, an array or a tuple of arrays and other values."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for item in value for a in arrays_in(item)] if isinstance(value, tuple) else []
+
+
+def layer_calls(rng):
+    """Each layer function's call, keyed `<function>-<pass>`: (a function of no
+    arguments making the call, the arrays it reads, whether it returns an
+    input as its result). Parameter-gradient buffers and a training pass's
+    running statistics, which the functions write, are fresh per call."""
+    x, dout = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    weight, bias = new_linear(4, 4, rng)
+    gamma, beta = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
+    stats = (rng.standard_normal(4), rng.uniform(0.5, 2.0, 4))
+    lin = linear_apply(x, weight, bias)[1]
+    bn = {train: batchnorm_apply(x, gamma, beta, *(s.copy() for s in stats), train=train)[1]
+          for train in (True, False)}
+    relu = relu_apply(x)[1]
+    drop = dropout_apply(x, 0.3, np.random.default_rng(1))[1]
+    calls = {
+        "linear_apply-bias": (lambda: linear_apply(x, weight, bias), (x, weight, bias), False),
+        "linear_apply-no-bias": (lambda: linear_apply(x, weight), (x, weight), False),
+        "linear_backward": (lambda: linear_backward(lin, dout, np.empty_like(weight),
+                                                    np.empty(4)), (lin, dout), False),
+        "batchnorm_apply-train": (lambda: batchnorm_apply(x, gamma, beta, np.zeros(4),
+                                                          np.ones(4), train=True),
+                                  (x, gamma, beta), False),
+        "batchnorm_apply-eval": (lambda: batchnorm_apply(x, gamma, beta, *stats),
+                                 (x, gamma, beta, stats), False),
+        "relu_apply": (lambda: relu_apply(x), (x,), False),
+        "relu_backward": (lambda: relu_backward(relu, dout), (relu, dout), False),
+        "dropout_apply-train": (lambda: dropout_apply(x, 0.3, np.random.default_rng(1)), (x,),
+                                False),
+        "dropout_apply-eval": (lambda: dropout_apply(x, 0.3), (x,), True),
+        "dropout_backward-train": (lambda: dropout_backward(drop, dout), (drop, dout), False),
+        "dropout_backward-eval": (lambda: dropout_backward(None, dout), (dout,), True),
+    }
+    for train, cache in bn.items():
+        calls[f"batchnorm_backward-{'train' if train else 'eval'}"] = (
+            lambda cache=cache: batchnorm_backward(cache, dout, np.empty(4), np.empty(4)),
+            (cache, dout), False)
+    return calls
+
+
+class TestInputsUntouched:
+    """No layer function writes to an array its caller passed in, and each
+    result is a new array unless the layer is the identity: `model` applies
+    its ReLU masks and skip path in place on the results."""
+
+    def test_every_layer_function_is_covered(self):
+        names = {name for name in dir(nn_core) if name.endswith(("_apply", "_backward"))}
+        assert {key.split("-")[0] for key in layer_calls(np.random.default_rng(0))} == names
+
+    @pytest.mark.parametrize("key", sorted(layer_calls(np.random.default_rng(0))))
+    def test_inputs_bitwise_unchanged(self, key):
+        call, inputs, identity = layer_calls(np.random.default_rng(30))[key]
+        read = arrays_in(inputs)
+        before = [a.copy() for a in read]
+        result = call()
+        for got, want in zip(read, before):
+            assert np.array_equal(got, want)
+        out = result[0] if key.split("-")[0].endswith("_apply") else result
+        if identity:
+            assert any(out is a for a in read)
+        else:
+            assert not any(np.shares_memory(out, a) for a in read)
 
 
 class TestGradCheck:

@@ -162,9 +162,9 @@ class TestTripletMargins:
     @pytest.mark.parametrize("dim", [2, 32, 768])
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_bitwise_equal_in_small_blocks(self, dim, k, monkeypatch):
-        # 1000 triplets in blocks of 7 rows of 24 * d bytes: 142 full blocks
+        # 1000 triplets in blocks of 7 rows of 32 * d bytes: 142 full blocks
         # and a 6-row tail
-        counts = patch_block_budget(monkeypatch, theory, 7 * 24 * dim)
+        counts = patch_block_budget(monkeypatch, theory, 7 * 32 * dim)
         rng = np.random.default_rng(dim * 10 + k + 1)
         ds = EmbeddingDataset(rng.standard_normal((60, dim)) * 3.0, rng.integers(0, 3, 60))
         triplets = sample_triplets(ds, k=k, count=1000, seed=k)
@@ -191,14 +191,14 @@ class TestTripletMargins:
             return peak - count * k * 8
 
         with pytest.MonkeyPatch.context() as mp:
-            # 256-row blocks of 24 * d bytes: 156 full blocks and a tail
-            counts = patch_block_budget(mp, theory, 256 * 24 * dim)
+            # 256-row blocks of 32 * d bytes: 156 full blocks and a tail
+            counts = patch_block_budget(mp, theory, 256 * 32 * dim)
             assert peak_beyond_result() < 8 * 256 * dim * 8
             assert counts == [157]
-        # at the default budget, 682-row blocks: the block's buffers fit in it
+        # at the default budget, 512-row blocks: the block's buffers fit in it
         counts = patch_block_budget(monkeypatch, theory, utils._CACHE_BLOCK_BYTES)
         assert peak_beyond_result() < 2 * utils._CACHE_BLOCK_BYTES
-        assert counts == [59]
+        assert counts == [79]
 
     def test_memory_does_not_grow_with_k(self):
         # the gathered T x k x d negatives and their differences took 2k

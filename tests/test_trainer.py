@@ -213,6 +213,26 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 4.0 * nbytes
 
+    def test_step_holds_only_what_its_backward_pass_reads(self):
+        # beyond the parameters, both Adam moments and the one-layer gradient scratch,
+        # in units of one 2B x d float64 array (4 MiB at d = 256, batch 1024). The
+        # backward pass reads the five linear layers' inputs (1 + 1/2 + 1 + 1 + 1),
+        # both batch norms' xhat (1/2 + 1) and the boolean ReLU and dropout masks
+        # (1/2): 6.5 in all. At the loss's epilogue z, its normalized rows, their
+        # gradient and one product (4) and the loss's 1 MiB block buffer (1/4) join
+        # them: 10.75. Float64 dropout scales and the epilogues' temporaries made it 13.1
+        batch, d = 1024, 256
+        ds = EmbeddingDataset(np.random.default_rng(0).standard_normal((batch, d)))
+        arena = init_params(d, 0).flat.nbytes
+        scratch = 8 * max(s.stop - s.start for s in layer_slices(d).values())
+        tracemalloc.start()
+        try:
+            train(ds, TrainConfig(batch_size=batch, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 3 * arena - scratch) / (2 * batch * d * 8) < 11.0
+
     def test_non_finite_loss_is_rejected_before_any_update(self, tmp_path, monkeypatch):
         # 1/tau overflows in the loss, which raises there, whatever the caller's error
         # state; no layer may be updated from the gradients of an infinite loss

@@ -106,11 +106,11 @@ class TestBlockRows:
         (16 * 1600, 1600, 40),
         (16 * 512, 512, 128),
         (16 * 1024, 1024, 64),
-        # triplet margins, 24 * d bytes a row: eval-theory's 10 000 triplets
+        # triplet margins, 32 * d bytes a row: eval-theory's 10 000 triplets
         # at d = 32, train-wide's 1000 at d = 768, train-narrow's at d = 16
-        (24 * 32, 10_000, 1365),
-        (24 * 768, 1000, 56),
-        (24 * 16, 1000, 1000),
+        (32 * 32, 10_000, 1024),
+        (32 * 768, 1000, 42),
+        (32 * 16, 1000, 1000),
         # Adam, 48 bytes an element of train-wide's d = 768 arena
         (48, 2_365_056, 21_845),
     ])
