@@ -7,12 +7,13 @@ should catch ("kill"). Each one runs in its own temporary copy of `src/`,
 `tests/` and `pyproject.toml`, outside the checkout, under
 `pytest -x` over the mutated module's tests (`tests/test_<module>.py`, or
 the test file its row names), then `test_golden_outputs.py` and
-`test_acceptance.py`; a failed test kills it. The script prints each verdict and `mutants_killed k/n`. Before any
-mutant runs it checks that every old text occurs exactly once in its file
-and that an unmutated copy passes all those tests. It exits 1 when either
-check fails, on a mutant whose run ends in a pytest error other than a
-failed test, on a survivor that `EQUIVALENT` does not list, and on an
-`EQUIVALENT` entry that names no surviving mutant.
+`test_acceptance.py`; a failed test kills it. The script prints each
+verdict and `mutants_killed k/n`. Before any mutant runs it checks that
+every old text occurs exactly once in its file and that an unmutated copy
+passes all those tests. It exits 1 when either check fails, on a mutant
+whose run ends in a pytest error other than a failed test, on a survivor
+that `EQUIVALENT` does not list, and on an `EQUIVALENT` entry that names
+no surviving mutant.
 """
 
 import os
