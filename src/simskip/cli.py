@@ -12,7 +12,6 @@ Subcommands
                 mlp3 result
     theory      triplet margins, loss-bound terms, JSON bound report; the
                 bound's R is the input's largest row norm, M the triplet count
-    augment     preview augmented positive pairs for the first rows
     inspect     print a JSON summary of an EMBF or SSKP file
 
 Exit codes: 0 success, 1 validation/format/usage errors and sizes NumPy
@@ -40,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import AugmentConfig, make_positive_pairs
 from .embedding_store import dataset_fingerprint, load_embeddings, save_embeddings
 from .errors import NumericsError, SimSkipError, ValidationError
 from .synth_data import MixtureSpec, apply_class_mixing, generate_gaussian_mixture
@@ -202,32 +200,6 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _cmd_augment(args) -> int:
-    if args.rows < 1:
-        raise ValidationError(f"--rows must be >= 1, got {args.rows}")
-    _check_paths([("--in", args.infile)], [("--report", args.report)])
-    dataset = load_embeddings(args.infile)
-    if args.rows > dataset.count:
-        raise ValidationError(f"--rows {args.rows} exceeds the file's {dataset.count} rows")
-    cfg = AugmentConfig(mask_prob=args.mask_prob, noise_scale=args.noise_scale)
-    rng = np.random.default_rng(args.seed)
-    previews = []
-    for i in range(args.rows):
-        a, b = make_positive_pairs(dataset.vectors[i:i + 1], cfg, rng)
-        previews.append({
-            "row": i,
-            "original": [float(v) for v in dataset.vectors[i]],
-            "view_a": [float(v) for v in a],
-            "view_b": [float(v) for v in b],
-        })
-    payload = {
-        "config": {**dataclasses.asdict(cfg), "seed": args.seed},
-        "previews": previews,
-    }
-    _write_json(payload, args.report)
-    return 0
-
-
 def _cmd_inspect(args) -> int:
     from .model import CHECKPOINT_MAGIC, load_checkpoint, parameter_counts
 
@@ -311,15 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_theory)
-
-    p = sub.add_parser("augment", help="preview augmented positive pairs")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mask-prob", type=float, default=AugmentConfig().mask_prob)
-    p.add_argument("--noise-scale", type=float, default=AugmentConfig().noise_scale)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--rows", type=int, default=1)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("inspect", help="summarize an EMBF or SSKP file")
     p.add_argument("--in", dest="infile", required=True)

@@ -79,6 +79,8 @@ MUTANTS = [
      "except (OverflowError, ValueError)", "an array too large to allocate ends in a traceback"),
     ("nn_core.py", "dx = keep / (1.0 - rate)", "dx = keep / 1.0",
      "dropout's backward drops the survivors' 1/(1-rate) scale"),
+    ("cli.py", "from . import __version__", "from . import __version__, augment",
+     "every CLI start loads the augmentation module, gen-synth's included"),
 ]
 
 # (file, old text, new text) of a mutant no test can kill -> why its edit changes no result

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,13 @@ class TestPositivePairs:
                 want = gaussian_noise(want, noise_scale, want_rng)
             assert np.array_equal(got_view, want)
         assert got_rng.random() == want_rng.random()
+
+    def test_masked_then_noised_pairs_match_their_digest(self):
+        # pins the bytes of masked-then-noised views: the mask zeroes 11 of these 48
+        # coordinates, and no train config in the golden pipeline sets mask_prob.
+        # Like the golden digests, it pins this platform's NumPy build (NumPy 2.x)
+        x = np.random.default_rng(21).standard_normal((3, 8))
+        pairs = make_positive_pairs(x, AugmentConfig(mask_prob=0.2), np.random.default_rng(22))
+        assert pairs.shape == (6, 8) and pairs.dtype == np.float64
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == (
+            "e4c2bd42724cf35e66e6da6412382dfc089bd0acef064551dff8f78496cac70b")

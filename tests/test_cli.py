@@ -46,13 +46,21 @@ def run_child(argv, flags=(), main=("-m", "simskip.cli")):
                           capture_output=True, text=True, env=env)
 
 
-def loaded_package_modules(argv, main=("-m", "simskip.cli")) -> set[str]:
-    """The `simskip` modules a fresh interpreter imports running `argv`, read
-    from its `-X importtime` report."""
-    proc = run_child(argv, flags=("-X", "importtime"), main=main)
+# `python -m simskip.cli` as a `-c` program, so that other code can run before it
+CLI_CODE = "import runpy; runpy.run_module('simskip.cli', run_name='__main__', alter_sys=True)"
+
+
+def loaded_package_modules(argv, code=CLI_CODE) -> set[str]:
+    """The `simskip` modules in the `sys.modules` of a fresh interpreter that
+    runs `code` (by default the CLI) with `argv`, read as it exits. `-X
+    importtime` would miss a module that the package's `__getattr__` loads
+    through `importlib.import_module`, as `from . import augment` does."""
+    report = ("import atexit, sys\n"
+              "atexit.register(lambda: print('loaded', *sys.modules, file=sys.stderr))")
+    proc = run_child(argv, main=("-c", f"{report}\n{code}"))
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
+    tag, *names = proc.stderr.splitlines()[-1].split()
+    assert tag == "loaded", proc.stderr
     return {name for name in names if name.split(".")[0] == "simskip"}
 
 
@@ -333,7 +341,6 @@ FLAG_VALUES = {
     "eval": {"--hidden-dim": "4", "--probe-epochs": "2", "--train-fraction": "0.5"},
     "gen-synth": {"--classes": "2", "--dim": "3", "--per-class": "4", "--seed": "5",
                   "--mix-strength": "0.3"},
-    "augment": {"--mask-prob": "0.2", "--noise-scale": "0.1", "--seed": "3", "--rows": "2"},
 }
 
 
@@ -345,8 +352,7 @@ def flag_contract_inputs(contract_data, tmp_path_factory):
     save_embeddings(EmbeddingDataset(2.0 * data.vectors, data.labels), refined)
     return {"theory": ["--in", contract_data],
             "eval": ["--original", contract_data, "--refined", refined],
-            "gen-synth": [],
-            "augment": ["--in", contract_data]}
+            "gen-synth": []}
 
 
 class TestFlagContract:
@@ -356,7 +362,7 @@ class TestFlagContract:
     stderr (argparse's usage line may come before it), never a warning or a
     traceback. `refine`, `ablate` and `inspect` take only path flags."""
 
-    @pytest.mark.parametrize("command", ["theory", "eval", "gen-synth", "augment"])
+    @pytest.mark.parametrize("command", ["theory", "eval", "gen-synth"])
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_exit_contract_over_flag_values(self, flag_contract_inputs, command, data):
@@ -443,7 +449,6 @@ class TestStrictJson:
                        "--out", tmp_path / "a.embf"],
             "eval": ["eval", "--original", synth_file, "--refined", refined, "--probe-epochs", 20],
             "theory": ["theory", "--in", synth_file, "--triplets", 50],
-            "augment": ["augment", "--in", synth_file, "--rows", 2],
             "inspect-embf": ["inspect", "--in", refined],
             "inspect-sskp": ["inspect", "--in", ckpt],
         }
@@ -451,23 +456,6 @@ class TestStrictJson:
             report = tmp_path / f"{name}.json"
             assert run([*argv, "--report", report]) == 0, name
             assert json.loads(report.read_text(), parse_constant=reject_constant), name
-
-
-class TestAugmentCommand:
-    def test_preview(self, tmp_path, synth_file):
-        report = tmp_path / "aug.json"
-        assert run(["augment", "--in", synth_file, "--noise-scale", 0,
-                    "--mask-prob", 0.5, "--rows", 2, "--seed", 4,
-                    "--report", report]) == 0
-        payload = json.loads(report.read_text())
-        assert payload["config"] == {"mask_prob": 0.5, "noise_scale": 0.0, "seed": 4}
-        assert len(payload["previews"]) == 2
-        assert len(payload["previews"][0]["view_a"]) == 8
-        for preview in payload["previews"]:
-            # masking alone: every coordinate is kept or zeroed
-            original = np.array(preview["original"])
-            for view in (preview["view_a"], preview["view_b"]):
-                assert np.all((np.array(view) == original) | (np.array(view) == 0.0))
 
 
 class TestInspectCommand:
@@ -650,7 +638,8 @@ class TestErrorPaths:
         assert err.startswith("error:") and "train_fraction 0.01 of 80 rows" in err
         assert not report.exists()
 
-    # each removed flag, given a value its command once took
+    # each removed flag, given a value its command once took, and the removed
+    # `augment` command, which argparse names as an invalid choice
     @pytest.mark.parametrize("command,argv,flag", [
         ("eval", "--original {d} --refined {d} --report {o} --csv {c}", "--csv"),
         ("eval", "--original {d} --refined {d} --report {o} --probe mlp3", "--probe"),
@@ -670,11 +659,12 @@ class TestErrorPaths:
         ("eval", "--original {d} --refined {d} --report {o} --split-seed 2", "--split-seed"),
         ("gen-synth", "--out {o} --separation 10", "--separation"),
         ("gen-synth", "--out {o} --sigma 1", "--sigma"),
+        ("augment", "--in {d} --report {o}", "augment"),
     ], ids=["eval-csv", "eval-probe", "theory-sample-size", "gen-synth-mix-seed",
             "refine-lr-sweep", "ablate-lr-sweep", "theory-radius", "theory-rademacher",
             "theory-delta-conf", "theory-alpha", "theory-eta", "theory-eps-slack",
             "eval-knn-k", "eval-probe-lr", "eval-probe-seed", "eval-split-seed",
-            "gen-synth-separation", "gen-synth-sigma"])
+            "gen-synth-separation", "gen-synth-sigma", "augment-command"])
     def test_removed_flag_exits_one(self, tmp_path, synth_file, capsys, command, argv, flag):
         argv = argv.format(d=synth_file, o=tmp_path / "out", c=tmp_path / "e.csv").split()
         assert run([command, *argv]) == 1
@@ -705,14 +695,13 @@ class TestErrorPaths:
         assert not report.exists()
 
     @pytest.mark.parametrize("command,flag", [
-        ("gen-synth", "--seed"), ("theory", "--seed"), ("augment", "--seed"),
+        ("gen-synth", "--seed"), ("theory", "--seed"),
         ("refine", "config"), ("ablate", "config")])
     def test_negative_seed_exits_one(self, tmp_path, synth_file, capsys, command, flag):
         out = tmp_path / "out"
         argv = {
             "gen-synth": ["--mix-strength", 0.5, "--out", out],
             "theory": ["--in", synth_file, "--report", out],
-            "augment": ["--in", synth_file, "--report", out],
         }.get(command)
         if flag == "config":
             cfg = tmp_path / "seed.cfg"
@@ -741,11 +730,10 @@ class TestErrorPaths:
         ("eval", "--original {d} --refined {d} {e} --report {l}"),
         ("eval", "--original {l} --refined {e} --report {e}"),
         ("theory", "--in {d} --report {d}"),
-        ("augment", "--in {l} --report {d}"),
         ("inspect", "--in {d} --report {l}"),
     ], ids=["refine-out", "refine-checkpoint", "refine-report-link", "ablate-out-link",
             "eval-report", "eval-csv-link", "eval-report-refined", "theory-report",
-            "augment-report", "inspect-report-link"])
+            "inspect-report-link"])
     def test_output_naming_an_input_exits_one(self, tmp_path, synth_file, train_cfg,
                                               capsys, command, argv):
         copy, link = tmp_path / "e.embf", tmp_path / "l.embf"
@@ -797,20 +785,6 @@ class TestErrorPaths:
         assert err.startswith(f"error: {problem}") and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "d.embf", "train.cfg"]
 
-    @pytest.mark.parametrize("rows", [0, -1])
-    def test_augment_rows_must_be_positive(self, tmp_path, synth_file, capsys, rows):
-        report = tmp_path / "aug.json"
-        assert run(["augment", "--in", synth_file, "--rows", rows, "--report", report]) == 1
-        assert "--rows" in capsys.readouterr().err
-        assert not report.exists()
-
-    def test_augment_rows_beyond_the_file_exits_one(self, tmp_path, synth_file, capsys):
-        # previews are never silently cut to the rows the file has
-        report = tmp_path / "aug.json"
-        assert run(["augment", "--in", synth_file, "--rows", 81, "--report", report]) == 1
-        assert "--rows 81 exceeds the file's 80 rows" in capsys.readouterr().err
-        assert not report.exists()
-
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.embf"
         proc = run_child(["gen-synth", "--classes", "2", "--dim", "4", "--per-class", "5",
@@ -855,31 +829,31 @@ class TestImports:
         loaded = loaded_package_modules(["gen-synth", "--out", str(tmp_path / "d.embf")])
         assert "simskip.synth_data" in loaded
         assert loaded.isdisjoint({f"simskip.{m}" for m in (
-            "trainer", "model", "nn_core", "losses", "evaluate", "theory")}), loaded
+            "trainer", "model", "nn_core", "losses", "augment", "evaluate", "theory")}), loaded
 
     def test_theory_loads_no_training_or_evaluation(self, tmp_path, synth_file):
         loaded = loaded_package_modules(["theory", "--in", str(synth_file), "--triplets", "50",
                                          "--report", str(tmp_path / "bound.json")])
         assert "simskip.theory" in loaded
         assert loaded.isdisjoint({f"simskip.{m}" for m in (
-            "trainer", "model", "nn_core", "evaluate")}), loaded
+            "trainer", "model", "nn_core", "augment", "evaluate")}), loaded
 
     def test_eval_loads_no_training_or_model(self, tmp_path, synth_file):
         # scoring stands on the layer kit; embeddings from any encoder need no trainer
         loaded = loaded_package_modules(["eval", "--original", str(synth_file), "--refined",
                                          str(synth_file), "--report", str(tmp_path / "e.json")])
         assert "simskip.evaluate" in loaded
-        assert loaded.isdisjoint({"simskip.trainer", "simskip.model"}), loaded
+        assert loaded.isdisjoint({f"simskip.{m}" for m in ("trainer", "model", "augment")}), loaded
 
     def test_inspect_of_a_checkpoint_loads_no_losses(self, tmp_path):
         ckpt = tmp_path / "m.sskp"
         save_checkpoint(init_params(8, seed=0), ckpt)
         loaded = loaded_package_modules(["inspect", "--in", str(ckpt)])
         assert "simskip.model" in loaded
-        assert "simskip.losses" not in loaded, loaded
+        assert loaded.isdisjoint({"simskip.losses", "simskip.augment"}), loaded
 
     def test_bare_import_loads_no_submodule(self):
-        assert loaded_package_modules([], main=("-c", "import simskip")) == {"simskip"}
+        assert loaded_package_modules([], code="import simskip") == {"simskip"}
 
     def test_public_names_resolve_to_their_module_attributes(self):
         assert sorted(simskip.__all__) == sorted(n for names in PUBLIC_NAMES.values()

@@ -1,9 +1,9 @@
 """Golden sha256 digests of every file the CLI pipeline writes.
 
-Each case runs `gen-synth -> refine -> ablate -> eval -> theory -> augment
--> inspect` in process through `cli.parse_and_run`, inside a temporary
-working directory with relative file names, so the paths the reports
-record are the same on every run. A change that keeps the outputs
+Each case runs `gen-synth -> refine -> ablate -> eval -> theory -> inspect`
+in process through `cli.parse_and_run`, inside a temporary working
+directory with relative file names, so the paths the reports record are
+the same on every run. A change that keeps the outputs
 byte-identical leaves every digest here unchanged; there is no tolerance.
 
 The digests pin the float64 results with this platform's NumPy/BLAS build
@@ -44,8 +44,6 @@ GOLDEN = {
             "ad8f5aa624ba7d315938db72920e2d16c11cb93472162f7599899f336982fff5",
         "theory.json":
             "0c22a6d598eb8379102dbb931248c949db6beb01ca716d2b60bceaf674a5f339",
-        "augment.json":
-            "61dca75a367b3f051a9f1961760f61f2c7f5441688f7fac4ededd3ee392b3cc3",
         "inspect_embf.json":
             "2573967c453b2f95d693c8944389b828a678c351d4e52f79dfafb6fb59bcfb3a",
         "inspect_sskp.json":
@@ -68,8 +66,6 @@ GOLDEN = {
             "2fcbad42f164a0fed2920ee721d1e394560617fc0f62166210008637dae4c675",
         "theory.json":
             "bab7e706f4e02dad9dbfced1eca264f30f33b13c4820976b58149e1d35a9bd50",
-        "augment.json":
-            "5682cedf9be1843df7bbc8cc2854d98f639abb7670a87ed7c084fdc6dccd6c80",
         "inspect_embf.json":
             "9ccf726424300d77c49452e0a3b2251227d9d20d9ce45b94d9eb5c965b771a40",
         "inspect_sskp.json":
@@ -91,8 +87,6 @@ def _pipeline(classes, per_class, dim, batch, hidden_dim, triplets, k, seed):
          "--hidden-dim", hidden_dim, "--train-fraction", 0.5, "--report", "eval.json"],
         ["theory", "--in", "refined.embf", "--triplets", triplets, "--k", k,
          "--seed", seed, "--report", "theory.json"],
-        ["augment", "--in", "data.embf", "--mask-prob", 0.2, "--rows", 3,
-         "--seed", seed, "--report", "augment.json"],
         ["inspect", "--in", "refined.embf", "--report", "inspect_embf.json"],
         ["inspect", "--in", "refined.sskp", "--report", "inspect_sskp.json"],
     ]

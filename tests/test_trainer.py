@@ -201,7 +201,7 @@ class TestTrain:
     def test_one_gradient_set_alive_at_a_time(self):
         # the parameters and both Adam moments make 3 arenas (the trainable bytes) and
         # one layer's gradient 0.25 more at d = 768; a step's activations bring the
-        # measured peak to 3.82 arenas. A whole-arena gradient vector made it 4.55
+        # measured peak to 3.70 arenas. A whole-arena gradient vector made it 4.55
         ds = mixture(count_per_class=32, dim=768)
         cfg = TrainConfig(batch_size=64, epochs=1, seed=0)
         nbytes = init_params(ds.dim, 0).flat.nbytes
